@@ -191,7 +191,7 @@ type Substrate struct {
 	// barrier transactions whose footprints claim disjoint Banks bits touch
 	// disjoint partitions, so parallel conflict groups never share a
 	// backing array (see footprint.go).
-	where partLineMap[[]l2loc]
+	where residency
 	// scratch is collectForWrite's reusable residency snapshot, one per
 	// core: all of a core's transactions land in the same conflict group
 	// (every footprint includes its requester-core bit), so the per-core
@@ -262,7 +262,7 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 		L1:          l1,
 		Map:         mapping,
 		RNG:         sim.NewRNG(cfg.Seed ^ 0xA11CE),
-		where:       newPartLineMap[[]l2loc](cfg.Banks, 1<<16),
+		where:       newResidency(cfg.Banks, 1<<16),
 		status:      newPartLineMap[lineStatus](cfg.Banks, 1<<16),
 		scratch:     make([][]l2loc, cfg.Cores),
 		hintValid:   make([]bool, cfg.Cores),
@@ -398,7 +398,10 @@ func (s *Substrate) onLine(l mem.Line) {
 	}
 }
 
-// l2Has returns the copies of line currently in the L2.
+// l2Has returns the copies of line currently in the L2. The slice is the
+// live residency entry: it is valid only until the next l2Insert,
+// l2Invalidate or removeWhere, which may hand it to another line, so a
+// caller that mutates residency while walking it must walk a copy.
 func (s *Substrate) l2Has(line mem.Line) []l2loc {
 	s.onLine(line)
 	locs, _ := s.where.get(line)
@@ -424,8 +427,7 @@ func (s *Substrate) l2Insert(bank, set int, blk cache.Block, pol cache.Policy) c
 	s.onLine(blk.Line)
 	ev := s.Bank[bank].Insert(set, blk, pol)
 	if !ev.Refused {
-		p := s.where.ptr(blk.Line)
-		*p = append(*p, l2loc{bank: bank, class: blk.Class, set: set})
+		s.where.add(blk.Line, l2loc{bank: bank, class: blk.Class, set: set})
 	}
 	if ev.Valid {
 		s.removeWhere(ev.Block.Line, bank)
@@ -444,19 +446,8 @@ func (s *Substrate) l2Invalidate(line mem.Line, bank, set int) (cache.Block, boo
 
 func (s *Substrate) removeWhere(line mem.Line, bank int) {
 	s.onLine(line)
-	locs, _ := s.where.get(line)
-	for i, loc := range locs {
-		if loc.bank == bank {
-			locs[i] = locs[len(locs)-1]
-			locs = locs[:len(locs)-1]
-			break
-		}
-	}
-	if len(locs) == 0 {
-		s.where.del(line)
+	if s.where.remove(line, bank) {
 		s.maybeForgetStatus(line)
-	} else {
-		s.where.set(line, locs)
 	}
 }
 

@@ -225,3 +225,92 @@ func (m *partLineMap[V]) forEach(f func(mem.Line, V) error) error {
 	}
 	return nil
 }
+
+// residency is the substrate's where table: every L2 copy of each line,
+// in a partLineMap, plus for each partition a pool of residency slices.
+// When a line's last copy dies its emptied slice returns to the pool of
+// the line's partition, and the next line filled into that partition
+// takes it back, so a run stops allocating once the table and the pools
+// reach their working-set size. The pool of a partition is touched only
+// together with that partition's table, so the parallel barrier's
+// conflict groups never share one.
+type residency struct {
+	partLineMap[[]l2loc]
+	pools []locPool
+}
+
+// locPool holds a partition's emptied residency slices and the slab that
+// cold fills carve new ones from.
+type locPool struct {
+	free [][]l2loc
+	slab []l2loc
+}
+
+// slabCarve is the capacity of a slice carved from a slab: one copy for a
+// private or shared line, two once a replica or victim joins it. A line
+// that gathers more copies outgrows its carve through append, which
+// copies it out of the slab rather than into its neighbour's.
+const slabCarve = 2
+
+// slabSlices is how many carves one slab allocation provides.
+const slabSlices = 256
+
+func newResidency(parts, hint int) residency {
+	r := residency{partLineMap: newPartLineMap[[]l2loc](parts, hint)}
+	r.pools = make([]locPool, len(r.parts))
+	return r
+}
+
+// take returns an empty residency slice: a recycled one if the pool has
+// any, otherwise a fresh carve of the slab.
+func (p *locPool) take() []l2loc {
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free = p.free[:n-1]
+		return s
+	}
+	if len(p.slab) < slabCarve {
+		p.slab = make([]l2loc, slabCarve*slabSlices)
+	}
+	s := p.slab[:0:slabCarve]
+	p.slab = p.slab[slabCarve:]
+	return s
+}
+
+// add appends a copy of line to its residency.
+func (r *residency) add(line mem.Line, loc l2loc) {
+	part := uint64(line) & r.pmask
+	p := r.parts[part].ptr(line)
+	if *p == nil {
+		*p = r.pools[part].take()
+	}
+	*p = append(*p, loc)
+}
+
+// remove drops line's copy in bank, moving the last copy into its place,
+// and reports whether the line has no L2 copy left. The emptied slice
+// then goes back to the partition's pool.
+func (r *residency) remove(line mem.Line, bank int) bool {
+	part := uint64(line) & r.pmask
+	m := &r.parts[part]
+	found, _ := m.slot(line)
+	if found < 0 {
+		return true
+	}
+	p := &m.entries[found].val
+	locs := *p
+	for i, loc := range locs {
+		if loc.bank == bank {
+			locs[i] = locs[len(locs)-1]
+			locs = locs[:len(locs)-1]
+			break
+		}
+	}
+	if len(locs) > 0 {
+		*p = locs
+		return false
+	}
+	m.del(line)
+	r.pools[part].free = append(r.pools[part].free, locs)
+	return true
+}

@@ -201,6 +201,11 @@ type Core struct {
 	// bufHits counts L1 hits recorded during the parallel phase, flushed
 	// to the substrate decomposition at each barrier (FlushL1Hits).
 	bufHits uint64
+
+	// sliceEv, sliceEvP and resumeEv are c.slice, c.sliceEventP and
+	// c.resumeP bound once in New: evaluating a method value builds a
+	// closure, and the cores reschedule themselves on every slice.
+	sliceEv, sliceEvP, resumeEv sim.Event
 }
 
 // New builds a core; call Start to schedule it.
@@ -218,6 +223,7 @@ func New(id int, cfg Config, eng *sim.Engine, sys arch.System, stream InstrSourc
 		cfg.Quantum = 256
 	}
 	c := &Core{ID: id, cfg: cfg, eng: eng, sys: sys, stream: stream, target: target}
+	c.sliceEv, c.sliceEvP, c.resumeEv = c.slice, c.sliceEventP, c.resumeP
 	if cfg.PrefetchDegree > 0 {
 		c.pf = newStridePrefetcher(cfg.PrefetchDegree)
 	}
@@ -278,10 +284,10 @@ func (c *Core) SetPort(p MemPort) { c.port = p }
 // Start schedules the core's first slice.
 func (c *Core) Start() {
 	if c.port != nil {
-		c.eng.Schedule(0, c.sliceEventP)
+		c.eng.Schedule(0, c.sliceEvP)
 		return
 	}
-	c.eng.Schedule(0, c.slice)
+	c.eng.Schedule(0, c.sliceEv)
 }
 
 // maxSliceSkew bounds how far a core's local clock may advance within one
@@ -349,7 +355,7 @@ func (c *Core) slice() {
 	}
 	// Yield: reschedule at the core's current local time so other cores
 	// catch up in simulated time before we claim more shared resources.
-	c.eng.At(c.localTime, c.slice)
+	c.eng.At(c.localTime, c.sliceEv)
 }
 
 // handleMiss issues the access to the L2 system and applies the window /

@@ -61,7 +61,7 @@ func (c *Core) runP() {
 				if now := c.eng.Now(); now > at {
 					at = now
 				}
-				c.eng.At(at, c.sliceEventP)
+				c.eng.At(at, c.sliceEvP)
 				return
 			}
 			if c.retired >= c.target {
@@ -235,7 +235,7 @@ func (c *Core) ScheduleResume() {
 	if now := c.eng.Now(); now > at {
 		at = now
 	}
-	c.eng.At(at, c.resumeP)
+	c.eng.At(at, c.resumeEv)
 }
 
 // FlushL1Hits moves the parallel phase's buffered L1-hit count into the

@@ -12,9 +12,20 @@ package sim
 // window of booked busy intervals and places each claim into the earliest
 // real gap at or after its arrival time, which is order-independent up to
 // the pruning horizon.
+//
+// The window is the set of bookings that end at or after the horizon,
+// pruneWindow cycles behind the latest arrival seen. Bookings are pruned
+// lazily: a dead booking (one ending before the horizon) stays in the
+// backing array until the array is full, and the array is then compacted
+// in place. Dead bookings always form a prefix of the array: live ones are
+// sorted by end, the horizon only advances, and a claim that ends before
+// the horizon lands exactly at the dead/live boundary. A search keyed on
+// max(at, horizon-1) therefore skips the dead prefix, and placement,
+// Waits, Busy and Claims are identical to pruning on every claim,
+// including for claims that arrive behind the horizon.
 type Resource struct {
 	interval  Cycle
-	intervals []ival // sorted by start, non-overlapping
+	intervals []ival // dead prefix, then live bookings sorted by start, non-overlapping
 	maxSeen   Cycle
 
 	// Busy accumulates cycles of occupancy, for utilization statistics.
@@ -57,24 +68,16 @@ func (r *Resource) ClaimFor(at, occ Cycle) Cycle {
 	if at > r.maxSeen {
 		r.maxSeen = at
 	}
-	r.prune()
-
-	// Bookings are sorted by start and non-overlapping, hence sorted by
-	// end as well: everything ending at or before the arrival cannot
-	// interfere with this claim. Binary-search past that prefix instead
-	// of scanning it — a busy resource keeps thousands of live bookings
-	// inside the pruning window, and claims overwhelmingly land near the
-	// end of it.
-	n := len(r.intervals)
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.intervals[mid].end <= at {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	// Only bookings ending after key can interfere with this claim: those
+	// ending at or before the arrival are behind it, and those ending at
+	// or before horizon-1 are dead.
+	key := at
+	if h := r.horizon(); h > 0 && h-1 > key {
+		key = h - 1
 	}
+	lo := r.firstEndAfter(key)
+
+	n := len(r.intervals)
 	start := at
 	insert := n
 	for i := lo; i < n; i++ {
@@ -89,8 +92,12 @@ func (r *Resource) ClaimFor(at, occ Cycle) Cycle {
 		start = iv.end
 		insert = i + 1
 	}
-	r.intervals = append(r.intervals, ival{})
-	copy(r.intervals[insert+1:], r.intervals[insert:])
+	if n == cap(r.intervals) {
+		insert -= r.compact()
+		n = len(r.intervals)
+	}
+	r.intervals = r.intervals[:n+1]
+	copy(r.intervals[insert+1:], r.intervals[insert:n])
 	r.intervals[insert] = ival{start: start, end: start + occ}
 
 	r.Waits += start - at
@@ -99,21 +106,60 @@ func (r *Resource) ClaimFor(at, occ Cycle) Cycle {
 	return start
 }
 
-// prune drops bookings that ended before the pruning horizon.
-func (r *Resource) prune() {
+// horizon is the pruning horizon: bookings ending before it are dead.
+func (r *Resource) horizon() Cycle {
 	if r.maxSeen < pruneWindow {
-		return
+		return 0
 	}
-	horizon := r.maxSeen - pruneWindow
-	keep := 0
-	for ; keep < len(r.intervals); keep++ {
-		if r.intervals[keep].end >= horizon {
-			break
+	return r.maxSeen - pruneWindow
+}
+
+// firstEndAfter returns the index of the first booking ending after key,
+// where key is at least horizon-1 (so every dead booking fails the test).
+// Claims overwhelmingly land within a few bookings of the tail of a
+// window holding hundreds or thousands, so it gallops backwards from the
+// tail to bracket the answer and bisects only that bracket: a handful of
+// hot cache lines instead of a search over the whole array.
+func (r *Resource) firstEndAfter(key Cycle) int {
+	ivs := r.intervals
+	hi := len(ivs) // ivs[hi:] all end after key
+	lo := hi - 1   // candidate known to end at or before key, once the loop stops
+	for step := 1; lo >= 0 && ivs[lo].end > key; step <<= 1 {
+		hi = lo
+		lo -= step
+	}
+	// The answer lies in [lo+1, hi].
+	lo = max(lo+1, 0)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ivs[mid].end <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	if keep > 0 {
-		r.intervals = r.intervals[keep:]
+	return lo
+}
+
+// compact drops the dead prefix by moving the live bookings to the front
+// of the backing array, which is then reused. When fewer than half the
+// bookings are dead the array is instead given room to double, so each
+// booking is moved a bounded number of times and the array settles at
+// about twice the live window. It returns how many bookings were dropped.
+func (r *Resource) compact() int {
+	dead := 0
+	if h := r.horizon(); h > 0 {
+		dead = r.firstEndAfter(h - 1)
 	}
+	n := len(r.intervals)
+	if dead == 0 || 2*dead < n {
+		grown := make([]ival, n-dead, 2*n+8)
+		copy(grown, r.intervals[dead:])
+		r.intervals = grown
+		return dead
+	}
+	r.intervals = r.intervals[:copy(r.intervals, r.intervals[dead:])]
+	return dead
 }
 
 // NextFree reports the cycle at which the resource has no further
