@@ -216,8 +216,6 @@ func (c *client) submit(args []string) error {
 		fullSize = fs.Bool("full-size", false, "simulate the paper's full Table 2 machine")
 		ccProb   = fs.Float64("cc-prob", 0, "Cooperative Caching probability override (0 = default)")
 		sampleW  = fs.Int("sample-windows", 0, "sampled mode: measurement windows per simulation (0 = full run)")
-		shards   = fs.Int("shards", 0, "sharded engine: mesh-region shards per simulation (0 = serial engine)")
-		barrierP = fs.Int("barrier-parallel", 0, "sharded engine: workers per window barrier servicing independent conflict groups (<=1 = serial barriers)")
 
 		matrix     = fs.Bool("matrix", false, "submit a matrix job instead of a single run")
 		workloads  = fs.String("workloads", "", "comma-separated workloads (matrix jobs)")
@@ -265,14 +263,8 @@ func (c *client) submit(args []string) error {
 		if *parallel > 0 {
 			m["parallelism"] = *parallel
 		}
-		if *sampleW > 0 {
+		if *sampleW != 0 {
 			m["sample_windows"] = *sampleW
-		}
-		if *shards > 0 {
-			m["engine_shards"] = *shards
-		}
-		if *barrierP != 0 {
-			m["barrier_parallelism"] = *barrierP
 		}
 		spec["kind"], spec["matrix"] = "matrix", m
 	} else {
@@ -292,14 +284,8 @@ func (c *client) submit(args []string) error {
 		if *ccProb > 0 {
 			r["cc_probability"] = *ccProb
 		}
-		if *sampleW > 0 {
+		if *sampleW != 0 {
 			r["sample_windows"] = *sampleW
-		}
-		if *shards > 0 {
-			r["engine_shards"] = *shards
-		}
-		if *barrierP != 0 {
-			r["barrier_parallelism"] = *barrierP
 		}
 		spec["kind"], spec["run"] = "run", r
 	}

@@ -14,8 +14,6 @@
 //	espsweep -all -cache-dir ~/.cache/espnuca           # memoize runs on disk
 //	espsweep -figure 8 -sample-windows 8                # sampled estimates
 //	espsweep -sample-error FT -sample-windows 8 -warmup 80000 -instructions 640000
-//	espsweep -figure 8 -shards 8                        # sharded parallel engine
-//	espsweep -shard-error FT -shards 8 -warmup 80000 -instructions 640000
 //	espsweep -figure 8 -exectrace exec.trace            # runtime execution trace
 package main
 
@@ -90,10 +88,6 @@ func main() {
 		warmup   = flag.Uint64("warmup", 0, "override warmup instructions (sample-error mode only)")
 		sampleW  = flag.Int("sample-windows", 0, "sampled mode: measurement windows per simulation (0 = full runs)")
 		sampleEW = flag.String("sample-error", "", "validate sampled vs full runs of this workload across the paper's seven architectures; prints JSON rows")
-		shards   = flag.Int("shards", 0, "sharded engine: partition each simulation into this many mesh-region shards (0 = serial engine)")
-		shardP   = flag.Int("shard-parallel", 0, "goroutines per sharded simulation (0 = one per shard; single runs only)")
-		barrierP = flag.Int("barrier-parallel", 0, "workers per sharded window barrier: service independent conflict groups concurrently (<=1 = serial barriers; needs -shards)")
-		shardEW  = flag.String("shard-error", "", "validate sharded vs serial full runs of this workload across the paper's seven architectures; prints JSON rows")
 		seeds    = flag.Int("seeds", 0, "override the number of perturbation seeds")
 		parallel = flag.Int("parallel", 0, "worker pool size for independent runs (0 = all cores, 1 = serial)")
 		metrics  = flag.String("metrics-dir", "", "write per-run interval metrics (JSONL) into this directory")
@@ -152,25 +146,17 @@ func main() {
 	if *sampleW > 0 && *metrics != "" {
 		fail(fmt.Errorf("-sample-windows is incompatible with -metrics-dir (windows share no timeline)"))
 	}
-	if *sampleW > 0 && *shards > 0 {
-		fail(fmt.Errorf("-sample-windows and -shards are mutually exclusive (pick one execution mode)"))
-	}
-	if *barrierP > 1 && *shards <= 0 && *shardEW == "" {
-		fail(fmt.Errorf("-barrier-parallel needs the sharded engine (-shards or -shard-error)"))
-	}
 	fo := espnuca.FigureOptions{
-		Quick:              *quick,
-		Seeds:              seedList,
-		Instructions:       *instrs,
-		Parallelism:        *parallel,
-		Progress:           newProgress("").report,
-		MetricsDir:         *metrics,
-		TraceEvents:        *traceEv,
-		MetricsInterval:    *obsIval,
-		SampleWindows:      *sampleW,
-		EngineShards:       *shards,
-		BarrierParallelism: *barrierP,
-		CacheDir:           *cacheDir,
+		Quick:           *quick,
+		Seeds:           seedList,
+		Instructions:    *instrs,
+		Parallelism:     *parallel,
+		Progress:        newProgress("").report,
+		MetricsDir:      *metrics,
+		TraceEvents:     *traceEv,
+		MetricsInterval: *obsIval,
+		SampleWindows:   *sampleW,
+		CacheDir:        *cacheDir,
 	}
 
 	emit := func(id int) {
@@ -190,8 +176,6 @@ func main() {
 	switch {
 	case *sampleEW != "":
 		sampledError(*sampleEW, *sampleW, *warmup, *instrs)
-	case *shardEW != "":
-		shardedError(*shardEW, *shards, *shardP, *barrierP, *warmup, *instrs)
 	case *stab:
 		stability(*quick, *parallel, *cacheDir)
 	case *sweep == "params":
@@ -232,43 +216,13 @@ func cachedRunner(dir string) (func(experiment.RunConfig) (experiment.RunResult,
 	}
 }
 
-// shardedError runs the sharded-mode validation harness (serial vs
-// sharded full runs on every architecture of the paper's evaluated set)
-// and prints the rows as a JSON array: relative errors on the headline
-// metrics, the retired-exactness flag, window counts, and both wall
-// clocks. scripts/bench.sh parses this output to build and check
-// BENCH_7.json.
-func shardedError(wl string, k, par, barrierPar int, warmup, instrs uint64) {
-	if k <= 0 {
-		k = 8
-	}
-	rc := experiment.DefaultRunConfig("esp-nuca", wl)
-	if warmup != 0 {
-		rc.Warmup = warmup
-	}
-	if instrs != 0 {
-		rc.Instructions = instrs
-	}
-	rc.ShardParallelism = par
-	rc.BarrierParallelism = barrierPar
-	rows, err := experiment.ShardedError(rc, k)
-	if err != nil {
-		fail(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rows); err != nil {
-		fail(err)
-	}
-}
-
 // sampledError runs the sampled-mode validation harness (full vs sampled
 // on every architecture of the paper's evaluated set) and prints the rows
 // as a JSON array: relative errors on the headline metrics, the sampled
 // run's own confidence bound, and both wall clocks. scripts/bench.sh
 // parses this output to build and check BENCH_6.json.
 func sampledError(wl string, k int, warmup, instrs uint64) {
-	if k <= 0 {
+	if k == 0 {
 		k = 8
 	}
 	rc := experiment.DefaultRunConfig("esp-nuca", wl)

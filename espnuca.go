@@ -69,16 +69,6 @@ type Options struct {
 	// the estimates' 95% confidence bounds. Not supported by RunDetailed
 	// (occupancy/energy inspection needs the single full-run system).
 	SampleWindows int
-	// EngineShards, when positive, runs the simulation on the sharded
-	// parallel engine: the mesh is partitioned into that many contiguous
-	// column-stripe shards, each executing on its own goroutine with all
-	// shared-memory transactions serviced in deterministic order at
-	// bounded-lag window barriers. The report's Shard field carries the
-	// window accounting. Results are bit-identical at any host
-	// parallelism but differ slightly from serial full runs (transaction
-	// tie-breaking; see DESIGN.md section 7), so sharded runs live under
-	// their own canonical key. Mutually exclusive with SampleWindows.
-	EngineShards int
 }
 
 // Report is the outcome of one simulation run.
@@ -132,7 +122,6 @@ func (o Options) runConfig() (experiment.RunConfig, error) {
 	rc.System.CheckTokens = o.CheckTokens
 	rc.Core = cpu.DefaultConfig()
 	rc.SampleWindows = o.SampleWindows
-	rc.EngineShards = o.EngineShards
 	return rc, nil
 }
 
@@ -170,15 +159,6 @@ type FigureOptions struct {
 	// Options.SampleWindows): far cheaper, clearly labeled estimates.
 	// Incompatible with MetricsDir.
 	SampleWindows int
-	// EngineShards, when positive, runs every underlying simulation on
-	// the sharded parallel engine with that many mesh-region shards (see
-	// Options.EngineShards). Full-detail results, cached under their own
-	// canonical key. Mutually exclusive with SampleWindows.
-	EngineShards int
-	// BarrierParallelism bounds the workers each sharded simulation's
-	// window barriers spread their conflict groups over. Results stay
-	// bit-identical at any setting; only meaningful with EngineShards.
-	BarrierParallelism int
 	// CacheDir, when set, memoizes every simulation in a
 	// content-addressed result cache rooted at this directory (see
 	// internal/resultcache). Re-running a figure with a warm cache
@@ -202,8 +182,6 @@ func (fo FigureOptions) internal() experiment.Options {
 	}
 	o.Parallelism = fo.Parallelism
 	o.SampleWindows = fo.SampleWindows
-	o.EngineShards = fo.EngineShards
-	o.BarrierParallelism = fo.BarrierParallelism
 	o.Progress = fo.Progress
 	if fo.MetricsDir != "" {
 		o.Obs = &experiment.ObsSpec{

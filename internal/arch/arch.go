@@ -14,7 +14,6 @@ package arch
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"espnuca/internal/cache"
 	"espnuca/internal/coherence"
@@ -187,42 +186,14 @@ type Substrate struct {
 	Bank []*cache.Bank
 	RNG  *sim.RNG
 
-	// where and status are partitioned by home-bank bits (line & Banks-1):
-	// barrier transactions whose footprints claim disjoint Banks bits touch
-	// disjoint partitions, so parallel conflict groups never share a
-	// backing array (see footprint.go).
+	// where maps each line to its L2 copies.
 	where residency
-	// scratch is collectForWrite's reusable residency snapshot, one per
-	// core: all of a core's transactions land in the same conflict group
-	// (every footprint includes its requester-core bit), so the per-core
-	// buffer is never shared across workers.
-	scratch [][]l2loc
+	// scratch is collectForWrite's reusable residency snapshot.
+	scratch []l2loc
 
 	// sharedStatus tracks the SP/ESP private bit: present = line has been
 	// on chip; value true = shared status (two or more accessor cores).
-	status partLineMap[lineStatus]
-
-	// hintValid/hintPresent carry the sharded runner's per-core
-	// requester-presence override for Upgrade; see SetPresenceHint.
-	hintValid   []bool
-	hintPresent []bool
-
-	// concurrent gates record/bump onto atomic adds during the sharded
-	// engine's parallel barrier phases; the sums are order-free, so the
-	// totals stay deterministic. Serial paths never pay the atomic cost.
-	concurrent bool
-
-	// OnLine, when non-nil, observes every line whose substrate residency
-	// or status bookkeeping is consulted or mutated. Test instrumentation
-	// for the footprint oracle; nil in production runs.
-	OnLine func(l mem.Line)
-
-	// fpOK reports that the geometry fits the footprint bitmask model
-	// (<=64 banks, <=64 links, <=32 cores, <=32 channels); fpLinks caches
-	// Mesh.PathLinkMask for every node pair, [from*nodes+to]. Both are
-	// set up by fpInit (footprint.go).
-	fpOK    bool
-	fpLinks []uint64
+	status lineMap[lineStatus]
 
 	// Counts and Latency accumulate the Figure 6 decomposition; index by
 	// Level. Latency is in cycles summed over accesses.
@@ -244,7 +215,7 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir := coherence.NewDirectoryParts(cfg.Banks)
+	dir := coherence.NewDirectory()
 	dir.Check = cfg.CheckTokens
 	l1, err := coherence.NewL1s(cfg.Cores, cfg.L1, dir)
 	if err != nil {
@@ -255,18 +226,15 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 		return nil, err
 	}
 	s := &Substrate{
-		Cfg:         cfg,
-		Mesh:        mesh,
-		DRAM:        mem.NewDRAM(cfg.DRAM),
-		Dir:         dir,
-		L1:          l1,
-		Map:         mapping,
-		RNG:         sim.NewRNG(cfg.Seed ^ 0xA11CE),
-		where:       newResidency(cfg.Banks, 1<<16),
-		status:      newPartLineMap[lineStatus](cfg.Banks, 1<<16),
-		scratch:     make([][]l2loc, cfg.Cores),
-		hintValid:   make([]bool, cfg.Cores),
-		hintPresent: make([]bool, cfg.Cores),
+		Cfg:    cfg,
+		Mesh:   mesh,
+		DRAM:   mem.NewDRAM(cfg.DRAM),
+		Dir:    dir,
+		L1:     l1,
+		Map:    mapping,
+		RNG:    sim.NewRNG(cfg.Seed ^ 0xA11CE),
+		where:  newResidency(1 << 16),
+		status: newLineMap[lineStatus](1 << 16),
 	}
 	for i := 0; i < cfg.Banks; i++ {
 		b, err := cache.NewBank(cache.Config{
@@ -278,7 +246,6 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 		}
 		s.Bank = append(s.Bank, b)
 	}
-	s.fpInit()
 	return s, nil
 }
 
@@ -319,36 +286,8 @@ func (s *Substrate) NodeOfBank(b int) noc.NodeID {
 // NodeOfCore returns core c's router.
 func (s *Substrate) NodeOfCore(c int) noc.NodeID { return noc.NodeID(c) }
 
-// SetConcurrent switches the substrate's shared counters (the Figure 6
-// decomposition, architecture-specific event counters, mesh traffic, DRAM
-// access counts) between plain and atomic increments. The sharded runner
-// sets it around parallel barrier servicing; serial paths never pay the
-// atomic cost. Counter totals are order-free integer sums, so parallel
-// accumulation is deterministic.
-func (s *Substrate) SetConcurrent(on bool) {
-	s.concurrent = on
-	s.Mesh.SetConcurrent(on)
-	s.DRAM.SetConcurrent(on)
-}
-
-// bump adds one to a shared event counter, atomically during concurrent
-// barrier phases. Architecture counters (migrations, replicas, victims...)
-// route through it.
-func (s *Substrate) bump(p *uint64) {
-	if s.concurrent {
-		atomic.AddUint64(p, 1)
-	} else {
-		*p++
-	}
-}
-
 // record accumulates an access into the decomposition.
 func (s *Substrate) record(level Level, at, done sim.Cycle) {
-	if s.concurrent {
-		atomic.AddUint64(&s.Counts[level], 1)
-		atomic.AddUint64(&s.Latency[level], uint64(done-at))
-		return
-	}
 	s.Counts[level]++
 	s.Latency[level] += uint64(done - at)
 }
@@ -360,50 +299,13 @@ func (s *Substrate) RecordL1Hit(lat sim.Cycle) {
 	s.Latency[LocalL1] += uint64(lat)
 }
 
-// RecordL1Hits accounts n local L1 hits at once. The sharded runner's
-// cores buffer their hit counts core-locally during the parallel phase
-// and flush them here at every window barrier; because the decomposition
-// is a pair of order-independent sums, the bulk flush yields the same
-// totals the serial engine's per-hit calls would.
-func (s *Substrate) RecordL1Hits(n uint64, lat sim.Cycle) {
-	s.Counts[LocalL1] += n
-	s.Latency[LocalL1] += n * uint64(lat)
-}
-
-// SetPresenceHint overrides — for core's next Access only — what Upgrade
-// considers the requester's L1 presence for the accessed line. The
-// sharded runner fills a missing line into the requester's L1 at issue
-// time (the parallel phase) but routes the access itself through the
-// barrier phase; by then L1.Has would report the post-fill state,
-// misclassifying every plain miss as an upgrade. The hint restores the
-// at-issue truth. ClearPresenceHint removes it; the serial engine never
-// sets one. The hint is per core so that the parallel barrier's workers
-// — which only ever service one core's transactions concurrently with
-// other cores' (every footprint includes its requester-core bit) — never
-// share a hint slot.
-func (s *Substrate) SetPresenceHint(core int, present bool) {
-	s.hintValid[core] = true
-	s.hintPresent[core] = present
-}
-
-// ClearPresenceHint removes the presence hint set by SetPresenceHint.
-func (s *Substrate) ClearPresenceHint(core int) { s.hintValid[core] = false }
-
 // --- L2 residency management ---
-
-// onLine notifies the oracle hook, if installed.
-func (s *Substrate) onLine(l mem.Line) {
-	if s.OnLine != nil {
-		s.OnLine(l)
-	}
-}
 
 // l2Has returns the copies of line currently in the L2. The slice is the
 // live residency entry: it is valid only until the next l2Insert,
 // l2Invalidate or removeWhere, which may hand it to another line, so a
 // caller that mutates residency while walking it must walk a copy.
 func (s *Substrate) l2Has(line mem.Line) []l2loc {
-	s.onLine(line)
 	locs, _ := s.where.get(line)
 	return locs
 }
@@ -424,7 +326,6 @@ func (s *Substrate) l2Find(line mem.Line, bank int) (l2loc, bool) {
 // eviction are the caller's job via dropEvicted or an architecture-
 // specific spill.
 func (s *Substrate) l2Insert(bank, set int, blk cache.Block, pol cache.Policy) cache.Evicted {
-	s.onLine(blk.Line)
 	ev := s.Bank[bank].Insert(set, blk, pol)
 	if !ev.Refused {
 		s.where.add(blk.Line, l2loc{bank: bank, class: blk.Class, set: set})
@@ -445,7 +346,6 @@ func (s *Substrate) l2Invalidate(line mem.Line, bank, set int) (cache.Block, boo
 }
 
 func (s *Substrate) removeWhere(line mem.Line, bank int) {
-	s.onLine(line)
 	if s.where.remove(line, bank) {
 		s.maybeForgetStatus(line)
 	}
@@ -454,7 +354,6 @@ func (s *Substrate) removeWhere(line mem.Line, bank int) {
 // reclassWhere updates the cached class of a residency entry after a
 // Reclass on the bank.
 func (s *Substrate) reclassWhere(line mem.Line, bank int, to cache.Class) {
-	s.onLine(line)
 	locs, _ := s.where.get(line)
 	for i := range locs {
 		if locs[i].bank == bank {
@@ -491,7 +390,6 @@ func (s *Substrate) dropEvicted(at sim.Cycle, ev cache.Evicted, fromBank int) {
 // as the first accessor on first touch and upgrading to shared when a
 // different core touches a private line (paper §2.1).
 func (s *Substrate) statusOf(line mem.Line, c int) (shared bool, owner int) {
-	s.onLine(line)
 	st, ok := s.status.get(line)
 	if !ok {
 		s.status.set(line, lineStatus{shared: false, owner: c})
@@ -506,7 +404,6 @@ func (s *Substrate) statusOf(line mem.Line, c int) (shared bool, owner int) {
 
 // peekStatus returns the status without mutating it.
 func (s *Substrate) peekStatus(line mem.Line) (shared bool, owner int, known bool) {
-	s.onLine(line)
 	st, ok := s.status.get(line)
 	return st.shared, st.owner, ok
 }
@@ -514,7 +411,6 @@ func (s *Substrate) peekStatus(line mem.Line) (shared bool, owner int, known boo
 // markShared forces a line's status to shared (victim touched by a
 // non-owner, migration, etc.).
 func (s *Substrate) markShared(line mem.Line) {
-	s.onLine(line)
 	st, _ := s.status.get(line)
 	st.shared = true
 	s.status.set(line, st)
@@ -524,7 +420,6 @@ func (s *Substrate) markShared(line mem.Line) {
 // chip entirely: the status "remains with the block while it stays in the
 // chip" (paper §2.1).
 func (s *Substrate) maybeForgetStatus(line mem.Line) {
-	s.onLine(line)
 	if len(s.l2Has(line)) > 0 {
 		return
 	}
@@ -566,11 +461,7 @@ func (s *Substrate) l1Intervention(at sim.Cycle, viaNode noc.NodeID, holder, req
 // in any GETX. It reports false when the requester's L1 does not hold the
 // line (a real miss).
 func (s *Substrate) Upgrade(at sim.Cycle, c int, line mem.Line) (Result, bool) {
-	held := s.L1.Has(c, line)
-	if s.hintValid[c] {
-		held = s.hintPresent[c]
-	}
-	if !held {
+	if !s.L1.Has(c, line) {
 		return Result{}, false
 	}
 	st := s.Dir.State(line)
@@ -611,11 +502,10 @@ func (s *Substrate) collectForWrite(at sim.Cycle, viaNode noc.NodeID, reqCore in
 	}
 	// Invalidate every L2 copy (tokens drain to the writer). l2Invalidate
 	// mutates s.where[line], so iterate over a reusable snapshot instead of
-	// the live slice (the per-core scratch buffer avoids an allocation per
-	// write; collectForWrite never reenters itself, and a core's
-	// transactions never run concurrently with each other).
-	s.scratch[reqCore] = append(s.scratch[reqCore][:0], s.l2Has(line)...)
-	for _, loc := range s.scratch[reqCore] {
+	// the live slice (the scratch buffer avoids an allocation per write;
+	// collectForWrite never reenters itself).
+	s.scratch = append(s.scratch[:0], s.l2Has(line)...)
+	for _, loc := range s.scratch {
 		t := s.Mesh.Send(at, viaNode, s.NodeOfBank(loc.bank), noc.Control, 0)
 		t = s.Bank[loc.bank].TagProbe(t)
 		t = s.Mesh.Send(t, s.NodeOfBank(loc.bank), s.NodeOfCore(reqCore), noc.Control, 0)

@@ -148,16 +148,4 @@ func (a *ASR) Levels() []float64 {
 	return out
 }
 
-// FootprintPrepare implements Footprinter.
-func (a *ASR) FootprintPrepare(*FootprintCtx, FootprintReq) {}
-
-// Footprint implements Footprinter: ASR's replication decision draws from
-// the substrate RNG, whose draw order is global state — every transaction
-// conflicts with every other, so the barrier falls back to exact serial
-// servicing.
-func (a *ASR) Footprint(*FootprintCtx, FootprintReq) Footprint {
-	return Footprint{Global: true}
-}
-
 var _ System = (*ASR)(nil)
-var _ Footprinter = (*ASR)(nil)

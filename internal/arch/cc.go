@@ -100,16 +100,4 @@ func (a *CC) routeEviction(at sim.Cycle, c int, ev cache.Evicted, fromBank int) 
 	s.dropEvicted(t, sev, pbank)
 }
 
-// FootprintPrepare implements Footprinter.
-func (a *CC) FootprintPrepare(*FootprintCtx, FootprintReq) {}
-
-// Footprint implements Footprinter: cooperative caching's spill decisions
-// draw from the substrate RNG (probability and peer choice), whose draw
-// order is global state — the barrier falls back to exact serial
-// servicing.
-func (a *CC) Footprint(*FootprintCtx, FootprintReq) Footprint {
-	return Footprint{Global: true}
-}
-
 var _ System = (*CC)(nil)
-var _ Footprinter = (*CC)(nil)

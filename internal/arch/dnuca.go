@@ -26,10 +26,8 @@ type DNUCA struct {
 
 	// lastReq implements promotion hysteresis: a block moves or
 	// replicates only on the second consecutive remote hit by the same
-	// core, suppressing ping-pong between alternating requesters. Stored
-	// home-bank-partitioned so the sharded engine's parallel barrier can
-	// touch disjoint partitions from different workers.
-	lastReq partLineMap[int8]
+	// core, suppressing ping-pong between alternating requesters.
+	lastReq lineMap[int8]
 
 	// Migs and Reps count migrations and replications.
 	Migs, Reps uint64
@@ -46,7 +44,7 @@ func NewDNUCA(cfg Config) (*DNUCA, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &DNUCA{s: s, lastReq: newPartLineMap[int8](cfg.Banks, 1<<14)}
+	a := &DNUCA{s: s, lastReq: newLineMap[int8](1 << 14)}
 	a.bankOrder = make([][][]int, cfg.NoC.Cols)
 	for col := range a.bankOrder {
 		a.bankOrder[col] = make([][]int, cfg.Cores)
@@ -236,7 +234,7 @@ func (a *DNUCA) promote(at sim.Cycle, line mem.Line, fromBank, set int, ordered 
 			// traffic on the mesh (posted, but it loads the links).
 			s.Mesh.Send(at, s.NodeOfBank(fromBank), s.NodeOfBank(b), noc.Data, s.Cfg.BlockBytes)
 			ev := s.l2Insert(b, set, blk, cache.FlatLRU{})
-			s.bump(&a.Migs)
+			a.Migs++
 			if ev.Valid {
 				if _, dup := s.l2Find(ev.Block.Line, fromBank); dup {
 					// The displaced line already has a copy in the source
@@ -260,7 +258,7 @@ func (a *DNUCA) promote(at sim.Cycle, line mem.Line, fromBank, set int, ordered 
 		ev := s.l2Insert(b, set, cache.Block{
 			Valid: true, Line: line, Class: cache.Replica, Owner: c,
 		}, cache.FlatLRU{})
-		s.bump(&a.Reps)
+		a.Reps++
 		s.dropEvicted(at, ev, b)
 		return
 	}
@@ -292,41 +290,4 @@ func (a *DNUCA) WriteBack(at sim.Cycle, c int, line mem.Line, dirty bool) {
 	_ = near
 }
 
-// FootprintPrepare implements Footprinter: D-NUCA has no slim-hit tier,
-// so the insert-target pass has nothing to contribute.
-func (a *DNUCA) FootprintPrepare(*FootprintCtx, FootprintReq) {}
-
-// Footprint implements Footprinter: a D-NUCA transaction may probe, hit,
-// promote into, or fill any bank of the line's column (same set index
-// bankset-wide), so the footprint claims the whole column plus every
-// occupant of the set in each column bank (promotion swaps and fills can
-// evict any of them).
-func (a *DNUCA) Footprint(ctx *FootprintCtx, r FootprintReq) Footprint {
-	s := a.s
-	if !s.fpOK {
-		return Footprint{Global: true}
-	}
-	bld := fpBuilder{s: s}
-	bld.core(r.Core)
-	a.fpColumn(&bld, r.Line)
-	s.fpSharers(&bld, ctx, r.Line)
-	s.fpCopies(&bld, r.Line)
-	if r.WB {
-		a.fpColumn(&bld, r.WBLine)
-		s.fpCopies(&bld, r.WBLine)
-	}
-	return bld.finish()
-}
-
-func (a *DNUCA) fpColumn(bld *fpBuilder, line mem.Line) {
-	bld.part(line)
-	bld.channel(line)
-	col, set := a.column(line)
-	for _, b := range a.bankOrder[col][0] { // membership is core-independent
-		bld.bank(b)
-		bld.occupants(b, set, false)
-	}
-}
-
 var _ System = (*DNUCA)(nil)
-var _ Footprinter = (*DNUCA)(nil)

@@ -147,10 +147,10 @@ func (a *ESPNUCA) onHomeHit(t sim.Cycle, c int, line mem.Line, bank, set int, bl
 		Valid: true, Line: line, Class: cache.Replica, Owner: c,
 	}, a.policies[pbank])
 	if ev.Refused {
-		s.bump(&a.RefusedHelping)
+		a.RefusedHelping++
 		return
 	}
-	s.bump(&a.Replicas)
+	a.Replicas++
 	a.routeEviction(t, ev, pbank)
 }
 
@@ -183,11 +183,11 @@ func (a *ESPNUCA) routeEviction(at sim.Cycle, ev cache.Evicted, fromBank int) {
 		Valid: true, Line: blk.Line, Class: cache.Victim, Owner: blk.Owner, Dirty: blk.Dirty,
 	}, a.policies[hbank])
 	if vev.Refused {
-		s.bump(&a.RefusedHelping)
+		a.RefusedHelping++
 		s.dropEvicted(t, ev, fromBank)
 		return
 	}
-	s.bump(&a.Victims)
+	a.Victims++
 	// The displaced block from the victim insert takes the default path:
 	// spilling victims recursively would ping-pong helping blocks.
 	s.dropEvicted(t, vev, hbank)
@@ -209,16 +209,4 @@ func (a *ESPNUCA) NMaxHistogram() []int {
 // Samplers exposes the per-bank controllers (nil entries when flat).
 func (a *ESPNUCA) Samplers() []*core.Sampler { return a.samplers }
 
-// FootprintPrepare implements Footprinter: SP-NUCA's insert targets plus
-// the depth-2 victim-spill home sets of private occupants.
-func (a *ESPNUCA) FootprintPrepare(ctx *FootprintCtx, r FootprintReq) {
-	a.sp.fpPrepare(ctx, r, true)
-}
-
-// Footprint implements Footprinter for ESP-NUCA.
-func (a *ESPNUCA) Footprint(ctx *FootprintCtx, r FootprintReq) Footprint {
-	return a.sp.footprint(ctx, r, true)
-}
-
 var _ System = (*ESPNUCA)(nil)
-var _ Footprinter = (*ESPNUCA)(nil)

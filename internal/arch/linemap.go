@@ -177,70 +177,18 @@ func (m *lineMap[V]) forEach(f func(mem.Line, V) error) error {
 	return nil
 }
 
-// partLineMap is a lineMap split into partitions routed by the line's
-// home-bank bits (line & pmask — the same bits core.Mapping.Shared uses to
-// pick a home bank). Transactions with disjoint bank footprints touch
-// disjoint partitions, so the sharded engine's parallel barrier can mutate
-// the substrate's residency and status tables from several workers without
-// a lock. With one partition it degenerates to a plain lineMap.
-type partLineMap[V any] struct {
-	parts []lineMap[V]
-	pmask uint64
-}
-
-// newPartLineMap builds a table of the given partition count (rounded up
-// to a power of two) with a total capacity hint spread across partitions.
-func newPartLineMap[V any](parts, hint int) partLineMap[V] {
-	np := 1
-	for np < parts {
-		np <<= 1
-	}
-	per := hint / np
-	if per < 16 {
-		per = 16
-	}
-	m := partLineMap[V]{parts: make([]lineMap[V], np), pmask: uint64(np - 1)}
-	for i := range m.parts {
-		m.parts[i] = newLineMap[V](per)
-	}
-	return m
-}
-
-func (m *partLineMap[V]) part(l mem.Line) *lineMap[V] {
-	return &m.parts[uint64(l)&m.pmask]
-}
-
-func (m *partLineMap[V]) get(l mem.Line) (V, bool) { return m.part(l).get(l) }
-func (m *partLineMap[V]) set(l mem.Line, v V)      { m.part(l).set(l, v) }
-func (m *partLineMap[V]) ptr(l mem.Line) *V        { return m.part(l).ptr(l) }
-func (m *partLineMap[V]) del(l mem.Line)           { m.part(l).del(l) }
-
-// forEach visits every entry, partition by partition; the callback must
-// not mutate the table.
-func (m *partLineMap[V]) forEach(f func(mem.Line, V) error) error {
-	for i := range m.parts {
-		if err := m.parts[i].forEach(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // residency is the substrate's where table: every L2 copy of each line,
-// in a partLineMap, plus for each partition a pool of residency slices.
-// When a line's last copy dies its emptied slice returns to the pool of
-// the line's partition, and the next line filled into that partition
-// takes it back, so a run stops allocating once the table and the pools
-// reach their working-set size. The pool of a partition is touched only
-// together with that partition's table, so the parallel barrier's
-// conflict groups never share one.
+// in a lineMap, plus a pool of residency slices. When a line's last copy
+// dies its emptied slice returns to the pool, and the next line filled
+// takes it back, so a run stops allocating once the table and the pool
+// reach their working-set size.
 type residency struct {
-	partLineMap[[]l2loc]
-	pools []locPool
+	lineMap[[]l2loc]
+	pool locPool
 }
 
-// locPool holds a partition's emptied residency slices and the slab that
-// cold fills carve new ones from.
+// locPool holds emptied residency slices and the slab that cold fills
+// carve new ones from.
 type locPool struct {
 	free [][]l2loc
 	slab []l2loc
@@ -255,10 +203,8 @@ const slabCarve = 2
 // slabSlices is how many carves one slab allocation provides.
 const slabSlices = 256
 
-func newResidency(parts, hint int) residency {
-	r := residency{partLineMap: newPartLineMap[[]l2loc](parts, hint)}
-	r.pools = make([]locPool, len(r.parts))
-	return r
+func newResidency(hint int) residency {
+	return residency{lineMap: newLineMap[[]l2loc](hint)}
 }
 
 // take returns an empty residency slice: a recycled one if the pool has
@@ -279,25 +225,22 @@ func (p *locPool) take() []l2loc {
 
 // add appends a copy of line to its residency.
 func (r *residency) add(line mem.Line, loc l2loc) {
-	part := uint64(line) & r.pmask
-	p := r.parts[part].ptr(line)
+	p := r.ptr(line)
 	if *p == nil {
-		*p = r.pools[part].take()
+		*p = r.pool.take()
 	}
 	*p = append(*p, loc)
 }
 
 // remove drops line's copy in bank, moving the last copy into its place,
 // and reports whether the line has no L2 copy left. The emptied slice
-// then goes back to the partition's pool.
+// then goes back to the pool.
 func (r *residency) remove(line mem.Line, bank int) bool {
-	part := uint64(line) & r.pmask
-	m := &r.parts[part]
-	found, _ := m.slot(line)
+	found, _ := r.slot(line)
 	if found < 0 {
 		return true
 	}
-	p := &m.entries[found].val
+	p := &r.entries[found].val
 	locs := *p
 	for i, loc := range locs {
 		if loc.bank == bank {
@@ -310,7 +253,7 @@ func (r *residency) remove(line mem.Line, bank int) bool {
 		*p = locs
 		return false
 	}
-	m.del(line)
-	r.pools[part].free = append(r.pools[part].free, locs)
+	r.del(line)
+	r.pool.free = append(r.pool.free, locs)
 	return true
 }

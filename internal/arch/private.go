@@ -184,100 +184,4 @@ func (a *Tiled) WriteBack(at sim.Cycle, c int, line mem.Line, dirty bool) {
 	}
 }
 
-// FootprintPrepare implements Footprinter: a Tiled access itself never
-// allocates (plain private allocates on L1 write-back only), so only the
-// trailing write-back contributes an insert target.
-func (a *Tiled) FootprintPrepare(ctx *FootprintCtx, r FootprintReq) {
-	if r.WB {
-		wb, ws := a.s.Map.Private(r.WBLine, r.Core)
-		ctx.NoteInsert(wb, ws)
-	}
-}
-
-// Footprint implements Footprinter for the Private baseline. A Tiled
-// access itself never allocates, so the access side never claims
-// occupants; the tiers are: guaranteed local hit (stable copy in the
-// core-local bank), guaranteed on-chip response (a stable copy in some
-// tile, or an L1 holder whose tokens cannot move — either way the
-// broadcast is answered without DRAM), and the full off-chip-capable
-// path.
-func (a *Tiled) Footprint(ctx *FootprintCtx, r FootprintReq) Footprint {
-	s := a.s
-	if !s.fpOK || a.replicate != nil {
-		// A replication policy (ASR) may consult the substrate RNG, whose
-		// draw order is global state.
-		return Footprint{Global: true}
-	}
-	bld := fpBuilder{s: s}
-	bld.core(r.Core)
-	bank, set := s.Map.Private(r.Line, r.Core)
-	ctx.BeginOwn()
-	a.FootprintPrepare(ctx, r)
-	ctx.EndOwn()
-
-	solo := ctx.Mentions(r.Line) == 1
-	owned := fpOwnedRemote(s.Dir.Peek(r.Line), r.Core)
-	stableLocal := solo && !ctx.OthersInsert(bank, set) &&
-		s.Bank[bank].Peek(set, cache.LineQuery(r.Line)) != nil
-
-	bld.part(r.Line)
-	bld.bank(bank)
-	switch {
-	case stableLocal && !owned && !r.Write:
-		// Slim local read hit: same node as the requester, no mesh
-		// traffic at all.
-	case stableLocal && !owned:
-		// Guaranteed local hit; the write's collect fans out from the
-		// requester to the current holders and copies.
-		s.fpSharers(&bld, ctx, r.Line)
-		s.fpCopies(&bld, r.Line)
-		if s.fpWriteMem(ctx, r.Line) {
-			bld.memNode(r.Line)
-		}
-	default:
-		// A local miss broadcasts tag probes to every other tile's
-		// candidate bank and may be answered by any current copy or L1
-		// holder.
-		for o := 0; o < s.Cfg.Cores; o++ {
-			if o == r.Core {
-				continue
-			}
-			ob, _ := s.Map.Private(r.Line, o)
-			bld.bank(ob)
-		}
-		s.fpSharers(&bld, ctx, r.Line)
-		s.fpCopies(&bld, r.Line)
-		if solo && (s.fpStableCopy(ctx, r.Line) ||
-			s.fpPeekSharers(r.Line)&^(1<<uint(r.Core)) != 0) {
-			// An on-chip source is guaranteed to answer the broadcast —
-			// any surviving L2 copy or a *remote* L1 holder will do
-			// (bestOnChipResponse never uses the requester's own tokens),
-			// and with no other mention of the line neither kind can
-			// disappear — so the memory fetch is never issued.
-			if r.Write && s.fpWriteMem(ctx, r.Line) {
-				bld.memNode(r.Line)
-			}
-		} else {
-			bld.channel(r.Line)
-		}
-	}
-	if r.WB {
-		wb, ws := s.Map.Private(r.WBLine, r.Core)
-		bld.part(r.WBLine)
-		bld.bank(wb)
-		// A Tiled access never allocates, so only *other* requests'
-		// inserts threaten the write-back's resident copy; stable and
-		// resident means the write-back is a pure bank update.
-		stableWB := ctx.Mentions(r.WBLine) == 1 && !ctx.OthersInsert(wb, ws)
-		if stableWB {
-			_, stableWB = s.l2Find(r.WBLine, wb)
-		}
-		if !stableWB {
-			bld.occupants(wb, ws, false)
-		}
-	}
-	return bld.finish()
-}
-
 var _ System = (*Tiled)(nil)
-var _ Footprinter = (*Tiled)(nil)

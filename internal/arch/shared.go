@@ -152,100 +152,7 @@ func nearestSharer(s *Substrate, st *coherence.LineState, c int) int {
 	return best
 }
 
-// FootprintPrepare implements Footprinter: a Shared read may fill the
-// line's home set on an off-chip miss, and a write-back may allocate in
-// the evicted line's home set. Writes never insert (the GETX data lives
-// in the writer's L1 afterward), so they note nothing for the access.
-func (a *SharedNUCA) FootprintPrepare(ctx *FootprintCtx, r FootprintReq) {
-	if !r.Write {
-		bank, set := a.s.Map.Shared(r.Line)
-		ctx.NoteInsert(bank, set)
-	}
-	if r.WB {
-		wb, ws := a.s.Map.Shared(r.WBLine)
-		ctx.NoteInsert(wb, ws)
-	}
-}
-
-// Footprint implements Footprinter for the Shared baseline.
-func (a *SharedNUCA) Footprint(ctx *FootprintCtx, r FootprintReq) Footprint {
-	s := a.s
-	if !s.fpOK {
-		return Footprint{Global: true}
-	}
-	bld := fpBuilder{s: s}
-	bld.core(r.Core)
-	bank, set := s.Map.Shared(r.Line)
-	ctx.BeginOwn()
-	a.FootprintPrepare(ctx, r)
-	ctx.EndOwn()
-
-	// stable: the home copy is guaranteed to survive the whole barrier —
-	// it exists now, no *other* request may insert into its set (an
-	// eviction), and no other request mentions the line (an
-	// invalidation); our own noted insert never happens on a hit.
-	stable := ctx.Mentions(r.Line) == 1 && !ctx.OthersInsert(bank, set) &&
-		s.Bank[bank].Peek(set, cache.LineQuery(r.Line)) != nil
-
-	bld.part(r.Line)
-	bld.bank(bank)
-	noInsert := false
-	switch {
-	case stable && !r.Write && !fpOwnedRemote(s.Dir.Peek(r.Line), r.Core):
-		// Slim read hit: only the requester's L1 side, the line's
-		// directory/status partition, and the home bank.
-		noInsert = true
-	case stable:
-		// Guaranteed on-chip: neither the access (reads may still need
-		// an L1 intervention) nor a write's collect can reach DRAM, and
-		// no fill insert happens. A write may still ride to the memory
-		// router for an Upgrade's token round trip.
-		s.fpSharers(&bld, ctx, r.Line)
-		s.fpCopies(&bld, r.Line)
-		if r.Write && s.fpWriteMem(ctx, r.Line) {
-			bld.memNode(r.Line)
-		}
-		noInsert = true
-	default:
-		bld.channel(r.Line)
-		if !r.Write {
-			// Only a read fill can insert here and evict an occupant.
-			bld.occupants(bank, set, false)
-		}
-		s.fpSharers(&bld, ctx, r.Line)
-		s.fpCopies(&bld, r.Line)
-	}
-	if r.WB {
-		a.fpWB(ctx, &bld, r, noInsert)
-	}
-	return bld.finish()
-}
-
-// fpWB adds the write-back side. A resident copy of the evicted line that
-// is stable for the barrier makes the write-back a pure bank update (plus
-// directory bits); otherwise it may allocate and evict, claiming the
-// target set's occupants. ownNoInsert must be true only when the access
-// side of this same transaction performs no insert — an access-side fill
-// could itself evict the write-back's resident copy before the write-back
-// runs. The evicted line never rides to DRAM directly (a clean
-// non-resident write-back just releases tokens; a dirty one allocates),
-// so no channel claim is needed for it — evictions it causes are covered
-// by the occupant scan.
-func (a *SharedNUCA) fpWB(ctx *FootprintCtx, bld *fpBuilder, r FootprintReq, ownNoInsert bool) {
-	s := a.s
-	wb, ws := s.Map.Shared(r.WBLine)
-	bld.part(r.WBLine)
-	bld.bank(wb)
-	if ownNoInsert && ctx.Mentions(r.WBLine) == 1 && !ctx.OthersInsert(wb, ws) {
-		if _, ok := s.l2Find(r.WBLine, wb); ok {
-			return
-		}
-	}
-	bld.occupants(wb, ws, false)
-}
-
 var _ System = (*SharedNUCA)(nil)
-var _ Footprinter = (*SharedNUCA)(nil)
 
 // noc import is used throughout the architecture files.
 var _ = noc.Control

@@ -275,7 +275,7 @@ func (a *SPNUCA) migrateToHome(at sim.Cycle, line mem.Line, owner, obank, oset, 
 	if !ok {
 		return
 	}
-	s.bump(&a.Migrations)
+	a.Migrations++
 	s.markShared(line)
 	pol := a.policyFor
 	if h != nil && h.policyFor != nil {
@@ -353,208 +353,4 @@ func (a *SPNUCA) writeBack(at sim.Cycle, c int, line mem.Line, dirty bool, h *es
 	a.routeEviction(t, ev, pbank, h)
 }
 
-// FootprintPrepare implements Footprinter for plain SP-NUCA.
-func (a *SPNUCA) FootprintPrepare(ctx *FootprintCtx, r FootprintReq) {
-	a.fpPrepare(ctx, r, false)
-}
-
-// fpPrepare notes every set this transaction may insert into: the line's
-// private set (memory fill with the private bit set, write-back, ESP
-// replica) and its shared home set (fill of a known-shared line,
-// migration, write-back). Under ESP, evictions from those sets can spill
-// private occupants to their own home sets — depth two, noted as well.
-// A write never fills from memory, but it can still migrate a discovered
-// remote private copy to its home, and an ESP write served by the home
-// bank can still create a replica in the private set.
-func (a *SPNUCA) fpPrepare(ctx *FootprintCtx, r FootprintReq, esp bool) {
-	a.fpNoteInserts(ctx, r.Line, r.Core, esp, r.Write)
-	if r.WB {
-		a.fpNoteInserts(ctx, r.WBLine, r.Core, esp, false)
-	}
-}
-
-func (a *SPNUCA) fpNoteInserts(ctx *FootprintCtx, line mem.Line, c int, esp, write bool) {
-	s := a.s
-	if !write || esp {
-		pb, ps := s.Map.Private(line, c)
-		ctx.NoteInsert(pb, ps)
-		if esp {
-			s.fpNoteSpills(ctx, pb, ps)
-		}
-	}
-	hb, hs := s.Map.Shared(line)
-	ctx.NoteInsert(hb, hs)
-	if esp {
-		s.fpNoteSpills(ctx, hb, hs)
-	}
-}
-
-// Footprint implements Footprinter for plain SP-NUCA.
-func (a *SPNUCA) Footprint(ctx *FootprintCtx, r FootprintReq) Footprint {
-	return a.footprint(ctx, r, false)
-}
-
-// footprint computes the SP/ESP footprint in tiers. A copy of the line
-// that is guaranteed to survive the barrier — present now, in a set no
-// other request may insert into, with no other request mentioning the
-// line (Mentions == 1 rules out mid-barrier invalidations, token moves,
-// and status flips) — pins where the probe chain terminates, which
-// shrinks the claims: a stable copy in the requester's own private bank
-// means a guaranteed step-1 hit in a core-local bank; any stable copy at
-// all means the chain ends on chip, so no DRAM fetch and no fill. esp
-// widens the step-1/step-2 queries to replicas and victims, adds the
-// replica-creation insert on home hits, and extends occupant scans with
-// the depth-2 victim-spill targets.
-func (a *SPNUCA) footprint(ctx *FootprintCtx, r FootprintReq, esp bool) Footprint {
-	s := a.s
-	if !s.fpOK {
-		return Footprint{Global: true}
-	}
-	bld := fpBuilder{s: s}
-	bld.core(r.Core)
-	pb, ps := s.Map.Private(r.Line, r.Core)
-	hb, hs := s.Map.Shared(r.Line)
-	ctx.BeginOwn()
-	a.fpPrepare(ctx, r, esp)
-	ctx.EndOwn()
-
-	solo := ctx.Mentions(r.Line) == 1
-	owned := fpOwnedRemote(s.Dir.Peek(r.Line), r.Core)
-	pq := cache.Query{Line: r.Line, Classes: cache.MaskPrivate, Owner: cache.AnyOwner}
-	hq := cache.Query{Line: r.Line, Classes: cache.MaskShared, Owner: cache.AnyOwner}
-	if esp {
-		pq.Classes |= cache.MaskReplica
-		hq.Classes |= cache.MaskVictim
-	}
-	stableP := solo && !ctx.OthersInsert(pb, ps) && s.Bank[pb].Peek(ps, pq) != nil
-	stableH := solo && !ctx.OthersInsert(hb, hs) && s.Bank[hb].Peek(hs, hq) != nil
-
-	bld.part(r.Line)
-	noInsert := false
-	switch {
-	case stableP && !owned && !r.Write:
-		// Slim step-1 read hit: requester-local private bank plus the
-		// line's directory/status partition.
-		bld.bank(pb)
-		noInsert = true
-	case stableP && !owned && r.Write:
-		// Guaranteed step-1 hit; the write's collect fans out from the
-		// requester to the current holders and copies.
-		bld.bank(pb)
-		s.fpSharers(&bld, ctx, r.Line)
-		s.fpCopies(&bld, r.Line)
-		if s.fpWriteMem(ctx, r.Line) {
-			bld.memNode(r.Line)
-		}
-		noInsert = true
-	case solo && (stableP || stableH || a.fpStableRemotePrivate(ctx, r.Line, r.Core)):
-		// Some copy the probe chain is guaranteed to find survives the
-		// barrier (a stable remote Replica would not do: step 3' only
-		// discovers Private-class copies), so the chain terminates on
-		// chip: no DRAM fetch, no fill. It may still walk the private
-		// bank, the home bank, and every current copy.
-		bld.bank(pb)
-		bld.bank(hb)
-		s.fpCopies(&bld, r.Line)
-		if r.Write {
-			s.fpSharers(&bld, ctx, r.Line)
-			if s.fpWriteMem(ctx, r.Line) {
-				bld.memNode(r.Line)
-			}
-		} else if owned {
-			// Reads stop at a bank or migrate before any L1 contact —
-			// except a stale copy, which forwards to the owning L1.
-			s.fpSharers(&bld, ctx, r.Line)
-		}
-		_, pbHas := s.l2Find(r.Line, pb)
-		mayReplica := esp && !pbHas && !owned
-		if mayReplica {
-			// A home hit copies the block into the private set.
-			bld.occupants(pb, ps, true)
-		}
-		mayMigrate := !stableH && a.fpHasRemotePrivate(r.Line, r.Core)
-		if mayMigrate {
-			// A discovered remote private copy migrates into the home set.
-			bld.occupants(hb, hs, esp)
-		}
-		noInsert = !mayReplica && !mayMigrate
-	default:
-		bld.channel(r.Line)
-		bld.bank(pb)
-		bld.occupants(pb, ps, esp)
-		bld.bank(hb)
-		bld.occupants(hb, hs, esp)
-		s.fpSharers(&bld, ctx, r.Line)
-		s.fpCopies(&bld, r.Line) // remote-private probe and write-invalidation targets
-	}
-	if r.WB {
-		a.fpWB(ctx, &bld, r, esp, noInsert)
-	}
-	return bld.finish()
-}
-
-// fpHasRemotePrivate reports whether another core's partition holds a
-// private copy of line at grouping time (the step-3' migration source).
-// Under Mentions == 1 none can appear mid-barrier: creating one requires
-// a transaction on the line.
-func (a *SPNUCA) fpHasRemotePrivate(line mem.Line, c int) bool {
-	for _, loc := range a.s.l2Has(line) {
-		if loc.class == cache.Private && a.s.Map.CoreOfBank(loc.bank) != c {
-			return true
-		}
-	}
-	return false
-}
-
-// fpStableRemotePrivate is fpHasRemotePrivate restricted to copies in
-// sets no other request may insert into — the only remote copies whose
-// survival (and hence an on-chip chain termination) is guaranteed.
-func (a *SPNUCA) fpStableRemotePrivate(ctx *FootprintCtx, line mem.Line, c int) bool {
-	for _, loc := range a.s.l2Has(line) {
-		if loc.class == cache.Private && a.s.Map.CoreOfBank(loc.bank) != c &&
-			!ctx.OthersInsert(loc.bank, loc.set) {
-			return true
-		}
-	}
-	return false
-}
-
-// fpWB adds the write-back side. The target bank follows the line's
-// private bit; with no other request mentioning the evicted line the
-// status is pinned for the barrier (markShared and first-touch
-// registration both require a transaction on the line, and a resident
-// copy's tokens keep maybeForgetStatus at bay while our L1 still holds
-// the block), so only the one target side is claimed — and if the line is
-// resident there in a stable set, the write-back is a pure bank update.
-// ownNoInsert must be true only when the access side of this same
-// transaction performs no insert, since an access-side fill could evict
-// the write-back's resident copy before the write-back runs. The evicted
-// line itself never rides to DRAM (SP/ESP write-backs always allocate);
-// evictions the allocation causes are covered by the occupant scans.
-func (a *SPNUCA) fpWB(ctx *FootprintCtx, bld *fpBuilder, r FootprintReq, esp, ownNoInsert bool) {
-	s := a.s
-	bld.part(r.WBLine)
-	wpb, wps := s.Map.Private(r.WBLine, r.Core)
-	whb, whs := s.Map.Shared(r.WBLine)
-	if ownNoInsert && ctx.Mentions(r.WBLine) == 1 {
-		tb, ts := wpb, wps
-		if shared, _, known := s.peekStatus(r.WBLine); known && shared {
-			tb, ts = whb, whs
-		}
-		bld.bank(tb)
-		if !ctx.OthersInsert(tb, ts) {
-			if _, ok := s.l2Find(r.WBLine, tb); ok {
-				return
-			}
-		}
-		bld.occupants(tb, ts, esp)
-		return
-	}
-	bld.bank(wpb)
-	bld.occupants(wpb, wps, esp)
-	bld.bank(whb)
-	bld.occupants(whb, whs, esp)
-}
-
 var _ System = (*SPNUCA)(nil)
-var _ Footprinter = (*SPNUCA)(nil)

@@ -90,11 +90,6 @@ type Bank struct {
 	// over every set.
 	helping int
 
-	// OnTouch, when non-nil, observes every operation against the bank
-	// (timed or tag-state). Test instrumentation for the footprint oracle;
-	// nil in production runs.
-	OnTouch func()
-
 	// Stats is exported for the harness; it has no behaviourial role.
 	Stats Stats
 }
@@ -138,17 +133,9 @@ func (b *Bank) Ways() int { return b.cfg.Ways }
 // Set returns set idx for policies, sampling setup and tests.
 func (b *Bank) Set(idx int) *Set { return &b.sets[idx] }
 
-// touch notifies the oracle hook, if installed.
-func (b *Bank) touch() {
-	if b.OnTouch != nil {
-		b.OnTouch()
-	}
-}
-
 // Access claims the bank port for a full access arriving at cycle at and
 // returns the completion cycle.
 func (b *Bank) Access(at sim.Cycle) sim.Cycle {
-	b.touch()
 	if b.functional {
 		return at
 	}
@@ -163,7 +150,6 @@ func (b *Bank) SetFunctional(on bool) { b.functional = on }
 // TagProbe claims the bank port for a tag-only probe (miss detection)
 // arriving at cycle at and returns its completion cycle.
 func (b *Bank) TagProbe(at sim.Cycle) sim.Cycle {
-	b.touch()
 	if b.functional {
 		return at
 	}
@@ -214,7 +200,6 @@ func (q Query) matches(blk *Block) bool {
 // Lookup searches set idx for a block satisfying q and, on a hit, updates
 // its LRU position. It returns the block (nil on miss).
 func (b *Bank) Lookup(idx int, q Query) *Block {
-	b.touch()
 	b.Stats.Lookups++
 	set := &b.sets[idx]
 	for i := range set.Blocks {
@@ -232,7 +217,6 @@ func (b *Bank) Lookup(idx int, q Query) *Block {
 
 // Peek searches without touching LRU state or statistics.
 func (b *Bank) Peek(idx int, q Query) *Block {
-	b.touch()
 	set := &b.sets[idx]
 	for i := range set.Blocks {
 		blk := &set.Blocks[i]
@@ -264,7 +248,6 @@ type Evicted struct {
 // It keeps the per-set helping counter consistent and returns the evicted
 // block, if any.
 func (b *Bank) Insert(idx int, nb Block, pol Policy) Evicted {
-	b.touch()
 	if !nb.Valid {
 		panic("cache: inserting invalid block")
 	}
@@ -309,7 +292,6 @@ func (b *Bank) place(set *Set, way int, nb Block) {
 // Invalidate removes the first block matching q from set idx and returns
 // it (Valid=false result if absent).
 func (b *Bank) Invalidate(idx int, q Query) (Block, bool) {
-	b.touch()
 	set := &b.sets[idx]
 	for i := range set.Blocks {
 		blk := &set.Blocks[i]
@@ -329,7 +311,6 @@ func (b *Bank) Invalidate(idx int, q Query) (Block, bool) {
 // Reclass changes the class of a resident block in place, maintaining the
 // helping counters. It returns false if no block matches q.
 func (b *Bank) Reclass(idx int, q Query, to Class, owner int) bool {
-	b.touch()
 	set := &b.sets[idx]
 	for i := range set.Blocks {
 		blk := &set.Blocks[i]

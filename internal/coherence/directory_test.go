@@ -12,9 +12,9 @@ import (
 // entries (the exported constructor starts at dirInitialCap).
 func smallDirectory(cap int) *Directory {
 	return &Directory{
-		parts: []dirPart{{entries: make([]dirEntry, cap), mask: uint64(cap - 1)}},
-		pmask: 0,
-		gen:   1,
+		entries: make([]dirEntry, cap),
+		mask:    uint64(cap - 1),
+		gen:     1,
 	}
 }
 

@@ -37,19 +37,8 @@ type L1s struct {
 	dir   *Directory
 	sets  int
 
-	// stats holds each core's hit/miss counters. Keeping them per core
-	// (padded to a cache line) lets the sharded engine's parallel phase
-	// count lookups without any shard ever writing another shard's
-	// memory; totals are summed on demand.
-	stats []l1CoreStats
-}
-
-// l1CoreStats is one core's L1 hit/miss counters, padded so adjacent
-// cores' counters never share a cache line (false sharing would serialize
-// the sharded engine's lookup-heavy parallel phase).
-type l1CoreStats struct {
-	DataHits, DataMisses, InstrHits, InstrMisses uint64
-	_                                            [4]uint64
+	// Hits/misses per kind, aggregated over all cores.
+	dataHits, dataMisses, instrHits, instrMisses uint64
 }
 
 // NewL1s builds per-core L1 pairs for n cores.
@@ -81,19 +70,12 @@ func NewL1s(n int, cfg L1Config, dir *Directory) (*L1s, error) {
 		l.data = append(l.data, d)
 		l.instr = append(l.instr, ib)
 	}
-	l.stats = make([]l1CoreStats, n)
 	return l, nil
 }
 
 // Totals returns the hit/miss counters summed over all cores.
 func (l *L1s) Totals() (dataHits, dataMisses, instrHits, instrMisses uint64) {
-	for i := range l.stats {
-		dataHits += l.stats[i].DataHits
-		dataMisses += l.stats[i].DataMisses
-		instrHits += l.stats[i].InstrHits
-		instrMisses += l.stats[i].InstrMisses
-	}
-	return
+	return l.dataHits, l.dataMisses, l.instrHits, l.instrMisses
 }
 
 // HitMissTotals returns the combined (I+D) hit and miss totals.
@@ -112,13 +94,6 @@ func (l *L1s) SetFunctional(on bool) {
 		l.data[i].SetFunctional(on)
 		l.instr[i].SetFunctional(on)
 	}
-}
-
-// SetOnTouch installs f as the touch observer on both of core c's L1
-// banks (nil uninstalls). Test instrumentation for the footprint oracle.
-func (l *L1s) SetOnTouch(c int, f func()) {
-	l.data[c].OnTouch = f
-	l.instr[c].OnTouch = f
 }
 
 func (l *L1s) setOf(line mem.Line) int { return int(uint64(line) % uint64(l.sets)) }
@@ -142,27 +117,24 @@ func (l *L1s) Lookup(c int, line mem.Line, write, ifetch bool) bool {
 		// Upgrade check: a write needs every token. Peek rather than
 		// State: a line with no directory entry implicitly holds all its
 		// tokens at memory (zero in any L1), which fails the check the
-		// same way, and the read must not materialize an entry — under
-		// sharded execution lookups run concurrently across cores and
-		// only the serialized barrier phase may mutate the directory.
+		// same way, so the read need not materialize an entry.
 		if st := l.dir.Peek(line); st == nil || st.L1Tokens[c] != TokensPerLine {
 			hit = false
 		} else {
 			blk.Dirty = true
 		}
 	}
-	st := &l.stats[c]
 	if ifetch {
 		if hit {
-			st.InstrHits++
+			l.instrHits++
 		} else {
-			st.InstrMisses++
+			l.instrMisses++
 		}
 	} else {
 		if hit {
-			st.DataHits++
+			l.dataHits++
 		} else {
-			st.DataMisses++
+			l.dataMisses++
 		}
 	}
 	return hit

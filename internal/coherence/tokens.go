@@ -115,78 +115,27 @@ type dirEntry struct {
 // returned pointers; callers must not hold a *LineState across such
 // calls. The architecture layer's call sites all fetch-then-mutate or
 // re-fetch after transaction steps.
-//
-// Partitioning: storage is split into parts routed by the line's home-bank
-// bits (line & pmask, the same bits the Shared mapping uses to pick a home
-// bank). Transactions with disjoint bank footprints therefore touch
-// disjoint parts — disjoint backing arrays — which is what lets the
-// sharded engine's parallel barrier mutate the directory from several
-// workers without a lock. The single-part form (NewDirectory) is plain
-// open addressing, unchanged.
 type Directory struct {
-	parts []dirPart
-	pmask uint64 // len(parts)-1; part of line l is uint64(l) & pmask
-	gen   uint32 // current generation; slots with a different gen are free
+	entries []dirEntry // power-of-two length
+	mask    uint64
+	count   int    // live entries of the current generation
+	gen     uint32 // current generation; slots with a different gen are free
 	// Check enables token-conservation verification after every mutation
 	// (tests and debug runs).
 	Check bool
 	// Violations counts failed checks when Check is set and Panic is not.
 	Violations uint64
-	// OnLine, when non-nil, observes every line whose state is consulted
-	// or mutated. Test instrumentation for the footprint oracle; nil in
-	// production runs.
-	OnLine func(l mem.Line)
-}
-
-// dirPart is one home-bank partition: an open-addressed, linearly probed
-// table of its own.
-type dirPart struct {
-	entries []dirEntry // power-of-two length
-	mask    uint64
-	count   int // live entries of the current generation
 }
 
 // dirInitialCap matches the old map's size hint; must be a power of two.
-// It is the total across parts: each part starts at dirInitialCap/parts
-// (floored at dirMinPartCap).
-const (
-	dirInitialCap = 1 << 16
-	dirMinPartCap = 1 << 8
-)
+const dirInitialCap = 1 << 16
 
-// NewDirectory returns an empty single-partition directory.
-func NewDirectory() *Directory { return NewDirectoryParts(1) }
-
-// NewDirectoryParts returns an empty directory split into the given number
-// of home-bank partitions (rounded up to a power of two).
-func NewDirectoryParts(parts int) *Directory {
-	if parts < 1 {
-		parts = 1
-	}
-	np := 1
-	for np < parts {
-		np <<= 1
-	}
-	cap := dirInitialCap / np
-	if cap < dirMinPartCap {
-		cap = dirMinPartCap
-	}
-	d := &Directory{parts: make([]dirPart, np), pmask: uint64(np - 1), gen: 1}
-	for i := range d.parts {
-		d.parts[i] = dirPart{entries: make([]dirEntry, cap), mask: uint64(cap - 1)}
-	}
-	return d
-}
-
-// part returns the partition holding line l's entry.
-func (d *Directory) part(l mem.Line) *dirPart {
-	return &d.parts[uint64(l)&d.pmask]
-}
-
-// onLine notifies the oracle hook, if installed.
-func (d *Directory) onLine(l mem.Line) {
-	if d.OnLine != nil {
-		d.OnLine(l)
+// NewDirectory returns an empty directory.
+func NewDirectory() *Directory {
+	return &Directory{
+		entries: make([]dirEntry, dirInitialCap),
+		mask:    dirInitialCap - 1,
+		gen:     1,
 	}
 }
 
@@ -202,37 +151,37 @@ func hashLine(l mem.Line) uint64 {
 	return x
 }
 
-// slot returns the index of l's entry in part p, or -1 and the index of
-// the free slot that terminated the probe.
-func (p *dirPart) slot(l mem.Line, gen uint32) (found, free int) {
-	i := hashLine(l) & p.mask
+// slot returns the index of l's entry, or -1 and the index of the free
+// slot that terminated the probe.
+func (d *Directory) slot(l mem.Line) (found, free int) {
+	i := hashLine(l) & d.mask
 	for {
-		e := &p.entries[i]
-		if e.gen != gen {
+		e := &d.entries[i]
+		if e.gen != d.gen {
 			return -1, int(i)
 		}
 		if e.line == l {
 			return int(i), -1
 		}
-		i = (i + 1) & p.mask
+		i = (i + 1) & d.mask
 	}
 }
 
-// grow doubles the part's table and rehashes the live entries.
-func (p *dirPart) grow(gen uint32) {
-	old := p.entries
-	p.entries = make([]dirEntry, 2*len(old))
-	p.mask = uint64(len(p.entries) - 1)
+// grow doubles the table and rehashes the live entries.
+func (d *Directory) grow() {
+	old := d.entries
+	d.entries = make([]dirEntry, 2*len(old))
+	d.mask = uint64(len(d.entries) - 1)
 	for i := range old {
 		e := &old[i]
-		if e.gen != gen {
+		if e.gen != d.gen {
 			continue
 		}
-		j := hashLine(e.line) & p.mask
-		for p.entries[j].gen == gen {
-			j = (j + 1) & p.mask
+		j := hashLine(e.line) & d.mask
+		for d.entries[j].gen == d.gen {
+			j = (j + 1) & d.mask
 		}
-		p.entries[j] = *e
+		d.entries[j] = *e
 	}
 }
 
@@ -240,28 +189,24 @@ func (p *dirPart) grow(gen uint32) {
 // "all-at-memory" state on first touch. The pointer is valid only until
 // the next State or Forget call (see the type comment).
 func (d *Directory) State(l mem.Line) *LineState {
-	d.onLine(l)
-	p := d.part(l)
-	found, free := p.slot(l, d.gen)
+	found, free := d.slot(l)
 	if found >= 0 {
-		return &p.entries[found].state
+		return &d.entries[found].state
 	}
 	// Keep the load factor below 3/4 so probe chains stay short.
-	if 4*(p.count+1) > 3*len(p.entries) {
-		p.grow(d.gen)
-		_, free = p.slot(l, d.gen)
+	if 4*(d.count+1) > 3*len(d.entries) {
+		d.grow()
+		_, free = d.slot(l)
 	}
-	p.entries[free] = dirEntry{line: l, gen: d.gen, state: implicitState}
-	p.count++
-	return &p.entries[free].state
+	d.entries[free] = dirEntry{line: l, gen: d.gen, state: implicitState}
+	d.count++
+	return &d.entries[free].state
 }
 
 // Peek returns the state without materializing it (nil if untouched).
 func (d *Directory) Peek(l mem.Line) *LineState {
-	d.onLine(l)
-	p := d.part(l)
-	if found, _ := p.slot(l, d.gen); found >= 0 {
-		return &p.entries[found].state
+	if found, _ := d.slot(l); found >= 0 {
+		return &d.entries[found].state
 	}
 	return nil
 }
@@ -272,33 +217,31 @@ func (d *Directory) Peek(l mem.Line) *LineState {
 // backward-shifting the probe chain (no tombstones). It reports whether
 // the entry was removed.
 func (d *Directory) Forget(l mem.Line) bool {
-	d.onLine(l)
-	p := d.part(l)
-	found, _ := p.slot(l, d.gen)
-	if found < 0 || p.entries[found].state != implicitState {
+	found, _ := d.slot(l)
+	if found < 0 || d.entries[found].state != implicitState {
 		return false
 	}
 	i := uint64(found)
 	for {
-		p.entries[i].gen = d.gen - 1 // free the slot
+		d.entries[i].gen = d.gen - 1 // free the slot
 		// Walk the chain after i; move back the first entry whose home
 		// position is outside the cyclic range (i, j], then repeat from
 		// its old slot.
 		j := i
 		for {
-			j = (j + 1) & p.mask
-			e := &p.entries[j]
+			j = (j + 1) & d.mask
+			e := &d.entries[j]
 			if e.gen != d.gen {
-				p.count--
+				d.count--
 				return true
 			}
-			home := hashLine(e.line) & p.mask
+			home := hashLine(e.line) & d.mask
 			// e may fill slot i iff moving it there does not place it
 			// before its home position in the cyclic probe order.
 			if cyclicallyBetween(i, home, j) {
 				continue
 			}
-			p.entries[i] = *e
+			d.entries[i] = *e
 			i = j
 			break
 		}
@@ -322,25 +265,15 @@ func (d *Directory) Reset() {
 	if d.gen == 0 {
 		// Generation wrapped (after 2^32 resets): physically clear so no
 		// ancient entry can alias the recycled generation value.
-		for i := range d.parts {
-			clear(d.parts[i].entries)
-		}
+		clear(d.entries)
 		d.gen = 1
 	}
-	for i := range d.parts {
-		d.parts[i].count = 0
-	}
+	d.count = 0
 	d.Violations = 0
 }
 
 // Lines returns the number of touched lines.
-func (d *Directory) Lines() int {
-	n := 0
-	for i := range d.parts {
-		n += d.parts[i].count
-	}
-	return n
-}
+func (d *Directory) Lines() int { return d.count }
 
 // Verify checks token conservation for l and returns an error on
 // violation.
@@ -373,15 +306,12 @@ func (d *Directory) Verify(l mem.Line) error {
 
 // VerifyAll checks every touched line (slow; tests only).
 func (d *Directory) VerifyAll() error {
-	for pi := range d.parts {
-		p := &d.parts[pi]
-		for i := range p.entries {
-			if p.entries[i].gen != d.gen {
-				continue
-			}
-			if err := d.Verify(p.entries[i].line); err != nil {
-				return err
-			}
+	for i := range d.entries {
+		if d.entries[i].gen != d.gen {
+			continue
+		}
+		if err := d.Verify(d.entries[i].line); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -117,40 +117,6 @@ type InstrSource interface {
 	Next() workload.Instr
 }
 
-// MemPort decouples a core from the synchronous memory system for
-// sharded execution: instead of calling arch.System.Access inline (which
-// touches mesh links, L2 banks, the directory and DRAM — state shared
-// across shards), a ported core enqueues its request and learns the
-// completion cycle later, when the sharded runner's barrier phase has
-// serviced the merged request stream in deterministic order and called
-// Resolve. Access returns a ticket scoped to the current window; demand
-// requests must be resolved before the core's next resume, prefetches are
-// fire-and-forget. WriteBackAfter attaches a displaced dirty line to the
-// ticket's request so the service issues the write-back immediately after
-// the access, exactly where the serial engine would.
-type MemPort interface {
-	Access(at sim.Cycle, line mem.Line, write, present, demand bool) uint64
-	WriteBackAfter(ticket uint64, line mem.Line, dirty bool)
-}
-
-// pendingMiss is an issued-but-unresolved demand request: the completion
-// cycle is unknown until the barrier service resolves the ticket.
-type pendingMiss struct {
-	ticket uint64
-	instr  uint64 // instruction index that issued it
-}
-
-// Micro-architectural resume points of the ported slice state machine.
-const (
-	stageTop     = iota // begin the next instruction
-	stageFetch          // instruction-fetch path
-	stageFetchBP        // back-pressure after a fetch miss
-	stageData           // data-access path
-	stageDataBP         // back-pressure after a data miss
-	stageRetire         // retirement bookkeeping
-	stageDrain          // waiting out outstanding misses at the target
-)
-
 // Core executes one workload stream against the memory system.
 type Core struct {
 	ID     int
@@ -180,32 +146,10 @@ type Core struct {
 	// pf is the optional stride prefetcher.
 	pf *stridePrefetcher
 
-	// --- Ported (sharded) execution state; nil/zero on the serial path ---
-
-	// port, when non-nil, routes memory requests through the sharded
-	// runner instead of the synchronous system; the core then executes
-	// via the resumable state machine in slice_port.go.
-	port MemPort
-	// pending holds issued demand requests whose completion cycle the
-	// barrier service has not yet resolved.
-	pending []pendingMiss
-	// suspended marks a core parked mid-instruction on an unresolved
-	// miss; the runner resumes it after the barrier resolves everything.
-	suspended bool
-	// stage/in/sliceStart/sliceN persist the state machine's position
-	// across suspensions (a resume re-enters mid-slice, mid-instruction).
-	stage      int
-	in         workload.Instr
-	sliceStart sim.Cycle
-	sliceN     int
-	// bufHits counts L1 hits recorded during the parallel phase, flushed
-	// to the substrate decomposition at each barrier (FlushL1Hits).
-	bufHits uint64
-
-	// sliceEv, sliceEvP and resumeEv are c.slice, c.sliceEventP and
-	// c.resumeP bound once in New: evaluating a method value builds a
-	// closure, and the cores reschedule themselves on every slice.
-	sliceEv, sliceEvP, resumeEv sim.Event
+	// sliceEv is c.slice bound once in New: evaluating a method value
+	// builds a closure, and the cores reschedule themselves on every
+	// slice.
+	sliceEv sim.Event
 }
 
 // New builds a core; call Start to schedule it.
@@ -223,7 +167,7 @@ func New(id int, cfg Config, eng *sim.Engine, sys arch.System, stream InstrSourc
 		cfg.Quantum = 256
 	}
 	c := &Core{ID: id, cfg: cfg, eng: eng, sys: sys, stream: stream, target: target}
-	c.sliceEv, c.sliceEvP, c.resumeEv = c.slice, c.sliceEventP, c.resumeP
+	c.sliceEv = c.slice
 	if cfg.PrefetchDegree > 0 {
 		c.pf = newStridePrefetcher(cfg.PrefetchDegree)
 	}
@@ -277,16 +221,8 @@ func (c *Core) MeasuredWindow() (sim.Cycle, uint64) {
 	return c.localTime - c.warmTime, c.retired - c.warmTarget
 }
 
-// SetPort switches the core to ported (sharded) execution. Call before
-// Start.
-func (c *Core) SetPort(p MemPort) { c.port = p }
-
 // Start schedules the core's first slice.
 func (c *Core) Start() {
-	if c.port != nil {
-		c.eng.Schedule(0, c.sliceEvP)
-		return
-	}
 	c.eng.Schedule(0, c.sliceEv)
 }
 

@@ -14,7 +14,7 @@ import (
 // All of those invalidate every cached result, so the change must be
 // deliberate — update the constant only after confirming the drift is
 // intended (and bump CodeVersion when simulator behaviour changed).
-const goldenCanonicalKey = "aef103c7c7ee4425e0bbaf8fbdb5ba1b2a91c67854478a8a474ab188eca5f4ae"
+const goldenCanonicalKey = "5f5b3c590fa7cf2d61655184066e714e1866ea73335f025af82ec496d9cb6a0e"
 
 func TestCanonicalKeyGolden(t *testing.T) {
 	rc := DefaultRunConfig("esp-nuca", "apache")

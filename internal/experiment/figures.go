@@ -64,16 +64,6 @@ type Options struct {
 	// RunConfig.SampleWindows). Figures regenerate much faster; each
 	// underlying RunResult carries its error bound in Sampled.
 	SampleWindows int
-	// EngineShards, when positive, runs every simulation on the sharded
-	// engine with that many mesh-region shards (see
-	// RunConfig.EngineShards). Full-detail results on a different
-	// canonical key; mutually exclusive with SampleWindows.
-	EngineShards int
-	// BarrierParallelism bounds the workers each sharded simulation's
-	// window barriers spread their conflict groups over (see
-	// RunConfig.BarrierParallelism). Bit-identical at any setting; only
-	// meaningful with EngineShards.
-	BarrierParallelism int
 	// Obs, when non-nil, captures per-run telemetry files (see ObsSpec).
 	Obs *ObsSpec
 	// RunFunc, when non-nil, substitutes Run for every independent
@@ -105,8 +95,6 @@ func (o Options) matrix(workloads []string, variants []Variant) Matrix {
 	m.System = o.System
 	m.Parallelism = o.Parallelism
 	m.SampleWindows = o.SampleWindows
-	m.EngineShards = o.EngineShards
-	m.BarrierParallelism = o.BarrierParallelism
 	m.Obs = o.Obs
 	m.RunFunc = o.RunFunc
 	return m

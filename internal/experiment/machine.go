@@ -62,37 +62,6 @@ type RunConfig struct {
 	// — like Matrix.Parallelism — it is excluded from the canonical key.
 	SampleParallelism int `canon:"-"`
 
-	// EngineShards, when positive, switches Run to the sharded parallel
-	// engine (see sharded.go): the machine is partitioned by mesh region
-	// into that many shards whose cores execute concurrently between
-	// bounded-lag window barriers, while all shared-memory-system
-	// transactions are serviced at the barriers in deterministic
-	// timestamp order. Results are bit-identical at any ShardParallelism
-	// but NOT to the serial engine (the service's (cycle, shard, seq)
-	// order tie-breaks differently than the serial engine's slice
-	// interleaving), so — exactly like SampleWindows — the field
-	// participates in the canonical key: a sharded run never impersonates
-	// a legacy run in the result cache. The validation harness
-	// ShardedError bounds the residual full-vs-sharded skew.
-	EngineShards int
-	// ShardParallelism bounds the goroutines a sharded run's windows fan
-	// out over (0: all cores, 1: serial). Results are bit-identical at
-	// any setting (TestShardedParallelDeterminism), so it is excluded
-	// from the canonical key.
-	ShardParallelism int `canon:"-"`
-	// BarrierParallelism, when > 1, lets a sharded run service each
-	// barrier's merged request list in parallel: requests are partitioned
-	// into conflict groups by static footprint analysis (see
-	// arch.Footprinter) and independent groups run on up to this many
-	// workers, each group internally in the deterministic merged order.
-	// Grouping is a pure function of the requests and the groups are
-	// pairwise disjoint in the state they touch, so results are
-	// bit-identical at any setting (TestBarrierParallelDeterminism) and
-	// the field is excluded from the canonical key. 0 or 1 keeps the
-	// serial barrier; architectures that cannot declare footprints
-	// (victim-replication, r-nuca) always service serially.
-	BarrierParallelism int `canon:"-"`
-
 	// Metrics, when non-nil, receives this run's telemetry (see
 	// internal/obs): interval snapshots of per-bank hit rates and helping
 	// blocks, ESP-NUCA's nmax/EMA series, NoC and DRAM utilization, and
@@ -161,21 +130,12 @@ type RunResult struct {
 	// (RunConfig.SampleWindows > 0); nil for full runs. Consumers that
 	// must not act on an estimate can (and should) gate on it.
 	Sampled *SampleEstimate `json:"Sampled,omitempty"`
-
-	// Shard summarizes the sharded engine's execution when the result
-	// came from a sharded run (RunConfig.EngineShards > 0); nil
-	// otherwise. All fields are deterministic (no wall-clock times), so
-	// cached sharded results carry them unchanged.
-	Shard *ShardStats `json:"Shard,omitempty"`
 }
 
-// Run executes one simulation — full, sampled when rc.SampleWindows is
-// positive, or space-parallel sharded when rc.EngineShards is positive.
+// Run executes one simulation: full when rc.SampleWindows is zero,
+// sampled otherwise (RunSampled rejects a negative window count).
 func Run(rc RunConfig) (RunResult, error) {
-	if rc.SampleWindows > 0 && rc.EngineShards > 0 {
-		return RunResult{}, fmt.Errorf("experiment: SampleWindows and EngineShards are mutually exclusive (sampled windows already parallelize across windows)")
-	}
-	if rc.SampleWindows > 0 {
+	if rc.SampleWindows != 0 {
 		return RunSampled(rc)
 	}
 	rc.System.Seed = rc.Seed
@@ -206,9 +166,6 @@ func RunOn(rc RunConfig, sys arch.System) (RunResult, error) {
 	bound := spec.Bind(wlLines, rc.System.L1ILines(), rc.Seed)
 	// Idle/service cores run until the measured cores finish; give them
 	// an effectively unbounded target.
-	if rc.EngineShards > 0 {
-		return runShardedBound(rc, sys, bound, ^uint64(0)>>1)
-	}
 	return runBound(rc, sys, bound, ^uint64(0)>>1, nil)
 }
 
@@ -282,8 +239,7 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget u
 }
 
 // assembleResult reduces the post-run core and substrate state into a
-// RunResult; the serial and sharded runners share it so the metric
-// definitions cannot drift apart.
+// RunResult.
 func assembleResult(rc RunConfig, sub *arch.Substrate, cores []*cpu.Core, measured uint8, base statSnapshot, consumed *[8]uint64) (RunResult, error) {
 	res := RunResult{Arch: rc.Arch, Workload: rc.Workload, Seed: rc.Seed}
 	var retired uint64

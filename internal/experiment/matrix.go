@@ -63,20 +63,6 @@ type Matrix struct {
 	// Within a cell the windows run serially — the matrix already fans
 	// cells out over the worker pool.
 	SampleWindows int
-	// EngineShards, when positive, executes every cell on the sharded
-	// engine (see RunConfig.EngineShards): each cell is one full-detail
-	// simulation partitioned into that many mesh-region shards. Within a
-	// cell the shards run serially — the matrix already fans cells out
-	// over the worker pool — so shard-mode matrices stay bit-identical
-	// to their single-cell sharded runs. Mutually exclusive with
-	// SampleWindows.
-	EngineShards int
-	// BarrierParallelism bounds the workers each sharded cell's window
-	// barriers spread their conflict groups over (see
-	// RunConfig.BarrierParallelism); <= 1 services barriers serially.
-	// Results are bit-identical at any setting. Only meaningful with
-	// EngineShards.
-	BarrierParallelism int
 	// Obs, when non-nil, captures per-run telemetry: each cell gets its
 	// own registry writing to Obs.Dir (simulation results are unaffected).
 	Obs *ObsSpec
@@ -163,10 +149,6 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 
 			SampleWindows:     m.SampleWindows,
 			SampleParallelism: 1,
-
-			EngineShards:       m.EngineShards,
-			ShardParallelism:   1,
-			BarrierParallelism: m.BarrierParallelism,
 		}
 		if v.CCProb >= 0 {
 			rc.System.CCProbability = v.CCProb

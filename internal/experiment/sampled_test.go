@@ -174,6 +174,19 @@ func TestSampledRejectsBadConfigs(t *testing.T) {
 	if _, err := RunSampled(rc); err == nil {
 		t.Error("SampleWindows=0 accepted by RunSampled")
 	}
+
+	// A negative window count is an error, not a full run under a key
+	// that differs from the full run's.
+	rc = sampledQuickRC("esp-nuca", "apache", -1)
+	if res, err := Run(rc); err == nil || !strings.Contains(err.Error(), "SampleWindows") {
+		t.Errorf("SampleWindows=-1: err = %v (Sampled=%v), want rejection", err, res.Sampled != nil)
+	}
+	m := NewMatrix([]string{"apache"}, []Variant{V("shared", "shared")})
+	m.Seeds, m.Warmup, m.Instructions = []uint64{1}, 12_000, 8_000
+	m.SampleWindows = -3
+	if _, err := m.Run(nil); err == nil {
+		t.Error("matrix with SampleWindows=-3 ran")
+	}
 }
 
 func TestSampledMatrixRejectsTelemetry(t *testing.T) {

@@ -1,8 +1,6 @@
 package mem
 
 import (
-	"sync/atomic"
-
 	"espnuca/internal/sim"
 )
 
@@ -36,32 +34,10 @@ type DRAM struct {
 	// without claiming a channel or counting (sampled-run fast-forward).
 	functional bool
 
-	// concurrent gates Reads/Writes onto atomic adds during the sharded
-	// engine's parallel barrier phases (order-free integer sums, so the
-	// totals stay deterministic). Channel Resources stay plain: footprint
-	// grouping guarantees per-channel exclusivity.
-	concurrent bool
-
-	// OnChannel, when non-nil, observes every channel use. Test
-	// instrumentation for the footprint oracle; nil in production runs.
-	OnChannel func(ch int)
-
 	// Reads and Writes count accesses, for the off-chip traffic metrics
 	// of Figure 7.
 	Reads  uint64
 	Writes uint64
-}
-
-// SetConcurrent switches the access counters between plain and atomic
-// increments (see the field comment).
-func (d *DRAM) SetConcurrent(on bool) { d.concurrent = on }
-
-func (d *DRAM) count(p *uint64) {
-	if d.concurrent {
-		atomic.AddUint64(p, 1)
-	} else {
-		*p++
-	}
 }
 
 // SetFunctional switches the memory model between timed and functional
@@ -120,13 +96,8 @@ func (d *DRAM) Read(at sim.Cycle, l Line) sim.Cycle {
 	if d.functional {
 		return at
 	}
-	d.count(&d.Reads)
-	c := d.ChannelOf(l)
-	if d.OnChannel != nil {
-		d.OnChannel(c)
-	}
-	ch := d.channels[c]
-	return ch.Claim(at) + d.cfg.Latency
+	d.Reads++
+	return d.channels[d.ChannelOf(l)].Claim(at) + d.cfg.Latency
 }
 
 // Write schedules a write-back of line l arriving at cycle at and returns
@@ -136,13 +107,8 @@ func (d *DRAM) Write(at sim.Cycle, l Line) sim.Cycle {
 	if d.functional {
 		return at
 	}
-	d.count(&d.Writes)
-	c := d.ChannelOf(l)
-	if d.OnChannel != nil {
-		d.OnChannel(c)
-	}
-	ch := d.channels[c]
-	return ch.Claim(at)
+	d.Writes++
+	return d.channels[d.ChannelOf(l)].Claim(at)
 }
 
 // Accesses returns total off-chip accesses.

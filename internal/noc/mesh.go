@@ -12,7 +12,6 @@ package noc
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"espnuca/internal/sim"
 )
@@ -49,14 +48,8 @@ const (
 	Data                 // data responses / write-backs (block + header)
 )
 
-// Mesh is the interconnect model. It is not safe for unrestricted
-// concurrent use; the simulator is single-threaded by design
-// (deterministic replay), with one exception: the sharded engine's
-// parallel barrier may call Send concurrently for messages whose DOR
-// routes share no link (disjoint footprints, see the arch package).
-// SetConcurrent(true) switches the traffic counters to atomic adds for
-// those phases; link Resources stay plain because footprint grouping
-// guarantees per-link exclusivity.
+// Mesh is the interconnect model. It is not safe for concurrent use; the
+// simulator is single-threaded by design (deterministic replay).
 type Mesh struct {
 	cfg   Config
 	nodes int
@@ -66,16 +59,6 @@ type Mesh struct {
 	// functional short-circuits Send: messages deliver instantly without
 	// claiming links or counting traffic (sampled-run fast-forward).
 	functional bool
-
-	// concurrent gates the traffic counters onto atomic adds (parallel
-	// barrier phases); counter totals are order-free integer sums, so
-	// they stay deterministic regardless of interleaving.
-	concurrent bool
-
-	// OnLink, when non-nil, observes every link claim as (direction,
-	// node). Test instrumentation for the footprint oracle; nil in
-	// production runs.
-	OnLink func(dir int, node NodeID)
 
 	// Stats.
 	Messages    uint64
@@ -131,21 +114,6 @@ func New(cfg Config) (*Mesh, error) {
 // traffic is counted, so warming cache state costs no timing work and
 // leaves no bookings behind.
 func (m *Mesh) SetFunctional(on bool) { m.functional = on }
-
-// SetConcurrent switches the traffic counters between plain and atomic
-// increments. The sharded runner sets it around parallel barrier
-// servicing; the serial paths never pay the atomic cost.
-func (m *Mesh) SetConcurrent(on bool) { m.concurrent = on }
-
-// count adds n to a traffic counter, atomically during concurrent
-// barrier phases.
-func (m *Mesh) count(p *uint64, n uint64) {
-	if m.concurrent {
-		atomic.AddUint64(p, n)
-	} else {
-		*p += n
-	}
-}
 
 // Nodes returns the number of routers.
 func (m *Mesh) Nodes() int { return m.nodes }
@@ -221,11 +189,11 @@ func (m *Mesh) Send(at sim.Cycle, from, to NodeID, class Class, size int) sim.Cy
 	if m.functional {
 		return at
 	}
-	m.count(&m.Messages, 1)
+	m.Messages++
 	if class == Data {
-		m.count(&m.DataMsgs, 1)
+		m.DataMsgs++
 	} else {
-		m.count(&m.ControlMsgs, 1)
+		m.ControlMsgs++
 	}
 	if from == to {
 		return at
@@ -239,13 +207,10 @@ func (m *Mesh) Send(at sim.Cycle, from, to NodeID, class Class, size int) sim.Cy
 	tx, ty := m.coord(to)
 	t := at
 	hop := func(dir int, node NodeID) {
-		if m.OnLink != nil {
-			m.OnLink(dir, node)
-		}
 		// The head flit claims the link; the body occupies it for
 		// one cycle per flit (wormhole pipelining).
 		t = m.links[dir][node].ClaimFor(t, sim.Cycle(flits)) + m.cfg.HopLatency
-		m.count(&m.FlitHops, uint64(flits))
+		m.FlitHops += uint64(flits)
 	}
 	x, y := fx, fy
 	for x != tx {
@@ -302,43 +267,6 @@ func (m *Mesh) linkFor(from, to NodeID) *sim.Resource {
 // (four outgoing per router; edge links exist but never carry traffic
 // under DOR routing).
 func (m *Mesh) LinkCount() int { return 4 * m.nodes }
-
-// LinkBit returns the bit index of link (dir, node) in the link bitmask
-// space used by PathLinkMask — meaningful only when LinkCount() <= 64.
-func (m *Mesh) LinkBit(dir int, node NodeID) int { return dir*m.nodes + int(node) }
-
-// PathLinkMask returns a bitmask of the unidirectional links the DOR
-// route from 'from' to 'to' claims, bit LinkBit(dir, node) per hop. It
-// walks exactly the loop Send uses, so a message's claims are always a
-// subset of the mask. Callers must check LinkCount() <= 64 first; the
-// arch footprint layer degrades to a global footprint otherwise.
-func (m *Mesh) PathLinkMask(from, to NodeID) uint64 {
-	var mask uint64
-	fx, fy := m.coord(from)
-	tx, ty := m.coord(to)
-	x, y := fx, fy
-	for x != tx {
-		node := NodeID(y*m.cfg.Cols + x)
-		if x < tx {
-			mask |= 1 << uint(m.LinkBit(east, node))
-			x++
-		} else {
-			mask |= 1 << uint(m.LinkBit(west, node))
-			x--
-		}
-	}
-	for y != ty {
-		node := NodeID(y*m.cfg.Cols + x)
-		if y < ty {
-			mask |= 1 << uint(m.LinkBit(south, node))
-			y++
-		} else {
-			mask |= 1 << uint(m.LinkBit(north, node))
-			y--
-		}
-	}
-	return mask
-}
 
 // LinkUtilization returns the mean link occupancy over the first now
 // cycles, in [0,1], averaged across every link.

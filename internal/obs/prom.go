@@ -49,10 +49,9 @@ func promFloat(v float64) string {
 
 // promSplit splits an instrument name into its sanitized Prometheus
 // metric name and an optional label suffix: a registry name like
-// `shard.barrier_wait_ns{shard="3"}` becomes metric
-// `shard_barrier_wait_ns` with label set `{shard="3"}`, so per-entity
-// instruments render as one labeled metric family instead of N mangled
-// names.
+// `bank.hit_rate{bank="3"}` becomes metric `bank_hit_rate` with label
+// set `{bank="3"}`, so per-entity instruments render as one labeled
+// metric family instead of N mangled names.
 func promSplit(name string) (pn, labels string) {
 	if i := strings.IndexByte(name, '{'); i >= 0 {
 		return PromName(name[:i]), name[i:]

@@ -178,8 +178,8 @@ func (s *Store) remoteBeforeCompute(ctx context.Context, tr *obs.JobTrace, rc ex
 }
 
 // runTraced executes the simulation under a `run` span with a
-// `simulate` sub-span, plus mode sub-spans describing sampled or
-// sharded execution. bypass marks runs that skipped the cache.
+// `simulate` sub-span, plus a sub-span describing sampled execution.
+// bypass marks runs that skipped the cache.
 func runTraced(tr *obs.JobTrace, rc experiment.RunConfig, bypass string) (experiment.RunResult, error) {
 	run := startCellSpan(tr, "run", rc)
 	if bypass != "" {
@@ -199,13 +199,6 @@ func runTraced(tr *obs.JobTrace, rc experiment.RunConfig, bypass string) (experi
 	if res.Sampled != nil {
 		sub := run.ChildAt("sampled-windows", simStart)
 		sub.SetAttr("windows", strconv.Itoa(rc.SampleWindows))
-		sub.End()
-	}
-	if res.Shard != nil {
-		sub := run.ChildAt("sharded-windows", simStart)
-		sub.SetAttr("shards", strconv.Itoa(rc.EngineShards))
-		sub.SetAttr("windows", strconv.FormatUint(res.Shard.Windows, 10))
-		sub.SetAttr("requests", strconv.FormatUint(res.Shard.Requests, 10))
 		sub.End()
 	}
 	run.End()

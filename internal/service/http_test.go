@@ -290,10 +290,19 @@ func TestHTTPErrorsAndIntrospection(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: %d %s", resp.StatusCode, body)
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/jobs", map[string]any{"kind": "run", "run": map[string]any{
-		"arch": "esp-nuca", "workload": "apache", "engine_shards": 2, "barrier_parallelism": -2}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative barrier_parallelism: %d %s", resp.StatusCode, body)
+	// Fields the specs do not define, such as the execution knobs of
+	// older clients, must get a 400 rather than a silently different run.
+	for _, field := range []string{"engine_shards", "barrier_parallelism"} {
+		resp, body = postJSON(t, ts.URL+"/v1/jobs", map[string]any{"kind": "run", "run": map[string]any{
+			"arch": "esp-nuca", "workload": "apache", field: 2}})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("run spec with %s: %d %s", field, resp.StatusCode, body)
+		}
+		resp, body = postJSON(t, ts.URL+"/v1/jobs", map[string]any{"kind": "matrix", "matrix": map[string]any{
+			"workloads": []string{"apache"}, "variant_set": "counterparts", field: 2}})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("matrix spec with %s: %d %s", field, resp.StatusCode, body)
+		}
 	}
 
 	// A finished job shows up in the list; metricsz reflects it.

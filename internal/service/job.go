@@ -47,18 +47,6 @@ type RunSpec struct {
 	// result carries its confidence bounds in Sampled and is cached under
 	// a distinct key from the full run.
 	SampleWindows int `json:"sample_windows,omitempty"`
-	// EngineShards, when positive, runs the job on the sharded parallel
-	// engine with that many mesh-region shards (see
-	// experiment.RunConfig.EngineShards). The result carries its window
-	// accounting in Shard and is cached under a distinct key from the
-	// serial run. Mutually exclusive with sample_windows.
-	EngineShards int `json:"engine_shards,omitempty"`
-	// BarrierParallelism, when > 1, services each sharded window
-	// barrier's independent conflict groups concurrently (see
-	// experiment.RunConfig.BarrierParallelism). Results are bit-identical
-	// at any setting, so it does not enter the cache key. Only meaningful
-	// with engine_shards.
-	BarrierParallelism int `json:"barrier_parallelism,omitempty"`
 }
 
 // Config lowers the spec to a RunConfig, validating names eagerly so a
@@ -93,17 +81,6 @@ func (sp RunSpec) Config() (experiment.RunConfig, error) {
 		return experiment.RunConfig{}, fmt.Errorf("service: sample_windows %d is negative", sp.SampleWindows)
 	}
 	rc.SampleWindows = sp.SampleWindows
-	if sp.EngineShards < 0 {
-		return experiment.RunConfig{}, fmt.Errorf("service: engine_shards %d is negative", sp.EngineShards)
-	}
-	if sp.EngineShards > 0 && sp.SampleWindows > 0 {
-		return experiment.RunConfig{}, fmt.Errorf("service: engine_shards and sample_windows are mutually exclusive")
-	}
-	rc.EngineShards = sp.EngineShards
-	if sp.BarrierParallelism < 0 {
-		return experiment.RunConfig{}, fmt.Errorf("service: barrier_parallelism %d is negative", sp.BarrierParallelism)
-	}
-	rc.BarrierParallelism = sp.BarrierParallelism
 	return rc, nil
 }
 
@@ -134,14 +111,6 @@ type MatrixSpec struct {
 	// SampleWindows, when positive, executes every cell in sampled mode
 	// with that many measurement windows per cell.
 	SampleWindows int `json:"sample_windows,omitempty"`
-	// EngineShards, when positive, executes every cell on the sharded
-	// parallel engine with that many mesh-region shards per cell.
-	// Mutually exclusive with sample_windows.
-	EngineShards int `json:"engine_shards,omitempty"`
-	// BarrierParallelism, when > 1, services each sharded cell's window
-	// barriers with that many conflict-group workers. Bit-identical at
-	// any setting; only meaningful with engine_shards.
-	BarrierParallelism int `json:"barrier_parallelism,omitempty"`
 }
 
 // Matrix lowers the spec, validating workloads and variant names.
@@ -194,17 +163,6 @@ func (sp MatrixSpec) Matrix() (experiment.Matrix, error) {
 		return experiment.Matrix{}, fmt.Errorf("service: sample_windows %d is negative", sp.SampleWindows)
 	}
 	m.SampleWindows = sp.SampleWindows
-	if sp.EngineShards < 0 {
-		return experiment.Matrix{}, fmt.Errorf("service: engine_shards %d is negative", sp.EngineShards)
-	}
-	if sp.EngineShards > 0 && sp.SampleWindows > 0 {
-		return experiment.Matrix{}, fmt.Errorf("service: engine_shards and sample_windows are mutually exclusive")
-	}
-	m.EngineShards = sp.EngineShards
-	if sp.BarrierParallelism < 0 {
-		return experiment.Matrix{}, fmt.Errorf("service: barrier_parallelism %d is negative", sp.BarrierParallelism)
-	}
-	m.BarrierParallelism = sp.BarrierParallelism
 	return m, nil
 }
 

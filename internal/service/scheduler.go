@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"espnuca/internal/experiment"
 	"espnuca/internal/obs"
 )
 
@@ -156,8 +155,6 @@ type Scheduler struct {
 	cRejected     *obs.Counter
 	gQueueDepth   *obs.Gauge
 	gRunning      *obs.Gauge
-	cShardWindows *obs.Counter
-	cShardReqs    *obs.Counter
 	hQueueWait    *obs.Histogram
 	hRun          *obs.Histogram
 	hEncode       *obs.Histogram
@@ -195,13 +192,10 @@ func New(cfg Config) (*Scheduler, error) {
 		cRejected:   reg.Counter("service.jobs_rejected"),
 		gQueueDepth: reg.Gauge("service.queue_depth"),
 		gRunning:    reg.Gauge("service.jobs_running"),
-
-		cShardWindows: reg.Counter("service.shard_windows"),
-		cShardReqs:    reg.Counter("service.shard_requests"),
-		hQueueWait:    reg.Histogram("service.stage.queue_wait_ms", StageLatencyBounds),
-		hRun:          reg.Histogram("service.stage.run_ms", StageLatencyBounds),
-		hEncode:       reg.Histogram("service.stage.encode_ms", StageLatencyBounds),
-		logger:        cfg.Logger,
+		hQueueWait:  reg.Histogram("service.stage.queue_wait_ms", StageLatencyBounds),
+		hRun:        reg.Histogram("service.stage.run_ms", StageLatencyBounds),
+		hEncode:     reg.Histogram("service.stage.encode_ms", StageLatencyBounds),
+		logger:      cfg.Logger,
 	}
 	if s.logger == nil {
 		s.logger = discardLogger()
@@ -609,31 +603,6 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// shardTotals sums the sharded-engine window accounting across a
-// completed payload's runs (zero for serial and sampled work), so
-// /metricsz exposes how much sharded simulation the daemon has served.
-func shardTotals(payload any) (windows, requests uint64) {
-	add := func(r experiment.RunResult) {
-		if r.Shard != nil {
-			windows += r.Shard.Windows
-			requests += r.Shard.Requests
-		}
-	}
-	switch v := payload.(type) {
-	case experiment.RunResult:
-		add(v)
-	case experiment.Results:
-		for _, wls := range v {
-			for _, cell := range wls {
-				for _, r := range cell.Runs {
-					add(r)
-				}
-			}
-		}
-	}
-	return windows, requests
-}
-
 // finalizeLocked moves j to a terminal state and wakes watchers.
 // Caller holds s.mu.
 func (s *Scheduler) finalizeLocked(j *job, state State, payload any, err error) {
@@ -643,12 +612,6 @@ func (s *Scheduler) finalizeLocked(j *job, state State, payload any, err error) 
 	// A job canceled while still queued (client cancel, drain, expired
 	// deadline) never reached a worker; close its queue span here.
 	j.queuedSpan.End()
-	if state == StateSucceeded {
-		if w, r := shardTotals(payload); w > 0 {
-			s.cShardWindows.Add(w)
-			s.cShardReqs.Add(r)
-		}
-	}
 	j.state = state
 	j.result = payload
 	j.err = err

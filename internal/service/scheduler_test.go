@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"espnuca/internal/experiment"
 )
 
 // blockingRunner lets tests hold jobs in the running state and observe
@@ -94,15 +92,10 @@ func TestSubmitValidatesEagerly(t *testing.T) {
 		{},                                  // no payload
 		{Run: &RunSpec{Arch: "esp-nuca"}},   // missing workload
 		{Run: &RunSpec{Workload: "apache"}}, // missing arch
-		{Run: &RunSpec{Arch: "x", Workload: "nosuch"}},                                                 // bad workload
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: 1.5}},                      // cc_probability > 1
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: -0.2}},                     // cc_probability <= 0
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: -3}},                       // negative sample_windows
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", EngineShards: -2}},                        // negative engine_shards
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: 4, EngineShards: 2}},       // both execution modes
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", EngineShards: 2, BarrierParallelism: -4}}, // negative barrier_parallelism
-		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}, VariantSet: "counterparts",
-			EngineShards: 2, BarrierParallelism: -1}}, // negative matrix barrier_parallelism
+		{Run: &RunSpec{Arch: "x", Workload: "nosuch"}},                                                            // bad workload
+		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: 1.5}},                                 // cc_probability > 1
+		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: -0.2}},                                // cc_probability <= 0
+		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: -3}},                                  // negative sample_windows
 		{Kind: KindMatrix, Matrix: &MatrixSpec{}},                                                                 // empty matrix
 		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}}},                                    // no variants
 		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}, VariantSet: "nope"}},                // bad set
@@ -130,61 +123,6 @@ func TestSpecLowersSampleWindows(t *testing.T) {
 	}
 	if m.SampleWindows != 2 {
 		t.Fatalf("m.SampleWindows = %d, want 2", m.SampleWindows)
-	}
-}
-
-// shardResultRunner returns a fixed sharded RunResult so counter
-// accounting can be asserted without simulating.
-type shardResultRunner struct{ windows, requests uint64 }
-
-func (r *shardResultRunner) Run(ctx context.Context, spec JobSpec, progress func(done, total int)) (any, error) {
-	return experiment.RunResult{Shard: &experiment.ShardStats{
-		Shards: 2, Windows: r.windows, Requests: r.requests,
-	}}, nil
-}
-
-// TestShardCountersTrackServedWork: completed sharded jobs must bump the
-// service.shard_* counters /metricsz exposes.
-func TestShardCountersTrackServedWork(t *testing.T) {
-	s, err := New(Config{Workers: 1, Runner: &shardResultRunner{windows: 100, requests: 4000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Drain(context.Background())
-	for i := 0; i < 2; i++ {
-		id, err := s.Submit(JobSpec{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", EngineShards: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitTerminal(t, s, id)
-	}
-	counters, _, _ := s.Obs().Snapshot()
-	if got := counters["service.shard_windows"]; got != 200 {
-		t.Errorf("service.shard_windows = %d, want 200", got)
-	}
-	if got := counters["service.shard_requests"]; got != 8000 {
-		t.Errorf("service.shard_requests = %d, want 8000", got)
-	}
-}
-
-func TestSpecLowersEngineShards(t *testing.T) {
-	rc, err := RunSpec{Arch: "esp-nuca", Workload: "apache", EngineShards: 4}.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.EngineShards != 4 {
-		t.Fatalf("rc.EngineShards = %d, want 4", rc.EngineShards)
-	}
-	m, err := MatrixSpec{Workloads: []string{"apache"}, VariantSet: "counterparts", EngineShards: 2}.Matrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.EngineShards != 2 {
-		t.Fatalf("m.EngineShards = %d, want 2", m.EngineShards)
-	}
-	if _, err := (MatrixSpec{Workloads: []string{"apache"}, VariantSet: "counterparts",
-		EngineShards: 2, SampleWindows: 2}).Matrix(); err == nil {
-		t.Fatal("matrix spec with both execution modes accepted")
 	}
 }
 

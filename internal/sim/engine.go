@@ -179,20 +179,10 @@ func (e *Engine) Pending() int { return len(e.queue) }
 func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether the engine is in the stopped state: true from a
-// Stop call until the next Run/RunUntil/RunBefore resets it. A Run that
-// returned because of Stop leaves it observable here, so callers can tell
-// "an event stopped me" apart from "the queue drained".
+// Stop call until the next Run/RunUntil resets it. A Run that returned
+// because of Stop leaves it observable here, so callers can tell "an
+// event stopped me" apart from "the queue drained".
 func (e *Engine) Stopped() bool { return e.stopped }
-
-// NextAt reports the cycle of the earliest pending event, if any. The
-// sharded engine's window planner uses it to compute each bounded-lag
-// horizon without popping.
-func (e *Engine) NextAt() (Cycle, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
-}
 
 // Step executes the single earliest pending event, advancing the clock to
 // its cycle. It reports whether an event was executed.
@@ -236,18 +226,6 @@ func (e *Engine) Run(limit Cycle) Cycle {
 		e.Step()
 	}
 	return e.now
-}
-
-// RunBefore executes pending events strictly before cycle h, honouring
-// Stop. Unlike Run it never advances the clock past the last executed
-// event: the engine's notion of "now" stays at that event's cycle, so a
-// later At for any cycle >= h is always legal. This is the per-window
-// dispatch primitive of the sharded engine.
-func (e *Engine) RunBefore(h Cycle) {
-	e.stopped = false
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at < h {
-		e.Step()
-	}
 }
 
 // RunUntil executes events while cond returns false, subject to the same

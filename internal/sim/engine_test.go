@@ -401,3 +401,52 @@ func TestResourceBookingFillsGaps(t *testing.T) {
 		t.Fatalf("overlapping claim at %d, want >= 1005", after)
 	}
 }
+
+// TestEngineStoppedAccessor covers the Stop/Stopped contract: Stop inside
+// an event must halt RunUntil before cond is re-evaluated, and the
+// stopped state must remain observable after return (distinguishing "an
+// event stopped me" from "the queue drained" or "cond held").
+func TestEngineStoppedAccessor(t *testing.T) {
+	e := NewEngine()
+	condCalls := 0
+	fired := 0
+	e.At(5, func() { fired++; e.Stop() })
+	e.At(6, func() { fired++ }) // must not run: Stop wins first
+
+	now := e.RunUntil(0, func() bool { condCalls++; return false })
+	if now != 5 || fired != 1 {
+		t.Fatalf("RunUntil stopped at cycle %d after %d events, want cycle 5 after 1", now, fired)
+	}
+	if !e.Stopped() {
+		t.Fatalf("Stopped() = false after Stop halted RunUntil")
+	}
+	// RunUntil checks stopped before cond on every iteration: cond ran
+	// once before the event at cycle 5 executed, and must not have run
+	// again after Stop.
+	if condCalls != 1 {
+		t.Fatalf("cond evaluated %d times, want exactly 1 (before the stopping event only)", condCalls)
+	}
+
+	// A fresh Run resets the state and resumes with the remaining event.
+	now = e.Run(0)
+	if now != 6 || fired != 2 {
+		t.Fatalf("resumed Run reached cycle %d after %d total events, want 6 after 2", now, fired)
+	}
+	if e.Stopped() {
+		t.Fatalf("Stopped() = true after a Run that drained the queue")
+	}
+}
+
+func TestEngineStoppedFalseOnDrainAndCond(t *testing.T) {
+	e := NewEngine()
+	e.At(1, func() {})
+	e.Run(0)
+	if e.Stopped() {
+		t.Fatalf("Stopped() = true after queue drain")
+	}
+	e.At(2, func() {})
+	e.RunUntil(0, func() bool { return true })
+	if e.Stopped() {
+		t.Fatalf("Stopped() = true after cond-terminated RunUntil")
+	}
+}

@@ -12,30 +12,6 @@
 #                               seven architectures) and fail if any
 #                               relative error or the full/sampled speedup
 #                               violates the gate.* fields of BENCH_6.json
-#   scripts/bench.sh shard      run the sharded-engine validation harness at
-#                               the committed BENCH_7.json configuration
-#                               (serial vs K-shard full runs of the largest
-#                               catalog workload across the paper's seven
-#                               architectures) and fail on any relative
-#                               error, a retired-count mismatch, or a
-#                               wall-clock violation: sharded must beat
-#                               gate.min_speedup on multi-core hosts, and
-#                               stay under gate.max_serial_overhead slowdown
-#                               on single-core hosts (no parallelism there
-#                               to recoup the windowing overhead).
-#                               The same invocation also times a third run
-#                               per architecture with parallel barrier
-#                               servicing (BENCH_8.json's
-#                               barrier_parallelism conflict-group workers)
-#                               and gates it machine-aware too: the
-#                               parallel barrier must be bit-identical to
-#                               the serial barrier always, beat
-#                               BENCH_8 gate.min_speedup over the
-#                               serial-barrier sharded run on multi-core
-#                               hosts, and stay under
-#                               gate.max_serial_overhead on single-core
-#                               hosts (grouping overhead, no parallelism
-#                               to recoup it)
 #
 # ns/op is reported but never gated: wall-clock varies with the runner's
 # hardware, while allocs/op is deterministic for a fixed workload and is
@@ -51,8 +27,6 @@ MODE="${1:-measure}"
 BENCHTIME="${BENCHTIME:-20x}"
 BASELINE="BENCH_5.json"
 SAMPLE_BASELINE="BENCH_6.json"
-SHARD_BASELINE="BENCH_7.json"
-BARRIER_BASELINE="BENCH_8.json"
 
 if [ "$MODE" = "sample" ]; then
     WL=$(jq -r .workload "$SAMPLE_BASELINE")
@@ -81,69 +55,6 @@ if [ "$MODE" = "sample" ]; then
         exit 1
     fi
     echo "bench.sh: OK — all architectures within BENCH_6 gate (thr err <= $MAX_THR, aat err <= $MAX_AAT, speedup >= $MIN_SPD)"
-    exit 0
-fi
-
-if [ "$MODE" = "shard" ]; then
-    WL=$(jq -r .workload "$SHARD_BASELINE")
-    WARM=$(jq -r .warmup "$SHARD_BASELINE")
-    INSTR=$(jq -r .instructions "$SHARD_BASELINE")
-    K=$(jq -r .engine_shards "$SHARD_BASELINE")
-    BPAR=$(jq -r .barrier_parallelism "$BARRIER_BASELINE")
-    NCPU=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-    echo "bench.sh: sharded-engine validation — workload=$WL warmup=$WARM instructions=$INSTR shards=$K barrier-parallel=$BPAR host-cores=$NCPU"
-    ROWS=$(go run ./cmd/espsweep -shard-error "$WL" -shards "$K" -barrier-parallel "$BPAR" \
-        -warmup "$WARM" -instructions "$INSTR")
-    printf '%-10s %10s %10s %10s %8s %9s %9s %6s\n' ARCH 'THR-ERR%' 'AAT-ERR%' 'OFF-ERR%' RETIRED SPEEDUP 'BAR-SPD' IDENT
-    echo "$ROWS" | jq -r '.[] | [.Arch, (.Throughput*100), (.AvgAccessTime*100),
-        (.OffChipAccesses*100), (if .RetiredExact then "exact" else "DRIFT" end),
-        (.FullSeconds/.ShardedSeconds), (.ShardedSeconds/.BarrierSeconds),
-        (if .BarrierIdentical then "yes" else "NO" end)] | @tsv' |
-        while IFS=$'\t' read -r a t x o r s b i; do
-            printf '%-10s %10.2f %10.2f %10.2f %8s %8.2fx %8.2fx %6s\n' "$a" "$t" "$x" "$o" "$r" "$s" "$b" "$i"
-        done
-
-    MAX_THR=$(jq -r .gate.max_rel_err_throughput "$SHARD_BASELINE")
-    MAX_AAT=$(jq -r .gate.max_rel_err_avg_access_time "$SHARD_BASELINE")
-    if [ "$NCPU" -ge 2 ]; then
-        MIN_SPD=$(jq -r .gate.min_speedup "$SHARD_BASELINE")
-        CLOCK_DESC="speedup >= $MIN_SPD"
-    else
-        # Single-core host: the sharded run cannot be faster than serial;
-        # gate the overhead instead (speedup >= 1/max_serial_overhead).
-        MIN_SPD=$(jq -r '1 / .gate.max_serial_overhead' "$SHARD_BASELINE")
-        CLOCK_DESC="serial overhead <= $(jq -r .gate.max_serial_overhead "$SHARD_BASELINE")x (1-core host)"
-    fi
-    BAD=$(echo "$ROWS" | jq --argjson t "$MAX_THR" --argjson a "$MAX_AAT" --argjson s "$MIN_SPD" \
-        '[.[] | select(.Throughput > $t or .AvgAccessTime > $a
-                       or (.RetiredExact | not)
-                       or (.FullSeconds / .ShardedSeconds) < $s) | .Arch]')
-    if [ "$(echo "$BAD" | jq length)" -gt 0 ]; then
-        echo "bench.sh: FAIL — $(echo "$BAD" | jq -rc .) violate the BENCH_7 gate" >&2
-        echo "bench.sh: (gate: throughput err <= $MAX_THR, access-time err <= $MAX_AAT, retired exact, $CLOCK_DESC)" >&2
-        exit 1
-    fi
-    echo "bench.sh: OK — all architectures within BENCH_7 gate (thr err <= $MAX_THR, aat err <= $MAX_AAT, retired exact, $CLOCK_DESC)"
-
-    # BENCH_8: the parallel barrier must be bit-identical to the serial
-    # barrier everywhere, and its wall clock gated machine-aware against
-    # the serial-barrier sharded run.
-    if [ "$NCPU" -ge 2 ]; then
-        MIN_BSPD=$(jq -r .gate.min_speedup "$BARRIER_BASELINE")
-        BCLOCK_DESC="barrier speedup >= $MIN_BSPD"
-    else
-        MIN_BSPD=$(jq -r '1 / .gate.max_serial_overhead' "$BARRIER_BASELINE")
-        BCLOCK_DESC="barrier overhead <= $(jq -r .gate.max_serial_overhead "$BARRIER_BASELINE")x (1-core host)"
-    fi
-    BAD=$(echo "$ROWS" | jq --argjson s "$MIN_BSPD" \
-        '[.[] | select((.BarrierIdentical | not)
-                       or (.ShardedSeconds / .BarrierSeconds) < $s) | .Arch]')
-    if [ "$(echo "$BAD" | jq length)" -gt 0 ]; then
-        echo "bench.sh: FAIL — $(echo "$BAD" | jq -rc .) violate the BENCH_8 gate" >&2
-        echo "bench.sh: (gate: parallel barrier bit-identical, $BCLOCK_DESC)" >&2
-        exit 1
-    fi
-    echo "bench.sh: OK — all architectures within BENCH_8 gate (bit-identical, $BCLOCK_DESC)"
     exit 0
 fi
 
