@@ -153,11 +153,17 @@ func (c Config) L1ILines() int { return c.L1.Bytes / c.L1.BlockBytes }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Cores != 8 {
-		return fmt.Errorf("arch: this substrate models the paper's 8-core CMP, got %d cores", c.Cores)
+	if c.Cores != coherence.TokensPerLine {
+		return fmt.Errorf("arch: this substrate models the paper's %d-core CMP, got %d cores", coherence.TokensPerLine, c.Cores)
 	}
 	if c.Banks%c.Cores != 0 {
 		return fmt.Errorf("arch: %d banks not divisible across %d cores", c.Banks, c.Cores)
+	}
+	if c.Banks > maxBanks {
+		return fmt.Errorf("arch: %d banks exceed the %d a line record can address", c.Banks, maxBanks)
+	}
+	if c.SetsPerBank > maxSetsPerBank {
+		return fmt.Errorf("arch: %d sets per bank exceed the %d a line record can address", c.SetsPerBank, maxSetsPerBank)
 	}
 	if c.StaticPrivateWays < 0 || c.StaticPrivateWays > c.Ways {
 		return fmt.Errorf("arch: static partition %d exceeds %d ways", c.StaticPrivateWays, c.Ways)
@@ -168,11 +174,36 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// l2loc records one L2 residency of a line.
+// maxCopies bounds a line's L2 copies, at most one per bank. Both the
+// private and the shared mapping take a line's bank within a core's group
+// from the line's low bits, so a line has at most one copy per core's
+// private bank group; D-NUCA's copies stay in the line's mesh column, 8
+// banks in the shipped configurations. The substrate is the paper's
+// 8-core CMP, as wide as the coherence tokens; addCopy panics past this.
+const maxCopies = coherence.TokensPerLine
+
+// maxBanks and maxSetsPerBank are the limits of l2loc's compact fields.
+const (
+	maxBanks       = 1 << 8
+	maxSetsPerBank = 1 << 16
+)
+
+// l2loc records one L2 copy of a line.
 type l2loc struct {
-	bank  int
+	bank  uint8
 	class cache.Class
-	set   int
+	set   uint16
+}
+
+// lineRec is what the substrate tracks per line: its L2 copies and the
+// SP/ESP private bit. It lives while the line has a copy or a known
+// status; a status outlives the last copy while an L1 holds the line.
+type lineRec struct {
+	locs   [maxCopies]l2loc
+	n      uint8 // copies in use: locs[:n]
+	known  bool  // status set: the line has been on chip since forgotten
+	shared bool  // two or more accessor cores
+	owner  uint8 // first accessor while private
 }
 
 // Substrate is the hardware common to every architecture.
@@ -186,24 +217,15 @@ type Substrate struct {
 	Bank []*cache.Bank
 	RNG  *sim.RNG
 
-	// where maps each line to its L2 copies.
-	where residency
-	// scratch is collectForWrite's reusable residency snapshot.
+	// lines holds each line's L2 copies and private bit.
+	lines lineMap[lineRec]
+	// scratch is collectForWrite's reusable copy snapshot.
 	scratch []l2loc
-
-	// sharedStatus tracks the SP/ESP private bit: present = line has been
-	// on chip; value true = shared status (two or more accessor cores).
-	status lineMap[lineStatus]
 
 	// Counts and Latency accumulate the Figure 6 decomposition; index by
 	// Level. Latency is in cycles summed over accesses.
 	Counts  [NumLevels]uint64
 	Latency [NumLevels]uint64
-}
-
-type lineStatus struct {
-	shared bool
-	owner  int // first accessor while private
 }
 
 // NewSubstrate builds the common hardware for a config.
@@ -226,15 +248,14 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 		return nil, err
 	}
 	s := &Substrate{
-		Cfg:    cfg,
-		Mesh:   mesh,
-		DRAM:   mem.NewDRAM(cfg.DRAM),
-		Dir:    dir,
-		L1:     l1,
-		Map:    mapping,
-		RNG:    sim.NewRNG(cfg.Seed ^ 0xA11CE),
-		where:  newResidency(1 << 16),
-		status: newLineMap[lineStatus](1 << 16),
+		Cfg:   cfg,
+		Mesh:  mesh,
+		DRAM:  mem.NewDRAM(cfg.DRAM),
+		Dir:   dir,
+		L1:    l1,
+		Map:   mapping,
+		RNG:   sim.NewRNG(cfg.Seed ^ 0xA11CE),
+		lines: newLineMap[lineRec](1 << 16),
 	}
 	for i := 0; i < cfg.Banks; i++ {
 		b, err := cache.NewBank(cache.Config{
@@ -301,19 +322,25 @@ func (s *Substrate) RecordL1Hit(lat sim.Cycle) {
 
 // --- L2 residency management ---
 
-// l2Has returns the copies of line currently in the L2. The slice is the
-// live residency entry: it is valid only until the next l2Insert,
-// l2Invalidate or removeWhere, which may hand it to another line, so a
-// caller that mutates residency while walking it must walk a copy.
+// l2Has returns the copies of line currently in the L2. The slice aliases
+// the line's table entry, so inserting or deleting any line — l2Insert,
+// l2Invalidate, dropEvicted, statusOf, markShared, maybeForgetStatus —
+// may move or overwrite it (growth, backward shift). Callers that mutate
+// the substrate while walking it walk a copy: collectForWrite and R-NUCA's
+// page flush do. The loops in private.go (bestOnChipResponse) and
+// spnuca.go (findRemotePrivate) only send messages and read banks, and
+// every other caller reads just its length or one element.
 func (s *Substrate) l2Has(line mem.Line) []l2loc {
-	locs, _ := s.where.get(line)
-	return locs
+	if r := s.lines.find(line); r != nil {
+		return r.locs[:r.n]
+	}
+	return nil
 }
 
-// l2Find returns the residency entry for line in bank, if any.
+// l2Find returns line's copy in bank, if any.
 func (s *Substrate) l2Find(line mem.Line, bank int) (l2loc, bool) {
 	for _, loc := range s.l2Has(line) {
-		if loc.bank == bank {
+		if int(loc.bank) == bank {
 			return loc, true
 		}
 	}
@@ -321,14 +348,14 @@ func (s *Substrate) l2Find(line mem.Line, bank int) (l2loc, bool) {
 }
 
 // l2Insert places blk into (bank, set) under pol and returns the eviction
-// for the caller to route. Residency bookkeeping for both the inserted and
+// for the caller to route. Copy bookkeeping for both the inserted and
 // the evicted block is handled here; token/dirty consequences of the
 // eviction are the caller's job via dropEvicted or an architecture-
 // specific spill.
 func (s *Substrate) l2Insert(bank, set int, blk cache.Block, pol cache.Policy) cache.Evicted {
 	ev := s.Bank[bank].Insert(set, blk, pol)
 	if !ev.Refused {
-		s.where.add(blk.Line, l2loc{bank: bank, class: blk.Class, set: set})
+		s.addCopy(blk.Line, l2loc{bank: uint8(bank), class: blk.Class, set: uint16(set)})
 	}
 	if ev.Valid {
 		s.removeWhere(ev.Block.Line, bank)
@@ -345,18 +372,44 @@ func (s *Substrate) l2Invalidate(line mem.Line, bank, set int) (cache.Block, boo
 	return blk, ok
 }
 
-func (s *Substrate) removeWhere(line mem.Line, bank int) {
-	if s.where.remove(line, bank) {
-		s.maybeForgetStatus(line)
+// addCopy appends a copy of line to its record.
+func (s *Substrate) addCopy(line mem.Line, loc l2loc) {
+	r := s.lines.ptr(line)
+	if r.n == maxCopies {
+		panic(fmt.Sprintf("arch: line %#x already has %d L2 copies, cannot add one in bank %d", line, maxCopies, loc.bank))
 	}
+	r.locs[r.n] = loc
+	r.n++
 }
 
-// reclassWhere updates the cached class of a residency entry after a
+// removeWhere drops line's copy in bank, moving the last copy into its
+// place (collectForWrite claims the mesh in copy order). With no copy
+// left, the record goes unless it holds a status, which may go too.
+func (s *Substrate) removeWhere(line mem.Line, bank int) {
+	if r := s.lines.find(line); r != nil {
+		for i := uint8(0); i < r.n; i++ {
+			if int(r.locs[i].bank) == bank {
+				r.n--
+				r.locs[i] = r.locs[r.n]
+				break
+			}
+		}
+		if r.n > 0 {
+			return
+		}
+		if !r.known {
+			s.lines.del(line)
+		}
+	}
+	s.maybeForgetStatus(line)
+}
+
+// reclassWhere updates the cached class of line's copy in bank after a
 // Reclass on the bank.
 func (s *Substrate) reclassWhere(line mem.Line, bank int, to cache.Class) {
-	locs, _ := s.where.get(line)
+	locs := s.l2Has(line)
 	for i := range locs {
-		if locs[i].bank == bank {
+		if int(locs[i].bank) == bank {
 			locs[i].class = to
 		}
 	}
@@ -390,30 +443,32 @@ func (s *Substrate) dropEvicted(at sim.Cycle, ev cache.Evicted, fromBank int) {
 // as the first accessor on first touch and upgrading to shared when a
 // different core touches a private line (paper §2.1).
 func (s *Substrate) statusOf(line mem.Line, c int) (shared bool, owner int) {
-	st, ok := s.status.get(line)
-	if !ok {
-		s.status.set(line, lineStatus{shared: false, owner: c})
+	r := s.lines.ptr(line)
+	if !r.known {
+		r.known, r.owner = true, uint8(c)
 		return false, c
 	}
-	if !st.shared && st.owner != c {
-		st.shared = true
-		s.status.set(line, st)
+	if !r.shared && int(r.owner) != c {
+		r.shared = true
 	}
-	return st.shared, st.owner
+	return r.shared, int(r.owner)
 }
 
 // peekStatus returns the status without mutating it.
 func (s *Substrate) peekStatus(line mem.Line) (shared bool, owner int, known bool) {
-	st, ok := s.status.get(line)
-	return st.shared, st.owner, ok
+	r := s.lines.find(line)
+	if r == nil || !r.known {
+		return false, 0, false
+	}
+	return r.shared, int(r.owner), true
 }
 
 // markShared forces a line's status to shared (victim touched by a
-// non-owner, migration, etc.).
+// non-owner, migration, etc.). An unknown status becomes shared with
+// owner 0.
 func (s *Substrate) markShared(line mem.Line) {
-	st, _ := s.status.get(line)
-	st.shared = true
-	s.status.set(line, st)
+	r := s.lines.ptr(line)
+	r.known, r.shared = true, true
 }
 
 // maybeForgetStatus clears the private bit when the line has left the
@@ -426,7 +481,7 @@ func (s *Substrate) maybeForgetStatus(line mem.Line) {
 	if st := s.Dir.Peek(line); st != nil && st.Sharers() != 0 {
 		return
 	}
-	s.status.del(line)
+	s.lines.del(line)
 	// The line has fully left the chip; if its token state has decayed
 	// back to all-at-memory the directory entry is redundant (a later
 	// State call re-materializes identical contents), so drop it to bound
@@ -501,24 +556,25 @@ func (s *Substrate) collectForWrite(at sim.Cycle, viaNode noc.NodeID, reqCore in
 		s.L1.Invalidate(c, line)
 	}
 	// Invalidate every L2 copy (tokens drain to the writer). l2Invalidate
-	// mutates s.where[line], so iterate over a reusable snapshot instead of
-	// the live slice (the scratch buffer avoids an allocation per write;
-	// collectForWrite never reenters itself).
+	// mutates the line's record, so iterate over a reusable snapshot
+	// instead of the live slice (the scratch buffer avoids an allocation
+	// per write; collectForWrite never reenters itself).
 	s.scratch = append(s.scratch[:0], s.l2Has(line)...)
 	for _, loc := range s.scratch {
-		t := s.Mesh.Send(at, viaNode, s.NodeOfBank(loc.bank), noc.Control, 0)
-		t = s.Bank[loc.bank].TagProbe(t)
-		t = s.Mesh.Send(t, s.NodeOfBank(loc.bank), s.NodeOfCore(reqCore), noc.Control, 0)
+		bank := int(loc.bank)
+		t := s.Mesh.Send(at, viaNode, s.NodeOfBank(bank), noc.Control, 0)
+		t = s.Bank[bank].TagProbe(t)
+		t = s.Mesh.Send(t, s.NodeOfBank(bank), s.NodeOfCore(reqCore), noc.Control, 0)
 		if t > done {
 			done = t
 		}
-		s.l2Invalidate(line, loc.bank, loc.set)
+		s.l2Invalidate(line, bank, int(loc.set))
 	}
 	s.Dir.GrantWriteL1(line, reqCore)
 	return done
 }
 
-// CheckInvariants verifies bank counters, residency bookkeeping and token
+// CheckInvariants verifies bank counters, copy bookkeeping and token
 // conservation. Tests call it after driving traffic.
 func (s *Substrate) CheckInvariants() error {
 	for i, b := range s.Bank {
@@ -526,11 +582,14 @@ func (s *Substrate) CheckInvariants() error {
 			return fmt.Errorf("bank %d: %w", i, err)
 		}
 	}
-	// Every 'where' entry must exist in its bank, and vice versa.
-	if err := s.where.forEach(func(line mem.Line, locs []l2loc) error {
-		for _, loc := range locs {
-			if s.Bank[loc.bank].Peek(loc.set, cache.LineQuery(line)) == nil {
-				return fmt.Errorf("arch: residency of line %#x in bank %d not present in array", line, loc.bank)
+	// Every recorded copy must exist in its bank, and vice versa.
+	if err := s.lines.forEach(func(line mem.Line, r lineRec) error {
+		if r.n == 0 && !r.known {
+			return fmt.Errorf("arch: line %#x has an empty record", line)
+		}
+		for _, loc := range r.locs[:r.n] {
+			if s.Bank[loc.bank].Peek(int(loc.set), cache.LineQuery(line)) == nil {
+				return fmt.Errorf("arch: copy of line %#x in bank %d not present in array", line, loc.bank)
 			}
 		}
 		return nil
@@ -546,7 +605,7 @@ func (s *Substrate) CheckInvariants() error {
 					continue
 				}
 				if _, ok := s.l2Find(blk.Line, bi); !ok {
-					return fmt.Errorf("arch: bank %d holds line %#x without residency entry", bi, blk.Line)
+					return fmt.Errorf("arch: bank %d holds line %#x without a recorded copy", bi, blk.Line)
 				}
 			}
 		}

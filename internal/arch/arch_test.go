@@ -63,6 +63,26 @@ func TestConfigValidate(t *testing.T) {
 	if cfg.Validate() == nil {
 		t.Error("oversized static partition accepted")
 	}
+	// The compact per-line copy record addresses 256 banks and 65536
+	// sets per bank; both limits themselves are accepted.
+	cfg = testConfig()
+	cfg.Banks = 256
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("256 banks rejected: %v", err)
+	}
+	cfg.Banks = 512
+	if cfg.Validate() == nil {
+		t.Error("512 banks accepted")
+	}
+	cfg = testConfig()
+	cfg.SetsPerBank = 1 << 16
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("65536 sets per bank rejected: %v", err)
+	}
+	cfg.SetsPerBank = 1 << 17
+	if cfg.Validate() == nil {
+		t.Error("131072 sets per bank accepted")
+	}
 }
 
 func TestConfigCapacities(t *testing.T) {
@@ -384,7 +404,7 @@ func TestESPNUCAVictimPromotionOnForeignTouch(t *testing.T) {
 	for _, l := range []mem.Line{8, 40, 72, 104, 136} {
 		for _, loc := range s.l2Has(l) {
 			if loc.class == cache.Victim {
-				vline, vbank, found = l, loc.bank, true
+				vline, vbank, found = l, int(loc.bank), true
 			}
 		}
 	}
@@ -414,7 +434,7 @@ func TestDNUCAPromotesTowardRequester(t *testing.T) {
 	}
 	// The fill must be in a bank on node 4 (nearest in column).
 	locs := s.l2Has(0)
-	if len(locs) != 1 || s.NodeOfBank(locs[0].bank) != 4 {
+	if len(locs) != 1 || s.NodeOfBank(int(locs[0].bank)) != 4 {
 		t.Fatalf("fill location = %+v", locs)
 	}
 	// Access from core 0 (node 0, same column, other row): remote hit.

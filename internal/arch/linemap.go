@@ -3,12 +3,12 @@ package arch
 import "espnuca/internal/mem"
 
 // lineMap is an open-addressed, linearly probed hash table keyed by cache
-// line, used for the substrate's residency (where) and private-bit
-// (status) bookkeeping. Like the coherence directory it replaces the
-// runtime map on the simulator's per-access path: line keys are
-// fixed-stride addresses that hash well with a cheap mixer, entries store
-// values inline, and deletion backward-shifts the probe chain so the
-// table never accumulates tombstones.
+// line, used for the substrate's per-line record (L2 copies and private
+// bit). Like the coherence directory it replaces the runtime map on the
+// simulator's per-access path: line keys are fixed-stride addresses that
+// hash well with a cheap mixer, entries store values inline, and deletion
+// backward-shifts the probe chain so the table never accumulates
+// tombstones.
 //
 // The API mirrors plain map semantics (get returns a copy, set overwrites,
 // del removes) so call sites behave exactly like the maps they replace.
@@ -87,6 +87,15 @@ func (m *lineMap[V]) set(l mem.Line, v V) {
 	}
 	m.entries[free] = lineMapEntry[V]{line: l, used: true, val: v}
 	m.count++
+}
+
+// find returns a pointer to l's value, or nil if absent. The pointer is
+// valid only until the next set/ptr/del call.
+func (m *lineMap[V]) find(l mem.Line) *V {
+	if found, _ := m.slot(l); found >= 0 {
+		return &m.entries[found].val
+	}
+	return nil
 }
 
 // ptr returns a pointer to l's value, materializing a zero value if
@@ -175,85 +184,4 @@ func (m *lineMap[V]) forEach(f func(mem.Line, V) error) error {
 		}
 	}
 	return nil
-}
-
-// residency is the substrate's where table: every L2 copy of each line,
-// in a lineMap, plus a pool of residency slices. When a line's last copy
-// dies its emptied slice returns to the pool, and the next line filled
-// takes it back, so a run stops allocating once the table and the pool
-// reach their working-set size.
-type residency struct {
-	lineMap[[]l2loc]
-	pool locPool
-}
-
-// locPool holds emptied residency slices and the slab that cold fills
-// carve new ones from.
-type locPool struct {
-	free [][]l2loc
-	slab []l2loc
-}
-
-// slabCarve is the capacity of a slice carved from a slab: one copy for a
-// private or shared line, two once a replica or victim joins it. A line
-// that gathers more copies outgrows its carve through append, which
-// copies it out of the slab rather than into its neighbour's.
-const slabCarve = 2
-
-// slabSlices is how many carves one slab allocation provides.
-const slabSlices = 256
-
-func newResidency(hint int) residency {
-	return residency{lineMap: newLineMap[[]l2loc](hint)}
-}
-
-// take returns an empty residency slice: a recycled one if the pool has
-// any, otherwise a fresh carve of the slab.
-func (p *locPool) take() []l2loc {
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free = p.free[:n-1]
-		return s
-	}
-	if len(p.slab) < slabCarve {
-		p.slab = make([]l2loc, slabCarve*slabSlices)
-	}
-	s := p.slab[:0:slabCarve]
-	p.slab = p.slab[slabCarve:]
-	return s
-}
-
-// add appends a copy of line to its residency.
-func (r *residency) add(line mem.Line, loc l2loc) {
-	p := r.ptr(line)
-	if *p == nil {
-		*p = r.pool.take()
-	}
-	*p = append(*p, loc)
-}
-
-// remove drops line's copy in bank, moving the last copy into its place,
-// and reports whether the line has no L2 copy left. The emptied slice
-// then goes back to the pool.
-func (r *residency) remove(line mem.Line, bank int) bool {
-	found, _ := r.slot(line)
-	if found < 0 {
-		return true
-	}
-	p := &r.entries[found].val
-	locs := *p
-	for i, loc := range locs {
-		if loc.bank == bank {
-			locs[i] = locs[len(locs)-1]
-			locs = locs[:len(locs)-1]
-			break
-		}
-	}
-	if len(locs) > 0 {
-		*p = locs
-		return false
-	}
-	r.del(line)
-	r.pool.free = append(r.pool.free, locs)
-	return true
 }

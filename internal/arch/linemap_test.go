@@ -2,9 +2,12 @@ package arch
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"espnuca/internal/cache"
 	"espnuca/internal/mem"
+	"espnuca/internal/sim"
 )
 
 // TestLineMapDifferential drives lineMap and a plain map with the same
@@ -55,5 +58,237 @@ func TestLineMapDifferential(t *testing.T) {
 		if ok != rok || v != r {
 			t.Fatalf("final: line %d mismatch (%d,%v) vs (%d,%v)", l, v, ok, r, rok)
 		}
+	}
+}
+
+// refLines is the substrate's per-line bookkeeping as it was kept before
+// the record merge: a copy table and a private-bit table, each a plain
+// map, with the old semantics.
+type refLines struct {
+	where  map[mem.Line][]l2loc
+	status map[mem.Line]refStatus
+}
+
+type refStatus struct {
+	shared bool
+	owner  int
+}
+
+// maybeForget mirrors maybeForgetStatus; sharers is the line's L1 sharer
+// mask read before the substrate acts.
+func (r *refLines) maybeForget(line mem.Line, sharers uint8) {
+	if len(r.where[line]) > 0 || sharers != 0 {
+		return
+	}
+	delete(r.status, line)
+}
+
+func (r *refLines) remove(line mem.Line, bank int, sharers uint8) {
+	locs, ok := r.where[line]
+	if ok {
+		for i, loc := range locs {
+			if int(loc.bank) == bank {
+				locs[i] = locs[len(locs)-1]
+				locs = locs[:len(locs)-1]
+				break
+			}
+		}
+		if len(locs) > 0 {
+			r.where[line] = locs
+			return
+		}
+		delete(r.where, line)
+	}
+	r.maybeForget(line, sharers)
+}
+
+// TestLineRecordDifferential drives the substrate's line record and the
+// two-table reference with the same random operation stream, on a tiny
+// table so growth and backward-shift deletion happen throughout. L1 holds
+// taken through the directory make statuses outlive their last copy, and
+// copies added without a status cover the non-SP architectures.
+func TestLineRecordDifferential(t *testing.T) {
+	s, err := NewSubstrate(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.lines = lineMap[lineRec]{entries: make([]lineMapEntry[lineRec], 8), mask: 7}
+	ref := refLines{where: map[mem.Line][]l2loc{}, status: map[mem.Line]refStatus{}}
+	rng := rand.New(rand.NewSource(11))
+	const universe = 96
+	sharers := func(l mem.Line) uint8 {
+		if st := s.Dir.Peek(l); st != nil {
+			return st.Sharers()
+		}
+		return 0
+	}
+	check := func(op int, l mem.Line) {
+		t.Helper()
+		got, want := s.l2Has(l), ref.where[l]
+		if len(got) != len(want) {
+			t.Fatalf("op %d: line %d copies %v, ref %v", op, l, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("op %d: line %d copies %v, ref %v", op, l, got, want)
+			}
+		}
+		shared, owner, known := s.peekStatus(l)
+		st, ok := ref.status[l]
+		if known != ok || shared != st.shared || owner != st.owner {
+			t.Fatalf("op %d: line %d status (%v,%d,%v), ref %+v,%v", op, l, shared, owner, known, st, ok)
+		}
+	}
+
+	for op := 0; op < 300_000; op++ {
+		l := mem.Line(rng.Intn(universe))
+		c := rng.Intn(8)
+		switch rng.Intn(9) {
+		case 0, 1: // add a copy in a bank the line does not use yet
+			locs := ref.where[l]
+			if len(locs) == maxCopies {
+				break
+			}
+			bank := rng.Intn(32)
+			dup := false
+			for _, loc := range locs {
+				dup = dup || int(loc.bank) == bank
+			}
+			if dup {
+				break
+			}
+			loc := l2loc{bank: uint8(bank), class: cache.Class(rng.Intn(4)), set: uint16(rng.Intn(8))}
+			ref.where[l] = append(locs, loc)
+			s.addCopy(l, loc)
+		case 2, 3: // remove a copy, or a bank the line does not use
+			bank := rng.Intn(32)
+			if locs := ref.where[l]; len(locs) > 0 && rng.Intn(4) > 0 {
+				bank = int(locs[rng.Intn(len(locs))].bank)
+			}
+			ref.remove(l, bank, sharers(l))
+			s.removeWhere(l, bank)
+		case 4: // statusOf
+			shared, owner := s.statusOf(l, c)
+			st, ok := ref.status[l]
+			if !ok {
+				st = refStatus{owner: c}
+			} else if !st.shared && st.owner != c {
+				st.shared = true
+			}
+			ref.status[l] = st
+			if shared != st.shared || owner != st.owner {
+				t.Fatalf("op %d: statusOf(%d,%d) = (%v,%d), ref %+v", op, l, c, shared, owner, st)
+			}
+		case 5: // markShared
+			st := ref.status[l]
+			st.shared = true
+			ref.status[l] = st
+			s.markShared(l)
+		case 6: // maybeForgetStatus
+			ref.maybeForget(l, sharers(l))
+			s.maybeForgetStatus(l)
+		case 7: // an L1 takes a read token, so the status outlives the copies
+			s.Dir.GrantReadL1(l, c)
+		case 8: // every L1 drops the line
+			for h := 0; h < 8; h++ {
+				if sharers(l)&(1<<uint(h)) != 0 {
+					s.Dir.L1Evict(l, h, false)
+				}
+			}
+		}
+		check(op, l) // peekStatus on every op
+		if op%1024 == 0 {
+			keys := map[mem.Line]bool{}
+			for k := range ref.where {
+				keys[k] = true
+			}
+			for k := range ref.status {
+				keys[k] = true
+			}
+			if s.lines.count != len(keys) {
+				t.Fatalf("op %d: %d records, ref %d lines", op, s.lines.count, len(keys))
+			}
+		}
+	}
+	for l := mem.Line(0); l < universe; l++ {
+		check(-1, l)
+	}
+}
+
+// TestAddCopyPanicsPastBound checks that a ninth copy of a line panics
+// and names the line and the bank instead of overwriting a copy.
+func TestAddCopyPanicsPastBound(t *testing.T) {
+	s, err := NewSubstrate(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < maxCopies; b++ {
+		s.addCopy(0x40, l2loc{bank: uint8(b)})
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "0x40") || !strings.Contains(msg, "bank 9") {
+			t.Fatalf("panic %q does not name line 0x40 and bank 9", msg)
+		}
+	}()
+	s.addCopy(0x40, l2loc{bank: 9})
+}
+
+// TestResidencyCopyBound drives all eight cores over a few lines strided
+// to collide in the same sets, on every architecture, and checks that no
+// line ever holds more than maxCopies copies (addCopy would panic) and
+// that the bookkeeping stays consistent.
+func TestResidencyCopyBound(t *testing.T) {
+	for _, name := range Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			most := 0
+			for _, nlines := range []int{8, 32, 96} {
+				for _, writeFrac := range []float64{0, 0.05, 0.3} {
+					cfg := testConfig()
+					sys, err := Build(name, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := sys.Sub()
+					// Four neighbouring lines span four banks of a group;
+					// each further four repeat them one Banks*SetsPerBank
+					// stride on, into the same sets under both mappings.
+					stride := mem.Line(cfg.Banks * cfg.SetsPerBank)
+					rng := sim.NewRNG(uint64(nlines) + uint64(writeFrac*100))
+					var tm sim.Cycle
+					for op := 0; op < 6000; op++ {
+						c := rng.Intn(8)
+						i := rng.Intn(nlines)
+						line := mem.Line(i%4) + mem.Line(i/4)*stride
+						write := rng.Bool(writeFrac)
+						if s.L1.Lookup(c, line, write, false) {
+							continue
+						}
+						res := sys.Access(tm, c, line, write)
+						if n := len(s.l2Has(line)); n > most {
+							most = n
+						}
+						if wb := s.L1.Fill(c, line, write, false); wb.Valid {
+							sys.WriteBack(res.Done, c, wb.Line, wb.Dirty)
+						}
+						tm = res.Done
+					}
+					if err := s.CheckInvariants(); err != nil {
+						t.Fatalf("%d lines, writes %.2f: %v", nlines, writeFrac, err)
+					}
+					s.lines.forEach(func(_ mem.Line, r lineRec) error {
+						if int(r.n) > most {
+							most = int(r.n)
+						}
+						return nil
+					})
+				}
+			}
+			if most > maxCopies {
+				t.Fatalf("a line held %d copies, bound %d", most, maxCopies)
+			}
+			t.Logf("most copies of one line: %d", most)
+		})
 	}
 }

@@ -124,12 +124,13 @@ func (a *Tiled) bestOnChipResponse(at sim.Cycle, c int, line mem.Line, st *coher
 	found := false
 	// Remote tiles holding the line in L2.
 	for _, loc := range s.l2Has(line) {
-		if s.Map.CoreOfBank(loc.bank) == c {
+		bank := int(loc.bank)
+		if s.Map.CoreOfBank(bank) == c {
 			continue
 		}
-		t := s.Mesh.Send(at, s.NodeOfCore(c), s.NodeOfBank(loc.bank), noc.Control, 0)
-		t = s.Bank[loc.bank].Access(t)
-		t = s.Mesh.Send(t, s.NodeOfBank(loc.bank), s.NodeOfCore(c), noc.Data, s.Cfg.BlockBytes)
+		t := s.Mesh.Send(at, s.NodeOfCore(c), s.NodeOfBank(bank), noc.Control, 0)
+		t = s.Bank[bank].Access(t)
+		t = s.Mesh.Send(t, s.NodeOfBank(bank), s.NodeOfCore(c), noc.Data, s.Cfg.BlockBytes)
 		if !found || t < best {
 			best, level, found = t, RemoteL2, true
 		}

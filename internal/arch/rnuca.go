@@ -91,7 +91,7 @@ func (a *RNUCA) evictPagePlacements(page mem.Line) {
 	for off := mem.Line(0); off < 1<<pageBits; off++ {
 		line := base + off
 		for _, loc := range append([]l2loc(nil), s.l2Has(line)...) {
-			if blk, ok := s.l2Invalidate(line, loc.bank, loc.set); ok {
+			if blk, ok := s.l2Invalidate(line, int(loc.bank), int(loc.set)); ok {
 				if len(s.l2Has(line)) == 0 {
 					dirty := blk.Dirty
 					if s.Dir.L2Evict(line) || dirty {

@@ -259,9 +259,9 @@ func (a *SPNUCA) findRemotePrivate(line mem.Line, c int) (owner, bank, set int, 
 		if loc.class != cache.Private {
 			continue
 		}
-		o := a.s.Map.CoreOfBank(loc.bank)
+		o := a.s.Map.CoreOfBank(int(loc.bank))
 		if o != c {
-			return o, loc.bank, loc.set, true
+			return o, int(loc.bank), int(loc.set), true
 		}
 	}
 	return 0, 0, 0, false

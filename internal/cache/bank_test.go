@@ -3,10 +3,19 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"espnuca/internal/mem"
 	"espnuca/internal/sim"
 )
+
+// TestBlockSize pins Block's packed layout: 32 bytes, so a 16-way set
+// scan reads 8 cache lines.
+func TestBlockSize(t *testing.T) {
+	if got := unsafe.Sizeof(Block{}); got != 32 {
+		t.Fatalf("Block is %d bytes, want 32", got)
+	}
+}
 
 func mustBank(t *testing.T, sets, ways int) *Bank {
 	t.Helper()

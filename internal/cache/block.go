@@ -76,17 +76,20 @@ const (
 )
 
 // Block is one tag-array entry.
+//
+// The word-sized fields come first and the byte-sized ones last, so a
+// block packs into 32 bytes and a 16-way set scan reads 8 cache lines.
 type Block struct {
-	Valid bool
-	Line  mem.Line
-	Class Class
+	Line mem.Line
 	// Owner is the core the block belongs to: the single accessor for
 	// Private blocks and Victims, the replica-holding core for Replicas.
 	// It is meaningless (-1) for Shared blocks.
-	Owner int
-	Dirty bool
-
+	Owner   int
 	lastUse uint64 // bank access counter at last touch; smaller = older
+
+	Valid bool
+	Class Class
+	Dirty bool
 }
 
 // LastUse exposes the LRU timestamp for policies and tests.

@@ -300,7 +300,7 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, r *http.Request) {
 // discardHandler is a slog.Handler disabled at every level.
 type discardHandler struct{}
 
-func (discardHandler) Enabled(context.Context, slog.Level) bool { return false }
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler       { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler            { return discardHandler{} }
+func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
+func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }

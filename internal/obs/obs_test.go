@@ -92,7 +92,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				own.Inc()
 				r.Gauge("g").Set(float64(i))
 				r.Histogram("h", []float64{10, 100}).Observe(float64(i))
-				r.Series("s" + string(rune('a'+id))).Append(uint64(i), float64(i))
+				r.Series("s"+string(rune('a'+id))).Append(uint64(i), float64(i))
 			}
 		}(g)
 	}
