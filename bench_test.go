@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"espnuca/internal/arch"
+	"espnuca/internal/cpu"
 	"espnuca/internal/experiment"
 	"espnuca/internal/mem"
 	"espnuca/internal/sim"
@@ -253,14 +254,31 @@ func BenchmarkFullRun(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamNext measures workload generation throughput.
+// BenchmarkStreamNext measures workload generation throughput through
+// cpu.InstrSource, the interface call each core makes per instruction:
+// on oltp's core 0 and on mcf-4's idle core 7, which keeps retiring
+// until the measured cores finish.
 func BenchmarkStreamNext(b *testing.B) {
-	spec, _ := workload.ByName("oltp")
-	cfg := arch.ScaledConfig()
-	st := spec.Bind(cfg.L2Lines(), cfg.L1ILines(), 1).Streams[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Next()
+	for _, c := range []struct {
+		workload string
+		core     int
+	}{{"oltp", 0}, {"mcf-4", 7}} {
+		b.Run(fmt.Sprintf("%s/core%d", c.workload, c.core), func(b *testing.B) {
+			spec, ok := workload.ByName(c.workload)
+			if !ok {
+				b.Fatalf("unknown workload %s", c.workload)
+			}
+			cfg := arch.ScaledConfig()
+			var src cpu.InstrSource = spec.Bind(cfg.L2Lines(), cfg.L1ILines(), 1).Streams[c.core]
+			var mem int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if in := src.Next(); in.IsMem {
+					mem++
+				}
+			}
+			b.ReportMetric(float64(mem)/float64(b.N), "mem/instr")
+		})
 	}
 }
 

@@ -130,7 +130,7 @@ type strideSource struct{ n mem.Line }
 
 func (s strideSource) Next() workload.Instr {
 	strideCursor++
-	return workload.Instr{IsMem: true, Data: 0x4000_0000 + strideCursor}
+	return workload.Instr{Data: 0x4000_0000 + strideCursor, Flags: workload.Flags{IsMem: true}}
 }
 
 // strideCursor advances the shared stream position (tests are

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xorshift64*). The simulator cannot depend on math/rand global state:
 // every component that needs randomness owns an RNG seeded from the run
@@ -42,13 +44,44 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
-	if p <= 0 {
-		return false
+	return r.Hit(ChanceOf(p))
+}
+
+// Chance is a probability pre-scaled for Hit: a draw hits when its 53
+// random bits, read as an integer k, are below the threshold. Float64
+// returns k/2^53, so for 0<p<1 the threshold ceil(p·2^53) makes Hit
+// exactly Float64() < p without converting k. never and always, the
+// only values above any threshold, are the certain outcomes that
+// consume no draw.
+type Chance uint64
+
+const (
+	never  Chance = 1 << 63   // p <= 0
+	always Chance = never + 1 // p >= 1
+)
+
+// ChanceOf converts a probability once so hot paths can call Hit. As
+// with Bool, p <= 0 and p >= 1 consume no random draw; a NaN p draws
+// once and never hits, as Float64() < NaN is false.
+func ChanceOf(p float64) Chance {
+	switch {
+	case p <= 0:
+		return never
+	case p >= 1:
+		return always
+	case p != p:
+		return 0
 	}
-	if p >= 1 {
-		return true
+	return Chance(math.Ceil(p * (1 << 53)))
+}
+
+// Hit draws (unless c is certain either way) and reports whether the
+// draw falls under c: true with the probability c was made from.
+func (r *RNG) Hit(c Chance) bool {
+	if c >= never {
+		return c == always
 	}
-	return r.Float64() < p
+	return r.Uint64()>>11 < uint64(c)
 }
 
 // Split derives an independent generator; useful for giving each core its

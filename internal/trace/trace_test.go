@@ -15,10 +15,10 @@ import (
 func sample() []workload.Instr {
 	return []workload.Instr{
 		{},
-		{HasFetch: true, Fetch: 0x200_0000},
-		{IsMem: true, Data: 0x4000_0001},
-		{IsMem: true, Data: 0x4000_0002, Write: true},
-		{HasFetch: true, Fetch: 0x200_0010, IsMem: true, Data: 0x800_0000, Write: true},
+		{Fetch: 0x200_0000, Flags: workload.Flags{HasFetch: true}},
+		{Data: 0x4000_0001, Flags: workload.Flags{IsMem: true}},
+		{Data: 0x4000_0002, Flags: workload.Flags{IsMem: true, Write: true}},
+		{Fetch: 0x200_0010, Data: 0x800_0000, Flags: workload.Flags{HasFetch: true, IsMem: true, Write: true}},
 	}
 }
 
@@ -90,7 +90,7 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	// Truncated record.
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, 1)
-	w.Record(0, workload.Instr{IsMem: true, Data: 12345})
+	w.Record(0, workload.Instr{Data: 12345, Flags: workload.Flags{IsMem: true}})
 	w.Flush()
 	trunc := buf.Bytes()[:buf.Len()-1]
 	r, err := NewReader(bytes.NewReader(trunc))
@@ -164,8 +164,8 @@ func TestReplayerRoundTrip(t *testing.T) {
 func TestReplayerWraps(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, 1)
-	w.Record(0, workload.Instr{IsMem: true, Data: 1})
-	w.Record(0, workload.Instr{IsMem: true, Data: 2})
+	w.Record(0, workload.Instr{Data: 1, Flags: workload.Flags{IsMem: true}})
+	w.Record(0, workload.Instr{Data: 2, Flags: workload.Flags{IsMem: true}})
 	w.Flush()
 	rep, err := NewReplayer(&buf)
 	if err != nil {
@@ -184,7 +184,7 @@ func TestReplayerWraps(t *testing.T) {
 func TestReplayerRejectsEmptyCore(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, 2)
-	w.Record(0, workload.Instr{IsMem: true, Data: 1})
+	w.Record(0, workload.Instr{Data: 1, Flags: workload.Flags{IsMem: true}})
 	w.Flush() // core 1 has nothing
 	if _, err := NewReplayer(&buf); err == nil {
 		t.Fatal("empty core accepted")
@@ -206,10 +206,10 @@ func TestDineroRoundTrip(t *testing.T) {
 	var refs []workload.Instr
 	for _, in := range seq {
 		if in.HasFetch {
-			refs = append(refs, workload.Instr{HasFetch: true, Fetch: in.Fetch})
+			refs = append(refs, workload.Instr{Fetch: in.Fetch, Flags: workload.Flags{HasFetch: true}})
 		}
 		if in.IsMem {
-			refs = append(refs, workload.Instr{IsMem: true, Data: in.Data, Write: in.Write})
+			refs = append(refs, workload.Instr{Data: in.Data, Flags: workload.Flags{IsMem: true, Write: in.Write}})
 		}
 	}
 	if len(got) != len(refs) {
@@ -252,7 +252,7 @@ func TestSliceSource(t *testing.T) {
 	if _, err := NewSliceSource(nil); err == nil {
 		t.Fatal("empty slice accepted")
 	}
-	src, err := NewSliceSource([]workload.Instr{{IsMem: true, Data: 9}})
+	src, err := NewSliceSource([]workload.Instr{{Data: 9, Flags: workload.Flags{IsMem: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,16 +7,27 @@ import (
 )
 
 // Instr is one retired instruction's memory behaviour.
+//
+// It has three top-level fields, and Flags three, because Go keeps a
+// struct in registers only when every level has at most four fields;
+// with more, every Next result is spilled to the stack and reloaded by
+// the caller, once per simulated instruction (TestInstrFitsInRegisters).
 type Instr struct {
-	// Fetch is the instruction line to fetch; HasFetch is set only when
-	// the PC crossed into a new cache line (sequentially or by branch),
-	// so the L1I is probed once per line, not once per instruction.
-	Fetch    mem.Line
-	HasFetch bool
+	// Fetch is the instruction line to fetch when HasFetch is set.
+	Fetch mem.Line
 	// Data is the accessed data line when IsMem is set.
-	Data  mem.Line
-	IsMem bool
-	Write bool
+	Data mem.Line
+	Flags
+}
+
+// Flags says which of an Instr's lines are live and how Data is used.
+type Flags struct {
+	// HasFetch is set only when the PC crossed into a new cache line
+	// (sequentially or by branch), so the L1I is probed once per line,
+	// not once per instruction.
+	HasFetch bool
+	IsMem    bool
+	Write    bool
 }
 
 // Region bases keep the workload's address spaces disjoint. Lines are
@@ -40,6 +51,7 @@ const osLines = 4096
 type Stream struct {
 	core int
 	prof AppProfile
+	ch   chances
 	rng  *sim.RNG
 
 	privBase, shBase, cdBase mem.Line
@@ -71,6 +83,31 @@ type Stream struct {
 	phase *phaseState
 }
 
+// chances holds the profile's probabilities as sim.Chance thresholds,
+// converted once per stream so each draw is an integer compare.
+type chances struct {
+	branch, codeRecency, os, mem, recency     sim.Chance
+	write, sharedWrite, osWrite, shared, scan sim.Chance
+}
+
+// osWriteFraction is the write share of OS data accesses.
+const osWriteFraction = 0.1
+
+func chancesOf(p AppProfile) chances {
+	return chances{
+		branch:      sim.ChanceOf(p.BranchFraction),
+		codeRecency: sim.ChanceOf(p.CodeRecency),
+		os:          sim.ChanceOf(p.OSFraction),
+		mem:         sim.ChanceOf(p.MemFraction),
+		recency:     sim.ChanceOf(p.Recency),
+		write:       sim.ChanceOf(p.WriteFraction),
+		sharedWrite: sim.ChanceOf(p.SharedWriteFraction),
+		osWrite:     sim.ChanceOf(osWriteFraction),
+		shared:      sim.ChanceOf(p.SharedFraction),
+		scan:        sim.ChanceOf(p.StreamFraction),
+	}
+}
+
 // recEntry remembers a recently touched line and which region's write mix
 // applies to it.
 type recEntry struct {
@@ -99,10 +136,31 @@ func clampInt(v, lo, hi int) int {
 // the catalog on practical configurations.
 const zipfCap = 1 << 18
 
-// NewStream builds the stream for one core of a bound workload. l1Lines
-// sizes the recency rings.
+// zipfSet shares Zipf samplers between the streams of one bound
+// workload. A sampler is immutable once built, and every core running
+// the same profile over same-sized regions needs the same one, as does
+// every core's OS region.
+type zipfSet map[zipfKey]*stats.Zipf
+
+type zipfKey struct {
+	n int
+	s float64
+}
+
+func (zs zipfSet) get(n int, s float64) *stats.Zipf {
+	k := zipfKey{n, s}
+	z, ok := zs[k]
+	if !ok {
+		z = stats.NewZipf(n, s)
+		zs[k] = z
+	}
+	return z
+}
+
+// newStream builds the stream for one core of a bound workload. l1Lines
+// sizes the recency rings; zs supplies the Zipf samplers.
 func newStream(core int, prof AppProfile, privBase, shBase, cdBase mem.Line,
-	privLines, shLines, codeLines, l1Lines int, rng *sim.RNG) *Stream {
+	privLines, shLines, codeLines, l1Lines int, zs zipfSet, rng *sim.RNG) *Stream {
 
 	clampCap := func(n int) int {
 		if n < 1 {
@@ -114,16 +172,16 @@ func newStream(core int, prof AppProfile, privBase, shBase, cdBase mem.Line,
 		return n
 	}
 	s := &Stream{
-		core: core, prof: prof, rng: rng,
+		core: core, prof: prof, ch: chancesOf(prof), rng: rng,
 		privBase: privBase, shBase: shBase, cdBase: cdBase,
 		privLines: max(1, privLines), shLines: max(1, shLines), codeLines: max(1, codeLines),
 		dataCap: recentDataCap(l1Lines),
 		codeCap: recentCodeCap(l1Lines),
 	}
-	s.privZipf = stats.NewZipf(clampCap(privLines), prof.PrivateZipf)
-	s.shZipf = stats.NewZipf(clampCap(shLines), prof.SharedZipf)
-	s.codeZipf = stats.NewZipf(clampCap(codeLines), 1.0)
-	s.osZipf = stats.NewZipf(osLines, 0.8)
+	s.privZipf = zs.get(clampCap(privLines), prof.PrivateZipf)
+	s.shZipf = zs.get(clampCap(shLines), prof.SharedZipf)
+	s.codeZipf = zs.get(clampCap(codeLines), 1.0)
+	s.osZipf = zs.get(osLines, 0.8)
 	s.codeLine = cdBase
 	return s
 }
@@ -187,15 +245,15 @@ func (s *Stream) next() Instr {
 	// Instruction fetch: cross into a new code line sequentially every
 	// instrsPerCodeLine instructions, or on a taken branch.
 	s.codePos++
-	branch := s.rng.Bool(s.prof.BranchFraction)
+	branch := s.rng.Hit(s.ch.branch)
 	if branch || s.codePos >= instrsPerCodeLine {
 		s.codePos = 0
 		if branch {
 			switch {
-			case len(s.recentCode) > 0 && s.rng.Bool(s.prof.CodeRecency):
+			case len(s.recentCode) > 0 && s.rng.Hit(s.ch.codeRecency):
 				// Loop back into recently executed code.
 				s.codeLine = s.recentCode[s.rng.Intn(len(s.recentCode))]
-			case s.prof.OSFraction > 0 && s.rng.Bool(s.prof.OSFraction):
+			case s.rng.Hit(s.ch.os):
 				// OS code: common region, hot.
 				s.codeLine = osBase + mem.Line(s.osZipf.Sample(s.rng))
 				s.pushCode(s.codeLine)
@@ -214,42 +272,42 @@ func (s *Stream) next() Instr {
 		in.HasFetch = true
 	}
 
-	if !s.rng.Bool(s.prof.MemFraction) {
+	if !s.rng.Hit(s.ch.mem) {
 		return in
 	}
 	in.IsMem = true
 
 	// Temporal-locality component: re-touch a recent line.
-	if len(s.recentData) > 0 && s.rng.Bool(s.prof.Recency) {
+	if len(s.recentData) > 0 && s.rng.Hit(s.ch.recency) {
 		e := s.recentData[s.rng.Intn(len(s.recentData))]
 		in.Data = e.line
 		if e.shared {
-			in.Write = s.rng.Bool(s.prof.SharedWriteFraction)
+			in.Write = s.rng.Hit(s.ch.sharedWrite)
 		} else {
-			in.Write = s.rng.Bool(s.prof.WriteFraction)
+			in.Write = s.rng.Hit(s.ch.write)
 		}
 		return in
 	}
 
 	// OS data access: shared across every core.
-	if s.prof.OSFraction > 0 && s.rng.Bool(s.prof.OSFraction) {
+	if s.rng.Hit(s.ch.os) {
 		in.Data = osBase + osLines + mem.Line(s.osZipf.Sample(s.rng))
-		in.Write = s.rng.Bool(0.1)
+		in.Write = s.rng.Hit(s.ch.osWrite)
 		s.pushData(in.Data, true)
 		return in
 	}
 
 	// Application shared region.
-	if s.prof.SharedFraction > 0 && s.rng.Bool(s.prof.SharedFraction) {
+	if s.rng.Hit(s.ch.shared) {
 		r := s.shZipf.Sample(s.rng)
 		in.Data = s.shBase + mem.Line(r%s.shLines)
-		in.Write = s.rng.Bool(s.prof.SharedWriteFraction)
+		in.Write = s.rng.Hit(s.ch.sharedWrite)
 		s.pushData(in.Data, true)
 		return in
 	}
 
 	// Private region: streaming scan or Zipf reuse.
-	if s.rng.Bool(s.prof.StreamFraction) {
+	if s.rng.Hit(s.ch.scan) {
 		in.Data = s.privBase + mem.Line(s.scan)
 		s.scan++
 		if s.scan >= s.privLines {
@@ -259,7 +317,7 @@ func (s *Stream) next() Instr {
 		r := s.privZipf.Sample(s.rng)
 		in.Data = s.privBase + mem.Line(r%s.privLines)
 	}
-	in.Write = s.rng.Bool(s.prof.WriteFraction)
+	in.Write = s.rng.Hit(s.ch.write)
 	s.pushData(in.Data, false)
 	return in
 }
@@ -299,6 +357,7 @@ type Bound struct {
 func (s Spec) Bind(l2Lines, l1iLines int, seed uint64) *Bound {
 	master := sim.NewRNG(seed)
 	b := &Bound{Spec: s, Active: s.ActiveCores()}
+	zs := zipfSet{}
 
 	scale := func(frac float64, base int) int {
 		n := int(frac * float64(base))
@@ -333,7 +392,7 @@ func (s Spec) Bind(l2Lines, l1iLines int, seed uint64) *Bound {
 				cdB = codeBase + mem.Line(inst)*regionSpan
 				pvB = privateBase + mem.Line(c)*regionSpan
 			}
-			b.Streams[c] = newStream(c, a.App, pvB, shB, cdB, pl, shLines, cdLines, l1iLines, master.Split())
+			b.Streams[c] = newStream(c, a.App, pvB, shB, cdB, pl, shLines, cdLines, l1iLines, zs, master.Split())
 			if a.phase != nil {
 				// The alternate phase gets its own shared/code regions
 				// (a different working set) but reuses the core's private
@@ -347,7 +406,7 @@ func (s Spec) Bind(l2Lines, l1iLines int, seed uint64) *Bound {
 					pvB+regionSpan/2,
 					shB+regionSpan/2,
 					cdB+regionSpan/2,
-					altPl, altSh, altCd, l1iLines, master.Split())
+					altPl, altSh, altCd, l1iLines, zs, master.Split())
 				b.Streams[c].phase = &phaseState{alt: altStream, period: a.phase.period}
 			}
 		}
@@ -361,7 +420,7 @@ func (s Spec) Bind(l2Lines, l1iLines int, seed uint64) *Bound {
 		cdB := codeBase // idle/system code is OS-adjacent and common
 		b.Streams[c] = newStream(c, idle, pvB, osBase+osLines, cdB,
 			scale(idle.PrivateFootprint, l2Lines), osLines,
-			scale(idle.CodeFootprint, l1iLines), l1iLines, master.Split())
+			scale(idle.CodeFootprint, l1iLines), l1iLines, zs, master.Split())
 	}
 	return b
 }
