@@ -18,17 +18,22 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
+// TestAllArchitecturesRun runs every architecture with per-transaction
+// token checks on a private multiprogrammed mix and on apache, the
+// high-sharing server workload with OS activity.
 func TestAllArchitecturesRun(t *testing.T) {
-	for _, a := range Architectures() {
-		rep, err := Run(Options{
-			Architecture: a, Workload: "gzip-4",
-			Warmup: 15_000, Instructions: 5_000, CheckTokens: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", a, err)
-		}
-		if rep.MeanIPC <= 0 {
-			t.Fatalf("%s: IPC %g", a, rep.MeanIPC)
+	for _, w := range []string{"gzip-4", "apache"} {
+		for _, a := range Architectures() {
+			rep, err := Run(Options{
+				Architecture: a, Workload: w,
+				Warmup: 15_000, Instructions: 5_000, CheckTokens: true,
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", a, w, err)
+			}
+			if rep.MeanIPC <= 0 {
+				t.Fatalf("%s/%s: IPC %g", a, w, rep.MeanIPC)
+			}
 		}
 	}
 }

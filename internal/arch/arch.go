@@ -195,15 +195,19 @@ type l2loc struct {
 	set   uint16
 }
 
-// lineRec is what the substrate tracks per line: its L2 copies and the
-// SP/ESP private bit. It lives while the line has a copy or a known
-// status; a status outlives the last copy while an L1 holds the line.
+// lineRec is what the substrate tracks per line: its L2 copies, the
+// SP/ESP private bit and the coherence token state. It lives while the
+// line has a copy, a known status or materialized token state; a status
+// outlives the last copy while an L1 holds the line, and token state
+// outlives both until its tokens have all gone home.
 type lineRec struct {
 	locs   [maxCopies]l2loc
 	n      uint8 // copies in use: locs[:n]
 	known  bool  // status set: the line has been on chip since forgotten
 	shared bool  // two or more accessor cores
 	owner  uint8 // first accessor while private
+	tokens bool  // st is materialized; otherwise all tokens are at memory
+	st     coherence.LineState
 }
 
 // Substrate is the hardware common to every architecture.
@@ -217,7 +221,8 @@ type Substrate struct {
 	Bank []*cache.Bank
 	RNG  *sim.RNG
 
-	// lines holds each line's L2 copies and private bit.
+	// lines holds each line's L2 copies, private bit and token state;
+	// Dir reads and writes the token state through State and Peek.
 	lines lineMap[lineRec]
 	// scratch is collectForWrite's reusable copy snapshot.
 	scratch []l2loc
@@ -237,12 +242,6 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir := coherence.NewDirectory()
-	dir.Check = cfg.CheckTokens
-	l1, err := coherence.NewL1s(cfg.Cores, cfg.L1, dir)
-	if err != nil {
-		return nil, err
-	}
 	mapping, err := core.NewMapping(cfg.Banks, cfg.Cores, cfg.SetsPerBank)
 	if err != nil {
 		return nil, err
@@ -251,11 +250,14 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 		Cfg:   cfg,
 		Mesh:  mesh,
 		DRAM:  mem.NewDRAM(cfg.DRAM),
-		Dir:   dir,
-		L1:    l1,
 		Map:   mapping,
 		RNG:   sim.NewRNG(cfg.Seed ^ 0xA11CE),
 		lines: newLineMap[lineRec](1 << 16),
+	}
+	s.Dir = coherence.NewDirectory(s)
+	s.Dir.Check = cfg.CheckTokens
+	if s.L1, err = coherence.NewL1s(cfg.Cores, cfg.L1, s.Dir); err != nil {
+		return nil, err
 	}
 	for i := 0; i < cfg.Banks; i++ {
 		b, err := cache.NewBank(cache.Config{
@@ -324,15 +326,39 @@ func (s *Substrate) RecordL1Hit(lat sim.Cycle) {
 
 // l2Has returns the copies of line currently in the L2. The slice aliases
 // the line's table entry, so inserting or deleting any line — l2Insert,
-// l2Invalidate, dropEvicted, statusOf, markShared, maybeForgetStatus —
-// may move or overwrite it (growth, backward shift). Callers that mutate
-// the substrate while walking it walk a copy: collectForWrite and R-NUCA's
+// l2Invalidate, dropEvicted, statusOf, markShared, maybeForgetStatus,
+// and every token movement through Dir (State materializes) — may move or
+// overwrite it (growth, backward shift). Callers that mutate the
+// substrate while walking it walk a copy: collectForWrite and R-NUCA's
 // page flush do. The loops in private.go (bestOnChipResponse) and
 // spnuca.go (findRemotePrivate) only send messages and read banks, and
 // every other caller reads just its length or one element.
 func (s *Substrate) l2Has(line mem.Line) []l2loc {
 	if r := s.lines.find(line); r != nil {
 		return r.locs[:r.n]
+	}
+	return nil
+}
+
+// State implements coherence.Table over the line record, materializing
+// the all-at-memory state on first touch. Like l2Has, the pointer aliases
+// the table: any insertion or deletion of any line invalidates it, so
+// holders (the st of every architecture's Access, Upgrade,
+// collectForWrite, dropEvicted) read it before calling anything that can
+// add or remove a record, and re-fetch afterwards.
+func (s *Substrate) State(line mem.Line) *coherence.LineState {
+	r := s.lines.ptr(line)
+	if !r.tokens {
+		r.tokens, r.st = true, coherence.MemoryState()
+	}
+	return &r.st
+}
+
+// Peek implements coherence.Table: the line's token state, or nil when
+// it is not materialized (all tokens at memory).
+func (s *Substrate) Peek(line mem.Line) *coherence.LineState {
+	if r := s.lines.find(line); r != nil && r.tokens {
+		return &r.st
 	}
 	return nil
 }
@@ -384,7 +410,7 @@ func (s *Substrate) addCopy(line mem.Line, loc l2loc) {
 
 // removeWhere drops line's copy in bank, moving the last copy into its
 // place (collectForWrite claims the mesh in copy order). With no copy
-// left, the record goes unless it holds a status, which may go too.
+// left, maybeForgetStatus decides what else of the record goes.
 func (s *Substrate) removeWhere(line mem.Line, bank int) {
 	if r := s.lines.find(line); r != nil {
 		for i := uint8(0); i < r.n; i++ {
@@ -396,9 +422,6 @@ func (s *Substrate) removeWhere(line mem.Line, bank int) {
 		}
 		if r.n > 0 {
 			return
-		}
-		if !r.known {
-			s.lines.del(line)
 		}
 	}
 	s.maybeForgetStatus(line)
@@ -473,20 +496,22 @@ func (s *Substrate) markShared(line mem.Line) {
 
 // maybeForgetStatus clears the private bit when the line has left the
 // chip entirely: the status "remains with the block while it stays in the
-// chip" (paper §2.1).
+// chip" (paper §2.1). If the token state has decayed back to
+// all-at-memory it is redundant (a later State call re-materializes
+// identical contents), so it goes too, and with it the record: this is
+// the record's one deletion rule, which bounds the table's live entries.
 func (s *Substrate) maybeForgetStatus(line mem.Line) {
-	if len(s.l2Has(line)) > 0 {
+	r := s.lines.find(line)
+	if r == nil || r.n > 0 || r.tokens && r.st.Sharers() != 0 {
 		return
 	}
-	if st := s.Dir.Peek(line); st != nil && st.Sharers() != 0 {
-		return
+	r.known, r.shared, r.owner = false, false, 0
+	if r.tokens && r.st == coherence.MemoryState() {
+		r.tokens = false
 	}
-	s.lines.del(line)
-	// The line has fully left the chip; if its token state has decayed
-	// back to all-at-memory the directory entry is redundant (a later
-	// State call re-materializes identical contents), so drop it to bound
-	// the table's live-entry count.
-	s.Dir.Forget(line)
+	if !r.tokens {
+		s.lines.del(line)
+	}
 }
 
 // --- Common transaction steps ---
@@ -582,10 +607,14 @@ func (s *Substrate) CheckInvariants() error {
 			return fmt.Errorf("bank %d: %w", i, err)
 		}
 	}
-	// Every recorded copy must exist in its bank, and vice versa.
+	// Every recorded copy must exist in its bank, and vice versa; every
+	// materialized token state must conserve tokens.
 	if err := s.lines.forEach(func(line mem.Line, r lineRec) error {
-		if r.n == 0 && !r.known {
+		if r.n == 0 && !r.known && !r.tokens {
 			return fmt.Errorf("arch: line %#x has an empty record", line)
+		}
+		if err := s.Dir.Verify(line); err != nil {
+			return err
 		}
 		for _, loc := range r.locs[:r.n] {
 			if s.Bank[loc.bank].Peek(int(loc.set), cache.LineQuery(line)) == nil {
@@ -610,7 +639,7 @@ func (s *Substrate) CheckInvariants() error {
 			}
 		}
 	}
-	return s.Dir.VerifyAll()
+	return nil
 }
 
 // AvgAccessTime returns the mean cycles per access and the per-level

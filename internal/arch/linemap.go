@@ -3,12 +3,12 @@ package arch
 import "espnuca/internal/mem"
 
 // lineMap is an open-addressed, linearly probed hash table keyed by cache
-// line, used for the substrate's per-line record (L2 copies and private
-// bit). Like the coherence directory it replaces the runtime map on the
-// simulator's per-access path: line keys are fixed-stride addresses that
-// hash well with a cheap mixer, entries store values inline, and deletion
-// backward-shifts the probe chain so the table never accumulates
-// tombstones.
+// line, used for the substrate's per-line record (L2 copies, private bit
+// and coherence token state) and D-NUCA's last-requester table. It
+// replaces the runtime map on the simulator's per-access path: line keys
+// are fixed-stride addresses that hash well with a cheap mixer, entries
+// store values inline, and deletion backward-shifts the probe chain so
+// the table never accumulates tombstones.
 //
 // The API mirrors plain map semantics (get returns a copy, set overwrites,
 // del removes) so call sites behave exactly like the maps they replace.
@@ -24,8 +24,7 @@ type lineMapEntry[V any] struct {
 	val  V
 }
 
-// mixLine is the splitmix64 finalizer (shared shape with the coherence
-// directory's hash).
+// mixLine is the splitmix64 finalizer.
 func mixLine(l mem.Line) uint64 {
 	x := uint64(l)
 	x ^= x >> 30

@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"espnuca/internal/cache"
+	"espnuca/internal/coherence"
 	"espnuca/internal/mem"
 	"espnuca/internal/sim"
 )
@@ -61,12 +63,100 @@ func TestLineMapDifferential(t *testing.T) {
 	}
 }
 
+// TestLineMapDeleteChains stresses backward-shift deletion on probe
+// chains: fill a small table (guaranteed collisions), delete entries in
+// varying order, and check every survivor stays reachable.
+func TestLineMapDeleteChains(t *testing.T) {
+	for pass := 0; pass < 32; pass++ {
+		m := lineMap[int]{entries: make([]lineMapEntry[int], 16), mask: 15}
+		rng := rand.New(rand.NewSource(int64(pass)))
+		lines := rng.Perm(11) // load factor ~0.69, heavy chaining
+		for _, l := range lines {
+			m.set(mem.Line(l), l)
+		}
+		deleted := map[mem.Line]bool{}
+		for _, l := range rng.Perm(11)[:6] {
+			m.del(mem.Line(l))
+			deleted[mem.Line(l)] = true
+		}
+		for _, l := range lines {
+			v, ok := m.get(mem.Line(l))
+			if deleted[mem.Line(l)] && ok {
+				t.Fatalf("pass %d: deleted line %d still reachable", pass, l)
+			}
+			if !deleted[mem.Line(l)] && (!ok || v != l) {
+				t.Fatalf("pass %d: surviving line %d unreachable after shifts", pass, l)
+			}
+		}
+		if m.count != 5 {
+			t.Fatalf("pass %d: count %d, want 5", pass, m.count)
+		}
+	}
+}
+
+// TestLineRecordSize pins the merged per-line record to one 64-byte cache
+// line, table key and slot flag included.
+func TestLineRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(lineMapEntry[lineRec]{}); got > 64 {
+		t.Fatalf("line record entry is %d bytes, want at most 64", got)
+	}
+}
+
+// TestForgetStatusKeepsLiveTokens checks the record's deletion rule: the
+// status goes once the line has left the chip, but token state goes only
+// when it has decayed back to all-at-memory, and re-materializes exactly
+// that state.
+func TestForgetStatusKeepsLiveTokens(t *testing.T) {
+	s, err := NewSubstrate(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const l = 10
+	s.statusOf(l, 3)
+	s.Dir.L2Fill(l, 2) // two tokens on chip, no L1 sharer, no L2 copy
+	s.maybeForgetStatus(l)
+	if _, _, known := s.peekStatus(l); known {
+		t.Fatal("status survived the line leaving the chip")
+	}
+	if s.Peek(l) == nil || s.lines.count != 1 {
+		t.Fatal("token state with tokens on chip was dropped")
+	}
+	s.Dir.L2Evict(l)
+	s.maybeForgetStatus(l)
+	if s.Peek(l) != nil || s.lines.count != 0 {
+		t.Fatal("all-at-memory token state kept its record")
+	}
+	if *s.State(l) != coherence.MemoryState() {
+		t.Fatal("re-materialized state differs from all-at-memory")
+	}
+	s.maybeForgetStatus(999) // absent line: no-op
+}
+
+// mapTable is a map-backed coherence.Table with the lifetime the
+// directory's own table had: a state is materialized on State and erased
+// only by refLines.maybeForget.
+type mapTable map[mem.Line]*coherence.LineState
+
+func (m mapTable) State(l mem.Line) *coherence.LineState {
+	st, ok := m[l]
+	if !ok {
+		v := coherence.MemoryState()
+		st = &v
+		m[l] = st
+	}
+	return st
+}
+
+func (m mapTable) Peek(l mem.Line) *coherence.LineState { return m[l] }
+
 // refLines is the substrate's per-line bookkeeping as it was kept before
-// the record merge: a copy table and a private-bit table, each a plain
-// map, with the old semantics.
+// the record merges: a copy table, a private-bit table and the coherence
+// directory's token table, each a plain map, with the old semantics.
 type refLines struct {
 	where  map[mem.Line][]l2loc
 	status map[mem.Line]refStatus
+	tokens mapTable
+	dir    *coherence.Directory
 }
 
 type refStatus struct {
@@ -74,16 +164,24 @@ type refStatus struct {
 	owner  int
 }
 
-// maybeForget mirrors maybeForgetStatus; sharers is the line's L1 sharer
-// mask read before the substrate acts.
-func (r *refLines) maybeForget(line mem.Line, sharers uint8) {
-	if len(r.where[line]) > 0 || sharers != 0 {
+// maybeForget mirrors maybeForgetStatus as it was: drop the status once
+// the line has no copy and no L1 sharer, then forget the token state if
+// it is all-at-memory.
+func (r *refLines) maybeForget(line mem.Line) {
+	if len(r.where[line]) > 0 {
+		return
+	}
+	st := r.tokens[line]
+	if st != nil && st.Sharers() != 0 {
 		return
 	}
 	delete(r.status, line)
+	if st != nil && *st == coherence.MemoryState() {
+		delete(r.tokens, line)
+	}
 }
 
-func (r *refLines) remove(line mem.Line, bank int, sharers uint8) {
+func (r *refLines) remove(line mem.Line, bank int) {
 	locs, ok := r.where[line]
 	if ok {
 		for i, loc := range locs {
@@ -99,29 +197,26 @@ func (r *refLines) remove(line mem.Line, bank int, sharers uint8) {
 		}
 		delete(r.where, line)
 	}
-	r.maybeForget(line, sharers)
+	r.maybeForget(line)
 }
 
 // TestLineRecordDifferential drives the substrate's line record and the
-// two-table reference with the same random operation stream, on a tiny
-// table so growth and backward-shift deletion happen throughout. L1 holds
-// taken through the directory make statuses outlive their last copy, and
-// copies added without a status cover the non-SP architectures.
+// three-table reference with the same random operation stream, on a tiny
+// table so growth and backward-shift deletion happen throughout. Token
+// movements through the directory make statuses outlive their last copy
+// and token state outlive both; copies added without a status cover the
+// non-SP architectures.
 func TestLineRecordDifferential(t *testing.T) {
 	s, err := NewSubstrate(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.lines = lineMap[lineRec]{entries: make([]lineMapEntry[lineRec], 8), mask: 7}
-	ref := refLines{where: map[mem.Line][]l2loc{}, status: map[mem.Line]refStatus{}}
+	ref := refLines{where: map[mem.Line][]l2loc{}, status: map[mem.Line]refStatus{}, tokens: mapTable{}}
+	ref.dir = coherence.NewDirectory(ref.tokens)
+	ref.dir.Check = true
 	rng := rand.New(rand.NewSource(11))
 	const universe = 96
-	sharers := func(l mem.Line) uint8 {
-		if st := s.Dir.Peek(l); st != nil {
-			return st.Sharers()
-		}
-		return 0
-	}
 	check := func(op int, l mem.Line) {
 		t.Helper()
 		got, want := s.l2Has(l), ref.where[l]
@@ -138,12 +233,22 @@ func TestLineRecordDifferential(t *testing.T) {
 		if known != ok || shared != st.shared || owner != st.owner {
 			t.Fatalf("op %d: line %d status (%v,%d,%v), ref %+v,%v", op, l, shared, owner, known, st, ok)
 		}
+		gotTok, wantTok := s.Dir.Peek(l), ref.dir.Peek(l)
+		if (gotTok == nil) != (wantTok == nil) || gotTok != nil && *gotTok != *wantTok {
+			t.Fatalf("op %d: line %d tokens %+v, ref %+v", op, l, gotTok, wantTok)
+		}
+	}
+	// both applies one directory operation to the substrate and the
+	// reference.
+	both := func(f func(d *coherence.Directory)) {
+		f(s.Dir)
+		f(ref.dir)
 	}
 
 	for op := 0; op < 300_000; op++ {
 		l := mem.Line(rng.Intn(universe))
 		c := rng.Intn(8)
-		switch rng.Intn(9) {
+		switch rng.Intn(13) {
 		case 0, 1: // add a copy in a bank the line does not use yet
 			locs := ref.where[l]
 			if len(locs) == maxCopies {
@@ -165,7 +270,7 @@ func TestLineRecordDifferential(t *testing.T) {
 			if locs := ref.where[l]; len(locs) > 0 && rng.Intn(4) > 0 {
 				bank = int(locs[rng.Intn(len(locs))].bank)
 			}
-			ref.remove(l, bank, sharers(l))
+			ref.remove(l, bank)
 			s.removeWhere(l, bank)
 		case 4: // statusOf
 			shared, owner := s.statusOf(l, c)
@@ -185,24 +290,45 @@ func TestLineRecordDifferential(t *testing.T) {
 			ref.status[l] = st
 			s.markShared(l)
 		case 6: // maybeForgetStatus
-			ref.maybeForget(l, sharers(l))
+			ref.maybeForget(l)
 			s.maybeForgetStatus(l)
 		case 7: // an L1 takes a read token, so the status outlives the copies
-			s.Dir.GrantReadL1(l, c)
-		case 8: // every L1 drops the line
-			for h := 0; h < 8; h++ {
-				if sharers(l)&(1<<uint(h)) != 0 {
-					s.Dir.L1Evict(l, h, false)
+			both(func(d *coherence.Directory) { d.GrantReadL1(l, c) })
+		case 8: // every L1 drops the line to memory
+			if st := ref.dir.Peek(l); st != nil {
+				mask := st.Sharers()
+				for h := 0; h < 8; h++ {
+					if mask&(1<<uint(h)) != 0 {
+						both(func(d *coherence.Directory) { d.L1Evict(l, h, false) })
+					}
 				}
 			}
+		case 9: // a writer collects every token
+			both(func(d *coherence.Directory) { d.GrantWriteL1(l, c) })
+		case 10: // an L1 write-back to the L2, possibly dirty
+			dirty := rng.Intn(2) == 0
+			both(func(d *coherence.Directory) {
+				d.L1Evict(l, c, true)
+				if dirty {
+					d.WriteBackDirty(l)
+				}
+			})
+		case 11: // a fill from memory
+			n := uint8(rng.Intn(coherence.TokensPerLine + 1))
+			both(func(d *coherence.Directory) { d.L2Fill(l, n) })
+		case 12: // the L2 releases its tokens to memory
+			both(func(d *coherence.Directory) { d.L2Evict(l) })
 		}
-		check(op, l) // peekStatus on every op
+		check(op, l)
 		if op%1024 == 0 {
 			keys := map[mem.Line]bool{}
 			for k := range ref.where {
 				keys[k] = true
 			}
 			for k := range ref.status {
+				keys[k] = true
+			}
+			for k := range ref.tokens {
 				keys[k] = true
 			}
 			if s.lines.count != len(keys) {

@@ -12,46 +12,27 @@ import (
 // that token conservation, residency bookkeeping and bank counters hold.
 // This is the system-level safety net on top of the per-package property
 // tests.
+//
+// Each run is repeated on an 8-entry line table, where growth and
+// backward shift fire on nearly every insertion and deletion, so a
+// *LineState or l2Has slice held across a call that adds or removes any
+// line's record reads moved data; the two runs must agree exactly.
 func TestRandomTrafficInvariants(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				cfg := testConfig()
-				cfg.Seed = seed
-				sys, err := Build(name, cfg)
-				if err != nil {
-					t.Fatal(err)
+				s := randomTraffic(t, name, seed, 0)
+				tiny := randomTraffic(t, name, seed, 8)
+				if s.Counts != tiny.Counts || s.Latency != tiny.Latency {
+					t.Fatalf("seed %d: 8-entry table diverged: counts %v/%v, latency %v/%v",
+						seed, s.Counts, tiny.Counts, s.Latency, tiny.Latency)
 				}
-				s := sys.Sub()
-				rng := sim.NewRNG(seed * 77)
-				var tm sim.Cycle
-				for op := 0; op < 4000; op++ {
-					c := rng.Intn(8)
-					line := mem.Line(rng.Intn(512))
-					write := rng.Bool(0.3)
-					if s.L1.Lookup(c, line, write, false) {
-						continue
+				for b := range s.Bank {
+					if s.Bank[b].Stats != tiny.Bank[b].Stats {
+						t.Fatalf("seed %d: bank %d stats %+v, on the 8-entry table %+v",
+							seed, b, s.Bank[b].Stats, tiny.Bank[b].Stats)
 					}
-					res := sys.Access(tm, c, line, write)
-					wb := s.L1.Fill(c, line, write, false)
-					if wb.Valid {
-						if wb.Dirty {
-							sys.WriteBack(res.Done, c, wb.Line, true)
-						} else {
-							s.Dir.L1Evict(wb.Line, c, false)
-							s.maybeForgetStatus(wb.Line)
-						}
-					}
-					tm = res.Done
-					if op%512 == 0 {
-						if err := s.CheckInvariants(); err != nil {
-							t.Fatalf("seed %d op %d: %v", seed, op, err)
-						}
-					}
-				}
-				if err := s.CheckInvariants(); err != nil {
-					t.Fatalf("seed %d final: %v", seed, err)
 				}
 				// Sanity: traffic produced a sensible decomposition.
 				total, _ := s.AvgAccessTime()
@@ -61,6 +42,53 @@ func TestRandomTrafficInvariants(t *testing.T) {
 			}
 		})
 	}
+}
+
+// randomTraffic runs one seed of TestRandomTrafficInvariants' traffic on
+// architecture name, starting from a tableSize-entry line table when
+// tableSize is non-zero, and returns the substrate.
+func randomTraffic(t *testing.T, name string, seed uint64, tableSize int) *Substrate {
+	t.Helper()
+	cfg := testConfig()
+	cfg.Seed = seed
+	sys, err := Build(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sys.Sub()
+	if tableSize > 0 {
+		s.lines = lineMap[lineRec]{entries: make([]lineMapEntry[lineRec], tableSize), mask: uint64(tableSize - 1)}
+	}
+	rng := sim.NewRNG(seed * 77)
+	var tm sim.Cycle
+	for op := 0; op < 4000; op++ {
+		c := rng.Intn(8)
+		line := mem.Line(rng.Intn(512))
+		write := rng.Bool(0.3)
+		if s.L1.Lookup(c, line, write, false) {
+			continue
+		}
+		res := sys.Access(tm, c, line, write)
+		wb := s.L1.Fill(c, line, write, false)
+		if wb.Valid {
+			if wb.Dirty {
+				sys.WriteBack(res.Done, c, wb.Line, true)
+			} else {
+				s.Dir.L1Evict(wb.Line, c, false)
+				s.maybeForgetStatus(wb.Line)
+			}
+		}
+		tm = res.Done
+		if op%512 == 0 {
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("seed %d final: %v", seed, err)
+	}
+	return s
 }
 
 // TestDeterministicReplay verifies that identical configs and traffic

@@ -9,8 +9,33 @@ import (
 	"espnuca/internal/sim"
 )
 
+// mapTable is a map-backed Table: the directory's storage in tests.
+type mapTable map[mem.Line]*LineState
+
+func (m mapTable) State(l mem.Line) *LineState {
+	s, ok := m[l]
+	if !ok {
+		st := MemoryState()
+		s = &st
+		m[l] = s
+	}
+	return s
+}
+
+func (m mapTable) Peek(l mem.Line) *LineState { return m[l] }
+
+// verifyAll checks token conservation on every line d's map holds.
+func verifyAll(d *Directory) error {
+	for l := range d.Table.(mapTable) {
+		if err := d.Verify(l); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func newDir() *Directory {
-	d := NewDirectory()
+	d := NewDirectory(mapTable{})
 	d.Check = true
 	return d
 }
@@ -21,13 +46,13 @@ func TestDirectoryInitialState(t *testing.T) {
 	if s.MemTokens != TokensPerLine || s.Owner != HolderMem {
 		t.Fatalf("initial state = %+v", s)
 	}
-	if d.Lines() != 1 {
-		t.Fatalf("Lines() = %d", d.Lines())
+	if n := len(d.Table.(mapTable)); n != 1 {
+		t.Fatalf("%d lines materialized", n)
 	}
 	if d.Peek(6) != nil {
 		t.Fatal("Peek materialized a line")
 	}
-	if err := d.VerifyAll(); err != nil {
+	if err := verifyAll(d); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,7 +196,7 @@ func TestWriteBackDirty(t *testing.T) {
 }
 
 func TestVerifyDetectsViolation(t *testing.T) {
-	d := NewDirectory()
+	d := NewDirectory(mapTable{})
 	s := d.State(9)
 	s.MemTokens = 3 // break conservation
 	if err := d.Verify(9); err == nil {
@@ -209,7 +234,7 @@ func TestTokenConservationProperty(t *testing.T) {
 				d.WriteBackDirty(l)
 			}
 		}
-		return d.VerifyAll() == nil
+		return verifyAll(d) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -115,9 +115,9 @@ func (l *L1s) Lookup(c int, line mem.Line, write, ifetch bool) bool {
 	hit := blk != nil
 	if hit && write {
 		// Upgrade check: a write needs every token. Peek rather than
-		// State: a line with no directory entry implicitly holds all its
+		// State: a line whose state was never materialized holds all its
 		// tokens at memory (zero in any L1), which fails the check the
-		// same way, so the read need not materialize an entry.
+		// same way, so the read need not materialize it.
 		if st := l.dir.Peek(line); st == nil || st.L1Tokens[c] != TokensPerLine {
 			hit = false
 		} else {

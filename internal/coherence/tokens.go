@@ -83,197 +83,46 @@ func (s *LineState) total() int {
 	return t
 }
 
-// implicitState is the state of a line never touched on chip: every token
-// at memory, memory owning, clean. The directory stores only lines whose
-// state differs from it; Forget erases entries that have decayed back.
-var implicitState = LineState{MemTokens: TokensPerLine, Owner: HolderMem}
+// MemoryState returns the state of a line with every token at memory,
+// memory owning, clean: a line never touched on chip, or one whose tokens
+// have all gone home. A Table may drop a state that has decayed back to
+// it; Peek then returns nil.
+func MemoryState() LineState {
+	return LineState{MemTokens: TokensPerLine, Owner: HolderMem}
+}
 
-// dirEntry is one open-addressing slot: the line key, the generation the
-// entry belongs to (a slot whose gen differs from the table's is free),
-// and the state stored by value.
-type dirEntry struct {
-	line  mem.Line
-	gen   uint32
-	state LineState
+// Table is the per-line storage the directory reads and writes token
+// state through. The directory keeps no table of its own: the
+// architecture layer keeps each line's LineState in its one per-line
+// record (arch.Substrate implements Table), beside the line's L2 copies
+// and private bit.
+//
+// Pointer invalidation: the returned pointer may alias the table's
+// backing array, so any later insertion or deletion of any line (which
+// may grow the table or shift entries) invalidates it. Callers fetch,
+// then read or mutate, before anything else touches the table.
+type Table interface {
+	// State returns l's state, materializing MemoryState on first touch.
+	State(l mem.Line) *LineState
+	// Peek returns l's state without materializing it: nil means
+	// MemoryState.
+	Peek(l mem.Line) *LineState
 }
 
 // Directory is the global token/sharing state, logically distributed
 // across the home L2 bank controllers (TokenD performance policy). The
 // simulator centralizes it for efficiency; each access serializes at the
 // home bank in timing, which is what makes the centralization legal.
-//
-// Storage is an open-addressed, linearly probed hash table of LineState
-// values rather than a map[mem.Line]*LineState: the map boxed every state
-// behind its own heap allocation and paid map-internal overhead on the
-// simulator's hottest lookup. Deletion backward-shifts the probe chain so
-// the table never accumulates tombstones, and Reset is O(1) via the
-// generation counter.
-//
-// Pointer invalidation: State and Peek return pointers into the table's
-// backing array. Any later State call (which may grow the table) or
-// Forget call (which may backward-shift entries) invalidates previously
-// returned pointers; callers must not hold a *LineState across such
-// calls. The architecture layer's call sites all fetch-then-mutate or
-// re-fetch after transaction steps.
+// State and Peek come from the Table the directory is built over.
 type Directory struct {
-	entries []dirEntry // power-of-two length
-	mask    uint64
-	count   int    // live entries of the current generation
-	gen     uint32 // current generation; slots with a different gen are free
+	Table
 	// Check enables token-conservation verification after every mutation
 	// (tests and debug runs).
 	Check bool
-	// Violations counts failed checks when Check is set and Panic is not.
-	Violations uint64
 }
 
-// dirInitialCap matches the old map's size hint; must be a power of two.
-const dirInitialCap = 1 << 16
-
-// NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{
-		entries: make([]dirEntry, dirInitialCap),
-		mask:    dirInitialCap - 1,
-		gen:     1,
-	}
-}
-
-// hashLine mixes the line address (a fixed-stride key) into a uniform slot
-// index (splitmix64 finalizer).
-func hashLine(l mem.Line) uint64 {
-	x := uint64(l)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// slot returns the index of l's entry, or -1 and the index of the free
-// slot that terminated the probe.
-func (d *Directory) slot(l mem.Line) (found, free int) {
-	i := hashLine(l) & d.mask
-	for {
-		e := &d.entries[i]
-		if e.gen != d.gen {
-			return -1, int(i)
-		}
-		if e.line == l {
-			return int(i), -1
-		}
-		i = (i + 1) & d.mask
-	}
-}
-
-// grow doubles the table and rehashes the live entries.
-func (d *Directory) grow() {
-	old := d.entries
-	d.entries = make([]dirEntry, 2*len(old))
-	d.mask = uint64(len(d.entries) - 1)
-	for i := range old {
-		e := &old[i]
-		if e.gen != d.gen {
-			continue
-		}
-		j := hashLine(e.line) & d.mask
-		for d.entries[j].gen == d.gen {
-			j = (j + 1) & d.mask
-		}
-		d.entries[j] = *e
-	}
-}
-
-// State returns the line's state, materializing the implicit
-// "all-at-memory" state on first touch. The pointer is valid only until
-// the next State or Forget call (see the type comment).
-func (d *Directory) State(l mem.Line) *LineState {
-	found, free := d.slot(l)
-	if found >= 0 {
-		return &d.entries[found].state
-	}
-	// Keep the load factor below 3/4 so probe chains stay short.
-	if 4*(d.count+1) > 3*len(d.entries) {
-		d.grow()
-		_, free = d.slot(l)
-	}
-	d.entries[free] = dirEntry{line: l, gen: d.gen, state: implicitState}
-	d.count++
-	return &d.entries[free].state
-}
-
-// Peek returns the state without materializing it (nil if untouched).
-func (d *Directory) Peek(l mem.Line) *LineState {
-	if found, _ := d.slot(l); found >= 0 {
-		return &d.entries[found].state
-	}
-	return nil
-}
-
-// Forget erases l's entry if (and only if) its state has decayed back to
-// the implicit all-at-memory clean state, so a later State call
-// re-materializes bit-identical contents. The vacated slot is repaired by
-// backward-shifting the probe chain (no tombstones). It reports whether
-// the entry was removed.
-func (d *Directory) Forget(l mem.Line) bool {
-	found, _ := d.slot(l)
-	if found < 0 || d.entries[found].state != implicitState {
-		return false
-	}
-	i := uint64(found)
-	for {
-		d.entries[i].gen = d.gen - 1 // free the slot
-		// Walk the chain after i; move back the first entry whose home
-		// position is outside the cyclic range (i, j], then repeat from
-		// its old slot.
-		j := i
-		for {
-			j = (j + 1) & d.mask
-			e := &d.entries[j]
-			if e.gen != d.gen {
-				d.count--
-				return true
-			}
-			home := hashLine(e.line) & d.mask
-			// e may fill slot i iff moving it there does not place it
-			// before its home position in the cyclic probe order.
-			if cyclicallyBetween(i, home, j) {
-				continue
-			}
-			d.entries[i] = *e
-			i = j
-			break
-		}
-	}
-}
-
-// cyclicallyBetween reports whether h lies in the cyclic half-open range
-// (i, j] — i.e. the probe walk from i (exclusive) reaches h no later
-// than j.
-func cyclicallyBetween(i, h, j uint64) bool {
-	if i <= j {
-		return i < h && h <= j
-	}
-	return i < h || h <= j
-}
-
-// Reset empties the directory in O(1) by advancing the generation; every
-// existing slot becomes free without being cleared.
-func (d *Directory) Reset() {
-	d.gen++
-	if d.gen == 0 {
-		// Generation wrapped (after 2^32 resets): physically clear so no
-		// ancient entry can alias the recycled generation value.
-		clear(d.entries)
-		d.gen = 1
-	}
-	d.count = 0
-	d.Violations = 0
-}
-
-// Lines returns the number of touched lines.
-func (d *Directory) Lines() int { return d.count }
+// NewDirectory returns a directory over t.
+func NewDirectory(t Table) *Directory { return &Directory{Table: t} }
 
 // Verify checks token conservation for l and returns an error on
 // violation.
@@ -299,19 +148,6 @@ func (d *Directory) Verify(l mem.Line) error {
 		c := int(s.Owner - HolderL1)
 		if c < 0 || c >= TokensPerLine || s.L1Tokens[c] == 0 {
 			return fmt.Errorf("coherence: line %#x owned by L1 %d holding no tokens", l, c)
-		}
-	}
-	return nil
-}
-
-// VerifyAll checks every touched line (slow; tests only).
-func (d *Directory) VerifyAll() error {
-	for i := range d.entries {
-		if d.entries[i].gen != d.gen {
-			continue
-		}
-		if err := d.Verify(d.entries[i].line); err != nil {
-			return err
 		}
 	}
 	return nil
