@@ -281,7 +281,7 @@ func (c *client) submit(args []string) error {
 		if *fullSize {
 			r["full_size"] = true
 		}
-		if *ccProb > 0 {
+		if *ccProb != 0 {
 			r["cc_probability"] = *ccProb
 		}
 		if *sampleW != 0 {

@@ -20,6 +20,7 @@ import (
 
 	"espnuca/internal/arch"
 	"espnuca/internal/experiment"
+	"espnuca/internal/mem"
 	"espnuca/internal/obs"
 	"espnuca/internal/sim"
 	"espnuca/internal/workload"
@@ -235,8 +236,8 @@ func cmdStream(args []string) {
 	if !ok {
 		fail(fmt.Errorf("unknown workload %q", *wlName))
 	}
-	if *coreID < 0 || *coreID > 7 {
-		fail(fmt.Errorf("core must be 0-7"))
+	if *coreID < 0 || *coreID >= mem.MaxCores {
+		fail(fmt.Errorf("core must be 0-%d", mem.MaxCores-1))
 	}
 	cfg := arch.ScaledConfig()
 	bound := spec.Bind(cfg.L2Lines(), cfg.L1ILines(), *seed)

@@ -143,9 +143,6 @@ func main() {
 	if *traceEv && *metrics == "" {
 		fail(fmt.Errorf("-trace requires -metrics-dir"))
 	}
-	if *sampleW > 0 && *metrics != "" {
-		fail(fmt.Errorf("-sample-windows is incompatible with -metrics-dir (windows share no timeline)"))
-	}
 	fo := espnuca.FigureOptions{
 		Quick:           *quick,
 		Seeds:           seedList,
@@ -225,12 +222,9 @@ func sampledError(wl string, k int, warmup, instrs uint64) {
 	if k == 0 {
 		k = 8
 	}
-	rc := experiment.DefaultRunConfig("esp-nuca", wl)
-	if warmup != 0 {
-		rc.Warmup = warmup
-	}
-	if instrs != 0 {
-		rc.Instructions = instrs
+	rc, err := experiment.RunSpec{Arch: "esp-nuca", Workload: wl, Warmup: warmup, Instructions: instrs}.Config()
+	if err != nil {
+		fail(err)
 	}
 	rows, err := experiment.SampledError(rc, k)
 	if err != nil {

@@ -57,8 +57,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "esptrace: unknown workload %q\n", *wlName)
 		os.Exit(1)
 	}
-	if *coreID < 0 || *coreID > 7 {
-		fmt.Fprintln(os.Stderr, "esptrace: core must be 0-7")
+	if *coreID < 0 || *coreID >= mem.MaxCores {
+		fmt.Fprintf(os.Stderr, "esptrace: core must be 0-%d\n", mem.MaxCores-1)
 		os.Exit(1)
 	}
 	cfg := arch.ScaledConfig()

@@ -33,7 +33,6 @@ import (
 	"fmt"
 
 	"espnuca/internal/arch"
-	"espnuca/internal/cpu"
 	"espnuca/internal/experiment"
 	"espnuca/internal/resultcache"
 	"espnuca/internal/sim"
@@ -56,9 +55,9 @@ type Options struct {
 	// need proportionally longer warmup to exercise capacity effects.
 	FullSize bool
 	// CCProbability overrides the Cooperative Caching cooperation
-	// probability (architecture "cc" only). Zero or out-of-range values
-	// keep the default (0.7); for a true CC-0% configuration use the
-	// experiment package's CCFamily variants.
+	// probability (architecture "cc" only). Zero keeps the default (0.7)
+	// and values outside (0, 1] are rejected; for a true CC-0%
+	// configuration use the experiment package's CCFamily variants.
 	CCProbability float64
 	// CheckTokens enables per-transaction token-conservation checking
 	// (slower; for debugging and tests).
@@ -100,29 +99,18 @@ func (o Options) runConfig() (experiment.RunConfig, error) {
 	if o.Workload == "" {
 		o.Workload = "apache"
 	}
-	if _, ok := workload.ByName(o.Workload); !ok {
-		return experiment.RunConfig{}, fmt.Errorf("espnuca: unknown workload %q (see Workloads())", o.Workload)
-	}
-	rc := experiment.DefaultRunConfig(o.Architecture, o.Workload)
-	if o.Seed != 0 {
-		rc.Seed = o.Seed
-	}
-	if o.Warmup != 0 {
-		rc.Warmup = o.Warmup
-	}
-	if o.Instructions != 0 {
-		rc.Instructions = o.Instructions
-	}
-	if o.FullSize {
-		rc.System = arch.DefaultConfig()
-	}
-	if o.CCProbability > 0 && o.CCProbability <= 1 {
-		rc.System.CCProbability = o.CCProbability
-	}
+	rc, err := experiment.RunSpec{
+		Arch:          o.Architecture,
+		Workload:      o.Workload,
+		Seed:          o.Seed,
+		Warmup:        o.Warmup,
+		Instructions:  o.Instructions,
+		FullSize:      o.FullSize,
+		CCProbability: o.CCProbability,
+		SampleWindows: o.SampleWindows,
+	}.Config()
 	rc.System.CheckTokens = o.CheckTokens
-	rc.Core = cpu.DefaultConfig()
-	rc.SampleWindows = o.SampleWindows
-	return rc, nil
+	return rc, err
 }
 
 // FigureOptions tune figure regeneration.
@@ -241,9 +229,6 @@ func RunDetailed(o Options) (DetailedReport, error) {
 	rc, err := o.runConfig()
 	if err != nil {
 		return DetailedReport{}, err
-	}
-	if rc.SampleWindows > 0 {
-		return DetailedReport{}, fmt.Errorf("espnuca: RunDetailed needs a full run (occupancy and energy inspect one system); unset SampleWindows")
 	}
 	sys, err := arch.Build(rc.Arch, rc.System)
 	if err != nil {

@@ -1,8 +1,16 @@
 package espnuca
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"espnuca/internal/experiment"
+	"espnuca/internal/service"
 )
 
 func TestDefaults(t *testing.T) {
@@ -55,8 +63,73 @@ func TestUnknownInputsRejected(t *testing.T) {
 	if _, err := Run(Options{Architecture: "l4-nuca", Warmup: 1000, Instructions: 1000}); err == nil {
 		t.Error("unknown architecture accepted")
 	}
+	if _, err := Run(Options{Architecture: "cc", CCProbability: 1.5}); err == nil {
+		t.Error("cooperation probability 1.5 accepted")
+	}
 	if _, err := Figure(3, FigureOptions{}); err == nil {
 		t.Error("figure 3 (non-evaluation figure) accepted")
+	}
+}
+
+// TestEntryPointsRejectAlike: one list of bad run specs, each refused
+// before any simulation with RunConfig.Validate's message by every entry
+// point: the facade, experiment.Run, Matrix.Run, Scheduler.Submit and
+// POST /v1/jobs (400).
+func TestEntryPointsRejectAlike(t *testing.T) {
+	sched, err := service.New(service.Config{Workers: 1, Runner: &service.SimRunner{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Drain(context.Background())
+	ts := httptest.NewServer(service.NewServer(sched, nil))
+	defer ts.Close()
+
+	bad := []experiment.RunSpec{
+		{Arch: "nope", Workload: "apache"},
+		{Arch: "esp-nuca", Workload: "quake3"},
+		{Arch: "cc", Workload: "apache", CCProbability: 1.5},
+		{Arch: "cc", Workload: "apache", CCProbability: 5},
+		{Arch: "esp-nuca", Workload: "apache", SampleWindows: -1},
+		{Arch: "esp-nuca", Workload: "apache", SampleWindows: 10000},
+		{Arch: "esp-nuca", Workload: "apache", SampleWindows: 8, Instructions: 8},
+	}
+	for _, sp := range bad {
+		rc, verdict := sp.Config()
+		if verdict == nil {
+			t.Errorf("%+v passed Validate", sp)
+			continue
+		}
+		msg := verdict.Error()
+		check := func(entry string, err error, want string) {
+			t.Helper()
+			if err == nil || err.Error() != want {
+				t.Errorf("%+v: %s error = %v, want %q", sp, entry, err, want)
+			}
+		}
+
+		_, err := Run(Options{Architecture: sp.Arch, Workload: sp.Workload, Instructions: sp.Instructions,
+			CCProbability: sp.CCProbability, SampleWindows: sp.SampleWindows})
+		check("espnuca.Run", err, msg)
+		_, err = experiment.Run(rc)
+		check("experiment.Run", err, msg)
+		m := experiment.Matrix{Workloads: []string{rc.Workload}, Variants: []experiment.Variant{experiment.V(rc.Arch, rc.Arch)},
+			Seeds: []uint64{rc.Seed}, Warmup: rc.Warmup, Instructions: rc.Instructions, System: rc.System, SampleWindows: rc.SampleWindows}
+		_, err = m.Run(nil)
+		check("Matrix.Run", err, rc.Arch+"/"+rc.Workload+": "+msg)
+		_, err = sched.Submit(service.JobSpec{Run: &sp})
+		check("Scheduler.Submit", err, msg)
+
+		body, _ := json.Marshal(service.JobSpec{Run: &sp})
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || reply.Error != msg {
+			t.Errorf("%+v: POST /v1/jobs = %d %q (%v), want 400 %q", sp, resp.StatusCode, reply.Error, err, msg)
+		}
 	}
 }
 

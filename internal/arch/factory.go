@@ -5,59 +5,57 @@ import (
 	"sort"
 )
 
-// Build constructs an architecture by name. Recognized names:
-//
-//	shared          Static-NUCA baseline
-//	private         Tiled private baseline
-//	sp-nuca         SP-NUCA with flat LRU (paper's choice)
-//	sp-nuca-shadow  SP-NUCA with shadow-tag partitioning (Fig. 4)
-//	sp-nuca-static  SP-NUCA with a static 12+4 partition (Fig. 4)
-//	esp-nuca-flat   ESP-NUCA with flat LRU (Fig. 5 baseline)
-//	esp-nuca        ESP-NUCA with protected LRU (the proposal)
-//	esp-nuca-qos    ESP-NUCA with per-priority d (S5.2 future work)
-//	d-nuca          idealized-perfect-search D-NUCA
-//	asr             Adaptive Selective Replication
-//	cc              Cooperative Caching (cfg.CCProbability)
-//	victim-replication  Zhang & Asanovic's VR (bonus counterpart)
-//	r-nuca          Hardavellas et al.'s Reactive-NUCA (bonus counterpart)
-func Build(name string, cfg Config) (System, error) {
-	switch name {
-	case "shared":
-		return NewSharedNUCA(cfg)
-	case "private":
-		return NewTiled(cfg)
-	case "sp-nuca":
-		return NewSPNUCA(cfg, FlatLRUPartition)
-	case "sp-nuca-shadow":
-		return NewSPNUCA(cfg, ShadowTagPartition)
-	case "sp-nuca-static":
-		return NewSPNUCA(cfg, StaticPartitionKind)
-	case "esp-nuca-flat":
-		return NewESPNUCA(cfg, false)
-	case "esp-nuca":
-		return NewESPNUCA(cfg, true)
-	case "d-nuca":
-		return NewDNUCA(cfg)
-	case "asr":
-		return NewASR(cfg)
-	case "cc":
-		return NewCC(cfg)
-	case "esp-nuca-qos":
-		return NewESPNUCAQoS(cfg, cfg.QoS)
-	case "victim-replication":
-		return NewVictimReplication(cfg)
-	case "r-nuca":
-		return NewRNUCA(cfg)
+// builders maps every buildable architecture name to its constructor.
+// Build, Names and ValidateName all read this one table.
+var builders = map[string]func(Config) (System, error){
+	// Static-NUCA baseline.
+	"shared": func(c Config) (System, error) { return NewSharedNUCA(c) },
+	// Tiled private baseline.
+	"private": func(c Config) (System, error) { return NewTiled(c) },
+	// SP-NUCA with flat LRU (the paper's choice), with shadow-tag
+	// partitioning and with a static 12+4 partition (Fig. 4).
+	"sp-nuca":        func(c Config) (System, error) { return NewSPNUCA(c, FlatLRUPartition) },
+	"sp-nuca-shadow": func(c Config) (System, error) { return NewSPNUCA(c, ShadowTagPartition) },
+	"sp-nuca-static": func(c Config) (System, error) { return NewSPNUCA(c, StaticPartitionKind) },
+	// ESP-NUCA with flat LRU (Fig. 5 baseline), with protected LRU (the
+	// proposal) and with per-priority d (S5.2 future work).
+	"esp-nuca-flat": func(c Config) (System, error) { return NewESPNUCA(c, false) },
+	"esp-nuca":      func(c Config) (System, error) { return NewESPNUCA(c, true) },
+	"esp-nuca-qos":  func(c Config) (System, error) { return NewESPNUCAQoS(c, c.QoS) },
+	// Idealized-perfect-search D-NUCA.
+	"d-nuca": func(c Config) (System, error) { return NewDNUCA(c) },
+	// Adaptive Selective Replication.
+	"asr": func(c Config) (System, error) { return NewASR(c) },
+	// Cooperative Caching at cfg.CCProbability.
+	"cc": func(c Config) (System, error) { return NewCC(c) },
+	// Zhang & Asanovic's Victim Replication (bonus counterpart).
+	"victim-replication": func(c Config) (System, error) { return NewVictimReplication(c) },
+	// Hardavellas et al.'s Reactive-NUCA (bonus counterpart).
+	"r-nuca": func(c Config) (System, error) { return NewRNUCA(c) },
+}
+
+// ValidateName reports an error naming the known architectures when
+// name is not one of them.
+func ValidateName(name string) error {
+	if _, ok := builders[name]; !ok {
+		return fmt.Errorf("arch: unknown architecture %q (known: %v)", name, Names())
 	}
-	return nil, fmt.Errorf("arch: unknown architecture %q (known: %v)", name, Names())
+	return nil
+}
+
+// Build constructs an architecture by name (see Names).
+func Build(name string, cfg Config) (System, error) {
+	if err := ValidateName(name); err != nil {
+		return nil, err
+	}
+	return builders[name](cfg)
 }
 
 // Names returns every buildable architecture name, sorted.
 func Names() []string {
-	names := []string{
-		"shared", "private", "sp-nuca", "sp-nuca-shadow", "sp-nuca-static",
-		"esp-nuca-flat", "esp-nuca", "esp-nuca-qos", "d-nuca", "asr", "cc",
-		"victim-replication", "r-nuca",
+	names := make([]string, 0, len(builders))
+	for name := range builders {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +14,6 @@ import (
 	"espnuca/internal/experiment"
 	"espnuca/internal/obs"
 	"espnuca/internal/resultcache"
-	"espnuca/internal/service"
 )
 
 // plainMux adapts http.ServeMux to the cluster Mux interface.
@@ -267,43 +265,25 @@ func TestDispatchRetryWithExclusion(t *testing.T) {
 	}
 }
 
-// TestDispatchPreservesRunnerError: a genuine simulation failure on a
-// healthy worker travels through dispatch and the scheduler verbatim —
-// not retried, not relabeled as a cancellation.
+// TestDispatchPreservesRunnerError: a genuine run error on a healthy
+// worker travels back through dispatch verbatim — not retried, not
+// relabeled as a cancellation. The scheduler refuses an invalid config
+// at submission, so the cell is handed to the dispatcher directly.
 func TestDispatchPreservesRunnerError(t *testing.T) {
 	tc := newTestCoordinator(t, time.Hour)
 	newTestWorker(t, tc, "w1")
 
-	sched, err := service.New(service.Config{
-		Workers: 1,
-		Runner:  &service.SimRunner{Cache: tc.store, RunCell: tc.disp.RunCell},
-	})
-	if err != nil {
-		t.Fatal(err)
+	rc := experiment.DefaultRunConfig("nosuch", "apache")
+	want := rc.Validate()
+	if want == nil {
+		t.Fatal("unknown architecture passed Validate")
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		sched.Drain(ctx)
-	}()
-
-	// "nosuch" passes spec validation (only empty arch is rejected
-	// there) and fails inside the run — on the worker.
-	id, err := sched.Submit(service.JobSpec{Kind: service.KindRun,
-		Run: &service.RunSpec{Arch: "nosuch", Workload: "apache"}})
-	if err != nil {
-		t.Fatal(err)
+	_, err := tc.disp.RunCell(context.Background(), rc)
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("dispatch error = %v, want the runner's %q", err, want)
 	}
-	var v service.JobView
-	waitFor(t, 5*time.Second, func() bool {
-		v, err = sched.Get(id)
-		return err == nil && v.State == service.StateFailed
-	})
-	if !strings.Contains(v.Error, "unknown architecture") {
-		t.Errorf("job error %q lost the runner's message", v.Error)
-	}
-	if strings.Contains(v.Error, "context canceled") {
-		t.Errorf("runner error relabeled as cancellation: %q", v.Error)
+	if n := tc.disp.cLocal.Value(); n != 0 {
+		t.Errorf("cell ran on the coordinator (%d local runs), not on the worker", n)
 	}
 	// A genuine error must not cost the healthy worker its membership.
 	if _, ok := tc.coord.m.Addr("w1"); !ok {

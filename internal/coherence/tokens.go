@@ -19,7 +19,7 @@ import (
 )
 
 // TokensPerLine is the number of plain tokens per line: one per core.
-const TokensPerLine = 8
+const TokensPerLine = mem.MaxCores
 
 // LineState tracks token placement and sharing for one line that has been
 // touched on chip. Lines never touched are implicitly "all tokens at

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"espnuca/internal/mem"
+)
 
 // QoS is the Quality-of-Service policy the paper sketches as future work
 // (§5.2): because the accepted first-class degradation d is what decides
@@ -12,7 +16,7 @@ import "fmt"
 // use a large d and donate capacity liberally.
 type QoS struct {
 	// ClassOf maps a core to its priority class.
-	ClassOf [8]PriorityClass
+	ClassOf [mem.MaxCores]PriorityClass
 	// DFor maps a priority class to its degradation shift d.
 	DFor map[PriorityClass]uint
 }

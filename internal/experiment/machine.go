@@ -12,6 +12,7 @@ import (
 
 	"espnuca/internal/arch"
 	"espnuca/internal/cpu"
+	"espnuca/internal/mem"
 	"espnuca/internal/obs"
 	"espnuca/internal/sim"
 	"espnuca/internal/workload"
@@ -93,6 +94,81 @@ func DefaultRunConfig(archName, workloadName string) RunConfig {
 	}
 }
 
+// Validate is the one authority on whether rc describes a simulation
+// this harness can run. Run, RunOn, Matrix.Run, RunSpec.Config and so
+// every service and facade entry point call it before any work starts,
+// so a config one entry point accepts is accepted by all of them.
+func (rc RunConfig) Validate() error {
+	if err := arch.ValidateName(rc.Arch); err != nil {
+		return err
+	}
+	if _, ok := workload.ByName(rc.Workload); !ok {
+		return fmt.Errorf("experiment: unknown workload %q", rc.Workload)
+	}
+	if k := rc.SampleWindows; k < 0 {
+		return fmt.Errorf("experiment: SampleWindows %d is negative", k)
+	} else if k > 0 {
+		if rc.Metrics != nil {
+			return fmt.Errorf("experiment: telemetry is not supported in sampled mode (windows share no timeline)")
+		}
+		// Compared by division: k*sampleMeasureShare can overflow.
+		if rc.Instructions/sampleMeasureShare < uint64(k) {
+			return fmt.Errorf("experiment: %d instructions are too few for %d windows (at least %d per window)",
+				rc.Instructions, k, sampleMeasureShare)
+		}
+	}
+	return rc.System.Validate()
+}
+
+// RunSpec is the user-facing description of one run: the service's
+// JSON job payload and the espnuca facade's Options both lower through
+// it. Zero values take the harness defaults (DefaultRunConfig): 80k
+// warmup, 40k instructions, seed 1, the capacity-scaled Table 2 system.
+type RunSpec struct {
+	Arch     string `json:"arch"`
+	Workload string `json:"workload"`
+	Seed     uint64 `json:"seed,omitempty"`
+	// Warmup and Instructions override the per-core instruction budgets
+	// when non-zero.
+	Warmup       uint64 `json:"warmup,omitempty"`
+	Instructions uint64 `json:"instructions,omitempty"`
+	// FullSize simulates the paper's full Table 2 machine instead of the
+	// capacity-scaled default.
+	FullSize bool `json:"full_size,omitempty"`
+	// CCProbability overrides the Cooperative Caching cooperation
+	// probability when non-zero; it must lie in (0, 1].
+	CCProbability float64 `json:"cc_probability,omitempty"`
+	// SampleWindows, when positive, runs in sampled mode with that many
+	// measurement windows (see RunConfig.SampleWindows). The result
+	// carries its confidence bounds in Sampled and is cached under a
+	// distinct key from the full run.
+	SampleWindows int `json:"sample_windows,omitempty"`
+}
+
+// Config lowers the spec to a RunConfig and returns it together with
+// its Validate verdict, so a bad spec is refused before it reaches a
+// worker. The config is returned even when invalid.
+func (sp RunSpec) Config() (RunConfig, error) {
+	rc := DefaultRunConfig(sp.Arch, sp.Workload)
+	if sp.Seed != 0 {
+		rc.Seed = sp.Seed
+	}
+	if sp.Warmup != 0 {
+		rc.Warmup = sp.Warmup
+	}
+	if sp.Instructions != 0 {
+		rc.Instructions = sp.Instructions
+	}
+	if sp.FullSize {
+		rc.System = arch.DefaultConfig()
+	}
+	if sp.CCProbability != 0 {
+		rc.System.CCProbability = sp.CCProbability
+	}
+	rc.SampleWindows = sp.SampleWindows
+	return rc, rc.Validate()
+}
+
 // RunResult is the outcome of one simulation run.
 type RunResult struct {
 	Arch     string
@@ -110,7 +186,7 @@ type RunResult struct {
 	MeanIPC float64
 	// PerCoreIPC is each core's measured-window IPC (zero for idle
 	// cores); per-class QoS studies read it directly.
-	PerCoreIPC [8]float64
+	PerCoreIPC [mem.MaxCores]float64
 
 	// AvgAccessTime and Decomposition reproduce Figure 6's metric.
 	AvgAccessTime float64
@@ -132,11 +208,14 @@ type RunResult struct {
 	Sampled *SampleEstimate `json:"Sampled,omitempty"`
 }
 
-// Run executes one simulation: full when rc.SampleWindows is zero,
-// sampled otherwise (RunSampled rejects a negative window count).
+// Run validates rc and executes one simulation: full when
+// rc.SampleWindows is zero, sampled otherwise.
 func Run(rc RunConfig) (RunResult, error) {
-	if rc.SampleWindows != 0 {
-		return RunSampled(rc)
+	if err := rc.Validate(); err != nil {
+		return RunResult{}, err
+	}
+	if rc.SampleWindows > 0 {
+		return runSampled(rc)
 	}
 	rc.System.Seed = rc.Seed
 	sys, err := arch.Build(rc.Arch, rc.System)
@@ -146,19 +225,23 @@ func Run(rc RunConfig) (RunResult, error) {
 	return RunOn(rc, sys)
 }
 
-// RunOn executes a simulation against a caller-built system; ablation
-// studies use it to flip architecture-internal knobs before running.
+// RunOn executes a full simulation against a caller-built system;
+// ablation studies use it to flip architecture-internal knobs before
+// running. Sampled mode builds a system per window, so it is refused.
 func RunOn(rc RunConfig, sys arch.System) (RunResult, error) {
+	if err := rc.Validate(); err != nil {
+		return RunResult{}, err
+	}
+	if rc.SampleWindows != 0 {
+		return RunResult{}, fmt.Errorf("experiment: RunOn needs a full run (sampled mode builds a system per window); unset SampleWindows")
+	}
 	// Align the system with the run seed exactly as Run does when it
 	// builds the system itself: without this, a caller-built system runs
 	// its stochastic mechanisms (ASR, CC) on whatever seed the config
 	// happened to carry at build time.
 	rc.System.Seed = rc.Seed
 	sys.Sub().Reseed(rc.Seed)
-	spec, ok := workload.ByName(rc.Workload)
-	if !ok {
-		return RunResult{}, fmt.Errorf("experiment: unknown workload %q", rc.Workload)
-	}
+	spec, _ := workload.ByName(rc.Workload) // present: rc is validated
 	wlLines := rc.WorkloadL2Lines
 	if wlLines == 0 {
 		wlLines = rc.System.L2Lines()
@@ -174,7 +257,7 @@ func RunOn(rc RunConfig, sys arch.System) (RunResult, error) {
 // retirement target of unmeasured cores; consumed, when non-nil,
 // receives every core's retired count (the sampled runner uses it to
 // resynchronize stream positions between windows).
-func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget uint64, consumed *[8]uint64) (RunResult, error) {
+func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget uint64, consumed *[mem.MaxCores]uint64) (RunResult, error) {
 	eng := enginePool.Get().(*sim.Engine)
 	defer func() {
 		eng.Reset()
@@ -240,7 +323,7 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget u
 
 // assembleResult reduces the post-run core and substrate state into a
 // RunResult.
-func assembleResult(rc RunConfig, sub *arch.Substrate, cores []*cpu.Core, measured uint8, base statSnapshot, consumed *[8]uint64) (RunResult, error) {
+func assembleResult(rc RunConfig, sub *arch.Substrate, cores []*cpu.Core, measured uint8, base statSnapshot, consumed *[mem.MaxCores]uint64) (RunResult, error) {
 	res := RunResult{Arch: rc.Arch, Workload: rc.Workload, Seed: rc.Seed}
 	var retired uint64
 	var ipcSum float64

@@ -106,6 +106,42 @@ func (m Matrix) cell(i int) (vi, wi, si int) {
 	return i / perVariant, (i % perVariant) / len(m.Seeds), i % len(m.Seeds)
 }
 
+// cellConfig returns the run configuration of flat cell index i, without
+// telemetry (Run attaches a per-cell registry when Obs is set).
+func (m Matrix) cellConfig(i int) RunConfig {
+	vi, wi, si := m.cell(i)
+	v := m.Variants[vi]
+	rc := DefaultRunConfig(v.Arch, m.Workloads[wi])
+	rc.Warmup = m.Warmup
+	rc.Instructions = m.Instructions
+	rc.Seed = m.Seeds[si]
+	rc.System = m.System
+	rc.SampleWindows = m.SampleWindows
+	rc.SampleParallelism = 1
+	if v.CCProb >= 0 {
+		rc.System.CCProbability = v.CCProb
+	}
+	return rc
+}
+
+// Validate checks every distinct (variant, workload) cell with
+// RunConfig.Validate (seeds never change the verdict), and rejects
+// telemetry capture in sampled mode. Run calls it before opening any
+// telemetry file or starting any simulation.
+func (m Matrix) Validate() error {
+	if m.Obs != nil && m.SampleWindows > 0 {
+		return fmt.Errorf("experiment: telemetry capture is not supported in sampled mode")
+	}
+	total := len(m.Variants) * len(m.Workloads) * len(m.Seeds)
+	for i := 0; i < total; i += len(m.Seeds) {
+		if err := m.cellConfig(i).Validate(); err != nil {
+			vi, wi, _ := m.cell(i)
+			return fmt.Errorf("%s/%s: %w", m.Variants[vi].Label, m.Workloads[wi], err)
+		}
+	}
+	return nil
+}
+
 // Run executes the whole matrix, fanning the (variant, workload, seed)
 // cells out over a bounded worker pool (see Matrix.Parallelism). Results
 // are assembled from an index-keyed buffer in the serial order, so the
@@ -114,20 +150,9 @@ func (m Matrix) cell(i int) (vi, wi, si int) {
 // called after every completed run with a monotonically increasing done
 // count (calls are serialized; the callback needs no locking of its own).
 func (m Matrix) Run(progress func(done, total int)) (Results, error) {
-	if m.Obs != nil && m.SampleWindows > 0 {
-		return nil, fmt.Errorf("experiment: telemetry capture is not supported in sampled mode")
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
-	// Validate the workload set up front, as the serial loop did before
-	// starting any simulation.
-	specs := make([]workload.Spec, len(m.Workloads))
-	for i, wl := range m.Workloads {
-		spec, ok := workload.ByName(wl)
-		if !ok {
-			return nil, fmt.Errorf("experiment: unknown workload %q", wl)
-		}
-		specs[i] = spec
-	}
-
 	total := len(m.Variants) * len(m.Workloads) * len(m.Seeds)
 	results := make([]RunResult, total)
 	meter := newProgressMeter(total, progress)
@@ -138,21 +163,7 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 	err := forEach(m.Parallelism, total, func(i int) error {
 		vi, wi, si := m.cell(i)
 		v := m.Variants[vi]
-		rc := RunConfig{
-			Arch:         v.Arch,
-			Workload:     m.Workloads[wi],
-			Warmup:       m.Warmup,
-			Instructions: m.Instructions,
-			Seed:         m.Seeds[si],
-			System:       m.System,
-			Core:         DefaultRunConfig(v.Arch, m.Workloads[wi]).Core,
-
-			SampleWindows:     m.SampleWindows,
-			SampleParallelism: 1,
-		}
-		if v.CCProb >= 0 {
-			rc.System.CCProbability = v.CCProb
-		}
+		rc := m.cellConfig(i)
 		var finish func() error
 		if m.Obs != nil {
 			name := fmt.Sprintf("%s_%s_s%d", v.Label, m.Workloads[wi], m.Seeds[si])
@@ -186,12 +197,13 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 	for vi, v := range m.Variants {
 		out[v.Label] = make(map[string]Cell, len(m.Workloads))
 		for wi, wl := range m.Workloads {
-			cell := Cell{Kind: specs[wi].Kind}
+			spec, _ := workload.ByName(wl) // present: the matrix is validated
+			cell := Cell{Kind: spec.Kind}
 			base := (vi*len(m.Workloads) + wi) * len(m.Seeds)
 			for si := range m.Seeds {
 				res := results[base+si]
 				cell.Runs = append(cell.Runs, res)
-				cell.PerfVec = append(cell.PerfVec, res.Performance(specs[wi].Kind))
+				cell.PerfVec = append(cell.PerfVec, res.Performance(spec.Kind))
 			}
 			cell.Perf = stats.Summarize(cell.PerfVec)
 			out[v.Label][wl] = cell

@@ -32,6 +32,7 @@ import (
 
 	"espnuca/internal/arch"
 	"espnuca/internal/cpu"
+	"espnuca/internal/mem"
 	"espnuca/internal/sim"
 	"espnuca/internal/stats"
 	"espnuca/internal/workload"
@@ -135,27 +136,14 @@ type SampleEstimate struct {
 	OffChipAccesses stats.Estimate
 }
 
-// RunSampled executes rc in sampled mode; Run dispatches here when
-// rc.SampleWindows is positive. The returned result's headline metrics
-// are window means (Cycles, Retired and OffChipAccesses are
+// runSampled executes a validated rc in sampled mode; Run dispatches
+// here when rc.SampleWindows is positive. The returned result's headline
+// metrics are window means (Cycles, Retired and OffChipAccesses are
 // extrapolated totals) and RunResult.Sampled holds the estimates with
 // their confidence bounds.
-func RunSampled(rc RunConfig) (RunResult, error) {
+func runSampled(rc RunConfig) (RunResult, error) {
 	k := rc.SampleWindows
-	if k < 1 {
-		return RunResult{}, fmt.Errorf("experiment: sampled run needs SampleWindows >= 1, got %d", k)
-	}
-	if rc.Metrics != nil {
-		return RunResult{}, fmt.Errorf("experiment: telemetry is not supported in sampled mode (windows share no timeline)")
-	}
-	if rc.Instructions < uint64(k)*sampleMeasureShare {
-		return RunResult{}, fmt.Errorf("experiment: %d windows need at least %d instructions, got %d",
-			k, uint64(k)*sampleMeasureShare, rc.Instructions)
-	}
-	spec, ok := workload.ByName(rc.Workload)
-	if !ok {
-		return RunResult{}, fmt.Errorf("experiment: unknown workload %q", rc.Workload)
-	}
+	spec, _ := workload.ByName(rc.Workload) // present: rc is validated
 	rc.System.Seed = rc.Seed
 	wlLines := rc.WorkloadL2Lines
 	if wlLines == 0 {
@@ -183,7 +171,7 @@ func RunSampled(rc RunConfig) (RunResult, error) {
 			return nil
 		}
 		bound := spec.Bind(wlLines, rc.System.L1ILines(), rc.Seed)
-		var pos [8]uint64
+		var pos [mem.MaxCores]uint64
 		for i := lo; i < hi; i++ {
 			res, err := runWindow(rc, bound, plans[i], &pos)
 			if err != nil {
@@ -202,7 +190,7 @@ func RunSampled(rc RunConfig) (RunResult, error) {
 // runWindow simulates one measurement window on a fresh system. pos
 // tracks how many instructions each stream has generated so far; on
 // return every stream sits at its canonical (plan-derived) position.
-func runWindow(rc RunConfig, bound *workload.Bound, pl samplePlan, pos *[8]uint64) (RunResult, error) {
+func runWindow(rc RunConfig, bound *workload.Bound, pl samplePlan, pos *[mem.MaxCores]uint64) (RunResult, error) {
 	sys, err := arch.Build(rc.Arch, rc.System)
 	if err != nil {
 		return RunResult{}, err
@@ -237,7 +225,7 @@ func runWindow(rc RunConfig, bound *workload.Bound, pl samplePlan, pos *[8]uint6
 	wrc.Instructions = pl.measure
 	measuredTarget := pl.dwarm + pl.measure
 	idleTarget := uint64(sampleIdleWindowFactor) * measuredTarget
-	var consumed [8]uint64
+	var consumed [mem.MaxCores]uint64
 	res, err := runBound(wrc, sys, bound, idleTarget, &consumed)
 	if err != nil {
 		return RunResult{}, err
@@ -273,7 +261,7 @@ func reduceSampled(rc RunConfig, plans []samplePlan, wins []RunResult) RunResult
 	l1m := make([]float64, k)
 	off := make([]float64, k)
 	var cycles, retired, offTotal float64
-	var perCore [8]float64
+	var perCore [mem.MaxCores]float64
 	var decomp [arch.NumLevels]float64
 	for i, w := range wins {
 		scale := float64(plans[i].stratum) / float64(plans[i].measure)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"espnuca/internal/arch"
 	"espnuca/internal/obs"
 )
 
@@ -170,11 +171,6 @@ func TestSampledRejectsBadConfigs(t *testing.T) {
 		t.Error("unknown workload accepted")
 	}
 
-	rc = sampledQuickRC("esp-nuca", "apache", 0)
-	if _, err := RunSampled(rc); err == nil {
-		t.Error("SampleWindows=0 accepted by RunSampled")
-	}
-
 	// A negative window count is an error, not a full run under a key
 	// that differs from the full run's.
 	rc = sampledQuickRC("esp-nuca", "apache", -1)
@@ -186,6 +182,17 @@ func TestSampledRejectsBadConfigs(t *testing.T) {
 	m.SampleWindows = -3
 	if _, err := m.Run(nil); err == nil {
 		t.Error("matrix with SampleWindows=-3 ran")
+	}
+
+	// A caller-built system is one timeline; sampled mode needs a system
+	// per window.
+	rc = sampledQuickRC("esp-nuca", "apache", 2)
+	sys, err := arch.Build(rc.Arch, rc.System)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunOn(rc, sys); err == nil {
+		t.Error("RunOn accepted a sampled config")
 	}
 }
 

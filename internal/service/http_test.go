@@ -328,8 +328,11 @@ func TestHTTPErrorsAndIntrospection(t *testing.T) {
 		t.Error("metricsz missing cache stats")
 	}
 
-	// Result of an unfinished/failed job conflicts.
-	rid, err := tsSubmitRaw(ts, JobSpec{Run: &RunSpec{Arch: "nosuch-arch", Workload: "apache", Warmup: 1, Instructions: 1}})
+	// Result of an unfinished/failed job conflicts. Every cell of this
+	// serial matrix takes far longer than its 1 ms deadline, so the job
+	// fails with ErrDeadline at the latest before its second cell.
+	rid, err := tsSubmitRaw(ts, JobSpec{Matrix: &MatrixSpec{Workloads: []string{"apache"},
+		Variants: []VariantSpec{{Arch: "shared"}}, Seeds: []uint64{101, 102}, Parallelism: 1}, DeadlineMS: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"espnuca/internal/experiment"
-	"espnuca/internal/workload"
 )
 
 // Kind discriminates job payloads.
@@ -24,65 +23,9 @@ const (
 	KindMatrix Kind = "matrix" // a full workloads x variants x seeds matrix
 )
 
-// RunSpec describes a single-simulation job. Zero values take the
-// harness defaults (DefaultRunConfig): 80k warmup, 40k instructions,
-// seed 1, the capacity-scaled Table 2 system.
-type RunSpec struct {
-	Arch     string `json:"arch"`
-	Workload string `json:"workload"`
-	Seed     uint64 `json:"seed,omitempty"`
-	// Warmup and Instructions override the per-core instruction budgets
-	// when non-zero.
-	Warmup       uint64 `json:"warmup,omitempty"`
-	Instructions uint64 `json:"instructions,omitempty"`
-	// FullSize simulates the paper's full Table 2 machine instead of the
-	// capacity-scaled default.
-	FullSize bool `json:"full_size,omitempty"`
-	// CCProbability overrides the Cooperative Caching cooperation
-	// probability. When set it must be in (0, 1]; anything else is
-	// rejected at submission.
-	CCProbability float64 `json:"cc_probability,omitempty"`
-	// SampleWindows, when positive, runs the job in sampled mode with
-	// that many measurement windows (see experiment.RunConfig). The
-	// result carries its confidence bounds in Sampled and is cached under
-	// a distinct key from the full run.
-	SampleWindows int `json:"sample_windows,omitempty"`
-}
-
-// Config lowers the spec to a RunConfig, validating names eagerly so a
-// bad submission is rejected at the API instead of failing in a worker.
-func (sp RunSpec) Config() (experiment.RunConfig, error) {
-	if sp.Arch == "" {
-		return experiment.RunConfig{}, fmt.Errorf("service: run spec missing arch")
-	}
-	if _, ok := workload.ByName(sp.Workload); !ok {
-		return experiment.RunConfig{}, fmt.Errorf("service: unknown workload %q", sp.Workload)
-	}
-	rc := experiment.DefaultRunConfig(sp.Arch, sp.Workload)
-	if sp.Seed != 0 {
-		rc.Seed = sp.Seed
-	}
-	if sp.Warmup != 0 {
-		rc.Warmup = sp.Warmup
-	}
-	if sp.Instructions != 0 {
-		rc.Instructions = sp.Instructions
-	}
-	if sp.FullSize {
-		rc.System = fullSizeConfig()
-	}
-	if sp.CCProbability != 0 {
-		if sp.CCProbability <= 0 || sp.CCProbability > 1 {
-			return experiment.RunConfig{}, fmt.Errorf("service: cc_probability %v outside (0, 1]", sp.CCProbability)
-		}
-		rc.System.CCProbability = sp.CCProbability
-	}
-	if sp.SampleWindows < 0 {
-		return experiment.RunConfig{}, fmt.Errorf("service: sample_windows %d is negative", sp.SampleWindows)
-	}
-	rc.SampleWindows = sp.SampleWindows
-	return rc, nil
-}
+// RunSpec describes a single-simulation job. Its lowering and its
+// validation live in experiment, which the espnuca facade shares.
+type RunSpec = experiment.RunSpec
 
 // VariantSpec names one architecture column of a matrix job. CCProb,
 // when non-nil, overrides the cooperation probability (nil keeps the
@@ -113,15 +56,12 @@ type MatrixSpec struct {
 	SampleWindows int `json:"sample_windows,omitempty"`
 }
 
-// Matrix lowers the spec, validating workloads and variant names.
+// Matrix lowers the spec and ends in Matrix.Validate, so a bad spec is
+// refused at submission. Only the wire shape (non-empty lists, the
+// variant-set names) is checked here.
 func (sp MatrixSpec) Matrix() (experiment.Matrix, error) {
 	if len(sp.Workloads) == 0 {
 		return experiment.Matrix{}, fmt.Errorf("service: matrix spec has no workloads")
-	}
-	for _, wl := range sp.Workloads {
-		if _, ok := workload.ByName(wl); !ok {
-			return experiment.Matrix{}, fmt.Errorf("service: unknown workload %q", wl)
-		}
 	}
 	var variants []experiment.Variant
 	switch sp.VariantSet {
@@ -159,11 +99,8 @@ func (sp MatrixSpec) Matrix() (experiment.Matrix, error) {
 		m.Instructions = sp.Instructions
 	}
 	m.Parallelism = sp.Parallelism
-	if sp.SampleWindows < 0 {
-		return experiment.Matrix{}, fmt.Errorf("service: sample_windows %d is negative", sp.SampleWindows)
-	}
 	m.SampleWindows = sp.SampleWindows
-	return m, nil
+	return m, m.Validate()
 }
 
 // JobSpec is one submission. Exactly one payload must match Kind (an

@@ -2,14 +2,11 @@ package service
 
 import (
 	"context"
+	"fmt"
 
-	"espnuca/internal/arch"
 	"espnuca/internal/experiment"
 	"espnuca/internal/resultcache"
 )
-
-// fullSizeConfig is the paper's unscaled Table 2 machine.
-func fullSizeConfig() arch.Config { return arch.DefaultConfig() }
 
 // SimRunner executes jobs against the simulator through the result
 // cache: every cell is memoized under its canonical key, concurrent
@@ -74,9 +71,5 @@ func (r *SimRunner) Run(ctx context.Context, spec JobSpec, progress func(done, t
 		}
 		return res, nil
 	}
-	return nil, errUnknownKind(spec.Kind)
+	return nil, fmt.Errorf("service: unknown job kind %q", spec.Kind)
 }
-
-type errUnknownKind Kind
-
-func (e errUnknownKind) Error() string { return "service: unknown job kind " + string(e) }

@@ -88,19 +88,25 @@ func TestSubmitValidatesEagerly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Drain(context.Background())
+	ccFive := 5.0
 	bad := []JobSpec{
 		{},                                  // no payload
 		{Run: &RunSpec{Arch: "esp-nuca"}},   // missing workload
 		{Run: &RunSpec{Workload: "apache"}}, // missing arch
-		{Run: &RunSpec{Arch: "x", Workload: "nosuch"}},                                                            // bad workload
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: 1.5}},                                 // cc_probability > 1
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: -0.2}},                                // cc_probability <= 0
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: -3}},                                  // negative sample_windows
-		{Kind: KindMatrix, Matrix: &MatrixSpec{}},                                                                 // empty matrix
-		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}}},                                    // no variants
-		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}, VariantSet: "nope"}},                // bad set
-		{Kind: "weird", Run: &RunSpec{Arch: "esp-nuca", Workload: "apache"}},                                      // bad kind
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache"}, Matrix: &MatrixSpec{Workloads: []string{"apache"}}}, // both payloads, kind ambiguous
+		{Run: &RunSpec{Arch: "x", Workload: "nosuch"}},                                                               // bad workload
+		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: 1.5}},                                    // cc_probability > 1
+		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: -0.2}},                                   // cc_probability <= 0
+		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: -3}},                                     // negative sample_windows
+		{Kind: KindMatrix, Matrix: &MatrixSpec{}},                                                                    // empty matrix
+		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}}},                                       // no variants
+		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}, VariantSet: "nope"}},                   // bad set
+		{Kind: "weird", Run: &RunSpec{Arch: "esp-nuca", Workload: "apache"}},                                         // bad kind
+		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache"}, Matrix: &MatrixSpec{Workloads: []string{"apache"}}},    // both payloads, kind ambiguous
+		{Run: &RunSpec{Arch: "nope", Workload: "apache"}},                                                            // unknown arch
+		{Matrix: &MatrixSpec{Workloads: []string{"apache"}, Variants: []VariantSpec{{Arch: "nope"}}}},                // unknown variant arch
+		{Matrix: &MatrixSpec{Workloads: []string{"apache"}, Variants: []VariantSpec{{Arch: "cc", CCProb: &ccFive}}}}, // cc_prob > 1
+		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: 10000}},                                  // needs 80k instructions
+		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: 8, Instructions: 8}},                     // needs 64 instructions
 	}
 	for i, spec := range bad {
 		if _, err := s.Submit(spec); err == nil {

@@ -346,7 +346,7 @@ func (s *Stream) pushCode(l mem.Line) {
 // one stream per core plus the measured-core mask.
 type Bound struct {
 	Spec    Spec
-	Streams [8]*Stream
+	Streams [mem.MaxCores]*Stream
 	// Active marks cores whose instructions count toward performance.
 	Active uint8
 }
@@ -367,7 +367,7 @@ func (s Spec) Bind(l2Lines, l1iLines int, seed uint64) *Bound {
 		return n
 	}
 
-	assigned := [8]bool{}
+	assigned := [mem.MaxCores]bool{}
 	appIdx := 0
 	for _, a := range s.Assignments {
 		appIdx++
