@@ -224,3 +224,60 @@ func TestLatencySymmetry(t *testing.T) {
 		}
 	}
 }
+
+// broadcastBench drives a mesh with the broadcast-probe pattern of the
+// private-L2 designs: a missing core probes the 7 other tiles at one
+// cycle, each tile answers with a control reply, and the data returns
+// from a memory router a DRAM latency later. The data replies book links
+// hundreds of cycles ahead of the probes that follow, so each link sees
+// its claims out of time order.
+type broadcastBench struct {
+	m    *Mesh
+	now  sim.Cycle
+	step [4096]sim.Cycle // cycles between misses
+	dram [4096]sim.Cycle // DRAM latency plus queueing jitter
+	i    int
+}
+
+func newBroadcastBench(b *testing.B) *broadcastBench {
+	m, err := New(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := sim.NewRNG(11)
+	bb := &broadcastBench{m: m, now: 1000}
+	for i := range bb.step {
+		bb.step[i] = sim.Cycle(rng.Intn(65))
+		bb.dram[i] = 300 + sim.Cycle(rng.Intn(200))
+	}
+	for i := 0; i < 20_000; i++ {
+		bb.miss()
+	}
+	return bb
+}
+
+// miss sends one broadcast miss: 7 probes, 7 replies and a data reply.
+func (bb *broadcastBench) miss() {
+	k := bb.i & (len(bb.step) - 1)
+	bb.i++
+	bb.now += bb.step[k]
+	c := NodeID(bb.i % bb.m.Nodes())
+	for o := NodeID(0); o < NodeID(bb.m.Nodes()); o++ {
+		if o == c {
+			continue
+		}
+		t := bb.m.Send(bb.now, c, o, Control, 0)
+		bb.m.Send(t+2, o, c, Control, 0)
+	}
+	bb.m.Send(bb.now+bb.dram[k], bb.m.MemRouter(bb.i), c, Data, 64)
+}
+
+// BenchmarkMeshSend reports the cost of one broadcast miss (15 Sends).
+func BenchmarkMeshSend(b *testing.B) {
+	bb := newBroadcastBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bb.miss()
+	}
+}

@@ -81,6 +81,11 @@ func (sp MatrixSpec) Matrix() (experiment.Matrix, error) {
 			ev.Label = v.Arch
 		}
 		if v.CCProb != nil {
+			// experiment.Variant reads a negative CCProb as "no
+			// override", so a negative one here would be ignored.
+			if *v.CCProb < 0 {
+				return experiment.Matrix{}, fmt.Errorf("service: variant %q: cc_prob %g outside [0,1]", ev.Label, *v.CCProb)
+			}
 			ev.CCProb = *v.CCProb
 		}
 		variants = append(variants, ev)

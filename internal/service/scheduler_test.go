@@ -88,7 +88,7 @@ func TestSubmitValidatesEagerly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Drain(context.Background())
-	ccFive := 5.0
+	ccFive, ccNeg := 5.0, -0.5
 	bad := []JobSpec{
 		{},                                  // no payload
 		{Run: &RunSpec{Arch: "esp-nuca"}},   // missing workload
@@ -105,6 +105,7 @@ func TestSubmitValidatesEagerly(t *testing.T) {
 		{Run: &RunSpec{Arch: "nope", Workload: "apache"}},                                                            // unknown arch
 		{Matrix: &MatrixSpec{Workloads: []string{"apache"}, Variants: []VariantSpec{{Arch: "nope"}}}},                // unknown variant arch
 		{Matrix: &MatrixSpec{Workloads: []string{"apache"}, Variants: []VariantSpec{{Arch: "cc", CCProb: &ccFive}}}}, // cc_prob > 1
+		{Matrix: &MatrixSpec{Workloads: []string{"apache"}, Variants: []VariantSpec{{Arch: "cc", CCProb: &ccNeg}}}},  // cc_prob < 0
 		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: 10000}},                                  // needs 80k instructions
 		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: 8, Instructions: 8}},                     // needs 64 instructions
 	}

@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // Resource models a pipelined hardware unit (a bank port, a mesh link, a
 // DRAM channel) with a bounded number of in-flight operations: one new
 // operation may begin per "initiation interval" cycles.
@@ -8,25 +10,30 @@ package sim
 // a resource do not necessarily arrive in global time order: a core can
 // book the data-return link at t+300 before another core books the same
 // link at t+50. A classic next-free-time scalar would charge the second
-// claim a 250-cycle phantom wait. Resource therefore keeps a short
-// window of booked busy intervals and places each claim into the earliest
-// real gap at or after its arrival time, which is order-independent up to
-// the pruning horizon.
+// claim a 250-cycle phantom wait. Resource therefore keeps a window of
+// booked busy cycles and places each claim into the earliest real gap at
+// or after its arrival time, which is order-independent up to the
+// pruning horizon.
 //
-// The window is the set of bookings that end at or after the horizon,
-// pruneWindow cycles behind the latest arrival seen. Bookings are pruned
-// lazily: a dead booking (one ending before the horizon) stays in the
-// backing array until the array is full, and the array is then compacted
-// in place. Dead bookings always form a prefix of the array: live ones are
-// sorted by end, the horizon only advances, and a claim that ends before
-// the horizon lands exactly at the dead/live boundary. A search keyed on
-// max(at, horizon-1) therefore skips the dead prefix, and placement,
-// Waits, Busy and Claims are identical to pruning on every claim,
-// including for claims that arrive behind the horizon.
+// A booking is live while it ends at or after the horizon, pruneWindow
+// cycles behind the latest arrival seen; a claim must miss every live
+// booking and may overlap dead ones. Bookings are kept as bits in a ring
+// of 64-cycle chunks: a busy bit per booked cycle and a start bit at the
+// first cycle of each booking. Only live bookings are written, and a
+// booking's bits are never cleared until the ring's base passes them, so
+// above the horizon the busy bits are exactly the live bookings. Below
+// it only the one booking holding horizon-1 can still be live, and its
+// start bit (every start bit under a live booking but its own was cleared
+// when it was placed) bounds how far down a claim behind the horizon has
+// to look. The ring's base stays at or below every live booking's start.
 type Resource struct {
-	interval  Cycle
-	intervals []ival // dead prefix, then live bookings sorted by start, non-overlapping
-	maxSeen   Cycle
+	interval Cycle
+	ring     []chunk // chunk c/64 of [base, base+64*len(ring)) at ring[c/64 % len]
+	base     Cycle   // first cycle the ring holds, a multiple of 64
+	maxSeen  Cycle   // latest arrival
+	maxOcc   Cycle   // longest occupancy claimed
+	maxEnd   Cycle   // latest end of any booking
+	lastEnd  Cycle   // end of the most recent booking
 
 	// Busy accumulates cycles of occupancy, for utilization statistics.
 	Busy Cycle
@@ -36,13 +43,19 @@ type Resource struct {
 	Claims uint64
 }
 
-type ival struct{ start, end Cycle }
+// chunk holds 64 consecutive cycles: bit i of busy is set when cycle
+// 64k+i is booked, and bit i of starts when a booking begins there.
+type chunk struct{ busy, starts uint64 }
 
 // pruneWindow is how far behind the latest seen arrival bookings are
 // kept. Cross-core claim skew is bounded by one transaction (a few
 // thousand cycles), so this window keeps booking exact in practice while
 // bounding memory.
 const pruneWindow = 1 << 14
+
+// initialChunks sizes the ring to twice the prune window, which holds
+// the live window of every shipped resource without growing.
+const initialChunks = 2 * pruneWindow / 64
 
 // NewResource returns a resource that accepts a new operation every
 // interval cycles (interval 0 is treated as 1).
@@ -65,45 +78,72 @@ func (r *Resource) ClaimFor(at, occ Cycle) Cycle {
 	if occ == 0 {
 		occ = 1
 	}
+	if r.ring == nil {
+		r.ring = make([]chunk, initialChunks)
+	}
+	if occ > r.maxOcc {
+		// A longer booking can start further below the horizon.
+		r.maxOcc = occ
+		if b := r.floor(); b < r.base {
+			r.cover(b, r.maxEnd)
+		}
+	}
 	if at > r.maxSeen {
 		r.maxSeen = at
+		if b := r.floor(); b > r.base {
+			r.advance(b)
+		}
 	}
-	// Only bookings ending after key can interfere with this claim: those
-	// ending at or before the arrival are behind it, and those ending at
-	// or before horizon-1 are dead.
-	key := at
-	if h := r.horizon(); h > 0 && h-1 > key {
-		key = h - 1
-	}
-	lo := r.firstEndAfter(key)
+	h := r.horizon()
 
-	n := len(r.intervals)
+	// Fast path: a short claim at or above the horizon whose own cycles
+	// are free, which is most of them.
+	if at >= h && occ <= 64 && at+occ <= r.top() {
+		wrap := Cycle(len(r.ring) - 1)
+		off := at & 63
+		m := uint64(1)<<occ - 1
+		lo, hi := m<<off, m>>(64-off)
+		c0, c1 := &r.ring[at>>6&wrap], &r.ring[(at>>6+1)&wrap]
+		// A start bit implies its busy bit, so free cycles carry none.
+		if c0.busy&lo == 0 && c1.busy&hi == 0 {
+			c0.busy |= lo
+			c0.starts |= 1 << off
+			c1.busy |= hi
+			r.account(at, at, occ)
+			return at
+		}
+	}
+
+	// First fit over the busy bits at or above lim, the lowest cycle a
+	// live booking can hold that the claim can reach.
+	lim := at
+	if at < h {
+		lim = r.liveFloor(h)
+	}
 	start := at
-	insert := n
-	for i := lo; i < n; i++ {
-		iv := r.intervals[i]
-		if start+occ <= iv.start {
-			insert = i
+	for {
+		end := start + occ
+		b := r.nextBusy(max(start, lim), end)
+		if b >= end {
 			break
 		}
-		// iv.end > start holds for every booking past the search point,
-		// and ends are non-decreasing, so the claim slides to each
-		// successive end until a gap fits it.
-		start = iv.end
-		insert = i + 1
+		start = r.nextFree(b)
 	}
-	if n == cap(r.intervals) {
-		insert -= r.compact()
-		n = len(r.intervals)
+	if start+occ >= h {
+		r.book(start, start+occ)
 	}
-	r.intervals = r.intervals[:n+1]
-	copy(r.intervals[insert+1:], r.intervals[insert:n])
-	r.intervals[insert] = ival{start: start, end: start + occ}
+	r.account(at, start, occ)
+	return start
+}
 
+// account records a booking of occ cycles placed at start for a claim
+// arriving at at.
+func (r *Resource) account(at, start, occ Cycle) {
+	r.lastEnd = start + occ
+	r.maxEnd = max(r.maxEnd, r.lastEnd)
 	r.Waits += start - at
 	r.Busy += occ
 	r.Claims++
-	return start
 }
 
 // horizon is the pruning horizon: bookings ending before it are dead.
@@ -114,61 +154,130 @@ func (r *Resource) horizon() Cycle {
 	return r.maxSeen - pruneWindow
 }
 
-// firstEndAfter returns the index of the first booking ending after key,
-// where key is at least horizon-1 (so every dead booking fails the test).
-// Claims overwhelmingly land within a few bookings of the tail of a
-// window holding hundreds or thousands, so it gallops backwards from the
-// tail to bracket the answer and bisects only that bracket: a handful of
-// hot cache lines instead of a search over the whole array.
-func (r *Resource) firstEndAfter(key Cycle) int {
-	ivs := r.intervals
-	hi := len(ivs) // ivs[hi:] all end after key
-	lo := hi - 1   // candidate known to end at or before key, once the loop stops
-	for step := 1; lo >= 0 && ivs[lo].end > key; step <<= 1 {
-		hi = lo
-		lo -= step
+// floor is the highest base that keeps every live booking in the ring:
+// one ending at or after the horizon starts at most maxOcc cycles below
+// it.
+func (r *Resource) floor() Cycle {
+	h := r.horizon()
+	if h <= r.maxOcc+1 {
+		return 0
 	}
-	// The answer lies in [lo+1, hi].
-	lo = max(lo+1, 0)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ivs[mid].end <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return (h - r.maxOcc - 1) &^ 63
 }
 
-// compact drops the dead prefix by moving the live bookings to the front
-// of the backing array, which is then reused. When fewer than half the
-// bookings are dead the array is instead given room to double, so each
-// booking is moved a bounded number of times and the array settles at
-// about twice the live window. It returns how many bookings were dropped.
-func (r *Resource) compact() int {
-	dead := 0
-	if h := r.horizon(); h > 0 {
-		dead = r.firstEndAfter(h - 1)
+// top is the first cycle past the ring. No bit is set at or above it.
+func (r *Resource) top() Cycle { return r.base + Cycle(len(r.ring))<<6 }
+
+// advance moves the base up to b, clearing the chunks it leaves so they
+// can be reused at the top.
+func (r *Resource) advance(b Cycle) {
+	if (b-r.base)>>6 >= Cycle(len(r.ring)) {
+		clear(r.ring)
+	} else {
+		wrap := Cycle(len(r.ring) - 1)
+		for c := r.base >> 6; c < b>>6; c++ {
+			r.ring[c&wrap] = chunk{}
+		}
 	}
-	n := len(r.intervals)
-	if dead == 0 || 2*dead < n {
-		grown := make([]ival, n-dead, 2*n+8)
-		copy(grown, r.intervals[dead:])
-		r.intervals = grown
-		return dead
+	r.base = b
+}
+
+// cover makes the ring hold [b, end) for a base b at or below the
+// current one, doubling it until the span fits. Lowering the base clears
+// nothing: the slots it takes for chunks below the current base held
+// chunks past every booking, which have no bits set.
+func (r *Resource) cover(b, end Cycle) {
+	need := (max(end, b) - b + 63) >> 6
+	n := Cycle(len(r.ring))
+	if need <= n {
+		r.base = b
+		return
 	}
-	r.intervals = r.intervals[:copy(r.intervals, r.intervals[dead:])]
-	return dead
+	for n < need {
+		n *= 2
+	}
+	ring := make([]chunk, n)
+	wrap := Cycle(len(r.ring) - 1)
+	for c, last := r.base>>6, min((r.maxEnd+63)>>6, r.top()>>6); c < last; c++ {
+		ring[c&(n-1)] = r.ring[c&wrap]
+	}
+	r.ring, r.base = ring, b
+}
+
+// book marks [start, end) busy with a booking beginning at start. Start
+// bits under it can only belong to dead bookings and are cleared.
+func (r *Resource) book(start, end Cycle) {
+	if end > r.top() {
+		r.cover(r.base, end)
+	}
+	wrap := Cycle(len(r.ring) - 1)
+	for c := start; c < end; {
+		n := min(end-c, 64-c&63)
+		m := ^uint64(0) >> (64 - n) << (c & 63)
+		ch := &r.ring[c>>6&wrap]
+		ch.busy |= m
+		ch.starts &^= m
+		c += n
+	}
+	r.ring[start>>6&wrap].starts |= 1 << (start & 63)
+}
+
+// liveFloor returns the lowest cycle a live booking holds below the
+// horizon h: the start of the booking holding h-1, or h when no booking
+// does.
+func (r *Resource) liveFloor(h Cycle) Cycle {
+	c := h - 1
+	if c >= r.top() {
+		return h
+	}
+	wrap := Cycle(len(r.ring) - 1)
+	k := c >> 6
+	if r.ring[k&wrap].busy>>(c&63)&1 == 0 {
+		return h
+	}
+	// The booking's start bit is the nearest at or below h-1, and it lies
+	// at or above the base.
+	w := r.ring[k&wrap].starts & (^uint64(0) >> (63 - c&63))
+	for w == 0 {
+		k--
+		w = r.ring[k&wrap].starts
+	}
+	return k<<6 + Cycle(63-bits.LeadingZeros64(w))
+}
+
+// nextBusy returns the first busy cycle in [lo, hi), or hi if none is.
+func (r *Resource) nextBusy(lo, hi Cycle) Cycle {
+	wrap := Cycle(len(r.ring) - 1)
+	for c, end := lo, min(hi, r.top()); c < end; c = (c | 63) + 1 {
+		if w := r.ring[c>>6&wrap].busy >> (c & 63); w != 0 {
+			if b := c + Cycle(bits.TrailingZeros64(w)); b < end {
+				return b
+			}
+			break
+		}
+	}
+	return hi
+}
+
+// nextFree returns the first free cycle at or after c.
+func (r *Resource) nextFree(c Cycle) Cycle {
+	wrap := Cycle(len(r.ring) - 1)
+	for top := r.top(); c < top; c = (c | 63) + 1 {
+		if w := ^r.ring[c>>6&wrap].busy >> (c & 63); w != 0 {
+			return c + Cycle(bits.TrailingZeros64(w))
+		}
+	}
+	return c
 }
 
 // NextFree reports the cycle at which the resource has no further
-// bookings.
+// bookings: the latest end of a live booking, or the end of the most
+// recent booking when none is live.
 func (r *Resource) NextFree() Cycle {
-	if len(r.intervals) == 0 {
-		return 0
+	if r.maxEnd >= r.horizon() {
+		return r.maxEnd
 	}
-	return r.intervals[len(r.intervals)-1].end
+	return r.lastEnd
 }
 
 // Utilization returns Busy / now, in [0,1], or 0 before cycle 1.
