@@ -24,31 +24,20 @@ import (
 	"espnuca/internal/sim"
 )
 
-// allocGuardArchs are the seven L2 organizations the guard covers (every
-// distinct probe chain in the factory).
-var allocGuardArchs = []string{
-	"shared",
-	"private",
-	"sp-nuca",
-	"esp-nuca",
-	"d-nuca",
-	"victim-replication",
-	"r-nuca",
-}
-
-// maxAllocsPerAccess is the steady-state budget. Every architecture
-// measures 0.000: a line's residency slice returns to its partition's pool
-// when the last L2 copy dies and is reused by the next fill. The budget is
-// not exactly zero only so that a rare table doubling inside the measured
-// window does not fail the test; one escaping closure per tag lookup, or a
-// fresh residency slice per fill, would cost well over 0.1.
+// maxAllocsPerAccess is the steady-state budget. Every architecture in
+// arch.Names() measures 0.000: a line's record holds its L2 copies
+// inline, so once the line table has grown to the working set a fill
+// allocates nothing. The budget is not exactly zero only so that a rare
+// table doubling inside the measured window does not fail the test; one
+// escaping closure per tag lookup, or a fresh residency slice per fill,
+// would cost well over 0.1.
 const maxAllocsPerAccess = 0.01
 
 func TestSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is slow under -short")
 	}
-	for _, name := range allocGuardArchs {
+	for _, name := range arch.Names() {
 		t.Run(name, func(t *testing.T) {
 			sys, err := arch.Build(name, arch.ScaledConfig())
 			if err != nil {

@@ -599,6 +599,23 @@ func (s *Substrate) collectForWrite(at sim.Cycle, viaNode noc.NodeID, reqCore in
 	return done
 }
 
+// complete is the last step of every read or write transaction, served
+// at cycle t through the serialization point via: a write collects every
+// token and completes when the last acknowledgement reaches core c; a
+// read hands core c's L1 its tokens. Architectures record the access
+// with the cycle complete returns, except D-NUCA and R-NUCA, which record
+// it before the write acknowledgements (a known defect, ROADMAP.md).
+func (s *Substrate) complete(t sim.Cycle, via noc.NodeID, c int, line mem.Line, write bool) sim.Cycle {
+	if !write {
+		s.Dir.GrantReadL1(line, c)
+		return t
+	}
+	if ack := s.collectForWrite(t, via, c, line); ack > t {
+		return ack
+	}
+	return t
+}
+
 // CheckInvariants verifies bank counters, copy bookkeeping and token
 // conservation. Tests call it after driving traffic.
 func (s *Substrate) CheckInvariants() error {

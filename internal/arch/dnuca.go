@@ -112,17 +112,6 @@ func (a *DNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 	reqNode := s.NodeOfCore(c)
 	st := s.Dir.State(line)
 
-	finish := func(t sim.Cycle, via noc.NodeID) sim.Cycle {
-		if write {
-			if ack := s.collectForWrite(t, via, c, line); ack > t {
-				return ack
-			}
-			return t
-		}
-		s.Dir.GrantReadL1(line, c)
-		return t
-	}
-
 	// Perfect search: find the nearest resident copy in the column.
 	banks := a.banksInColumn(col, c)
 	var hitBank, hitSet int = -1, set
@@ -147,12 +136,12 @@ func (a *DNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 			a.promote(t, line, hitBank, hitSet, banks, c)
 		}
 		s.record(level, at, t)
-		return Result{Done: finish(t, node), Level: level}
+		return Result{Done: s.complete(t, node, c, line, write), Level: level}
 
 	case ownedByRemoteL1(st, c):
 		t := a.s.l1Intervention(at, reqNode, int(st.Owner-coherence.HolderL1), c)
 		s.record(RemoteL1, at, t)
-		return Result{Done: finish(t, reqNode), Level: RemoteL1}
+		return Result{Done: s.complete(t, reqNode, c, line, write), Level: RemoteL1}
 
 	case st.Sharers()&^(1<<uint(c)) != 0:
 		holder := nearestSharer(s, st, c)
@@ -161,7 +150,7 @@ func (a *DNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 			t = a.s.l1Intervention(at, reqNode, holder, c)
 		}
 		s.record(RemoteL1, at, t)
-		return Result{Done: finish(t, reqNode), Level: RemoteL1}
+		return Result{Done: s.complete(t, reqNode, c, line, write), Level: RemoteL1}
 	}
 
 	// Off-chip: probe nearest bank (tag miss), fetch, allocate at the far
@@ -180,7 +169,7 @@ func (a *DNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 		})
 	}
 	s.record(OffChip, at, t)
-	return Result{Done: finish(t, reqNode), Level: OffChip}
+	return Result{Done: s.complete(t, reqNode, c, line, write), Level: OffChip}
 }
 
 // insertFar allocates blk into a line-hashed bank of the bankset: fills
@@ -287,7 +276,6 @@ func (a *DNUCA) WriteBack(at sim.Cycle, c int, line mem.Line, dirty bool) {
 	if dirty {
 		s.Dir.WriteBackDirty(line)
 	}
-	_ = near
 }
 
 var _ System = (*DNUCA)(nil)

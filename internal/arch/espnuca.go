@@ -17,8 +17,6 @@ type ESPNUCA struct {
 	sp        *SPNUCA
 	protected bool
 	samplers  []*core.Sampler // per bank, nil when flat LRU
-	policies  []cache.Policy
-	hooks     espHooks
 
 	// ReplicasOff and VictimsOff disable one helping-block mechanism;
 	// used by the ablation benchmarks to attribute ESP-NUCA's gains.
@@ -51,38 +49,21 @@ func newESPNUCA(cfg Config, protected bool, qos *core.QoS) (*ESPNUCA, error) {
 		return nil, err
 	}
 	a := &ESPNUCA{sp: sp, protected: protected}
-	for b := 0; b < cfg.Banks; b++ {
-		if protected {
-			scfg := cfg.Sampler
-			if qos != nil {
-				scfg = qos.Apply(scfg, sp.s.Map.CoreOfBank(b))
-			}
-			smp := core.NewSampler(scfg, cfg.Ways)
-			core.AssignRoles(sp.s.Bank[b], scfg)
-			a.samplers = append(a.samplers, smp)
-			a.policies = append(a.policies, core.ProtectedLRU{S: smp})
-		} else {
-			a.policies = append(a.policies, cache.FlatLRU{})
-		}
+	sp.esp = a
+	sp.privateMatch |= cache.MaskReplica
+	sp.homeMatch |= cache.MaskVictim
+	if !protected {
+		return a, nil // SP-NUCA's flat LRU
 	}
-	if protected {
-		sp.sample = func(bank, set int, firstClassHit bool) {
-			bset := sp.s.Bank[bank].Set(set)
-			if bset.Sampled {
-				a.samplers[bank].Observe(bset.Role, firstClassHit)
-			}
+	for b := range sp.pol {
+		scfg := cfg.Sampler
+		if qos != nil {
+			scfg = qos.Apply(scfg, sp.s.Map.CoreOfBank(b))
 		}
-	}
-	a.hooks = espHooks{
-		privateMatch: func(line mem.Line, c int) cache.Query {
-			return cache.Query{Line: line, Classes: cache.MaskPrivate | cache.MaskReplica, Owner: cache.AnyOwner}
-		},
-		homeMatch: func(line mem.Line) cache.Query {
-			return cache.Query{Line: line, Classes: cache.MaskShared | cache.MaskVictim, Owner: cache.AnyOwner}
-		},
-		onHomeHit: a.onHomeHit,
-		policyFor: func(bank int) cache.Policy { return a.policies[bank] },
-		espOwner:  a,
+		smp := core.NewSampler(scfg, cfg.Ways)
+		core.AssignRoles(sp.s.Bank[b], scfg)
+		a.samplers = append(a.samplers, smp)
+		sp.pol[b] = core.ProtectedLRU{S: smp}
 	}
 	return a, nil
 }
@@ -98,16 +79,26 @@ func (a *ESPNUCA) Name() string {
 // Sub implements System.
 func (a *ESPNUCA) Sub() *Substrate { return a.sp.s }
 
-// Access implements System.
+// Access implements System with SP-NUCA's probe chain, which calls back
+// into onHomeHit, routeEviction and observe.
 func (a *ESPNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
-	t, level := a.sp.resolve(at, c, line, write, &a.hooks)
-	a.sp.s.record(level, at, t)
-	return Result{Done: t, Level: level}
+	return a.sp.Access(at, c, line, write)
 }
 
-// WriteBack implements System.
+// WriteBack implements System with SP-NUCA's write-back path.
 func (a *ESPNUCA) WriteBack(at sim.Cycle, c int, line mem.Line, dirty bool) {
-	a.sp.writeBack(at, c, line, dirty, &a.hooks)
+	a.sp.WriteBack(at, c, line, dirty)
+}
+
+// observe feeds a probe of a sampled set to its bank's hit-rate
+// estimators; flat LRU has no samplers.
+func (a *ESPNUCA) observe(bank, set int, firstClassHit bool) {
+	if a.samplers == nil {
+		return
+	}
+	if bset := a.sp.s.Bank[bank].Set(set); bset.Sampled {
+		a.samplers[bank].Observe(bset.Role, firstClassHit)
+	}
 }
 
 // onHomeHit runs when the probe chain hits in the shared home bank.
@@ -145,7 +136,7 @@ func (a *ESPNUCA) onHomeHit(t sim.Cycle, c int, line mem.Line, bank, set int, bl
 	}
 	ev := s.l2Insert(pbank, pset, cache.Block{
 		Valid: true, Line: line, Class: cache.Replica, Owner: c,
-	}, a.policies[pbank])
+	}, a.sp.pol[pbank])
 	if ev.Refused {
 		a.RefusedHelping++
 		return
@@ -181,7 +172,7 @@ func (a *ESPNUCA) routeEviction(at sim.Cycle, ev cache.Evicted, fromBank int) {
 	t = s.Bank[hbank].Access(t)
 	vev := s.l2Insert(hbank, hset, cache.Block{
 		Valid: true, Line: blk.Line, Class: cache.Victim, Owner: blk.Owner, Dirty: blk.Dirty,
-	}, a.policies[hbank])
+	}, a.sp.pol[hbank])
 	if vev.Refused {
 		a.RefusedHelping++
 		s.dropEvicted(t, ev, fromBank)

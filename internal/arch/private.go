@@ -15,10 +15,10 @@ import (
 // responds.
 type Tiled struct {
 	s *Substrate
-	// replicate controls whether remote L2/L1 read hits create a local
-	// copy. Plain Tiled does not (allocation happens on L1 write-back
-	// only); ASR layers adaptive replication on top.
-	replicate func(c int) bool
+	// asr, when set, decides whether a remote L2/L1 read hit creates a
+	// local copy. Plain Tiled never does (allocation happens on L1
+	// write-back only); ASR layers adaptive replication on top.
+	asr *ASR
 }
 
 // NewTiled builds the private baseline.
@@ -69,7 +69,7 @@ func (a *Tiled) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 			if t < probeDone {
 				t = probeDone
 			}
-			if !write && a.replicate != nil && a.replicate(c) {
+			if !write && a.asr != nil && a.asr.shouldReplicate(c) {
 				a.fillLocal(t, c, line, false)
 			}
 		} else {
@@ -82,13 +82,7 @@ func (a *Tiled) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 		}
 	}
 
-	if write {
-		if ack := s.collectForWrite(t, reqNode, c, line); ack > t {
-			t = ack
-		}
-	} else {
-		s.Dir.GrantReadL1(line, c)
-	}
+	t = s.complete(t, reqNode, c, line, write)
 	s.record(level, at, t)
 	return Result{Done: t, Level: level}
 }

@@ -95,9 +95,7 @@ func (a *RNUCA) evictPagePlacements(page mem.Line) {
 				if len(s.l2Has(line)) == 0 {
 					dirty := blk.Dirty
 					if s.Dir.L2Evict(line) || dirty {
-						mc := s.Mesh.MemRouter(s.DRAM.ChannelOf(line))
 						s.DRAM.Write(sim.Cycle(0), line)
-						_ = mc
 					}
 				}
 			}
@@ -136,16 +134,6 @@ func (a *RNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 	reqNode, node := s.NodeOfCore(c), s.NodeOfBank(bank)
 	st := s.Dir.State(line)
 
-	finish := func(t sim.Cycle) sim.Cycle {
-		if write {
-			if ack := s.collectForWrite(t, node, c, line); ack > t {
-				return ack
-			}
-			return t
-		}
-		s.Dir.GrantReadL1(line, c)
-		return t
-	}
 	level := SharedL2
 	if node == reqNode {
 		level = LocalL2
@@ -185,7 +173,7 @@ func (a *RNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 		}
 	}
 	s.record(level, at, t)
-	return Result{Done: finish(t), Level: level}
+	return Result{Done: s.complete(t, node, c, line, write), Level: level}
 }
 
 func (a *RNUCA) classOf(p *rnucaPage) cache.Class {

@@ -82,13 +82,7 @@ func (a *SharedNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Resu
 		}
 	}
 
-	if write {
-		if ack := s.collectForWrite(t, homeNode, c, line); ack > t {
-			t = ack
-		}
-	} else {
-		s.Dir.GrantReadL1(line, c)
-	}
+	t = s.complete(t, homeNode, c, line, write)
 	s.record(level, at, t)
 	return Result{Done: t, Level: level}
 }
@@ -153,6 +147,3 @@ func nearestSharer(s *Substrate, st *coherence.LineState, c int) int {
 }
 
 var _ System = (*SharedNUCA)(nil)
-
-// noc import is used throughout the architecture files.
-var _ = noc.Control

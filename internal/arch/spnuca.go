@@ -34,14 +34,19 @@ const (
 type SPNUCA struct {
 	s    *Substrate
 	kind PartitionKind
-	// policy per bank (shadow policies hold per-bank state).
+	// pol is the replacement policy per bank (shadow policies hold
+	// per-bank state); ESP-NUCA overwrites it with its own.
 	pol []cache.Policy
 	// shadow is non-nil for ShadowTagPartition, indexed by bank.
 	shadow []*cache.ShadowPolicy
 
-	// sample, when set (by ESP-NUCA), feeds the per-bank hit-rate
-	// estimators on every access to a sampled set.
-	sample func(bank, set int, firstClassHit bool)
+	// privateMatch and homeMatch are the classes the probe chain matches
+	// in the private bank (step 1) and the home bank (step 2). ESP-NUCA
+	// widens them to its replicas and victims.
+	privateMatch, homeMatch cache.ClassMask
+	// esp is the ESP-NUCA extension of the probe chain (helping blocks
+	// and set sampling); nil for plain SP-NUCA.
+	esp *ESPNUCA
 
 	// Migrations counts private->shared home migrations.
 	Migrations uint64
@@ -53,7 +58,7 @@ func NewSPNUCA(cfg Config, kind PartitionKind) (*SPNUCA, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &SPNUCA{s: s, kind: kind}
+	a := &SPNUCA{s: s, kind: kind, privateMatch: cache.MaskPrivate, homeMatch: cache.MaskShared}
 	for b := 0; b < cfg.Banks; b++ {
 		switch kind {
 		case FlatLRUPartition:
@@ -87,36 +92,23 @@ func (a *SPNUCA) Sub() *Substrate { return a.s }
 
 // Access implements System with the Figure 2b probe chain.
 func (a *SPNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
-	t, level := a.resolve(at, c, line, write, nil)
+	t, level := a.resolve(at, c, line, write)
 	a.s.record(level, at, t)
 	return Result{Done: t, Level: level}
 }
 
-// espHooks lets ESP-NUCA extend the probe chain (replica lookup/creation
-// and victim hits) without duplicating it.
-type espHooks struct {
-	// privateMatch widens the step-1 query (replicas).
-	privateMatch func(line mem.Line, c int) cache.Query
-	// homeMatch widens the step-2 query (victims).
-	homeMatch func(line mem.Line) cache.Query
-	// onHomeHit runs after a home-bank hit is served (replica creation,
-	// victim reclassification). blk is the resident block.
-	onHomeHit func(t sim.Cycle, c int, line mem.Line, bank, set int, blk *cache.Block)
-	// policyFor returns the replacement policy for a bank.
-	policyFor func(bank int) cache.Policy
-	// espOwner routes evictions through ESP-NUCA's victim mechanism.
-	espOwner *ESPNUCA
-}
-
-func (a *SPNUCA) policyFor(bank int) cache.Policy { return a.pol[bank] }
-
-// resolve walks the SP-NUCA probe chain; hooks may be nil (plain SP-NUCA).
-func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool, h *espHooks) (sim.Cycle, Level) {
+// resolve walks the SP-NUCA probe chain, with ESP-NUCA's helping blocks
+// when a.esp is set.
+func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool) (sim.Cycle, Level) {
 	s := a.s
 	if write {
 		if res, ok := s.Upgrade(at, c, line); ok {
-			// record() is the caller's job; undo the double count by
-			// returning the level directly.
+			// Upgrade has already recorded the request under LocalL1, and
+			// Access records it again: the SP-NUCA family counts an
+			// upgrade twice in the Figure 6 decomposition, where every
+			// other architecture returns Upgrade's result without
+			// recording it again. A known defect, kept until the result
+			// goldens are regenerated (ROADMAP.md).
 			return res.Done, res.Level
 		}
 	}
@@ -124,31 +116,13 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool, h *espH
 	shared, _ := s.statusOf(line, c)
 	st := s.Dir.State(line)
 
-	finishRead := func(t sim.Cycle) sim.Cycle { s.Dir.GrantReadL1(line, c); return t }
-	finishWrite := func(t sim.Cycle, via noc.NodeID) sim.Cycle {
-		if ack := s.collectForWrite(t, via, c, line); ack > t {
-			return ack
-		}
-		return t
-	}
-	finish := func(t sim.Cycle, via noc.NodeID) sim.Cycle {
-		if write {
-			return finishWrite(t, via)
-		}
-		return finishRead(t)
-	}
-
 	// Step 1: the requester's private bank (same router: no hops).
 	pbank, pset := s.Map.Private(line, c)
-	pmatch := cache.Query{Line: line, Classes: cache.MaskPrivate, Owner: cache.AnyOwner}
-	if h != nil && h.privateMatch != nil {
-		pmatch = h.privateMatch(line, c)
-	}
-	pblk := s.Bank[pbank].Lookup(pset, pmatch)
+	pblk := s.Bank[pbank].Lookup(pset, cache.Query{Line: line, Classes: a.privateMatch, Owner: cache.AnyOwner})
 	a.observeSample(pbank, pset, pblk != nil && pblk.Class.FirstClass())
 	if pblk != nil && !ownedByRemoteL1(st, c) {
 		t := s.Bank[pbank].Access(at)
-		return finish(t, reqNode), LocalL2
+		return s.complete(t, reqNode, c, line, write), LocalL2
 	}
 	if a.shadow != nil && pblk == nil && !shared {
 		a.shadow[pbank].OnMiss(pset, line, cache.Private)
@@ -163,11 +137,7 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool, h *espH
 	homeNode := s.NodeOfBank(hbank)
 	t = s.Mesh.Send(t, reqNode, homeNode, noc.Control, 0)
 
-	hmatch := cache.Query{Line: line, Classes: cache.MaskShared, Owner: cache.AnyOwner}
-	if h != nil && h.homeMatch != nil {
-		hmatch = h.homeMatch(line)
-	}
-	hblk := s.Bank[hbank].Lookup(hset, hmatch)
+	hblk := s.Bank[hbank].Lookup(hset, cache.Query{Line: line, Classes: a.homeMatch, Owner: cache.AnyOwner})
 	a.observeSample(hbank, hset, hblk != nil && hblk.Class.FirstClass())
 
 	level := SharedL2
@@ -179,14 +149,14 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool, h *espH
 		// Stale home copy: forward to the owning L1 (step 3 of Fig 2b).
 		t = s.Bank[hbank].TagProbe(t)
 		t = s.l1Intervention(t, homeNode, int(st.Owner-coherence.HolderL1), c)
-		return finish(t, homeNode), RemoteL1
+		return s.complete(t, homeNode, c, line, write), RemoteL1
 	case hblk != nil:
 		t = s.Bank[hbank].Access(t)
 		done := s.Mesh.Send(t, homeNode, reqNode, noc.Data, s.Cfg.BlockBytes)
-		if h != nil && h.onHomeHit != nil {
-			h.onHomeHit(t, c, line, hbank, hset, hblk)
+		if a.esp != nil {
+			a.esp.onHomeHit(t, c, line, hbank, hset, hblk)
 		}
-		return finish(done, homeNode), level
+		return s.complete(done, homeNode, c, line, write), level
 	}
 	if a.shadow != nil && shared {
 		a.shadow[hbank].OnMiss(hset, line, cache.Shared)
@@ -199,8 +169,8 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool, h *espH
 		probe := s.Mesh.Send(t, homeNode, s.NodeOfBank(obank), noc.Control, 0)
 		probe = s.Bank[obank].Access(probe)
 		done := s.Mesh.Send(probe, s.NodeOfBank(obank), reqNode, noc.Data, s.Cfg.BlockBytes)
-		a.migrateToHome(probe, line, owner, obank, oset, hbank, hset, h)
-		return finish(done, homeNode), RemoteL2
+		a.migrateToHome(probe, line, owner, obank, oset, hbank, hset)
+		return s.complete(done, homeNode, c, line, write), RemoteL2
 	}
 
 	// Step 3: L1-only holders (line fell out of L2 but lives in an L1).
@@ -210,7 +180,7 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool, h *espH
 			done := s.l1Intervention(t, homeNode, holder, c)
 			// A second core is touching the line: it is shared now.
 			s.markShared(line)
-			return finish(done, homeNode), RemoteL1
+			return s.complete(done, homeNode, c, line, write), RemoteL1
 		}
 	}
 
@@ -225,30 +195,25 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool, h *espH
 		// stored in the bank closest to its only user (paper §2.1) -
 		// unless it is already known shared, in which case it fills home.
 		s.Dir.L2Fill(line, coherence.TokensPerLine)
-		pol := a.policyFor
-		if h != nil && h.policyFor != nil {
-			pol = h.policyFor
-		}
 		if shared {
 			ev := s.l2Insert(hbank, hset, cache.Block{
 				Valid: true, Line: line, Class: cache.Shared, Owner: -1,
-			}, pol(hbank))
-			a.routeEviction(done, ev, hbank, h)
+			}, a.pol[hbank])
+			a.routeEviction(done, ev, hbank)
 		} else {
 			ev := s.l2Insert(pbank, pset, cache.Block{
 				Valid: true, Line: line, Class: cache.Private, Owner: c,
-			}, pol(pbank))
-			a.routeEviction(done, ev, pbank, h)
+			}, a.pol[pbank])
+			a.routeEviction(done, ev, pbank)
 		}
 	}
-	return finish(done, homeNode), OffChip
+	return s.complete(done, homeNode, c, line, write), OffChip
 }
 
-// observeSample feeds ESP-NUCA's sampler when installed; plain SP-NUCA
-// has none.
+// observeSample feeds ESP-NUCA's set samplers; plain SP-NUCA has none.
 func (a *SPNUCA) observeSample(bank, set int, firstClassHit bool) {
-	if a.sample != nil {
-		a.sample(bank, set, firstClassHit)
+	if a.esp != nil {
+		a.esp.observe(bank, set, firstClassHit)
 	}
 }
 
@@ -269,7 +234,7 @@ func (a *SPNUCA) findRemotePrivate(line mem.Line, c int) (owner, bank, set int, 
 
 // migrateToHome resets the private bit and moves the block to its shared
 // home bank (paper §2.3): further accesses hit in the shared bank.
-func (a *SPNUCA) migrateToHome(at sim.Cycle, line mem.Line, owner, obank, oset, hbank, hset int, h *espHooks) {
+func (a *SPNUCA) migrateToHome(at sim.Cycle, line mem.Line, owner, obank, oset, hbank, hset int) {
 	s := a.s
 	blk, ok := s.l2Invalidate(line, obank, oset)
 	if !ok {
@@ -277,49 +242,29 @@ func (a *SPNUCA) migrateToHome(at sim.Cycle, line mem.Line, owner, obank, oset, 
 	}
 	a.Migrations++
 	s.markShared(line)
-	pol := a.policyFor
-	if h != nil && h.policyFor != nil {
-		pol = h.policyFor
-	}
 	ev := s.l2Insert(hbank, hset, cache.Block{
 		Valid: true, Line: line, Class: cache.Shared, Owner: -1, Dirty: blk.Dirty,
-	}, pol(hbank))
-	a.routeEviction(at, ev, hbank, h)
+	}, a.pol[hbank])
+	a.routeEviction(at, ev, hbank)
 }
 
-// routeEviction applies the default eviction fate; ESP-NUCA's hooks turn
+// routeEviction applies the default eviction fate; ESP-NUCA turns
 // evicted private blocks into victims instead (see espnuca.go).
-func (a *SPNUCA) routeEviction(at sim.Cycle, ev cache.Evicted, fromBank int, h *espHooks) {
-	if esp, ok := a.owner(h); ok {
-		esp.routeEviction(at, ev, fromBank)
+func (a *SPNUCA) routeEviction(at sim.Cycle, ev cache.Evicted, fromBank int) {
+	if a.esp != nil {
+		a.esp.routeEviction(at, ev, fromBank)
 		return
 	}
 	a.s.dropEvicted(at, ev, fromBank)
-}
-
-// owner resolves the ESP-NUCA wrapper when hooks are present.
-func (a *SPNUCA) owner(h *espHooks) (*ESPNUCA, bool) {
-	if h == nil || h.espOwner == nil {
-		return nil, false
-	}
-	return h.espOwner, true
 }
 
 // WriteBack implements System: L1 evictions follow the private bit
 // (private blocks to the private bank, shared blocks to the home bank);
 // clean evictions allocate too, keeping recently-used blocks on chip.
 func (a *SPNUCA) WriteBack(at sim.Cycle, c int, line mem.Line, dirty bool) {
-	a.writeBack(at, c, line, dirty, nil)
-}
-
-func (a *SPNUCA) writeBack(at sim.Cycle, c int, line mem.Line, dirty bool, h *espHooks) {
 	s := a.s
 	shared, _, known := s.peekStatus(line)
 	s.Dir.L1Evict(line, c, true)
-	pol := a.policyFor
-	if h != nil && h.policyFor != nil {
-		pol = h.policyFor
-	}
 	markDirty := func() {
 		if dirty {
 			s.Dir.WriteBackDirty(line)
@@ -335,9 +280,9 @@ func (a *SPNUCA) writeBack(at sim.Cycle, c int, line mem.Line, dirty bool, h *es
 		}
 		ev := s.l2Insert(hbank, hset, cache.Block{
 			Valid: true, Line: line, Class: cache.Shared, Owner: -1, Dirty: dirty,
-		}, pol(hbank))
+		}, a.pol[hbank])
 		markDirty()
-		a.routeEviction(t, ev, hbank, h)
+		a.routeEviction(t, ev, hbank)
 		return
 	}
 	pbank, pset := s.Map.Private(line, c)
@@ -348,9 +293,9 @@ func (a *SPNUCA) writeBack(at sim.Cycle, c int, line mem.Line, dirty bool, h *es
 	}
 	ev := s.l2Insert(pbank, pset, cache.Block{
 		Valid: true, Line: line, Class: cache.Private, Owner: c, Dirty: dirty,
-	}, pol(pbank))
+	}, a.pol[pbank])
 	markDirty()
-	a.routeEviction(t, ev, pbank, h)
+	a.routeEviction(t, ev, pbank)
 }
 
 var _ System = (*SPNUCA)(nil)

@@ -3,7 +3,6 @@ package arch
 import (
 	"espnuca/internal/cache"
 	"espnuca/internal/mem"
-	"espnuca/internal/noc"
 	"espnuca/internal/sim"
 )
 
@@ -54,14 +53,7 @@ func (a *VictimReplication) Access(at sim.Cycle, c int, line mem.Line, write boo
 	st := s.Dir.State(line)
 	if blk := s.Bank[pbank].Lookup(pset, cache.ClassQuery(line, cache.Replica)); blk != nil && !ownedByRemoteL1(st, c) {
 		a.ReplicaHits++
-		t := s.Bank[pbank].Access(at)
-		if write {
-			if ack := s.collectForWrite(t, s.NodeOfCore(c), c, line); ack > t {
-				t = ack
-			}
-		} else {
-			s.Dir.GrantReadL1(line, c)
-		}
+		t := s.complete(s.Bank[pbank].Access(at), s.NodeOfCore(c), c, line, write)
 		s.record(LocalL2, at, t)
 		return Result{Done: t, Level: LocalL2}
 	}
@@ -87,7 +79,6 @@ func (a *VictimReplication) WriteBack(at sim.Cycle, c int, line mem.Line, dirty 
 	}, cache.FlatLRU{})
 	a.ReplicasMade++
 	s.dropEvicted(at, ev, pbank)
-	_ = noc.Control
 }
 
 var _ System = (*VictimReplication)(nil)

@@ -3,10 +3,12 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
 	"espnuca/internal/arch"
+	"espnuca/internal/stats"
 	"espnuca/internal/workload"
 )
 
@@ -330,7 +332,7 @@ func perfFigure(o Options, id, title string, workloads []string, summaryLabel st
 	names := []string{"d-nuca", "asr", "cc-avg", "esp-nuca"}
 	sort.Strings(names)
 	for _, n := range names {
-		v := variance(perWl[n])
+		v := stats.Variance(perWl[n])
 		t.Notes = append(t.Notes, fmt.Sprintf("variance(%s) = %.5f", n, v))
 	}
 	return t, nil
@@ -363,33 +365,9 @@ func Figure10(o Options) (Table, error) {
 func Table1() Table {
 	t := Table{ID: "Table 1", Title: "Workloads under study", Columns: []string{"kind", "cores"}}
 	for _, s := range workload.Catalog() {
-		t.Rows = append(t.Rows, TableRow{Label: s.Name, Values: []float64{float64(s.Kind), float64(popcount(s.ActiveCores()))}})
+		t.Rows = append(t.Rows, TableRow{Label: s.Name, Values: []float64{float64(s.Kind), float64(bits.OnesCount8(s.ActiveCores()))}})
 	}
 	return t
-}
-
-func popcount(m uint8) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
-}
-
-func variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := 0.0
-	for _, x := range xs {
-		m += x
-	}
-	m /= float64(len(xs))
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return s / float64(len(xs)-1)
 }
 
 func pow(x, y float64) float64 {
