@@ -7,11 +7,10 @@
 //   - a cycle-level CMP memory-system simulator (8 out-of-order cores,
 //     split L1s, a 32-bank NUCA L2 on a 4x2 mesh with DOR routing, token
 //     coherence, DRAM channels);
-//   - thirteen L2 organizations: the paper's ESP-NUCA (protected LRU +
-//     set sampling) and SP-NUCA, the evaluated counterparts (shared
-//     S-NUCA, private/tiled, D-NUCA, ASR, Cooperative Caching, the
-//     Figure 4 partitioning variants), and three extensions (per-priority
-//     QoS, Victim Replication, Reactive-NUCA);
+//   - the ten L2 organizations the paper evaluates: ESP-NUCA (flat and
+//     protected LRU with set sampling), SP-NUCA and its two Figure 4
+//     partitioning variants, and the counterparts (shared S-NUCA,
+//     private/tiled, D-NUCA, ASR, Cooperative Caching);
 //   - synthetic models of the paper's 22 workloads (Table 1);
 //   - an experiment harness that regenerates every figure of the
 //     evaluation section.

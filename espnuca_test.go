@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -51,8 +52,8 @@ func TestWorkloadCatalogExposed(t *testing.T) {
 	if len(ws) != 22 {
 		t.Fatalf("%d workloads, want 22", len(ws))
 	}
-	if len(Architectures()) != 13 {
-		t.Fatalf("%d architectures, want 13", len(Architectures()))
+	if len(Architectures()) != 10 {
+		t.Fatalf("%d architectures, want 10", len(Architectures()))
 	}
 }
 
@@ -65,6 +66,9 @@ func TestUnknownInputsRejected(t *testing.T) {
 	}
 	if _, err := Run(Options{Architecture: "cc", CCProbability: 1.5}); err == nil {
 		t.Error("cooperation probability 1.5 accepted")
+	}
+	if _, err := Run(Options{Architecture: "cc", CCProbability: math.NaN()}); err == nil {
+		t.Error("cooperation probability NaN accepted")
 	}
 	if _, err := Figure(3, FigureOptions{}); err == nil {
 		t.Error("figure 3 (non-evaluation figure) accepted")
@@ -89,6 +93,7 @@ func TestEntryPointsRejectAlike(t *testing.T) {
 		{Arch: "esp-nuca", Workload: "quake3"},
 		{Arch: "cc", Workload: "apache", CCProbability: 1.5},
 		{Arch: "cc", Workload: "apache", CCProbability: 5},
+		{Arch: "cc", Workload: "apache", CCProbability: math.NaN()},
 		{Arch: "esp-nuca", Workload: "apache", SampleWindows: -1},
 		{Arch: "esp-nuca", Workload: "apache", SampleWindows: 10000},
 		{Arch: "esp-nuca", Workload: "apache", SampleWindows: 8, Instructions: 8},
@@ -119,7 +124,10 @@ func TestEntryPointsRejectAlike(t *testing.T) {
 		_, err = sched.Submit(service.JobSpec{Run: &sp})
 		check("Scheduler.Submit", err, msg)
 
-		body, _ := json.Marshal(service.JobSpec{Run: &sp})
+		body, err := json.Marshal(service.JobSpec{Run: &sp})
+		if err != nil {
+			continue // JSON cannot carry a NaN, so POST /v1/jobs never sees one
+		}
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -104,10 +104,6 @@ type Config struct {
 	// Caching (paper evaluates 0, 0.3, 0.7, 1.0).
 	CCProbability float64
 
-	// QoS configures the per-priority degradation policy of the
-	// "esp-nuca-qos" architecture (paper S5.2's future-work sketch).
-	QoS core.QoS
-
 	// Seed perturbs stochastic mechanisms inside architectures (ASR and
 	// CC randomization), independent of the workload seed.
 	Seed uint64
@@ -127,7 +123,6 @@ func DefaultConfig() Config {
 		NoC:               noc.DefaultConfig(),
 		DRAM:              mem.DefaultDRAMConfig(),
 		Sampler:           core.DefaultSamplerConfig(),
-		QoS:               core.DefaultQoS(),
 		StaticPrivateWays: 12,
 		CCProbability:     0.7,
 	}
@@ -168,7 +163,7 @@ func (c Config) Validate() error {
 	if c.StaticPrivateWays < 0 || c.StaticPrivateWays > c.Ways {
 		return fmt.Errorf("arch: static partition %d exceeds %d ways", c.StaticPrivateWays, c.Ways)
 	}
-	if c.CCProbability < 0 || c.CCProbability > 1 {
+	if !(c.CCProbability >= 0 && c.CCProbability <= 1) {
 		return fmt.Errorf("arch: cooperation probability %g outside [0,1]", c.CCProbability)
 	}
 	return nil
@@ -329,10 +324,10 @@ func (s *Substrate) RecordL1Hit(lat sim.Cycle) {
 // l2Invalidate, dropEvicted, statusOf, markShared, maybeForgetStatus,
 // and every token movement through Dir (State materializes) — may move or
 // overwrite it (growth, backward shift). Callers that mutate the
-// substrate while walking it walk a copy: collectForWrite and R-NUCA's
-// page flush do. The loops in private.go (bestOnChipResponse) and
-// spnuca.go (findRemotePrivate) only send messages and read banks, and
-// every other caller reads just its length or one element.
+// substrate while walking it walk a copy, as collectForWrite does. The
+// loops in private.go (bestOnChipResponse) and spnuca.go
+// (findRemotePrivate) only send messages and read banks, and every other
+// caller reads just its length or one element.
 func (s *Substrate) l2Has(line mem.Line) []l2loc {
 	if r := s.lines.find(line); r != nil {
 		return r.locs[:r.n]
@@ -603,8 +598,8 @@ func (s *Substrate) collectForWrite(at sim.Cycle, viaNode noc.NodeID, reqCore in
 // at cycle t through the serialization point via: a write collects every
 // token and completes when the last acknowledgement reaches core c; a
 // read hands core c's L1 its tokens. Architectures record the access
-// with the cycle complete returns, except D-NUCA and R-NUCA, which record
-// it before the write acknowledgements (a known defect, ROADMAP.md).
+// with the cycle complete returns, except D-NUCA, which records it before
+// the write acknowledgements (a known defect, ROADMAP.md).
 func (s *Substrate) complete(t sim.Cycle, via noc.NodeID, c int, line mem.Line, write bool) sim.Cycle {
 	if !write {
 		s.Dir.GrantReadL1(line, c)

@@ -30,20 +30,6 @@ type ESPNUCA struct {
 // NewESPNUCA builds ESP-NUCA; protected selects protected LRU (the
 // paper's final configuration) over flat LRU.
 func NewESPNUCA(cfg Config, protected bool) (*ESPNUCA, error) {
-	return newESPNUCA(cfg, protected, nil)
-}
-
-// NewESPNUCAQoS builds protected-LRU ESP-NUCA with the per-priority d
-// policy of paper §5.2's future-work remark: each bank's controller uses
-// the degradation slack of its owning core's priority class.
-func NewESPNUCAQoS(cfg Config, qos core.QoS) (*ESPNUCA, error) {
-	if err := qos.Validate(); err != nil {
-		return nil, err
-	}
-	return newESPNUCA(cfg, true, &qos)
-}
-
-func newESPNUCA(cfg Config, protected bool, qos *core.QoS) (*ESPNUCA, error) {
 	sp, err := NewSPNUCA(cfg, FlatLRUPartition)
 	if err != nil {
 		return nil, err
@@ -56,12 +42,8 @@ func newESPNUCA(cfg Config, protected bool, qos *core.QoS) (*ESPNUCA, error) {
 		return a, nil // SP-NUCA's flat LRU
 	}
 	for b := range sp.pol {
-		scfg := cfg.Sampler
-		if qos != nil {
-			scfg = qos.Apply(scfg, sp.s.Map.CoreOfBank(b))
-		}
-		smp := core.NewSampler(scfg, cfg.Ways)
-		core.AssignRoles(sp.s.Bank[b], scfg)
+		smp := core.NewSampler(cfg.Sampler, cfg.Ways)
+		core.AssignRoles(sp.s.Bank[b], cfg.Sampler)
 		a.samplers = append(a.samplers, smp)
 		sp.pol[b] = core.ProtectedLRU{S: smp}
 	}

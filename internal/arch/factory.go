@@ -17,21 +17,16 @@ var builders = map[string]func(Config) (System, error){
 	"sp-nuca":        func(c Config) (System, error) { return NewSPNUCA(c, FlatLRUPartition) },
 	"sp-nuca-shadow": func(c Config) (System, error) { return NewSPNUCA(c, ShadowTagPartition) },
 	"sp-nuca-static": func(c Config) (System, error) { return NewSPNUCA(c, StaticPartitionKind) },
-	// ESP-NUCA with flat LRU (Fig. 5 baseline), with protected LRU (the
-	// proposal) and with per-priority d (S5.2 future work).
+	// ESP-NUCA with flat LRU (Fig. 5 baseline) and with protected LRU
+	// (the proposal).
 	"esp-nuca-flat": func(c Config) (System, error) { return NewESPNUCA(c, false) },
 	"esp-nuca":      func(c Config) (System, error) { return NewESPNUCA(c, true) },
-	"esp-nuca-qos":  func(c Config) (System, error) { return NewESPNUCAQoS(c, c.QoS) },
 	// Idealized-perfect-search D-NUCA.
 	"d-nuca": func(c Config) (System, error) { return NewDNUCA(c) },
 	// Adaptive Selective Replication.
 	"asr": func(c Config) (System, error) { return NewASR(c) },
 	// Cooperative Caching at cfg.CCProbability.
 	"cc": func(c Config) (System, error) { return NewCC(c) },
-	// Zhang & Asanovic's Victim Replication (bonus counterpart).
-	"victim-replication": func(c Config) (System, error) { return NewVictimReplication(c) },
-	// Hardavellas et al.'s Reactive-NUCA (bonus counterpart).
-	"r-nuca": func(c Config) (System, error) { return NewRNUCA(c) },
 }
 
 // ValidateName reports an error naming the known architectures when

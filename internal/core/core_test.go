@@ -482,19 +482,6 @@ func TestAssignRolesDegenerate(t *testing.T) {
 	}
 }
 
-func TestQoSApply(t *testing.T) {
-	q := DefaultQoS()
-	q.ClassOf[2] = Bulk
-	base := DefaultSamplerConfig()
-	got := q.Apply(base, 2)
-	if got.D != 2 {
-		t.Fatalf("bulk D = %d, want 2", got.D)
-	}
-	if got.B != base.B || got.A != base.A {
-		t.Fatal("Apply changed unrelated fields")
-	}
-}
-
 func TestMappingExtraTagBitsSmall(t *testing.T) {
 	m, err := NewMapping(8, 8, 16)
 	if err != nil {

@@ -19,8 +19,9 @@ const CodeVersion = "espnuca-sim-v1"
 
 // CanonicalString renders the run configuration as a deterministic,
 // schema-sensitive text form: struct fields are emitted sorted by name
-// (so a pure declaration reorder cannot change the key), map keys are
-// sorted, and every leaf is formatted by an exact, locale-free rule.
+// (so a pure declaration reorder cannot change the key), slices and
+// arrays list their elements in order, and every leaf is formatted by an
+// exact, locale-free rule.
 // Fields tagged `canon:"-"` — the telemetry attachments, which are
 // proven not to perturb results — are excluded. The form embeds
 // CodeVersion, so a behavioural revision of the simulator changes every
@@ -51,9 +52,9 @@ func (rc RunConfig) CanonicalKey() (string, error) {
 }
 
 // canonValue writes one value in the canonical form. Only the kinds
-// that can appear in a configuration tree are supported; anything
-// else (func, chan, unsafe pointers, untyped interfaces) is an error
-// rather than a silently unstable encoding.
+// that appear in a configuration tree are supported; anything else
+// (maps, pointers, funcs, chans, interfaces) is an error rather than an
+// encoding nobody reviewed.
 func canonValue(b *strings.Builder, v reflect.Value) error {
 	switch v.Kind() {
 	case reflect.Bool:
@@ -81,14 +82,6 @@ func canonValue(b *strings.Builder, v reflect.Value) error {
 			}
 		}
 		b.WriteByte(']')
-	case reflect.Map:
-		return canonMap(b, v)
-	case reflect.Pointer:
-		if v.IsNil() {
-			b.WriteString("nil")
-			return nil
-		}
-		return canonValue(b, v.Elem())
 	default:
 		return fmt.Errorf("experiment: cannot canonicalize %s (kind %s)", v.Type(), v.Kind())
 	}
@@ -123,37 +116,6 @@ func canonStruct(b *strings.Builder, v reflect.Value) error {
 		if err := canonValue(b, v.Field(f.i)); err != nil {
 			return err
 		}
-	}
-	b.WriteByte('}')
-	return nil
-}
-
-func canonMap(b *strings.Builder, v reflect.Value) error {
-	if v.IsNil() {
-		b.WriteString("nil")
-		return nil
-	}
-	keys := v.MapKeys()
-	enc := make([]struct{ k, kv string }, len(keys))
-	for i, k := range keys {
-		var kb, vb strings.Builder
-		if err := canonValue(&kb, k); err != nil {
-			return err
-		}
-		if err := canonValue(&vb, v.MapIndex(k)); err != nil {
-			return err
-		}
-		enc[i] = struct{ k, kv string }{kb.String(), vb.String()}
-	}
-	sort.Slice(enc, func(i, j int) bool { return enc[i].k < enc[j].k })
-	b.WriteString("map{")
-	for i, e := range enc {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(e.k)
-		b.WriteByte(':')
-		b.WriteString(e.kv)
 	}
 	b.WriteByte('}')
 	return nil

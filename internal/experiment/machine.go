@@ -185,7 +185,7 @@ type RunResult struct {
 	// metric (paper footnote 3).
 	MeanIPC float64
 	// PerCoreIPC is each core's measured-window IPC (zero for idle
-	// cores); per-class QoS studies read it directly.
+	// cores).
 	PerCoreIPC [mem.MaxCores]float64
 
 	// AvgAccessTime and Decomposition reproduce Figure 6's metric.
