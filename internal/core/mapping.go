@@ -61,7 +61,7 @@ func (m Mapping) Banks() int { return m.banks }
 func (m Mapping) Cores() int { return m.cores }
 
 // BanksPerCore returns the private-group size (2^(n-p)).
-func (m Mapping) BanksPerCore() int { return m.banks / m.cores }
+func (m Mapping) BanksPerCore() int { return 1 << m.coreBankBits }
 
 // SetsPerBank returns 2^i.
 func (m Mapping) SetsPerBank() int { return m.setsPerBank }
@@ -82,8 +82,8 @@ func (m Mapping) Private(l mem.Line, core int) (bank, set int) {
 		panic(fmt.Sprintf("core: private mapping for core %d of %d", core, m.cores))
 	}
 	v := uint64(l)
-	local := int(v & uint64(m.BanksPerCore()-1))
-	bank = core*m.BanksPerCore() + local
+	local := int(v & (1<<m.coreBankBits - 1))
+	bank = core<<m.coreBankBits | local
 	set = int((v >> m.coreBankBits) & uint64(m.setsPerBank-1))
 	return bank, set
 }
@@ -93,7 +93,7 @@ func (m Mapping) CoreOfBank(b int) int {
 	if b < 0 || b >= m.banks {
 		panic(fmt.Sprintf("core: bank %d of %d", b, m.banks))
 	}
-	return b / m.BanksPerCore()
+	return b >> m.coreBankBits
 }
 
 // PrivateBanks returns the bank range [lo,hi) owned by core c.

@@ -117,13 +117,35 @@ type InstrSource interface {
 	Next() workload.Instr
 }
 
+// runSource is how a core draws its instructions: a run of empty ones
+// (neither fetching a new code line nor accessing memory) at once.
+// NextRun(m) draws at most m instructions, exactly as m Next calls
+// would, stops at the first non-empty one and returns it with ok set,
+// after the count of empty ones before it (workload.Stream.NextRun).
+type runSource interface {
+	NextRun(m int) (empty int, in workload.Instr, ok bool)
+}
+
+// oneByOne gives a source without NextRun (a trace replayer, a wrapper)
+// the runSource method by drawing single instructions.
+type oneByOne struct{ InstrSource }
+
+func (s oneByOne) NextRun(m int) (int, workload.Instr, bool) {
+	for n := 0; n < m; n++ {
+		if in := s.Next(); in.HasFetch || in.IsMem {
+			return n, in, true
+		}
+	}
+	return m, workload.Instr{}, false
+}
+
 // Core executes one workload stream against the memory system.
 type Core struct {
 	ID     int
 	cfg    Config
 	eng    *sim.Engine
 	sys    arch.System
-	stream InstrSource
+	stream runSource
 
 	localTime sim.Cycle
 	retired   uint64
@@ -166,7 +188,11 @@ func New(id int, cfg Config, eng *sim.Engine, sys arch.System, stream InstrSourc
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 256
 	}
-	c := &Core{ID: id, cfg: cfg, eng: eng, sys: sys, stream: stream, target: target}
+	rs, ok := stream.(runSource)
+	if !ok {
+		rs = oneByOne{stream}
+	}
+	c := &Core{ID: id, cfg: cfg, eng: eng, sys: sys, stream: rs, target: target}
 	c.sliceEv = c.slice
 	if cfg.PrefetchDegree > 0 {
 		c.pf = newStridePrefetcher(cfg.PrefetchDegree)
@@ -235,13 +261,24 @@ const maxSliceSkew = 64
 
 // slice executes up to Quantum instructions, then yields to the event
 // queue so cores stay loosely synchronized in simulated time.
+//
+// Instructions arrive in runs: a run of empty instructions retires
+// arithmetically, and only the non-empty one after it touches the L1.
+// Each run is drawn no longer than the instructions the per-instruction
+// checks (the quantum, the target and the maxSliceSkew bound) would
+// still admit, so the slice ends where it would one instruction at a
+// time. Completed misses are reaped once, before each non-empty
+// instruction: only those read the miss heap, and the local clock
+// never moves backwards, so deferring the reaps over empty
+// instructions pops the same entries.
 func (c *Core) slice() {
 	if c.Done {
 		return
 	}
 	sub := c.sys.Sub()
 	sliceStart := c.localTime
-	for n := 0; n < c.cfg.Quantum; n++ {
+	iw := c.cfg.IssueWidth
+	for n := 0; n < c.cfg.Quantum; {
 		if c.localTime > sliceStart+maxSliceSkew {
 			break
 		}
@@ -250,9 +287,23 @@ func (c *Core) slice() {
 			c.drain()
 			return
 		}
+		m := c.cfg.Quantum - n
+		if left := c.target - c.retired; left < uint64(m) {
+			m = int(left)
+		}
+		// The skew check fires before the instruction that finds the
+		// clock past sliceStart+maxSliceSkew, d+1 cycles from now.
+		d := int(sliceStart + maxSliceSkew - c.localTime)
+		if k := (d+1)*iw - c.slot; k < m {
+			m = k
+		}
+		empty, in, ok := c.stream.NextRun(m)
+		c.retire(empty)
+		n += empty
+		if !ok {
+			continue
+		}
 		c.reapCompleted()
-
-		in := c.stream.Next()
 
 		// Instruction fetch on code-line crossings.
 		if in.HasFetch {
@@ -278,20 +329,29 @@ func (c *Core) slice() {
 			}
 		}
 
-		c.retired++
-		if !c.warmed && c.warmTarget > 0 && c.retired >= c.warmTarget {
-			c.warmed = true
-			c.warmTime = c.localTime
-		}
-		c.slot++
-		if c.slot >= c.cfg.IssueWidth {
-			c.slot = 0
-			c.localTime++
-		}
+		c.retire(1)
+		n++
 	}
 	// Yield: reschedule at the core's current local time so other cores
 	// catch up in simulated time before we claim more shared resources.
 	c.eng.At(c.localTime, c.sliceEv)
+}
+
+// retire retires k instructions at the issue width. If the warmup
+// boundary falls among them, warmTime is the cycle its instruction
+// retired in.
+func (c *Core) retire(k int) {
+	iw := c.cfg.IssueWidth
+	if !c.warmed && c.warmTarget > 0 && c.retired+uint64(k) >= c.warmTarget {
+		c.warmed = true
+		j := int(c.warmTarget - c.retired - 1) // the boundary's index among the k
+		c.warmTime = c.localTime + sim.Cycle((c.slot+j)/iw)
+	}
+	c.retired += uint64(k)
+	if c.slot += k; c.slot >= iw {
+		c.localTime += sim.Cycle(c.slot / iw)
+		c.slot %= iw
+	}
 }
 
 // handleMiss issues the access to the L2 system and applies the window /

@@ -164,3 +164,45 @@ func TestZeroConfigDefaults(t *testing.T) {
 		t.Fatal("zero-value config core made no progress")
 	}
 }
+
+// nextOnly hides a stream's NextRun, as a trace replayer has none.
+type nextOnly struct{ s *workload.Stream }
+
+func (n nextOnly) Next() workload.Instr { return n.s.Next() }
+
+// singles hands out one instruction per NextRun call, whatever m is, so
+// the core retires every empty instruction on its own.
+type singles struct{ *workload.Stream }
+
+func (s singles) NextRun(int) (int, workload.Instr, bool) { return s.Stream.NextRun(1) }
+
+// TestCoreRunsMatchSingles runs the same stream through long runs,
+// through the one-instruction adapter a source without NextRun gets, and
+// one instruction per call: the core must retire the same instructions
+// in the same cycles every way, warmup boundary included.
+func TestCoreRunsMatchSingles(t *testing.T) {
+	type outcome struct {
+		retired          uint64
+		time, stalls     sim.Cycle
+		warmCycles       sim.Cycle
+		warmInstructions uint64
+	}
+	run := func(src func(*workload.Stream) InstrSource) outcome {
+		eng := sim.NewEngine()
+		c := New(0, DefaultConfig(), eng, testSystem(t), src(testStream(t, 0)), 20_000)
+		c.SetWarmup(7_777)
+		c.Start()
+		eng.RunUntil(0, func() bool { return c.Done })
+		dt, dr := c.MeasuredWindow()
+		return outcome{c.Retired(), c.Time(), c.Stalls, dt, dr}
+	}
+	runs := run(func(s *workload.Stream) InstrSource { return s })
+	for name, src := range map[string]func(*workload.Stream) InstrSource{
+		"adapter": func(s *workload.Stream) InstrSource { return nextOnly{s} },
+		"singles": func(s *workload.Stream) InstrSource { return singles{s} },
+	} {
+		if got := run(src); got != runs {
+			t.Errorf("%s: core %+v, with runs %+v", name, got, runs)
+		}
+	}
+}

@@ -33,8 +33,11 @@ func FunctionalWarm(sys arch.System, streams []*workload.Stream, n uint64) {
 			if st == nil {
 				continue
 			}
-			for i := uint64(0); i < q; i++ {
-				in := st.Next()
+			for left := int(q); left > 0; left-- {
+				empty, in, ok := st.NextRun(left)
+				if left -= empty; !ok {
+					break
+				}
 				if in.HasFetch && !sub.L1.Lookup(c, in.Fetch, false, true) {
 					warmMiss(sys, sub, c, in.Fetch, false, true)
 				}

@@ -255,22 +255,45 @@ func RunOn(rc RunConfig, sys arch.System) (RunResult, error) {
 // runBound executes rc's warmup and measurement phases against a
 // prepared system and pre-positioned streams. idleTarget is the
 // retirement target of unmeasured cores; consumed, when non-nil,
-// receives every core's retired count (the sampled runner uses it to
-// resynchronize stream positions between windows).
+// receives how many instructions were drawn from every core's stream,
+// its true position (the sampled runner uses it to resynchronize
+// stream positions between windows). When a processor is spare, the
+// streams are generated ahead on it (pipe.go); the result is the same.
 func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget uint64, consumed *[mem.MaxCores]uint64) (RunResult, error) {
 	eng := enginePool.Get().(*sim.Engine)
 	defer func() {
 		eng.Reset()
 		enginePool.Put(eng)
 	}()
-	cores := make([]*cpu.Core, rc.System.Cores)
 	measured := bound.Active
+	var targets [mem.MaxCores]uint64
 	for c := 0; c < rc.System.Cores; c++ {
-		target := rc.Warmup + rc.Instructions
+		targets[c] = rc.Warmup + rc.Instructions
 		if measured&(1<<uint(c)) == 0 {
-			target = idleTarget
+			targets[c] = idleTarget
 		}
-		cores[c] = cpu.New(c, rc.Core, eng, sys, bound.Streams[c], target)
+	}
+	spare := spareProcessor()
+	defer simulating.Add(-1)
+	var pl *pipeline
+	if spare {
+		pl = startPipeline(bound, targets[:rc.System.Cores])
+		// The producer is stopped and joined on every return, a panic's
+		// included; it drew each stream ahead of its core.
+		defer func() {
+			drawn := pl.finish()
+			if consumed != nil {
+				*consumed = drawn
+			}
+		}()
+	}
+	cores := make([]*cpu.Core, rc.System.Cores)
+	for c := range cores {
+		var src cpu.InstrSource = bound.Streams[c]
+		if pl != nil {
+			src = &pl.sources[c]
+		}
+		cores[c] = cpu.New(c, rc.Core, eng, sys, src, targets[c])
 		cores[c].SetWarmup(rc.Warmup)
 		cores[c].Start()
 	}
@@ -318,20 +341,22 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget u
 		tr.Complete("measured", "phase", uint64(warmEnd), uint64(eng.Now()-warmEnd), 0)
 	}
 
-	return assembleResult(rc, sub, cores, measured, base, consumed)
+	if consumed != nil && pl == nil {
+		for c, core := range cores {
+			consumed[c] = core.Retired() // a core draws what it retires
+		}
+	}
+	return assembleResult(rc, sub, cores, measured, base)
 }
 
 // assembleResult reduces the post-run core and substrate state into a
 // RunResult.
-func assembleResult(rc RunConfig, sub *arch.Substrate, cores []*cpu.Core, measured uint8, base statSnapshot, consumed *[mem.MaxCores]uint64) (RunResult, error) {
+func assembleResult(rc RunConfig, sub *arch.Substrate, cores []*cpu.Core, measured uint8, base statSnapshot) (RunResult, error) {
 	res := RunResult{Arch: rc.Arch, Workload: rc.Workload, Seed: rc.Seed}
 	var retired uint64
 	var ipcSum float64
 	var nMeasured int
 	for c := 0; c < rc.System.Cores; c++ {
-		if consumed != nil && c < len(consumed) {
-			consumed[c] = cores[c].Retired()
-		}
 		if measured&(1<<uint(c)) == 0 {
 			continue
 		}

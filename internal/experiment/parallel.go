@@ -40,6 +40,15 @@ func forEach(parallelism, n int, job func(i int) error) error {
 		return nil
 	}
 
+	// Every job here is a simulation, and a worker between two of them
+	// (building the next system, binding its workload) is about to need
+	// its processor again. Counting the other workers as running for the
+	// pool's lifetime keeps a run started in such a gap from piping its
+	// streams onto that processor (pipe.go); runBound counts each run
+	// itself.
+	simulating.Add(int64(p - 1))
+	defer simulating.Add(-int64(p - 1))
+
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var (

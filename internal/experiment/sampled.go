@@ -232,8 +232,10 @@ func runWindow(rc RunConfig, bound *workload.Bound, pl samplePlan, pos *[mem.Max
 	}
 
 	// Resynchronize every stream to its canonical post-window position:
-	// the engine stops when the measured cores finish, so idle cores may
-	// stop anywhere short of their own target.
+	// the engine stops when the measured cores finish, so an idle core
+	// may stop anywhere short of its own target, and its stream may have
+	// been drawn ahead of it (never past the target) when the window
+	// piped.
 	for c := 0; c < cores; c++ {
 		target := measuredTarget
 		if bound.Active&(1<<uint(c)) == 0 {

@@ -212,18 +212,47 @@ func (s *Stream) Next() Instr {
 			return p.alt.Next()
 		}
 	}
-	return s.next()
+	_, in, _ := s.run(1)
+	return in
 }
+
+// NextRun draws at most m instructions, exactly as m calls of Next
+// would, and stops at the first one that fetches a new code line or
+// accesses memory. It returns how many empty instructions (neither
+// fetching nor accessing memory) it drew before that one, and the one
+// itself with ok set; when all m are empty it returns m and ok false.
+// Most instructions are empty, and a core retires a run of them
+// arithmetically instead of one Next call at a time.
+func (s *Stream) NextRun(m int) (empty int, in Instr, ok bool) {
+	if s.phase == nil {
+		return s.run(m)
+	}
+	// Phase alternation counts single instructions.
+	for ; empty < m; empty++ {
+		if in = s.Next(); in.HasFetch || in.IsMem {
+			return empty, in, true
+		}
+	}
+	return m, Instr{}, false
+}
+
+// maxRun bounds the m of one NextRun call made on behalf of a caller
+// that wants more instructions than an int may count.
+const maxRun = 1 << 20
 
 // Skip advances the stream by n instructions without handing them to a
 // core: the generator state (RNG draws, recency rings, scan cursor,
 // phase alternation) moves exactly as if Next had been called n times.
-// Sampled runs use it to position a measurement window; because the CPU
-// model calls Next exactly once per retired instruction, a skip count
+// Sampled runs use it to position a measurement window; because a core
+// retires every instruction it draws from its stream, a skip count
 // equals an instruction distance.
 func (s *Stream) Skip(n uint64) {
-	for ; n > 0; n-- {
-		s.Next()
+	for n > 0 {
+		empty, _, ok := s.NextRun(int(min(n, maxRun)))
+		n -= uint64(empty)
+		if ok {
+			n--
+		}
 	}
 }
 
@@ -238,88 +267,98 @@ func (s *Stream) Phase() (string, int) {
 	return s.prof.Name, 0
 }
 
-// next generates from this stream's own profile.
-func (s *Stream) next() Instr {
-	var in Instr
+// run is NextRun on this stream's own profile: the one generator every
+// draw goes through. Per instruction the program counter advances,
+// crossing into a new code line sequentially every instrsPerCodeLine
+// instructions or on a taken branch, and then a memory access is drawn.
+func (s *Stream) run(m int) (empty int, in Instr, ok bool) {
+	for ; empty < m; empty++ {
+		s.codePos++
+		if branch := s.rng.Hit(s.ch.branch); branch || s.codePos >= instrsPerCodeLine {
+			in.Fetch, in.HasFetch = s.fetch(branch), true
+		}
+		if s.rng.Hit(s.ch.mem) {
+			in.Data, in.Write = s.data()
+			in.IsMem = true
+			return empty, in, true
+		}
+		if in.HasFetch {
+			return empty, in, true
+		}
+	}
+	return m, Instr{}, false
+}
 
-	// Instruction fetch: cross into a new code line sequentially every
-	// instrsPerCodeLine instructions, or on a taken branch.
-	s.codePos++
-	branch := s.rng.Hit(s.ch.branch)
-	if branch || s.codePos >= instrsPerCodeLine {
-		s.codePos = 0
-		if branch {
-			switch {
-			case len(s.recentCode) > 0 && s.rng.Hit(s.ch.codeRecency):
-				// Loop back into recently executed code.
-				s.codeLine = s.recentCode[s.rng.Intn(len(s.recentCode))]
-			case s.rng.Hit(s.ch.os):
-				// OS code: common region, hot.
-				s.codeLine = osBase + mem.Line(s.osZipf.Sample(s.rng))
-				s.pushCode(s.codeLine)
-			default:
-				s.codeLine = s.cdBase + mem.Line(s.codeZipf.Sample(s.rng)%s.codeLines)
-				s.pushCode(s.codeLine)
-			}
-		} else {
-			s.codeLine++
-			if s.codeLine >= s.cdBase+mem.Line(s.codeLines) {
-				s.codeLine = s.cdBase
-			}
+// fetch moves the program counter into a new code line, the target of a
+// taken branch or the next line in sequence, and returns that line.
+func (s *Stream) fetch(branch bool) mem.Line {
+	s.codePos = 0
+	if branch {
+		switch {
+		case len(s.recentCode) > 0 && s.rng.Hit(s.ch.codeRecency):
+			// Loop back into recently executed code.
+			s.codeLine = s.recentCode[s.rng.Intn(len(s.recentCode))]
+		case s.rng.Hit(s.ch.os):
+			// OS code: common region, hot.
+			s.codeLine = osBase + mem.Line(s.osZipf.Sample(s.rng))
+			s.pushCode(s.codeLine)
+		default:
+			s.codeLine = s.cdBase + mem.Line(s.codeZipf.Sample(s.rng)%s.codeLines)
 			s.pushCode(s.codeLine)
 		}
-		in.Fetch = s.codeLine
-		in.HasFetch = true
+	} else {
+		s.codeLine++
+		if s.codeLine >= s.cdBase+mem.Line(s.codeLines) {
+			s.codeLine = s.cdBase
+		}
+		s.pushCode(s.codeLine)
 	}
+	return s.codeLine
+}
 
-	if !s.rng.Hit(s.ch.mem) {
-		return in
-	}
-	in.IsMem = true
-
+// data draws the line a memory instruction accesses and whether it
+// writes.
+func (s *Stream) data() (line mem.Line, write bool) {
 	// Temporal-locality component: re-touch a recent line.
 	if len(s.recentData) > 0 && s.rng.Hit(s.ch.recency) {
 		e := s.recentData[s.rng.Intn(len(s.recentData))]
-		in.Data = e.line
 		if e.shared {
-			in.Write = s.rng.Hit(s.ch.sharedWrite)
-		} else {
-			in.Write = s.rng.Hit(s.ch.write)
+			return e.line, s.rng.Hit(s.ch.sharedWrite)
 		}
-		return in
+		return e.line, s.rng.Hit(s.ch.write)
 	}
 
 	// OS data access: shared across every core.
 	if s.rng.Hit(s.ch.os) {
-		in.Data = osBase + osLines + mem.Line(s.osZipf.Sample(s.rng))
-		in.Write = s.rng.Hit(s.ch.osWrite)
-		s.pushData(in.Data, true)
-		return in
+		line = osBase + osLines + mem.Line(s.osZipf.Sample(s.rng))
+		write = s.rng.Hit(s.ch.osWrite)
+		s.pushData(line, true)
+		return line, write
 	}
 
 	// Application shared region.
 	if s.rng.Hit(s.ch.shared) {
 		r := s.shZipf.Sample(s.rng)
-		in.Data = s.shBase + mem.Line(r%s.shLines)
-		in.Write = s.rng.Hit(s.ch.sharedWrite)
-		s.pushData(in.Data, true)
-		return in
+		line = s.shBase + mem.Line(r%s.shLines)
+		write = s.rng.Hit(s.ch.sharedWrite)
+		s.pushData(line, true)
+		return line, write
 	}
 
 	// Private region: streaming scan or Zipf reuse.
 	if s.rng.Hit(s.ch.scan) {
-		in.Data = s.privBase + mem.Line(s.scan)
+		line = s.privBase + mem.Line(s.scan)
 		s.scan++
 		if s.scan >= s.privLines {
 			s.scan = 0
 		}
 	} else {
 		r := s.privZipf.Sample(s.rng)
-		in.Data = s.privBase + mem.Line(r%s.privLines)
+		line = s.privBase + mem.Line(r%s.privLines)
 	}
-	in.Write = s.rng.Hit(s.ch.write)
-	s.pushData(in.Data, false)
-	return in
+	write = s.rng.Hit(s.ch.write)
+	s.pushData(line, false)
+	return line, write
 }
 
 // pushData records a freshly generated line in the recency ring.
