@@ -26,20 +26,15 @@
 //	GET    /v1/cache/stats          result-cache counters
 //	GET    /debug/pprof/...         runtime profiles (-pprof)
 //
-// Cluster mode (see internal/cluster): by default the daemon is a
-// coordinator — workers started with -coordinator=URL register with
-// it, jobs submitted to the coordinator shard across the fleet by
-// canonical key, and every node's result cache gains a remote tier
-// (peer fetch + cluster-wide run leases). espctl pointed at the
-// coordinator works unchanged.
-//
-//	espserved -addr :9000                                  # coordinator
-//	espserved -addr :9001 -coordinator http://host:9000    # worker
+// One daemon is the whole deployment: each job's cells run on a
+// bounded worker pool (-parallel, all processors by default), so a
+// single process already keeps every processor of its host busy.
+// Several daemons may share one -cache-dir; each result object is
+// written atomically and is the same bytes whoever computes it.
 //
 // On SIGTERM/SIGINT the daemon stops accepting work, cancels queued
 // jobs, lets in-flight jobs finish (bounded by -drain-timeout) and
-// persists the cache index. A worker additionally marks itself
-// draining at the coordinator first, so no new cells land on it.
+// persists the cache index.
 package main
 
 import (
@@ -56,43 +51,9 @@ import (
 	"syscall"
 	"time"
 
-	"espnuca/internal/cluster"
-	"espnuca/internal/obs"
 	"espnuca/internal/resultcache"
 	"espnuca/internal/service"
 )
-
-// advertiseAddr derives the peer-reachable address workers and the
-// coordinator announce: the -advertise flag verbatim, else the bound
-// address with unspecified hosts (":8585", "[::]:0") rewritten to
-// loopback — right for single-machine fleets, which is what the
-// default serves; multi-host deployments set -advertise.
-func advertiseAddr(flagVal string, bound net.Addr) string {
-	if flagVal != "" {
-		return flagVal
-	}
-	tcp, ok := bound.(*net.TCPAddr)
-	if !ok {
-		return bound.String()
-	}
-	if tcp.IP == nil || tcp.IP.IsUnspecified() {
-		return fmt.Sprintf("127.0.0.1:%d", tcp.Port)
-	}
-	return bound.String()
-}
-
-// nodeID derives a stable worker identity: -node-id verbatim, else
-// host-pid (unique per daemon on a shared machine).
-func nodeID(flagVal string) string {
-	if flagVal != "" {
-		return flagVal
-	}
-	host, err := os.Hostname()
-	if err != nil || host == "" {
-		host = "node"
-	}
-	return fmt.Sprintf("%s-%d", host, os.Getpid())
-}
 
 // newLogger builds the daemon's structured logger from the -log-level
 // and -log-format flags.
@@ -128,10 +89,6 @@ func main() {
 		logFormat = flag.String("log-format", "text", "log format: text or json")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		tracing   = flag.Bool("trace", true, "record per-job span traces (GET /v1/jobs/{id}/trace)")
-		coordURL  = flag.String("coordinator", "", "coordinator base URL; set makes this daemon a worker in that fleet")
-		advertise = flag.String("advertise", "", "peer-reachable host:port announced to the fleet (default: derived from -addr)")
-		nodeFlag  = flag.String("node-id", "", "stable cluster identity (default: hostname-pid)")
-		hbEvery   = flag.Duration("heartbeat-interval", 0, "heartbeat cadence the coordinator grants workers (0: 2s)")
 	)
 	flag.Parse()
 
@@ -150,58 +107,18 @@ func main() {
 		fatal("open result cache", err)
 	}
 
-	// Bind before building the cluster pieces: the advertise address
-	// needs the real port when -addr :0 picks a free one.
+	// Bind before serving: with -addr :0 the printed address must be
+	// the port actually picked.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal("listen", err)
-	}
-	selfAddr := advertiseAddr(*advertise, ln.Addr())
-	reg := obs.NewRegistry()
-	appCtx, appCancel := context.WithCancel(context.Background())
-	defer appCancel()
-
-	simRunner := &service.SimRunner{Cache: store, Parallelism: *parallel}
-	node := cluster.NewNodeServer(cluster.NodeConfig{Store: store, Obs: reg, Logger: logger})
-	var (
-		clusterStatus func() any
-		coord         *cluster.Coordinator
-		agent         *cluster.Agent
-	)
-	if *coordURL != "" {
-		// Worker: register with the coordinator and give the cache its
-		// remote tier (peer fetch + cluster-wide run leases).
-		agent = cluster.NewAgent(cluster.AgentConfig{
-			Coordinator: strings.TrimRight(*coordURL, "/"),
-			NodeID:      nodeID(*nodeFlag),
-			Advertise:   selfAddr,
-			Node:        node,
-			Obs:         reg,
-			Logger:      logger,
-		})
-		store.SetRemote(agent.Remote())
-		clusterStatus = agent.Status
-	} else {
-		// Coordinator: own the fleet state and shard cells across it.
-		coord = cluster.NewCoordinator(cluster.CoordinatorConfig{
-			HeartbeatInterval: *hbEvery,
-			SelfAddr:          selfAddr,
-			Obs:               reg,
-			Logger:            logger,
-		})
-		disp := cluster.NewDispatcher(cluster.DispatcherConfig{
-			Coordinator: coord, Store: store, Obs: reg, Logger: logger,
-		})
-		simRunner.RunCell = disp.RunCell
-		clusterStatus = coord.Status
 	}
 
 	sched, err := service.New(service.Config{
 		Workers:    *workers,
 		QueueLimit: *queue,
 		RetainJobs: *retain,
-		Runner:     simRunner,
-		Obs:        reg,
+		Runner:     &service.SimRunner{Cache: store, Parallelism: *parallel},
 		Logger:     logger,
 	})
 	if err != nil {
@@ -212,16 +129,7 @@ func main() {
 		Logger:         logger,
 		Pprof:          *pprofOn,
 		DisableTracing: !*tracing,
-		ClusterStatus:  clusterStatus,
 	})
-	// Every daemon serves the node API (the coordinator's local-fallback
-	// objects are peer-fetched through it too); only the coordinator
-	// serves the fleet-management API.
-	node.Mount(handler)
-	if coord != nil {
-		coord.Mount(handler)
-		coord.Start(appCtx)
-	}
 	srv := &http.Server{Addr: *addr, Handler: handler}
 
 	// The bound address line is machine-readable (the CI smoke test and
@@ -231,10 +139,6 @@ func main() {
 		"pprof", *pprofOn, "trace", *tracing)
 	if *cacheDir != "" {
 		logger.Info("result cache opened", "dir", *cacheDir)
-	}
-	if agent != nil {
-		logger.Info("worker mode", "coordinator", *coordURL, "node", nodeID(*nodeFlag), "advertise", selfAddr)
-		go agent.Run(appCtx)
 	}
 
 	errc := make(chan error, 1)
@@ -247,12 +151,6 @@ func main() {
 		logger.Info("signal received, draining", "signal", sig.String(), "timeout", drainT.String())
 	case err := <-errc:
 		fatal("serve", err)
-	}
-	if agent != nil {
-		// Tell the fleet first: draining keeps this node's cache
-		// fetchable but stops new cells from landing here.
-		node.SetDraining()
-		agent.Leave(true)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainT)
@@ -269,10 +167,6 @@ func main() {
 	}
 	if err := <-drainc; err != nil {
 		logger.Warn("drain timed out, in-flight jobs were force-canceled", "error", err)
-	}
-	appCancel() // stop heartbeats / the membership reaper
-	if agent != nil {
-		agent.Leave(false)
 	}
 	if err := store.Close(); err != nil {
 		logger.Warn("cache index close", "error", err)

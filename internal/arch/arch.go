@@ -564,7 +564,7 @@ func (s *Substrate) collectForWrite(at sim.Cycle, viaNode noc.NodeID, reqCore in
 	done := at
 	mask := st.Sharers()
 	for c := 0; c < s.Cfg.Cores; c++ {
-		if c == reqCore || mask&(1<<uint(c)) == 0 {
+		if c == reqCore || !mask.Has(c) {
 			continue
 		}
 		t := s.Mesh.Send(at, viaNode, s.NodeOfCore(c), noc.Control, 0)

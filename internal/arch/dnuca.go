@@ -143,7 +143,7 @@ func (a *DNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 		s.record(RemoteL1, at, t)
 		return Result{Done: s.complete(t, reqNode, c, line, write), Level: RemoteL1}
 
-	case st.Sharers()&^(1<<uint(c)) != 0:
+	case st.Sharers().Without(c) != 0:
 		holder := nearestSharer(s, st, c)
 		t := at
 		if holder != c {

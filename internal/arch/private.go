@@ -136,7 +136,7 @@ func (a *Tiled) bestOnChipResponse(at sim.Cycle, c int, line mem.Line, st *coher
 		if !found || t < best {
 			best, level, found = t, RemoteL1, true
 		}
-	} else if st.Sharers()&^(1<<uint(c)) != 0 {
+	} else if st.Sharers().Without(c) != 0 {
 		holder := nearestSharer(s, st, c)
 		if holder != c {
 			t := a.s.l1Intervention(at, s.NodeOfCore(c), holder, c)

@@ -174,7 +174,7 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool) (sim.Cy
 	}
 
 	// Step 3: L1-only holders (line fell out of L2 but lives in an L1).
-	if st.Sharers()&^(1<<uint(c)) != 0 {
+	if st.Sharers().Without(c) != 0 {
 		holder := nearestSharer(s, st, c)
 		if holder != c {
 			done := s.l1Intervention(t, homeNode, holder, c)

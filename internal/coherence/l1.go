@@ -181,9 +181,9 @@ func (l *L1s) Invalidate(c int, line mem.Line) (dirty bool) {
 
 // InvalidateSharers removes the line from every L1 in the mask except
 // keep; used on writes (token collection).
-func (l *L1s) InvalidateSharers(line mem.Line, mask uint8, keep int) {
+func (l *L1s) InvalidateSharers(line mem.Line, mask mem.CoreSet, keep int) {
 	for c := 0; c < len(l.data); c++ {
-		if c != keep && mask&(1<<uint(c)) != 0 {
+		if c != keep && mask.Has(c) {
 			l.Invalidate(c, line)
 		}
 	}

@@ -53,11 +53,11 @@ const (
 func L1Holder(c int) Holder { return HolderL1 + Holder(c) }
 
 // Sharers returns a bitmask of cores whose L1 holds at least one token.
-func (s *LineState) Sharers() uint8 {
-	var m uint8
+func (s *LineState) Sharers() mem.CoreSet {
+	var m mem.CoreSet
 	for c := 0; c < TokensPerLine; c++ {
 		if s.L1Tokens[c] > 0 {
-			m |= 1 << uint(c)
+			m = m.With(c)
 		}
 	}
 	return m

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -365,7 +364,7 @@ func Figure10(o Options) (Table, error) {
 func Table1() Table {
 	t := Table{ID: "Table 1", Title: "Workloads under study", Columns: []string{"kind", "cores"}}
 	for _, s := range workload.Catalog() {
-		t.Rows = append(t.Rows, TableRow{Label: s.Name, Values: []float64{float64(s.Kind), float64(bits.OnesCount8(s.ActiveCores()))}})
+		t.Rows = append(t.Rows, TableRow{Label: s.Name, Values: []float64{float64(s.Kind), float64(s.ActiveCores().Len())}})
 	}
 	return t
 }

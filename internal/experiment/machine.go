@@ -269,7 +269,7 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget u
 	var targets [mem.MaxCores]uint64
 	for c := 0; c < rc.System.Cores; c++ {
 		targets[c] = rc.Warmup + rc.Instructions
-		if measured&(1<<uint(c)) == 0 {
+		if !measured.Has(c) {
 			targets[c] = idleTarget
 		}
 	}
@@ -309,7 +309,7 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget u
 	if rc.Warmup > 0 {
 		warmDone := func() bool {
 			for c := 0; c < rc.System.Cores; c++ {
-				if measured&(1<<uint(c)) != 0 && !cores[c].Warmed() {
+				if measured.Has(c) && !cores[c].Warmed() {
 					return false
 				}
 			}
@@ -323,7 +323,7 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget u
 	// Phase 2: measured execution.
 	allDone := func() bool {
 		for c := 0; c < rc.System.Cores; c++ {
-			if measured&(1<<uint(c)) != 0 && !cores[c].Done {
+			if measured.Has(c) && !cores[c].Done {
 				return false
 			}
 		}
@@ -351,13 +351,13 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget u
 
 // assembleResult reduces the post-run core and substrate state into a
 // RunResult.
-func assembleResult(rc RunConfig, sub *arch.Substrate, cores []*cpu.Core, measured uint8, base statSnapshot) (RunResult, error) {
+func assembleResult(rc RunConfig, sub *arch.Substrate, cores []*cpu.Core, measured mem.CoreSet, base statSnapshot) (RunResult, error) {
 	res := RunResult{Arch: rc.Arch, Workload: rc.Workload, Seed: rc.Seed}
 	var retired uint64
 	var ipcSum float64
 	var nMeasured int
 	for c := 0; c < rc.System.Cores; c++ {
-		if measured&(1<<uint(c)) == 0 {
+		if !measured.Has(c) {
 			continue
 		}
 		dt, dr := cores[c].MeasuredWindow()

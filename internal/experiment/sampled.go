@@ -238,7 +238,7 @@ func runWindow(rc RunConfig, bound *workload.Bound, pl samplePlan, pos *[mem.Max
 	// piped.
 	for c := 0; c < cores; c++ {
 		target := measuredTarget
-		if bound.Active&(1<<uint(c)) == 0 {
+		if !bound.Active.Has(c) {
 			target = idleTarget
 		}
 		if consumed[c] < target {

@@ -5,7 +5,7 @@ package mem
 import "fmt"
 
 // MaxCores is the core count of the paper's CMP (Table 2). Per-core
-// arrays are sized by it, and the uint8 core masks assume it.
+// arrays are sized by it, and CoreSet must hold it.
 const MaxCores = 8
 
 // Addr is a physical byte address.

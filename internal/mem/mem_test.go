@@ -143,3 +143,24 @@ func TestDRAMBandwidthProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCoreSet(t *testing.T) {
+	var s CoreSet
+	for _, c := range []int{0, 3, MaxCores - 1} {
+		s = s.With(c)
+	}
+	if s != 0b1000_1001 || s.Len() != 3 {
+		t.Fatalf("set = %08b (len %d), want 10001001 (len 3)", s, s.Len())
+	}
+	for c := 0; c < MaxCores; c++ {
+		if want := c == 0 || c == 3 || c == MaxCores-1; s.Has(c) != want {
+			t.Errorf("Has(%d) = %v, want %v", c, s.Has(c), want)
+		}
+	}
+	if got := s.Without(3).Without(5); got != 0b1000_0001 {
+		t.Errorf("Without = %08b, want 10000001", got)
+	}
+	if all := CoreSet(1<<MaxCores - 1); all.Len() != MaxCores {
+		t.Errorf("full set has %d cores, want %d", all.Len(), MaxCores)
+	}
+}

@@ -56,10 +56,6 @@ type Stats struct {
 	// Bypassed counts Run calls that skipped the cache (instrumented
 	// runs, which carry side-effecting telemetry sinks).
 	Bypassed uint64 `json:"bypassed"`
-	// RemoteHits counts results satisfied by the cluster tier: fetched
-	// from a peer node (directly or after waiting out another node's
-	// run lease) instead of being simulated here.
-	RemoteHits uint64 `json:"remote_hits"`
 	// MemEntries and DiskEntries are point-in-time tier sizes, filled by
 	// Store.Stats. DiskEntries counts the objects this store knows of —
 	// seeded by one scan at Open, then maintained on Put and disk hits —
@@ -81,10 +77,6 @@ type Store struct {
 	cap   int
 	disk  map[string]struct{} // known on-disk keys; nil when memory-only
 	stats Stats
-
-	// remote is the optional cluster tier (peer fetch + run leases),
-	// attached by SetRemote before the store is shared.
-	remote Remote
 
 	flight group
 }

@@ -30,38 +30,9 @@ func (s *Store) Run(rc experiment.RunConfig) (experiment.RunResult, error) {
 // results stay bit-identical; with no trace in ctx every span call is a
 // nil-receiver no-op.
 func (s *Store) RunCtx(ctx context.Context, rc experiment.RunConfig) (experiment.RunResult, error) {
-	return s.RunVia(ctx, rc, nil)
-}
-
-// Simulate executes rc directly — no cache, no leases — under the
-// trace carried by ctx (the usual run/simulate span pair). It is the
-// compute step RunVia applies on a miss; the cluster dispatcher calls
-// it for its run-on-the-coordinator fallback so a fallback's trace is
-// indistinguishable from a standalone daemon's.
-func Simulate(ctx context.Context, rc experiment.RunConfig) (experiment.RunResult, error) {
-	return runTraced(obs.JobTraceFrom(ctx), rc, "")
-}
-
-// RunVia generalizes RunCtx over the compute step: on a miss, compute
-// produces the result (nil means simulate here — Simulate). The
-// cluster coordinator passes its remote-dispatch function, so
-// dispatched and local execution share one memoization, singleflight
-// and span flow.
-//
-// When the store carries a Remote tier (SetRemote), a local miss first
-// asks the fleet: peer fetch before compute, then the coordinator-
-// granted run lease so the whole cluster simulates a key at most once
-// concurrently. Remote failures degrade to node-local behavior — the
-// tier removes duplicated work, it is never needed for correctness.
-func (s *Store) RunVia(ctx context.Context, rc experiment.RunConfig, compute func(context.Context) (experiment.RunResult, error)) (experiment.RunResult, error) {
 	tr := obs.JobTraceFrom(ctx)
-	if compute == nil {
-		compute = func(context.Context) (experiment.RunResult, error) {
-			return runTraced(tr, rc, "")
-		}
-	}
 	if s == nil {
-		return compute(ctx)
+		return runTraced(tr, rc, "")
 	}
 	if rc.Metrics != nil {
 		s.mu.Lock()
@@ -87,19 +58,7 @@ func (s *Store) RunVia(ctx context.Context, rc experiment.RunConfig, compute fun
 		lookup.SetAttr("hit", "false")
 		lookup.End()
 
-		var release func(stored bool)
-		if s.remote != nil {
-			res, ok, err := s.remoteBeforeCompute(ctx, tr, rc, key, &release)
-			if ok || err != nil {
-				return res, err
-			}
-		}
-		stored := false
-		if release != nil {
-			defer func() { release(stored) }()
-		}
-
-		res, err := compute(ctx)
+		res, err := runTraced(tr, rc, "")
 		if err != nil {
 			return res, err
 		}
@@ -109,7 +68,6 @@ func (s *Store) RunVia(ctx context.Context, rc experiment.RunConfig, compute fun
 		store := startCellSpan(tr, "cache-store", rc)
 		err = s.Put(key, rc, res)
 		store.End()
-		stored = err == nil
 		return res, err
 	})
 	if shared {
@@ -127,54 +85,6 @@ func (s *Store) RunVia(ctx context.Context, rc experiment.RunConfig, compute fun
 		lookup.End()
 	}
 	return res, err
-}
-
-// remoteBeforeCompute runs the cluster-tier steps of a local miss:
-// peer fetch, then the cluster-wide run lease. ok=true returns a
-// remotely satisfied result (no compute needed); otherwise *release is
-// set when this node won the lease and must announce the outcome. A
-// non-nil error is only ever the caller's own cancellation — remote
-// failures degrade to computing locally.
-func (s *Store) remoteBeforeCompute(ctx context.Context, tr *obs.JobTrace, rc experiment.RunConfig, key string, release *func(stored bool)) (experiment.RunResult, bool, error) {
-	fetch := startCellSpan(tr, "remote-fetch", rc)
-	fetch.SetAttr("key", shortKey(key))
-	res, ok, err := s.remote.Fetch(ctx, key)
-	if err == nil && ok {
-		fetch.SetAttr("hit", "true")
-		fetch.End()
-		s.mu.Lock()
-		s.stats.RemoteHits++
-		s.mu.Unlock()
-		// Adopt the peer's result locally so the next request here is a
-		// plain memory/disk hit and peers can fetch it from us too.
-		return res, true, s.Put(key, rc, res)
-	}
-	fetch.SetAttr("hit", "false")
-	fetch.End()
-	if ctx.Err() != nil {
-		return experiment.RunResult{}, false, context.Cause(ctx)
-	}
-
-	wait := startCellSpan(tr, "lease-wait", rc)
-	wait.SetAttr("key", shortKey(key))
-	res, ok, rel, err := s.remote.Acquire(ctx, key)
-	wait.End()
-	if err != nil {
-		if ctx.Err() != nil {
-			return experiment.RunResult{}, false, err
-		}
-		// Lease service unreachable: compute locally. The local
-		// singleflight still collapses this node's duplicates.
-		return experiment.RunResult{}, false, nil
-	}
-	if ok {
-		s.mu.Lock()
-		s.stats.RemoteHits++
-		s.mu.Unlock()
-		return res, true, s.Put(key, rc, res)
-	}
-	*release = rel
-	return experiment.RunResult{}, false, nil
 }
 
 // runTraced executes the simulation under a `run` span with a

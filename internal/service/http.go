@@ -31,10 +31,6 @@ type ServerOptions struct {
 	// submissions (jobs run exactly as before; /v1/jobs/{id}/trace
 	// returns 404).
 	DisableTracing bool
-	// ClusterStatus, when non-nil, is called per /readyz request and
-	// its value attached under "cluster": the coordinator reports its
-	// registered peers and lease tables, a worker its membership state.
-	ClusterStatus func() any
 }
 
 // Server is the HTTP face of the simulation service.
@@ -62,7 +58,6 @@ type Server struct {
 	mux     *http.ServeMux
 	logger  *slog.Logger
 	tracing bool
-	cluster func() any
 }
 
 // NewServer wires the API around a scheduler and its cache (cache may
@@ -82,7 +77,6 @@ func NewServer(sched *Scheduler, cache *resultcache.Store, opts ...ServerOptions
 		mux:     http.NewServeMux(),
 		logger:  opt.Logger,
 		tracing: !opt.DisableTracing,
-		cluster: opt.ClusterStatus,
 	}
 	if s.logger == nil {
 		s.logger = discardLogger()
@@ -112,13 +106,6 @@ func NewServer(sched *Scheduler, cache *resultcache.Store, opts ...ServerOptions
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Handle registers an additional raw route on the server's mux. The
-// cluster subsystem mounts its internal endpoints (join/heartbeat/
-// lease/run/object) through it; they stay outside the per-endpoint
-// latency histograms and request log — heartbeats every few hundred
-// milliseconds would drown both.
-func (s *Server) Handle(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
 
 // statusWriter records the response status for logging and metrics. It
 // must keep forwarding Flush: the SSE event stream depends on it.
@@ -233,13 +220,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	code := http.StatusOK
 	if !h.Ready {
 		code = http.StatusServiceUnavailable
-	}
-	if s.cluster != nil {
-		writeJSON(w, code, struct {
-			HealthView
-			Cluster any `json:"cluster"`
-		}{h, s.cluster()})
-		return
 	}
 	writeJSON(w, code, h)
 }

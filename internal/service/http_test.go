@@ -155,7 +155,7 @@ func TestServedRunBitIdenticalAndCached(t *testing.T) {
 // TestServedMatrixMatchesLocal runs a small matrix job and checks it
 // equals the same matrix run locally, cell for cell.
 func TestServedMatrixMatchesLocal(t *testing.T) {
-	ts, _, _ := newTestServer(t, t.TempDir())
+	ts, _, store := newTestServer(t, t.TempDir())
 	spec := JobSpec{Matrix: &MatrixSpec{
 		Workloads:    []string{"apache"},
 		Variants:     []VariantSpec{{Label: "shared", Arch: "shared"}, {Label: "esp-nuca", Arch: "esp-nuca"}},
@@ -180,13 +180,38 @@ func TestServedMatrixMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := json.Marshal(local)
+	payload := func(id string) json.RawMessage {
+		t.Helper()
+		var raw json.RawMessage
+		if code := getJSON(t, ts.URL+"/v1/jobs/"+id+"/result", &raw); code != http.StatusOK {
+			t.Fatalf("fetch result: %d", code)
+		}
+		return raw
+	}
+	first := payload(v.ID)
 	var got experiment.Results
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/result", &got); code != http.StatusOK {
-		t.Fatalf("fetch result: %d", code)
+	if err := json.Unmarshal(first, &got); err != nil {
+		t.Fatal(err)
 	}
 	b, _ := json.Marshal(got)
 	if !bytes.Equal(b, want) {
 		t.Errorf("served matrix differs from local run:\n got  %s\n want %s", b, want)
+	}
+	if runs := store.Stats().Runs; runs != 4 {
+		t.Fatalf("first submission ran %d simulations, want 4", runs)
+	}
+
+	// Resubmitting the same matrix is pure cache: the payload is the
+	// same bytes and no cell simulates again.
+	v2 := submitAndWait(t, ts, spec)
+	if v2.State != StateSucceeded {
+		t.Fatalf("resubmitted matrix job: %s (%s)", v2.State, v2.Error)
+	}
+	if again := payload(v2.ID); !bytes.Equal(again, first) {
+		t.Errorf("resubmitted matrix payload differs:\n got  %s\n want %s", again, first)
+	}
+	if runs := store.Stats().Runs; runs != 4 {
+		t.Errorf("resubmission ran simulations: runs = %d, want 4", runs)
 	}
 }
 

@@ -20,12 +20,6 @@ type SimRunner struct {
 	// Parallelism bounds each matrix job's own worker pool when the
 	// spec doesn't set one (0: all cores).
 	Parallelism int
-	// RunCell, when non-nil, replaces the per-cell execution path (the
-	// cluster dispatcher substitutes coordinator-side dispatch here).
-	// It must be result-equivalent to Cache.RunCtx; the spec lowering,
-	// progress accounting and deterministic matrix assembly around it
-	// are shared either way.
-	RunCell func(ctx context.Context, rc experiment.RunConfig) (experiment.RunResult, error)
 }
 
 // Run implements Runner. Cancellation is honored between simulation
@@ -34,9 +28,6 @@ func (r *SimRunner) Run(ctx context.Context, spec JobSpec, progress func(done, t
 	runCell := func(rc experiment.RunConfig) (experiment.RunResult, error) {
 		if err := ctx.Err(); err != nil {
 			return experiment.RunResult{}, err
-		}
-		if r.RunCell != nil {
-			return r.RunCell(ctx, rc)
 		}
 		// ctx carries the job's trace (when tracing is on), so the cache
 		// records per-cell cache-lookup/run/cache-store spans. Nil-safe:

@@ -9,6 +9,8 @@
 // configurations.
 package workload
 
+import "espnuca/internal/mem"
+
 // Kind labels the four workload families of Table 1.
 type Kind int
 
@@ -118,11 +120,11 @@ type Spec struct {
 
 // ActiveCores returns the bitmask of cores that run measured application
 // work (idle/service cores excluded).
-func (s Spec) ActiveCores() uint8 {
-	var m uint8
+func (s Spec) ActiveCores() mem.CoreSet {
+	var m mem.CoreSet
 	for _, a := range s.Assignments {
 		for _, c := range a.Cores {
-			m |= 1 << uint(c)
+			m = m.With(c)
 		}
 	}
 	return m

@@ -387,7 +387,7 @@ type Bound struct {
 	Spec    Spec
 	Streams [mem.MaxCores]*Stream
 	// Active marks cores whose instructions count toward performance.
-	Active uint8
+	Active mem.CoreSet
 }
 
 // Bind instantiates the workload for a system whose L2 holds l2Lines

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# loadtest.sh — fire thousands of concurrent espctl submissions at a
-# 2-worker espserved fleet and check that the service holds up:
+# loadtest.sh — fire thousands of concurrent espctl submissions at one
+# espserved and check that the service holds up:
 #
 #   - every submission is accepted and reaches a terminal state
 #   - zero jobs are dropped (submitted == succeeded), duplicated
@@ -12,9 +12,9 @@
 #   scripts/loadtest.sh [jobs] [concurrency]
 #
 # Defaults: 2000 jobs, 64 concurrent submitters. Jobs reuse 16 distinct
-# seeds, so the fleet's content-addressed cache turns most of the load
+# seeds, so the daemon's content-addressed cache turns most of the load
 # into lookups — this stresses the service plane (queue, scheduler,
-# HTTP, cluster dispatch), not the simulator.
+# HTTP), not the simulator.
 set -euo pipefail
 
 JOBS=${1:-2000}
@@ -27,41 +27,28 @@ mkdir -p "$BIN"
 go build -o "$BIN/espserved" ./cmd/espserved
 go build -o "$BIN/espctl" ./cmd/espctl
 
-PIDS=()
+"$BIN/espserved" -addr 127.0.0.1:0 -queue 4096 -retain -1 >"$WORK/espserved.out" 2>"$WORK/espserved.err" &
+PID=$!
 cleanup() {
-    for pid in "${PIDS[@]}"; do kill "$pid" 2>/dev/null || true; done
+    kill "$PID" 2>/dev/null || true
+    wait "$PID" 2>/dev/null || true
     rm -rf "$WORK"
 }
 trap cleanup EXIT
 
-start_daemon() { # name, extra flags...
-    local name=$1; shift
-    "$BIN/espserved" -addr 127.0.0.1:0 "$@" >"$WORK/$name.out" 2>"$WORK/$name.err" &
-    PIDS+=($!)
-    for _ in $(seq 1 50); do
-        grep -q '^espserved listening on ' "$WORK/$name.out" && break
-        sleep 0.2
-    done
-    sed -n 's/^espserved listening on //p' "$WORK/$name.out"
-}
-
-COORD=$(start_daemon coord -queue 4096 -retain -1 -heartbeat-interval 500ms)
-WA=$(start_daemon wa -coordinator "http://$COORD" -node-id wa)
-WB=$(start_daemon wb -coordinator "http://$COORD" -node-id wb)
-echo "coordinator http://$COORD  workers http://$WA http://$WB"
-
 for _ in $(seq 1 50); do
-    PEERS=$(curl -fsS "http://$COORD/readyz" | python3 -c 'import json,sys; print(json.load(sys.stdin)["cluster"]["peers"])')
-    [ "$PEERS" = 2 ] && break
+    grep -q '^espserved listening on ' "$WORK/espserved.out" && break
     sleep 0.2
 done
-[ "$PEERS" = 2 ] || { echo "workers failed to register" >&2; exit 1; }
+ADDR=$(sed -n 's/^espserved listening on //p' "$WORK/espserved.out")
+[ -n "$ADDR" ] || { echo "espserved did not start: $(cat "$WORK/espserved.err")" >&2; exit 1; }
+echo "espserved at http://$ADDR"
 
 echo "submitting $JOBS jobs ($CONC concurrent, 16 distinct cells)..."
 START=$(date +%s)
 seq 1 "$JOBS" | xargs -P "$CONC" -I{} sh -c \
     '"$0" -addr "http://$1" submit -workload apache -seed $((1 + {} % 16)) -warmup 4000 -instructions 1500' \
-    "$BIN/espctl" "$COORD" >"$WORK/ids.txt"
+    "$BIN/espctl" "$ADDR" >"$WORK/ids.txt"
 SUBMIT_SECS=$(( $(date +%s) - START ))
 
 # Every submission returned a job ID, and no two returned the same one.
@@ -72,7 +59,7 @@ UNIQ=$(sort -u "$WORK/ids.txt" | wc -l)
 
 echo "all $JOBS accepted in ${SUBMIT_SECS}s; waiting for the queue to drain..."
 for _ in $(seq 1 600); do
-    DONE=$(curl -fsS "http://$COORD/metricsz" | python3 -c '
+    DONE=$(curl -fsS "http://$ADDR/metricsz" | python3 -c '
 import json, sys
 c = json.load(sys.stdin)["counters"]
 print(c["service.jobs_succeeded"] + c["service.jobs_failed"] + c["service.jobs_canceled"])')
@@ -80,8 +67,8 @@ print(c["service.jobs_succeeded"] + c["service.jobs_failed"] + c["service.jobs_c
     sleep 0.5
 done
 
-curl -fsS "http://$COORD/metricsz" >"$WORK/metrics.json"
-curl -fsS "http://$COORD/metricsz?format=prom" >"$WORK/metrics.prom"
+curl -fsS "http://$ADDR/metricsz" >"$WORK/metrics.json"
+curl -fsS "http://$ADDR/metricsz?format=prom" >"$WORK/metrics.prom"
 python3 - "$WORK/metrics.json" "$WORK/metrics.prom" "$JOBS" <<'EOF'
 import json, sys
 
@@ -116,6 +103,5 @@ def pct(p):
 
 print(f"submit latency over {total} requests: "
       f"p50 {pct(0.50)}  p95 {pct(0.95)}  p99 {pct(0.99)}")
-print(f"cluster: {json.dumps({k: v for k, v in c.items() if k.startswith('service.cluster.')})}")
 print("OK: zero dropped, duplicated, failed, canceled or rejected jobs")
 EOF
