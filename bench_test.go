@@ -281,31 +281,3 @@ func BenchmarkStreamNext(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSweepHopLatency measures ESP-NUCA's gain over shared as mesh
-// wire delay scales (the NUCA premise study).
-func BenchmarkSweepHopLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := experiment.QuickOptions()
-		tab, err := experiment.HopLatencySweep("oltp", []sim.Cycle{2, 8}, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(tab.Rows[0].Values[2], "gain-hop2")
-		b.ReportMetric(tab.Rows[1].Values[2], "gain-hop8")
-	}
-}
-
-// BenchmarkSweepCapacity measures the comparison across L2 capacities
-// with the workload pinned.
-func BenchmarkSweepCapacity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := experiment.QuickOptions()
-		tab, err := experiment.CapacitySweep("oltp", []int{16, 64}, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(tab.Rows[0].Values[2], "gain-small")
-		b.ReportMetric(tab.Rows[1].Values[2], "gain-large")
-	}
-}

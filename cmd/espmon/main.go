@@ -9,7 +9,6 @@
 //	espmon run -workload apache -interval 2000            # metrics to stdout
 //	espmon nmax -workload oltp                            # nmax adaptation table
 //	espmon nmax -workload oltp -bank 3                    # one bank's time series
-//	espmon stream -workload oltp -core 0 -n 100000        # stream access mix
 package main
 
 import (
@@ -18,12 +17,9 @@ import (
 	"io"
 	"os"
 
-	"espnuca/internal/arch"
 	"espnuca/internal/experiment"
-	"espnuca/internal/mem"
 	"espnuca/internal/obs"
 	"espnuca/internal/sim"
-	"espnuca/internal/workload"
 )
 
 func fail(err error) {
@@ -38,7 +34,6 @@ commands:
   run      run one instrumented simulation; write interval metrics
            (-metrics, JSONL) and/or a Chrome trace (-trace, Perfetto JSON)
   nmax     run esp-nuca and report the per-bank nmax adaptation
-  stream   summarize a workload stream's access mix
 
 run 'espmon <command> -h' for the command's flags`)
 	os.Exit(2)
@@ -53,8 +48,6 @@ func main() {
 		cmdRun(os.Args[2:])
 	case "nmax":
 		cmdNMax(os.Args[2:])
-	case "stream":
-		cmdStream(os.Args[2:])
 	default:
 		fmt.Fprintf(os.Stderr, "espmon: unknown command %q\n\n", os.Args[1])
 		usage()
@@ -222,37 +215,4 @@ func cmdNMax(args []string) {
 	if printed == 0 {
 		fail(fmt.Errorf("architecture %q exports no nmax series (need protected-LRU ESP-NUCA)", rf.arch))
 	}
-}
-
-func cmdStream(args []string) {
-	fs := flag.NewFlagSet("espmon stream", flag.ExitOnError)
-	wlName := fs.String("workload", "oltp", "workload")
-	coreID := fs.Int("core", 0, "core whose stream to summarize")
-	n := fs.Int("n", 100_000, "instructions to generate")
-	seed := fs.Uint64("seed", 1, "stream seed")
-	fs.Parse(args)
-
-	spec, ok := workload.ByName(*wlName)
-	if !ok {
-		fail(fmt.Errorf("unknown workload %q", *wlName))
-	}
-	if *coreID < 0 || *coreID >= mem.MaxCores {
-		fail(fmt.Errorf("core must be 0-%d", mem.MaxCores-1))
-	}
-	cfg := arch.ScaledConfig()
-	bound := spec.Bind(cfg.L2Lines(), cfg.L1ILines(), *seed)
-	sum := workload.SummarizeStream(bound.Streams[*coreID], *n, nil)
-	fmt.Printf("workload        %s (%s), core %d, %d instructions\n", spec.Name, spec.Kind, *coreID, sum.Instructions)
-	fmt.Printf("memory ops      %d (%.1f%% of instructions)\n", sum.MemOps, 100*float64(sum.MemOps)/float64(sum.Instructions))
-	fmt.Printf("stores          %d (%.1f%% of memory ops)\n", sum.Writes, pct(sum.Writes, sum.MemOps))
-	fmt.Printf("fetch events    %d (%.1f%% of instructions)\n", sum.Fetches, 100*float64(sum.Fetches)/float64(sum.Instructions))
-	fmt.Printf("data footprint  %d lines (%d KB)\n", sum.DataLines, sum.DataLines*64/1024)
-	fmt.Printf("code footprint  %d lines (%d KB)\n", sum.CodeLines, sum.CodeLines*64/1024)
-}
-
-func pct(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * float64(a) / float64(b)
 }

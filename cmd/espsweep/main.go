@@ -33,7 +33,6 @@ import (
 	"espnuca/internal/core"
 	"espnuca/internal/experiment"
 	"espnuca/internal/resultcache"
-	"espnuca/internal/sim"
 )
 
 // progressLine is a goroutine-safe `\r<done>/<total>` printer. Matrix
@@ -82,7 +81,7 @@ func main() {
 		all      = flag.Bool("all", false, "regenerate every figure")
 		quick    = flag.Bool("quick", false, "single seed, short quantum")
 		csv      = flag.Bool("csv", false, "emit comma-separated values instead of text tables")
-		sweep    = flag.String("sweep", "", "'params' (S5.2 constants), 'hops', 'capacity' or 'l1' scaling sweeps")
+		sweep    = flag.String("sweep", "", "'params': the S5.2 protected-LRU constants sensitivity sweep")
 		stab     = flag.Bool("stability", false, "print the S6 performance-variance comparison")
 		instrs   = flag.Uint64("instructions", 0, "override measured quantum")
 		warmup   = flag.Uint64("warmup", 0, "override warmup instructions (sample-error mode only)")
@@ -177,8 +176,8 @@ func main() {
 		stability(*quick, *parallel, *cacheDir)
 	case *sweep == "params":
 		sweepParams(*quick, *parallel, *cacheDir)
-	case *sweep == "hops" || *sweep == "capacity" || *sweep == "l1":
-		scalingSweep(*sweep, *quick, *parallel, *cacheDir)
+	case *sweep != "":
+		fail(fmt.Errorf("unknown -sweep %q (the only sweep is 'params')", *sweep))
 	case *all:
 		for id := 4; id <= 10; id++ {
 			emit(id)
@@ -331,31 +330,4 @@ func stability(quick bool, parallel int, cacheDir string) {
 	for _, fam := range reports {
 		fmt.Printf("== %s ==\n%s\n", fam.Family, fam.Report)
 	}
-}
-
-// scalingSweep runs the extension scaling studies (wire delay, L2
-// capacity, L1 size) on a representative transactional workload.
-func scalingSweep(kind string, quick bool, parallel int, cacheDir string) {
-	run, closeCache := cachedRunner(cacheDir)
-	defer closeCache()
-	o := experiment.DefaultOptions()
-	if quick {
-		o = experiment.QuickOptions()
-	}
-	o.Parallelism = parallel
-	o.RunFunc = run
-	var tab experiment.Table
-	var err error
-	switch kind {
-	case "hops":
-		tab, err = experiment.HopLatencySweep("oltp", []sim.Cycle{2, 5, 8, 12}, o)
-	case "capacity":
-		tab, err = experiment.CapacitySweep("oltp", []int{16, 32, 64, 128}, o)
-	case "l1":
-		tab, err = experiment.L1Sweep("oltp", []int{4 << 10, 8 << 10, 16 << 10, 32 << 10}, o)
-	}
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println(tab)
 }

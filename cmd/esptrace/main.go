@@ -127,10 +127,7 @@ func main() {
 		return
 	}
 
-	// The summary counts through the shared obs-backed path (see
-	// workload.SummarizeStream), the same instruments espmon attaches
-	// sinks to, so the two tools cannot drift apart.
-	sum := workload.SummarizeStream(st, *n, nil)
+	sum := workload.SummarizeStream(st, *n)
 	fmt.Printf("workload        %s (%s), core %d, %d instructions\n", spec.Name, spec.Kind, *coreID, sum.Instructions)
 	fmt.Printf("profile         %s\n", st.Profile().Name)
 	fmt.Printf("memory ops      %d (%.1f%% of instructions)\n", sum.MemOps, 100*float64(sum.MemOps)/float64(sum.Instructions))

@@ -64,8 +64,7 @@ type Options struct {
 	// SampleWindows, when positive, runs in sampled mode: that many
 	// detailed measurement windows, functionally fast-forwarded, instead
 	// of one continuous simulation. The report's Sampled field carries
-	// the estimates' 95% confidence bounds. Not supported by RunDetailed
-	// (occupancy/energy inspection needs the single full-run system).
+	// the estimates' 95% confidence bounds.
 	SampleWindows int
 }
 
@@ -84,14 +83,6 @@ func Workloads() []string { return workload.Names() }
 
 // Run executes one simulation and returns its metrics.
 func Run(o Options) (Report, error) {
-	rc, err := o.runConfig()
-	if err != nil {
-		return Report{}, err
-	}
-	return experiment.Run(rc)
-}
-
-func (o Options) runConfig() (experiment.RunConfig, error) {
 	if o.Architecture == "" {
 		o.Architecture = "esp-nuca"
 	}
@@ -108,8 +99,11 @@ func (o Options) runConfig() (experiment.RunConfig, error) {
 		CCProbability: o.CCProbability,
 		SampleWindows: o.SampleWindows,
 	}.Config()
+	if err != nil {
+		return Report{}, err
+	}
 	rc.System.CheckTokens = o.CheckTokens
-	return rc, err
+	return experiment.Run(rc)
 }
 
 // FigureOptions tune figure regeneration.
@@ -213,37 +207,3 @@ func Figure(id int, fo FigureOptions) (Table, error) {
 
 // WorkloadTable returns Table 1 (the workload catalog).
 func WorkloadTable() Table { return experiment.Table1() }
-
-// DetailedReport bundles the run metrics with post-run inspections: the
-// L2 occupancy/class-mix snapshot (the physical outcome of the adaptive
-// mechanisms) and an analytic energy estimate.
-type DetailedReport struct {
-	Report
-	Occupancy experiment.OccupancyReport
-	Energy    experiment.EnergyReport
-}
-
-// RunDetailed executes one simulation and returns the detailed report.
-func RunDetailed(o Options) (DetailedReport, error) {
-	rc, err := o.runConfig()
-	if err != nil {
-		return DetailedReport{}, err
-	}
-	sys, err := arch.Build(rc.Arch, rc.System)
-	if err != nil {
-		return DetailedReport{}, err
-	}
-	rep, err := experiment.RunOn(rc, sys)
-	if err != nil {
-		return DetailedReport{}, err
-	}
-	energy, err := experiment.EstimateEnergy(sys, uint64(rep.Cycles))
-	if err != nil {
-		return DetailedReport{}, err
-	}
-	return DetailedReport{
-		Report:    rep,
-		Occupancy: experiment.Occupancy(sys),
-		Energy:    energy,
-	}, nil
-}

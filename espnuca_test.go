@@ -176,22 +176,3 @@ func TestFigureQuick(t *testing.T) {
 		}
 	}
 }
-
-func TestRunDetailed(t *testing.T) {
-	rep, err := RunDetailed(Options{
-		Architecture: "esp-nuca", Workload: "oltp",
-		Warmup: 15_000, Instructions: 6_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Occupancy.Valid() == 0 {
-		t.Fatal("empty occupancy snapshot")
-	}
-	if rep.Energy.TotalMJ() <= 0 {
-		t.Fatal("no energy estimated")
-	}
-	if rep.Throughput <= 0 {
-		t.Fatal("missing base metrics")
-	}
-}

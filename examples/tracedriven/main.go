@@ -1,7 +1,6 @@
 // Tracedriven: records a workload's instruction streams into the binary
 // trace format, then replays the trace against two architectures — the
-// workflow for comparing organizations on externally captured traces
-// (the trace package also imports Dinero-style ASCII traces).
+// workflow for comparing organizations on a fixed, recorded trace.
 package main
 
 import (

@@ -68,7 +68,6 @@ type Stats struct {
 	Lookups     uint64
 	Hits        uint64
 	Misses      uint64
-	Inserts     uint64
 	Evictions   uint64
 	HelpEvicted uint64 // evictions where the victim was a helping block
 	HelpRefused uint64 // helping-block inserts refused by policy
@@ -282,7 +281,6 @@ func (b *Bank) place(set *Set, way int, nb Block) {
 	b.clock++
 	nb.lastUse = b.clock
 	set.Blocks[way] = nb
-	b.Stats.Inserts++
 	if nb.Class.Helping() {
 		set.HelpCount++
 		b.helping++

@@ -64,44 +64,3 @@ func TestTechScaling(t *testing.T) {
 		t.Fatal("older node not slower")
 	}
 }
-
-func TestEnergyModel(t *testing.T) {
-	e, err := Energy(Default45nm(), PaperBank())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ReadNJ <= 0 || e.WriteNJ <= e.ReadNJ || e.TagNJ <= 0 || e.LeakMW <= 0 {
-		t.Fatalf("implausible energies: %+v", e)
-	}
-	// Tag probes must be much cheaper than full accesses (that is the
-	// point of sequential banks).
-	if e.TagNJ >= e.ReadNJ/2 {
-		t.Fatalf("tag probe %.3f nJ not well below read %.3f nJ", e.TagNJ, e.ReadNJ)
-	}
-	if _, err := Energy(Default45nm(), BankSpec{}); err == nil {
-		t.Error("invalid spec accepted")
-	}
-}
-
-func TestEnergyMonotoneInCapacity(t *testing.T) {
-	small, _ := Energy(Default45nm(), BankSpec{Bytes: 64 * 1024, Ways: 16, BlockBytes: 64, Sequential: true})
-	big, _ := Energy(Default45nm(), BankSpec{Bytes: 1024 * 1024, Ways: 16, BlockBytes: 64, Sequential: true})
-	if big.ReadNJ <= small.ReadNJ || big.LeakMW <= small.LeakMW {
-		t.Fatal("larger bank not costlier")
-	}
-	seq := PaperBank()
-	par := seq
-	par.Sequential = false
-	es, _ := Energy(Default45nm(), seq)
-	ep, _ := Energy(Default45nm(), par)
-	if es.LeakMW >= ep.LeakMW {
-		t.Fatal("sequential bank does not save leakage")
-	}
-}
-
-func TestDefaultNetworkEnergy(t *testing.T) {
-	n := DefaultNetworkEnergy()
-	if n.FlitHopNJ <= 0 || n.DRAMAccessNJ <= n.FlitHopNJ {
-		t.Fatalf("network energies implausible: %+v", n)
-	}
-}

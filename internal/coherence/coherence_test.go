@@ -313,22 +313,6 @@ func TestL1FillEvictsAndReportsDirty(t *testing.T) {
 	}
 }
 
-func TestL1InvalidateSharers(t *testing.T) {
-	l, d := newL1s(t)
-	for c := 0; c < 3; c++ {
-		d.GrantReadL1(100, c)
-		l.Fill(c, 100, false, false)
-	}
-	mask := d.State(100).Sharers()
-	l.InvalidateSharers(100, mask, 2)
-	if l.Has(0, 100) || l.Has(1, 100) {
-		t.Fatal("sharers not invalidated")
-	}
-	if !l.Has(2, 100) {
-		t.Fatal("kept core lost its line")
-	}
-}
-
 func TestL1FillUpgradeInPlace(t *testing.T) {
 	l, d := newL1s(t)
 	d.GrantReadL1(100, 0)

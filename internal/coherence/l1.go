@@ -179,16 +179,6 @@ func (l *L1s) Invalidate(c int, line mem.Line) (dirty bool) {
 	return dirty
 }
 
-// InvalidateSharers removes the line from every L1 in the mask except
-// keep; used on writes (token collection).
-func (l *L1s) InvalidateSharers(line mem.Line, mask mem.CoreSet, keep int) {
-	for c := 0; c < len(l.data); c++ {
-		if c != keep && mask.Has(c) {
-			l.Invalidate(c, line)
-		}
-	}
-}
-
 // Has reports whether core c's L1 holds the line (either array), without
 // touching LRU state.
 func (l *L1s) Has(c int, line mem.Line) bool {

@@ -115,7 +115,7 @@ func TestCanonicalStringSortedFields(t *testing.T) {
 		}
 		last = i
 	}
-	if strings.Contains(s, "Metrics") || strings.Contains(s, "SampleParallelism") {
+	if strings.Contains(s, "Metrics") {
 		t.Errorf("canonical form leaked a canon:\"-\" field: %s", s)
 	}
 	if !strings.Contains(s, "SampleWindows:") {
@@ -222,7 +222,6 @@ func FuzzCanonicalKey(f *testing.F) {
 		if valid && changed && key == baseKey {
 			t.Fatalf("%s = %v passes Validate but keeps the default key", l.path, l.v)
 		}
-		rc.SampleParallelism = int(u)
 		rc.MetricsInterval = sim.Cycle(u)
 		rc.Metrics = obs.NewRegistry()
 		if k, err := rc.CanonicalKey(); err != nil || k != key {

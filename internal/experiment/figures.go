@@ -56,8 +56,8 @@ type Options struct {
 	Instructions uint64
 	System       arch.Config
 	Progress     func(done, total int)
-	// Parallelism bounds the worker pool the underlying matrices and
-	// sweeps fan their independent simulations out over (0: all cores,
+	// Parallelism bounds the worker pool the underlying matrices fan
+	// their independent simulations out over (0: all cores,
 	// 1: serial). Results are deterministic at any setting.
 	Parallelism int
 	// SampleWindows, when positive, runs every simulation in sampled

@@ -20,7 +20,7 @@ import (
 
 // enginePool recycles event engines across runs: a simulation pushes
 // hundreds of thousands of events through its engine, and reusing the
-// grown heap backing array means matrix/sweep workers stop paying the
+// grown heap backing array means matrix workers stop paying the
 // queue's growth reallocation per cell. Engines are returned reset, with
 // their event closures released, so a pooled engine is indistinguishable
 // from a fresh one.
@@ -41,8 +41,8 @@ type RunConfig struct {
 	System       arch.Config
 	Core         cpu.Config
 	// WorkloadL2Lines pins the capacity the workload footprints are
-	// scaled against (0: the simulated system's own L2). Capacity sweeps
-	// set it so changing the cache does not also change the workload.
+	// scaled against (0: the simulated system's own L2), so a study can
+	// change the cache without also changing the workload.
 	WorkloadL2Lines int
 	// MaxCycles bounds runaway simulations (0 = no bound). Expiry is not
 	// an error: the run returns whatever the cores retired by the bound
@@ -57,11 +57,6 @@ type RunConfig struct {
 	// field participates in the canonical key, so a sampled result is
 	// never substituted for a full run by the result cache.
 	SampleWindows int
-	// SampleParallelism bounds the worker pool the measurement windows
-	// fan out over (0: all cores, 1: serial). Window results are
-	// bit-identical at any setting (TestSampledParallelDeterminism), so
-	// — like Matrix.Parallelism — it is excluded from the canonical key.
-	SampleParallelism int `canon:"-"`
 
 	// Metrics, when non-nil, receives this run's telemetry (see
 	// internal/obs): interval snapshots of per-bank hit rates and helping
@@ -215,7 +210,7 @@ func Run(rc RunConfig) (RunResult, error) {
 		return RunResult{}, err
 	}
 	if rc.SampleWindows > 0 {
-		return runSampled(rc)
+		return runSampled(rc, spareWorkers(rc.SampleWindows))
 	}
 	rc.System.Seed = rc.Seed
 	sys, err := arch.Build(rc.Arch, rc.System)

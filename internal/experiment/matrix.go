@@ -117,7 +117,6 @@ func (m Matrix) cellConfig(i int) RunConfig {
 	rc.Seed = m.Seeds[si]
 	rc.System = m.System
 	rc.SampleWindows = m.SampleWindows
-	rc.SampleParallelism = 1
 	if v.CCProb >= 0 {
 		rc.System.CCProbability = v.CCProb
 	}

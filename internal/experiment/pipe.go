@@ -22,8 +22,9 @@ import (
 // simulating counts the simulations in runBound, and the other workers
 // of a running forEach pool. A run pipelines only when, counting itself,
 // fewer are running than GOMAXPROCS, so a matrix or daemon already
-// running one simulation per processor keeps generating inline. It is
-// process-wide because the processors are.
+// running one simulation per processor keeps generating inline; a
+// sampled run likewise fans its windows out only over the processors
+// left (spareWorkers). It is process-wide because the processors are.
 var simulating atomic.Int64
 
 // spareProcessor counts a starting simulation in and reports whether a
@@ -31,6 +32,15 @@ var simulating atomic.Int64
 // with simulating.Add(-1) when the simulation ends.
 func spareProcessor() bool {
 	return simulating.Add(1) < int64(runtime.GOMAXPROCS(0))
+}
+
+// spareWorkers returns how many of n independent simulations can run
+// at once on the processors no simulation is using: GOMAXPROCS minus
+// simulating, clamped to [1, n]. A lone sampled run thus fans its
+// windows out over every processor, and a cell inside a full matrix
+// pool runs them serially.
+func spareWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0)-int(simulating.Load()), n))
 }
 
 const (

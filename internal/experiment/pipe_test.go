@@ -31,7 +31,7 @@ func TestPipedRunIdentical(t *testing.T) {
 		return rc
 	}
 	sampled := small("mcf-4")
-	sampled.Instructions, sampled.SampleWindows, sampled.SampleParallelism = 64_000, 4, 1
+	sampled.Instructions, sampled.SampleWindows = 64_000, 4
 	runs := []struct {
 		name string
 		run  func() (RunResult, error)
@@ -47,7 +47,8 @@ func TestPipedRunIdentical(t *testing.T) {
 			bound := phased.Bind(rc.System.L2Lines(), rc.System.L1ILines(), rc.Seed)
 			return runBound(rc, sys, bound, ^uint64(0)>>1, nil)
 		}},
-		{"mcf-4 sampled", func() (RunResult, error) { return Run(sampled) }},
+		// One worker leaves the second processor spare for the windows.
+		{"mcf-4 sampled", func() (RunResult, error) { return runSampled(sampled, 1) }},
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -146,4 +147,25 @@ func panics(f func()) (p bool) {
 	defer func() { p = recover() != nil }()
 	f()
 	return false
+}
+
+// TestSpareWorkers checks the sampled-window worker count follows the
+// processors no simulation holds: every processor for a lone run, never
+// more workers than windows, and one inside a full pool.
+func TestSpareWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct{ busy, n, want int }{
+		{0, 8, 4},
+		{0, 2, 2},
+		{2, 8, 2},
+		{3, 8, 1},
+		{5, 8, 1},
+	} {
+		simulating.Add(int64(c.busy))
+		got := spareWorkers(c.n)
+		simulating.Add(-int64(c.busy))
+		if got != c.want {
+			t.Errorf("%d busy of 4, %d windows: %d workers, want %d", c.busy, c.n, got, c.want)
+		}
+	}
 }

@@ -14,7 +14,7 @@ package experiment
 // sim.Engine, so windows are independent and can execute concurrently.
 // A window's inputs are exactly (RunConfig, its plan, the stream
 // positions), all of which are deterministic, so results are
-// bit-identical at any SampleParallelism.
+// bit-identical at any number of workers.
 //
 // The known risk of sampled simulation is warmup bias: short warmups
 // understate miss rates (sharing-induced compulsory misses; see
@@ -27,7 +27,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"espnuca/internal/arch"
@@ -136,12 +135,13 @@ type SampleEstimate struct {
 	OffChipAccesses stats.Estimate
 }
 
-// runSampled executes a validated rc in sampled mode; Run dispatches
-// here when rc.SampleWindows is positive. The returned result's headline
+// runSampled executes a validated rc in sampled mode, its windows fanned
+// out over p workers (1 <= p <= rc.SampleWindows); Run dispatches here
+// when rc.SampleWindows is positive. The returned result's headline
 // metrics are window means (Cycles, Retired and OffChipAccesses are
 // extrapolated totals) and RunResult.Sampled holds the estimates with
 // their confidence bounds.
-func runSampled(rc RunConfig) (RunResult, error) {
+func runSampled(rc RunConfig, p int) (RunResult, error) {
 	k := rc.SampleWindows
 	spec, _ := workload.ByName(rc.Workload) // present: rc is validated
 	rc.System.Seed = rc.Seed
@@ -151,19 +151,11 @@ func runSampled(rc RunConfig) (RunResult, error) {
 	}
 	plans := samplePlans(rc.Warmup, rc.Instructions, k)
 
-	p := rc.SampleParallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > k {
-		p = k
-	}
-
 	// Workers own contiguous chunks of windows so each worker's streams
 	// walk strictly forward from one Bind. Every window's inputs depend
 	// only on its plan (stream positions are resynchronized to
 	// plan-derived values after each window), so chunking — and
-	// therefore SampleParallelism — cannot change results.
+	// therefore the worker count — cannot change results.
 	wins := make([]RunResult, k)
 	err := forEach(p, p, func(worker int) error {
 		lo, hi := worker*k/p, (worker+1)*k/p

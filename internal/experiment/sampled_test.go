@@ -21,7 +21,6 @@ func sampledQuickRC(archName, wl string, k int) RunConfig {
 	rc.Warmup = 12_000
 	rc.Instructions = 8_000
 	rc.SampleWindows = k
-	rc.SampleParallelism = 1
 	return rc
 }
 
@@ -135,18 +134,17 @@ func TestSampledParallelDeterminism(t *testing.T) {
 	}
 	for _, wl := range []string{"apache", "gcc-4"} { // all-core and half-rate (idle cores)
 		rc := sampledQuickRC("esp-nuca", wl, 4)
-		base, err := Run(rc)
+		base, err := runSampled(rc, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []int{2, 3, 4} {
-			rc.SampleParallelism = p
-			got, err := Run(rc)
+			got, err := runSampled(rc, p)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", wl, p, err)
 			}
 			if !reflect.DeepEqual(got, base) {
-				t.Errorf("%s: results at SampleParallelism=%d differ from serial:\n got  %+v\n want %+v",
+				t.Errorf("%s: results on %d workers differ from serial:\n got  %+v\n want %+v",
 					wl, p, got, base)
 			}
 		}

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"espnuca/internal/mem"
 	"espnuca/internal/workload"
@@ -18,54 +16,9 @@ import (
 //	w 1a2b400    write
 //	i 4000100    instruction fetch
 //
-// The format carries no core information, so a Dinero trace loads as a
-// single-core reference stream; the label set {r,w,i} (also accepted:
-// {0,1,2} as in dineroIII) covers what classic cache tools emit.
-
-// ReadDinero parses an ASCII trace into an instruction sequence using
-// the given block geometry. Blank lines and lines starting with '#' are
-// skipped. Each reference becomes one instruction.
-func ReadDinero(r io.Reader, g mem.Geometry) ([]workload.Instr, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 64*1024)
-	var out []workload.Instr
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("trace: dinero line %d: want 'label address', got %q", lineNo, text)
-		}
-		addr, err := strconv.ParseUint(strings.TrimPrefix(fields[1], "0x"), 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: dinero line %d: bad address %q: %v", lineNo, fields[1], err)
-		}
-		line := g.LineOf(mem.Addr(addr))
-		var in workload.Instr
-		switch fields[0] {
-		case "r", "R", "0":
-			in.IsMem, in.Data = true, line
-		case "w", "W", "1":
-			in.IsMem, in.Data, in.Write = true, line, true
-		case "i", "I", "2":
-			in.HasFetch, in.Fetch = true, line
-		default:
-			return nil, fmt.Errorf("trace: dinero line %d: unknown label %q", lineNo, fields[0])
-		}
-		out = append(out, in)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("trace: empty dinero trace")
-	}
-	return out, nil
-}
+// The format carries no core information, so an export covers one
+// core's stream; the label set {r,w,i} is what classic cache tools
+// (DineroIV and its descendants) read.
 
 // WriteDinero emits an instruction sequence in the ASCII format. An
 // instruction carrying both a fetch and a data access emits two lines
@@ -89,26 +42,4 @@ func WriteDinero(w io.Writer, seq []workload.Instr, g mem.Geometry) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// SliceSource replays a fixed instruction slice, wrapping at the end; it
-// adapts Dinero traces (or any in-memory sequence) to cpu.InstrSource.
-type SliceSource struct {
-	seq []workload.Instr
-	pos int
-}
-
-// NewSliceSource returns a source over seq; seq must be non-empty.
-func NewSliceSource(seq []workload.Instr) (*SliceSource, error) {
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("trace: empty sequence")
-	}
-	return &SliceSource{seq: seq}, nil
-}
-
-// Next implements cpu.InstrSource.
-func (s *SliceSource) Next() workload.Instr {
-	in := s.seq[s.pos]
-	s.pos = (s.pos + 1) % len(s.seq)
-	return in
 }

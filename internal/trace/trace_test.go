@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -193,79 +195,25 @@ func TestReplayerRejectsEmptyCore(t *testing.T) {
 
 func TestDineroRoundTrip(t *testing.T) {
 	g, _ := mem.NewGeometry(64)
-	seq := sample()
 	var buf bytes.Buffer
-	if err := WriteDinero(&buf, seq, g); err != nil {
+	if err := WriteDinero(&buf, sample(), g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadDinero(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The combined fetch+data instruction splits into two references.
-	var refs []workload.Instr
-	for _, in := range seq {
-		if in.HasFetch {
-			refs = append(refs, workload.Instr{Fetch: in.Fetch, Flags: workload.Flags{HasFetch: true}})
-		}
-		if in.IsMem {
-			refs = append(refs, workload.Instr{Data: in.Data, Flags: workload.Flags{IsMem: true, Write: in.Write}})
-		}
-	}
-	if len(got) != len(refs) {
-		t.Fatalf("got %d refs, want %d", len(got), len(refs))
-	}
-	for i := range refs {
-		if got[i] != refs[i] {
-			t.Fatalf("ref %d: %+v != %+v", i, got[i], refs[i])
-		}
+	// The empty instruction emits nothing; the combined fetch+write
+	// instruction splits into two references, fetch first.
+	const want = "i 80000000\n" +
+		"r 1000000040\n" +
+		"w 1000000080\n" +
+		"i 80000400\n" +
+		"w 200000000\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("dinero output:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-func TestDineroParsing(t *testing.T) {
-	g, _ := mem.NewGeometry(64)
-	in := "# comment\n\nr 1000\nw 0x2040\n2 4080\n"
-	seq, err := ReadDinero(strings.NewReader(in), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != 3 {
-		t.Fatalf("%d refs", len(seq))
-	}
-	if !seq[0].IsMem || seq[0].Write || seq[0].Data != 0x1000/64 {
-		t.Fatalf("read ref = %+v", seq[0])
-	}
-	if !seq[1].Write || seq[1].Data != 0x2040/64 {
-		t.Fatalf("write ref = %+v", seq[1])
-	}
-	if !seq[2].HasFetch || seq[2].Fetch != 0x4080/64 {
-		t.Fatalf("ifetch ref = %+v", seq[2])
-	}
-	for _, bad := range []string{"x 1000\n", "r\n", "r zzz\n", ""} {
-		if _, err := ReadDinero(strings.NewReader(bad), g); err == nil {
-			t.Errorf("bad input %q accepted", bad)
-		}
-	}
-}
-
-func TestSliceSource(t *testing.T) {
-	if _, err := NewSliceSource(nil); err == nil {
-		t.Fatal("empty slice accepted")
-	}
-	src, err := NewSliceSource([]workload.Instr{{Data: 9, Flags: workload.Flags{IsMem: true}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if src.Next().Data != 9 {
-			t.Fatal("wrap lost data")
-		}
-	}
-}
-
-// Property: random instruction sequences survive trace->dinero->trace
-// for their memory references (fetch/data separation is lossy by design:
-// combined instructions split; so compare reference streams).
+// Property: every reference of a random instruction sequence comes out
+// as one Dinero line, in order, with its label and an address inside
+// its line (combined fetch+data instructions split, fetch first).
 func TestDineroPropertyReferences(t *testing.T) {
 	g, _ := mem.NewGeometry(64)
 	prop := func(seed uint64, n8 uint8) bool {
@@ -287,26 +235,29 @@ func TestDineroPropertyReferences(t *testing.T) {
 		if WriteDinero(&buf, seq, g) != nil {
 			return false
 		}
-		got, err := ReadDinero(&buf, g)
-		if err != nil {
-			return false
-		}
-		idx := 0
+		var refs []string
 		for _, in := range seq {
 			if in.HasFetch {
-				if idx >= len(got) || got[idx].Fetch != in.Fetch {
-					return false
-				}
-				idx++
+				refs = append(refs, "i", fmt.Sprint(in.Fetch))
 			}
 			if in.IsMem {
-				if idx >= len(got) || got[idx].Data != in.Data || got[idx].Write != in.Write {
-					return false
+				label := "r"
+				if in.Write {
+					label = "w"
 				}
-				idx++
+				refs = append(refs, label, fmt.Sprint(in.Data))
 			}
 		}
-		return idx == len(got)
+		var got []string
+		for _, text := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+			var label string
+			var addr uint64
+			if n, err := fmt.Sscanf(text, "%s %x", &label, &addr); n != 2 || err != nil {
+				return false
+			}
+			got = append(got, label, fmt.Sprint(g.LineOf(mem.Addr(addr))))
+		}
+		return slices.Equal(got, refs)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

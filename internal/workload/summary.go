@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"espnuca/internal/mem"
-	"espnuca/internal/obs"
-)
+import "espnuca/internal/mem"
 
 // StreamSummary describes the memory behaviour of a stream prefix: the
 // access mix and the touched footprints. The workload models were
@@ -18,52 +15,26 @@ type StreamSummary struct {
 	CodeLines int
 }
 
-// SummarizeStream drives n instructions of st and accumulates the access
-// mix through reg's counters (stream.instructions, stream.mem_ops,
-// stream.writes, stream.fetches), so any interval sink attached to reg
-// sees exactly the counts the returned summary reports — one counting
-// path, no drift. A nil reg gets a private registry.
-func SummarizeStream(st *Stream, n int, reg *obs.Registry) StreamSummary {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	var (
-		instrs  = reg.Counter("stream.instructions")
-		memOps  = reg.Counter("stream.mem_ops")
-		writes  = reg.Counter("stream.writes")
-		fetches = reg.Counter("stream.fetches")
-	)
-	// The summary reports this call's contribution even when the caller
-	// reuses a registry with prior counts.
-	base := StreamSummary{
-		Instructions: instrs.Value(),
-		MemOps:       memOps.Value(),
-		Writes:       writes.Value(),
-		Fetches:      fetches.Value(),
-	}
+// SummarizeStream drives n instructions of st and returns their access
+// mix and footprints.
+func SummarizeStream(st *Stream, n int) StreamSummary {
+	sum := StreamSummary{Instructions: uint64(n)}
 	data := make(map[mem.Line]struct{})
 	code := make(map[mem.Line]struct{})
 	for i := 0; i < n; i++ {
 		in := st.Next()
-		instrs.Inc()
 		if in.HasFetch {
-			fetches.Inc()
+			sum.Fetches++
 			code[in.Fetch] = struct{}{}
 		}
 		if in.IsMem {
-			memOps.Inc()
+			sum.MemOps++
 			if in.Write {
-				writes.Inc()
+				sum.Writes++
 			}
 			data[in.Data] = struct{}{}
 		}
 	}
-	return StreamSummary{
-		Instructions: instrs.Value() - base.Instructions,
-		MemOps:       memOps.Value() - base.MemOps,
-		Writes:       writes.Value() - base.Writes,
-		Fetches:      fetches.Value() - base.Fetches,
-		DataLines:    len(data),
-		CodeLines:    len(code),
-	}
+	sum.DataLines, sum.CodeLines = len(data), len(code)
+	return sum
 }

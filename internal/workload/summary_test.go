@@ -1,13 +1,9 @@
 package workload
 
-import (
-	"testing"
+import "testing"
 
-	"espnuca/internal/obs"
-)
-
-// TestSummarizeStreamMatchesDirectCount checks the obs-counter path
-// against an independent count over the same deterministic stream.
+// TestSummarizeStreamMatchesDirectCount checks the summary against an
+// independent count over the same deterministic stream.
 func TestSummarizeStreamMatchesDirectCount(t *testing.T) {
 	spec, ok := ByName("oltp")
 	if !ok {
@@ -15,7 +11,7 @@ func TestSummarizeStreamMatchesDirectCount(t *testing.T) {
 	}
 	const n = 20_000
 	b1 := spec.Bind(1<<14, 128, 7)
-	got := SummarizeStream(b1.Streams[0], n, nil)
+	got := SummarizeStream(b1.Streams[0], n)
 
 	b2 := spec.Bind(1<<14, 128, 7)
 	var want StreamSummary
@@ -38,26 +34,5 @@ func TestSummarizeStreamMatchesDirectCount(t *testing.T) {
 	}
 	if got.DataLines == 0 || got.CodeLines == 0 {
 		t.Fatalf("footprints empty: %+v", got)
-	}
-}
-
-// TestSummarizeStreamSharedRegistry checks the counters land in a
-// caller-supplied registry and the summary still reports only this
-// call's contribution.
-func TestSummarizeStreamSharedRegistry(t *testing.T) {
-	spec, _ := ByName("oltp")
-	reg := obs.NewRegistry()
-	reg.Counter("stream.instructions").Add(123) // pre-existing count
-
-	b := spec.Bind(1<<14, 128, 1)
-	got := SummarizeStream(b.Streams[0], 5_000, reg)
-	if got.Instructions != 5_000 {
-		t.Fatalf("summary counted %d instructions, want 5000 (prior counts must not leak)", got.Instructions)
-	}
-	if v := reg.Counter("stream.instructions").Value(); v != 5_123 {
-		t.Fatalf("registry counter = %d, want 5123", v)
-	}
-	if reg.Counter("stream.mem_ops").Value() != got.MemOps {
-		t.Fatal("registry mem_ops diverged from summary")
 	}
 }
