@@ -215,7 +215,6 @@ func (c *client) submit(args []string) error {
 		instrs   = fs.Uint64("instructions", 0, "measured instructions per core (0 = default)")
 		fullSize = fs.Bool("full-size", false, "simulate the paper's full Table 2 machine")
 		ccProb   = fs.Float64("cc-prob", 0, "Cooperative Caching probability override (0 = default)")
-		sampleW  = fs.Int("sample-windows", 0, "sampled mode: measurement windows per simulation (0 = full run)")
 
 		matrix     = fs.Bool("matrix", false, "submit a matrix job instead of a single run")
 		workloads  = fs.String("workloads", "", "comma-separated workloads (matrix jobs)")
@@ -263,9 +262,6 @@ func (c *client) submit(args []string) error {
 		if *parallel > 0 {
 			m["parallelism"] = *parallel
 		}
-		if *sampleW != 0 {
-			m["sample_windows"] = *sampleW
-		}
 		spec["kind"], spec["matrix"] = "matrix", m
 	} else {
 		r := map[string]any{"arch": *archName, "workload": *wl}
@@ -283,9 +279,6 @@ func (c *client) submit(args []string) error {
 		}
 		if *ccProb != 0 {
 			r["cc_probability"] = *ccProb
-		}
-		if *sampleW != 0 {
-			r["sample_windows"] = *sampleW
 		}
 		spec["kind"], spec["run"] = "run", r
 	}

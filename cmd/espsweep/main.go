@@ -12,13 +12,10 @@
 //	espsweep -figure 8 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	espsweep -figure 8 -quick -metrics-dir obs -trace   # per-run telemetry
 //	espsweep -all -cache-dir ~/.cache/espnuca           # memoize runs on disk
-//	espsweep -figure 8 -sample-windows 8                # sampled estimates
-//	espsweep -sample-error FT -sample-windows 8 -warmup 80000 -instructions 640000
 //	espsweep -figure 8 -exectrace exec.trace            # runtime execution trace
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -84,9 +81,6 @@ func main() {
 		sweep    = flag.String("sweep", "", "'params': the S5.2 protected-LRU constants sensitivity sweep")
 		stab     = flag.Bool("stability", false, "print the S6 performance-variance comparison")
 		instrs   = flag.Uint64("instructions", 0, "override measured quantum")
-		warmup   = flag.Uint64("warmup", 0, "override warmup instructions (sample-error mode only)")
-		sampleW  = flag.Int("sample-windows", 0, "sampled mode: measurement windows per simulation (0 = full runs)")
-		sampleEW = flag.String("sample-error", "", "validate sampled vs full runs of this workload across the paper's seven architectures; prints JSON rows")
 		seeds    = flag.Int("seeds", 0, "override the number of perturbation seeds")
 		parallel = flag.Int("parallel", 0, "worker pool size for independent runs (0 = all cores, 1 = serial)")
 		metrics  = flag.String("metrics-dir", "", "write per-run interval metrics (JSONL) into this directory")
@@ -151,7 +145,6 @@ func main() {
 		MetricsDir:      *metrics,
 		TraceEvents:     *traceEv,
 		MetricsInterval: *obsIval,
-		SampleWindows:   *sampleW,
 		CacheDir:        *cacheDir,
 	}
 
@@ -170,8 +163,6 @@ func main() {
 	}
 
 	switch {
-	case *sampleEW != "":
-		sampledError(*sampleEW, *sampleW, *warmup, *instrs)
 	case *stab:
 		stability(*quick, *parallel, *cacheDir)
 	case *sweep == "params":
@@ -209,30 +200,6 @@ func cachedRunner(dir string) (func(experiment.RunConfig) (experiment.RunResult,
 		if err := store.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "espsweep: cache index:", err)
 		}
-	}
-}
-
-// sampledError runs the sampled-mode validation harness (full vs sampled
-// on every architecture of the paper's evaluated set) and prints the rows
-// as a JSON array: relative errors on the headline metrics, the sampled
-// run's own confidence bound, and both wall clocks. scripts/bench.sh
-// parses this output to build and check BENCH_6.json.
-func sampledError(wl string, k int, warmup, instrs uint64) {
-	if k == 0 {
-		k = 8
-	}
-	rc, err := experiment.RunSpec{Arch: "esp-nuca", Workload: wl, Warmup: warmup, Instructions: instrs}.Config()
-	if err != nil {
-		fail(err)
-	}
-	rows, err := experiment.SampledError(rc, k)
-	if err != nil {
-		fail(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rows); err != nil {
-		fail(err)
 	}
 }
 

@@ -61,11 +61,6 @@ type Options struct {
 	// CheckTokens enables per-transaction token-conservation checking
 	// (slower; for debugging and tests).
 	CheckTokens bool
-	// SampleWindows, when positive, runs in sampled mode: that many
-	// detailed measurement windows, functionally fast-forwarded, instead
-	// of one continuous simulation. The report's Sampled field carries
-	// the estimates' 95% confidence bounds.
-	SampleWindows int
 }
 
 // Report is the outcome of one simulation run.
@@ -97,7 +92,6 @@ func Run(o Options) (Report, error) {
 		Instructions:  o.Instructions,
 		FullSize:      o.FullSize,
 		CCProbability: o.CCProbability,
-		SampleWindows: o.SampleWindows,
 	}.Config()
 	if err != nil {
 		return Report{}, err
@@ -135,11 +129,6 @@ type FigureOptions struct {
 	// MetricsInterval is the sampling interval in cycles (0 uses the
 	// harness default).
 	MetricsInterval uint64
-	// SampleWindows, when positive, regenerates the figure from sampled
-	// runs with that many measurement windows each (see
-	// Options.SampleWindows): far cheaper, clearly labeled estimates.
-	// Incompatible with MetricsDir.
-	SampleWindows int
 	// CacheDir, when set, memoizes every simulation in a
 	// content-addressed result cache rooted at this directory (see
 	// internal/resultcache). Re-running a figure with a warm cache
@@ -162,7 +151,6 @@ func (fo FigureOptions) internal() experiment.Options {
 		o.Instructions = fo.Instructions
 	}
 	o.Parallelism = fo.Parallelism
-	o.SampleWindows = fo.SampleWindows
 	o.Progress = fo.Progress
 	if fo.MetricsDir != "" {
 		o.Obs = &experiment.ObsSpec{

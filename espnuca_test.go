@@ -94,9 +94,6 @@ func TestEntryPointsRejectAlike(t *testing.T) {
 		{Arch: "cc", Workload: "apache", CCProbability: 1.5},
 		{Arch: "cc", Workload: "apache", CCProbability: 5},
 		{Arch: "cc", Workload: "apache", CCProbability: math.NaN()},
-		{Arch: "esp-nuca", Workload: "apache", SampleWindows: -1},
-		{Arch: "esp-nuca", Workload: "apache", SampleWindows: 10000},
-		{Arch: "esp-nuca", Workload: "apache", SampleWindows: 8, Instructions: 8},
 	}
 	for _, sp := range bad {
 		rc, verdict := sp.Config()
@@ -113,12 +110,12 @@ func TestEntryPointsRejectAlike(t *testing.T) {
 		}
 
 		_, err := Run(Options{Architecture: sp.Arch, Workload: sp.Workload, Instructions: sp.Instructions,
-			CCProbability: sp.CCProbability, SampleWindows: sp.SampleWindows})
+			CCProbability: sp.CCProbability})
 		check("espnuca.Run", err, msg)
 		_, err = experiment.Run(rc)
 		check("experiment.Run", err, msg)
 		m := experiment.Matrix{Workloads: []string{rc.Workload}, Variants: []experiment.Variant{experiment.V(rc.Arch, rc.Arch)},
-			Seeds: []uint64{rc.Seed}, Warmup: rc.Warmup, Instructions: rc.Instructions, System: rc.System, SampleWindows: rc.SampleWindows}
+			Seeds: []uint64{rc.Seed}, Warmup: rc.Warmup, Instructions: rc.Instructions, System: rc.System}
 		_, err = m.Run(nil)
 		check("Matrix.Run", err, rc.Arch+"/"+rc.Workload+": "+msg)
 		_, err = sched.Submit(service.JobSpec{Run: &sp})

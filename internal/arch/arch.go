@@ -267,23 +267,6 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 	return s, nil
 }
 
-// SetFunctional switches the whole substrate between timed and
-// functional mode. In functional mode every timing sink — mesh links,
-// DRAM channels, L2 bank ports, L1 ports — completes instantly without
-// claiming its resource, while all state machinery (tag arrays, LRU and
-// class metadata, directory tokens, private-bit status, the adaptive
-// mechanisms' counters and RNG draws) follows exactly the detailed-mode
-// code paths. The sampled-run fast-forward runs the memory system in
-// this mode to warm a measurement window.
-func (s *Substrate) SetFunctional(on bool) {
-	s.Mesh.SetFunctional(on)
-	s.DRAM.SetFunctional(on)
-	s.L1.SetFunctional(on)
-	for _, b := range s.Bank {
-		b.SetFunctional(on)
-	}
-}
-
 // Reseed re-derives the substrate RNG exactly as NewSubstrate does for
 // the given seed and records it in Cfg. RunOn uses it to align a
 // caller-built system with the run seed; reseeding a freshly built

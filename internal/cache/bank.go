@@ -68,8 +68,6 @@ type Stats struct {
 	Lookups     uint64
 	Hits        uint64
 	Misses      uint64
-	Evictions   uint64
-	HelpEvicted uint64 // evictions where the victim was a helping block
 	HelpRefused uint64 // helping-block inserts refused by policy
 }
 
@@ -80,9 +78,6 @@ type Bank struct {
 	sets  []Set
 	clock uint64
 	port  *sim.Resource
-	// functional makes Access/TagProbe instant (no port claim); the
-	// sampled-run fast-forward warms tag state without paying timing.
-	functional bool
 	// helping is the bank-wide helping-block count (the sum of the per-set
 	// HelpCount counters), maintained incrementally so the observability
 	// layer's per-interval HelpingBlocks sample is O(1) instead of a walk
@@ -135,23 +130,12 @@ func (b *Bank) Set(idx int) *Set { return &b.sets[idx] }
 // Access claims the bank port for a full access arriving at cycle at and
 // returns the completion cycle.
 func (b *Bank) Access(at sim.Cycle) sim.Cycle {
-	if b.functional {
-		return at
-	}
 	return b.port.Claim(at) + b.cfg.Latency
 }
-
-// SetFunctional switches the bank between timed and functional mode:
-// functional accesses and tag probes complete instantly without
-// serializing on the port.
-func (b *Bank) SetFunctional(on bool) { b.functional = on }
 
 // TagProbe claims the bank port for a tag-only probe (miss detection)
 // arriving at cycle at and returns its completion cycle.
 func (b *Bank) TagProbe(at sim.Cycle) sim.Cycle {
-	if b.functional {
-		return at
-	}
 	return b.port.ClaimFor(at, b.cfg.TagLatency) + b.cfg.TagLatency
 }
 
@@ -267,9 +251,7 @@ func (b *Bank) Insert(idx int, nb Block, pol Policy) Evicted {
 		return Evicted{Refused: true}
 	}
 	old := set.Blocks[way]
-	b.Stats.Evictions++
 	if old.Class.Helping() {
-		b.Stats.HelpEvicted++
 		set.HelpCount--
 		b.helping--
 	}

@@ -1,18 +1,24 @@
 package cacti
 
-import "testing"
+import (
+	"testing"
 
+	"espnuca/internal/arch"
+)
+
+// TestPaperBankMatchesTable2 checks the model against the bank timing
+// the simulated Table 2 machine uses, so the two cannot drift apart.
 func TestPaperBankMatchesTable2(t *testing.T) {
 	r, err := Model(Default45nm(), PaperBank())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Table 2: 5-cycle bank access, 2-cycle tag, sequential access.
-	if r.TotalCycles != 5 {
-		t.Fatalf("TotalCycles = %d, want 5", r.TotalCycles)
+	cfg := arch.DefaultConfig()
+	if r.TotalCycles != int(cfg.BankLatency) {
+		t.Fatalf("TotalCycles = %d, simulated BankLatency %d", r.TotalCycles, cfg.BankLatency)
 	}
-	if r.TagCycles != 2 {
-		t.Fatalf("TagCycles = %d, want 2", r.TagCycles)
+	if r.TagCycles != int(cfg.TagLatency) {
+		t.Fatalf("TagCycles = %d, simulated TagLatency %d", r.TagCycles, cfg.TagLatency)
 	}
 }
 

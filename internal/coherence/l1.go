@@ -87,15 +87,6 @@ func (l *L1s) HitMissTotals() (hits, misses uint64) {
 // Config returns the L1 configuration.
 func (l *L1s) Config() L1Config { return l.cfg }
 
-// SetFunctional switches every core's L1 banks between timed and
-// functional mode (see cache.Bank.SetFunctional).
-func (l *L1s) SetFunctional(on bool) {
-	for i := range l.data {
-		l.data[i].SetFunctional(on)
-		l.instr[i].SetFunctional(on)
-	}
-}
-
 func (l *L1s) setOf(line mem.Line) int { return int(uint64(line) % uint64(l.sets)) }
 
 func (l *L1s) bank(c int, ifetch bool) *cache.Bank {

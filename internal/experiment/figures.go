@@ -60,11 +60,6 @@ type Options struct {
 	// their independent simulations out over (0: all cores,
 	// 1: serial). Results are deterministic at any setting.
 	Parallelism int
-	// SampleWindows, when positive, runs every simulation in sampled
-	// mode with that many measurement windows (see
-	// RunConfig.SampleWindows). Figures regenerate much faster; each
-	// underlying RunResult carries its error bound in Sampled.
-	SampleWindows int
 	// Obs, when non-nil, captures per-run telemetry files (see ObsSpec).
 	Obs *ObsSpec
 	// RunFunc, when non-nil, substitutes Run for every independent
@@ -95,7 +90,6 @@ func (o Options) matrix(workloads []string, variants []Variant) Matrix {
 	}
 	m.System = o.System
 	m.Parallelism = o.Parallelism
-	m.SampleWindows = o.SampleWindows
 	m.Obs = o.Obs
 	m.RunFunc = o.RunFunc
 	return m

@@ -49,15 +49,6 @@ type RunConfig struct {
 	// (possibly failing with "made no progress" when that is nothing).
 	MaxCycles sim.Cycle
 
-	// SampleWindows, when positive, switches Run to SMARTS-style sampled
-	// execution: the measured budget is partitioned into that many
-	// strata and one detailed measurement window per stratum is
-	// simulated after a functional fast-forward (see sampled.go). The
-	// estimate's confidence bounds travel in RunResult.Sampled. The
-	// field participates in the canonical key, so a sampled result is
-	// never substituted for a full run by the result cache.
-	SampleWindows int
-
 	// Metrics, when non-nil, receives this run's telemetry (see
 	// internal/obs): interval snapshots of per-bank hit rates and helping
 	// blocks, ESP-NUCA's nmax/EMA series, NoC and DRAM utilization, and
@@ -100,18 +91,6 @@ func (rc RunConfig) Validate() error {
 	if _, ok := workload.ByName(rc.Workload); !ok {
 		return fmt.Errorf("experiment: unknown workload %q", rc.Workload)
 	}
-	if k := rc.SampleWindows; k < 0 {
-		return fmt.Errorf("experiment: SampleWindows %d is negative", k)
-	} else if k > 0 {
-		if rc.Metrics != nil {
-			return fmt.Errorf("experiment: telemetry is not supported in sampled mode (windows share no timeline)")
-		}
-		// Compared by division: k*sampleMeasureShare can overflow.
-		if rc.Instructions/sampleMeasureShare < uint64(k) {
-			return fmt.Errorf("experiment: %d instructions are too few for %d windows (at least %d per window)",
-				rc.Instructions, k, sampleMeasureShare)
-		}
-	}
 	return rc.System.Validate()
 }
 
@@ -133,11 +112,6 @@ type RunSpec struct {
 	// CCProbability overrides the Cooperative Caching cooperation
 	// probability when non-zero; it must lie in (0, 1].
 	CCProbability float64 `json:"cc_probability,omitempty"`
-	// SampleWindows, when positive, runs in sampled mode with that many
-	// measurement windows (see RunConfig.SampleWindows). The result
-	// carries its confidence bounds in Sampled and is cached under a
-	// distinct key from the full run.
-	SampleWindows int `json:"sample_windows,omitempty"`
 }
 
 // Config lowers the spec to a RunConfig and returns it together with
@@ -160,7 +134,6 @@ func (sp RunSpec) Config() (RunConfig, error) {
 	if sp.CCProbability != 0 {
 		rc.System.CCProbability = sp.CCProbability
 	}
-	rc.SampleWindows = sp.SampleWindows
 	return rc, rc.Validate()
 }
 
@@ -195,22 +168,12 @@ type RunResult struct {
 
 	// L2Hits/L2Misses summarize L2 behaviour over L1 misses.
 	L1MissRate float64
-
-	// Sampled carries the per-window estimates and their 95% confidence
-	// half-widths when the result came from sampled execution
-	// (RunConfig.SampleWindows > 0); nil for full runs. Consumers that
-	// must not act on an estimate can (and should) gate on it.
-	Sampled *SampleEstimate `json:"Sampled,omitempty"`
 }
 
-// Run validates rc and executes one simulation: full when
-// rc.SampleWindows is zero, sampled otherwise.
+// Run validates rc and executes one simulation.
 func Run(rc RunConfig) (RunResult, error) {
 	if err := rc.Validate(); err != nil {
 		return RunResult{}, err
-	}
-	if rc.SampleWindows > 0 {
-		return runSampled(rc, spareWorkers(rc.SampleWindows))
 	}
 	rc.System.Seed = rc.Seed
 	sys, err := arch.Build(rc.Arch, rc.System)
@@ -220,15 +183,11 @@ func Run(rc RunConfig) (RunResult, error) {
 	return RunOn(rc, sys)
 }
 
-// RunOn executes a full simulation against a caller-built system;
-// ablation studies use it to flip architecture-internal knobs before
-// running. Sampled mode builds a system per window, so it is refused.
+// RunOn executes a simulation against a caller-built system; ablation
+// studies use it to flip architecture-internal knobs before running.
 func RunOn(rc RunConfig, sys arch.System) (RunResult, error) {
 	if err := rc.Validate(); err != nil {
 		return RunResult{}, err
-	}
-	if rc.SampleWindows != 0 {
-		return RunResult{}, fmt.Errorf("experiment: RunOn needs a full run (sampled mode builds a system per window); unset SampleWindows")
 	}
 	// Align the system with the run seed exactly as Run does when it
 	// builds the system itself: without this, a caller-built system runs
@@ -242,19 +201,14 @@ func RunOn(rc RunConfig, sys arch.System) (RunResult, error) {
 		wlLines = rc.System.L2Lines()
 	}
 	bound := spec.Bind(wlLines, rc.System.L1ILines(), rc.Seed)
-	// Idle/service cores run until the measured cores finish; give them
-	// an effectively unbounded target.
-	return runBound(rc, sys, bound, ^uint64(0)>>1, nil)
+	return runBound(rc, sys, bound)
 }
 
 // runBound executes rc's warmup and measurement phases against a
-// prepared system and pre-positioned streams. idleTarget is the
-// retirement target of unmeasured cores; consumed, when non-nil,
-// receives how many instructions were drawn from every core's stream,
-// its true position (the sampled runner uses it to resynchronize
-// stream positions between windows). When a processor is spare, the
-// streams are generated ahead on it (pipe.go); the result is the same.
-func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget uint64, consumed *[mem.MaxCores]uint64) (RunResult, error) {
+// prepared system and freshly bound streams. When a processor is spare,
+// the streams are generated ahead on it (pipe.go); the result is the
+// same.
+func runBound(rc RunConfig, sys arch.System, bound *workload.Bound) (RunResult, error) {
 	eng := enginePool.Get().(*sim.Engine)
 	defer func() {
 		eng.Reset()
@@ -265,7 +219,9 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget u
 	for c := 0; c < rc.System.Cores; c++ {
 		targets[c] = rc.Warmup + rc.Instructions
 		if !measured.Has(c) {
-			targets[c] = idleTarget
+			// Idle/service cores run until the measured cores finish;
+			// give them an effectively unbounded target.
+			targets[c] = ^uint64(0) >> 1
 		}
 	}
 	spare := spareProcessor()
@@ -274,13 +230,8 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget u
 	if spare {
 		pl = startPipeline(bound, targets[:rc.System.Cores])
 		// The producer is stopped and joined on every return, a panic's
-		// included; it drew each stream ahead of its core.
-		defer func() {
-			drawn := pl.finish()
-			if consumed != nil {
-				*consumed = drawn
-			}
-		}()
+		// included.
+		defer pl.finish()
 	}
 	cores := make([]*cpu.Core, rc.System.Cores)
 	for c := range cores {
@@ -336,11 +287,6 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, idleTarget u
 		tr.Complete("measured", "phase", uint64(warmEnd), uint64(eng.Now()-warmEnd), 0)
 	}
 
-	if consumed != nil && pl == nil {
-		for c, core := range cores {
-			consumed[c] = core.Retired() // a core draws what it retires
-		}
-	}
 	return assembleResult(rc, sub, cores, measured, base)
 }
 

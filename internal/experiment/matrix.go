@@ -57,12 +57,6 @@ type Matrix struct {
 	// execution. Every cell is an independent deterministic simulation,
 	// so the assembled Results are identical at any setting.
 	Parallelism int
-	// SampleWindows, when positive, executes every cell in sampled mode
-	// (see RunConfig.SampleWindows): each cell's RunResult is a windowed
-	// estimate carrying its confidence bounds in RunResult.Sampled.
-	// Within a cell the windows run serially — the matrix already fans
-	// cells out over the worker pool.
-	SampleWindows int
 	// Obs, when non-nil, captures per-run telemetry: each cell gets its
 	// own registry writing to Obs.Dir (simulation results are unaffected).
 	Obs *ObsSpec
@@ -116,7 +110,6 @@ func (m Matrix) cellConfig(i int) RunConfig {
 	rc.Instructions = m.Instructions
 	rc.Seed = m.Seeds[si]
 	rc.System = m.System
-	rc.SampleWindows = m.SampleWindows
 	if v.CCProb >= 0 {
 		rc.System.CCProbability = v.CCProb
 	}
@@ -124,13 +117,9 @@ func (m Matrix) cellConfig(i int) RunConfig {
 }
 
 // Validate checks every distinct (variant, workload) cell with
-// RunConfig.Validate (seeds never change the verdict), and rejects
-// telemetry capture in sampled mode. Run calls it before opening any
-// telemetry file or starting any simulation.
+// RunConfig.Validate (seeds never change the verdict). Run calls it
+// before opening any telemetry file or starting any simulation.
 func (m Matrix) Validate() error {
-	if m.Obs != nil && m.SampleWindows > 0 {
-		return fmt.Errorf("experiment: telemetry capture is not supported in sampled mode")
-	}
 	total := len(m.Variants) * len(m.Workloads) * len(m.Seeds)
 	for i := 0; i < total; i += len(m.Seeds) {
 		if err := m.cellConfig(i).Validate(); err != nil {

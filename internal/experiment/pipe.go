@@ -22,9 +22,8 @@ import (
 // simulating counts the simulations in runBound, and the other workers
 // of a running forEach pool. A run pipelines only when, counting itself,
 // fewer are running than GOMAXPROCS, so a matrix or daemon already
-// running one simulation per processor keeps generating inline; a
-// sampled run likewise fans its windows out only over the processors
-// left (spareWorkers). It is process-wide because the processors are.
+// running one simulation per processor keeps generating inline. It is
+// process-wide because the processors are.
 var simulating atomic.Int64
 
 // spareProcessor counts a starting simulation in and reports whether a
@@ -32,15 +31,6 @@ var simulating atomic.Int64
 // with simulating.Add(-1) when the simulation ends.
 func spareProcessor() bool {
 	return simulating.Add(1) < int64(runtime.GOMAXPROCS(0))
-}
-
-// spareWorkers returns how many of n independent simulations can run
-// at once on the processors no simulation is using: GOMAXPROCS minus
-// simulating, clamped to [1, n]. A lone sampled run thus fans its
-// windows out over every processor, and a cell inside a full matrix
-// pool runs them serially.
-func spareWorkers(n int) int {
-	return max(1, min(runtime.GOMAXPROCS(0)-int(simulating.Load()), n))
 }
 
 const (
@@ -225,19 +215,16 @@ func (pl *pipeline) fill(b *batch) {
 	pl.drawn[c] = drawn
 }
 
-// finish stops the producer, waits for it to exit, and returns how many
-// instructions it drew from each stream. The pipeline is pooled again
-// and must not be used after.
-func (pl *pipeline) finish() [mem.MaxCores]uint64 {
+// finish stops the producer and waits for it to exit. The pipeline is
+// pooled again and must not be used after.
+func (pl *pipeline) finish() {
 	pl.stop.Store(true)
 	pl.free <- nil // wakes a producer waiting for a batch
 	pl.wg.Wait()
-	drawn := pl.drawn
 	pl.reset()
 	pipelines.Lock()
 	pipelines.idle = append(pipelines.idle, pl)
 	pipelines.Unlock()
-	return drawn
 }
 
 // reset empties every channel and forgets the run's streams.

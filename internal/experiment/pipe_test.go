@@ -14,10 +14,9 @@ import (
 // spare processor changes no result: each run is made once under
 // GOMAXPROCS 1, where it generates inline, and once under GOMAXPROCS 2,
 // where it pipes, and the RunResult JSON must match byte for byte. It
-// covers a half-rate mix (idle cores), the largest footprint, a phased
-// workload and a sampled run, checks that a full-width worker pool
-// does not pipe, and that every producer goroutine has exited
-// afterwards.
+// covers a half-rate mix (idle cores), the largest footprint and a
+// phased workload, checks that a full-width worker pool does not pipe,
+// and that every producer goroutine has exited afterwards.
 func TestPipedRunIdentical(t *testing.T) {
 	apache, _ := workload.ByName("apache")
 	mcf, _ := workload.ByName("mcf-4")
@@ -30,8 +29,6 @@ func TestPipedRunIdentical(t *testing.T) {
 		rc.Warmup, rc.Instructions = 10_000, 10_000
 		return rc
 	}
-	sampled := small("mcf-4")
-	sampled.Instructions, sampled.SampleWindows = 64_000, 4
 	runs := []struct {
 		name string
 		run  func() (RunResult, error)
@@ -45,10 +42,8 @@ func TestPipedRunIdentical(t *testing.T) {
 				return RunResult{}, err
 			}
 			bound := phased.Bind(rc.System.L2Lines(), rc.System.L1ILines(), rc.Seed)
-			return runBound(rc, sys, bound, ^uint64(0)>>1, nil)
+			return runBound(rc, sys, bound)
 		}},
-		// One worker leaves the second processor spare for the windows.
-		{"mcf-4 sampled", func() (RunResult, error) { return runSampled(sampled, 1) }},
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -109,7 +104,7 @@ func TestPipedRunIdentical(t *testing.T) {
 // TestPipedSourceMatchesStream reads piped streams with NextRun sizes
 // from one instruction to far past a batch, and checks the sequence
 // against the stream's own NextRun, that a core cannot draw past its
-// target, and the drawn counts finish reports.
+// target, and that the producer draws exactly the target.
 func TestPipedSourceMatchesStream(t *testing.T) {
 	spec, _ := workload.ByName("mcf-4")
 	piped, ref := spec.Bind(4096, 128, 3), spec.Bind(4096, 128, 3)
@@ -134,38 +129,17 @@ func TestPipedSourceMatchesStream(t *testing.T) {
 		if target > 0 && !panics(func() { q.NextRun(1) }) {
 			t.Errorf("core %d: drawing past the target of %d did not panic", c, target)
 		}
-	}
-	drawn := pl.finish()
-	for c, target := range targets {
-		if drawn[c] != target {
-			t.Errorf("core %d: producer drew %d, target %d", c, drawn[c], target)
+		// The pipe's closing nil orders the producer's last draw before
+		// this read.
+		if pl.drawn[c] != target {
+			t.Errorf("core %d: producer drew %d, target %d", c, pl.drawn[c], target)
 		}
 	}
+	pl.finish()
 }
 
 func panics(f func()) (p bool) {
 	defer func() { p = recover() != nil }()
 	f()
 	return false
-}
-
-// TestSpareWorkers checks the sampled-window worker count follows the
-// processors no simulation holds: every processor for a lone run, never
-// more workers than windows, and one inside a full pool.
-func TestSpareWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, c := range []struct{ busy, n, want int }{
-		{0, 8, 4},
-		{0, 2, 2},
-		{2, 8, 2},
-		{3, 8, 1},
-		{5, 8, 1},
-	} {
-		simulating.Add(int64(c.busy))
-		got := spareWorkers(c.n)
-		simulating.Add(-int64(c.busy))
-		if got != c.want {
-			t.Errorf("%d busy of 4, %d windows: %d workers, want %d", c.busy, c.n, got, c.want)
-		}
-	}
 }

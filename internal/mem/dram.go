@@ -30,20 +30,11 @@ type DRAM struct {
 	cfg      DRAMConfig
 	channels []*sim.Resource
 
-	// functional short-circuits Read/Write: requests complete instantly
-	// without claiming a channel or counting (sampled-run fast-forward).
-	functional bool
-
 	// Reads and Writes count accesses, for the off-chip traffic metrics
 	// of Figure 7.
 	Reads  uint64
 	Writes uint64
 }
-
-// SetFunctional switches the memory model between timed and functional
-// mode. Functional accesses are instant, unaccounted, and claim no
-// channel bandwidth.
-func (d *DRAM) SetFunctional(on bool) { d.functional = on }
 
 // NewDRAM builds the memory model; invalid fields fall back to defaults.
 func NewDRAM(cfg DRAMConfig) *DRAM {
@@ -93,9 +84,6 @@ func (d *DRAM) ChannelOf(l Line) int { return int(uint64(l) % uint64(len(d.chann
 // Read schedules a read of line l arriving at the controller at cycle at
 // and returns the cycle its data is available at the controller.
 func (d *DRAM) Read(at sim.Cycle, l Line) sim.Cycle {
-	if d.functional {
-		return at
-	}
 	d.Reads++
 	return d.channels[d.ChannelOf(l)].Claim(at) + d.cfg.Latency
 }
@@ -104,9 +92,6 @@ func (d *DRAM) Read(at sim.Cycle, l Line) sim.Cycle {
 // the cycle the controller has accepted it. Write-backs are posted: the
 // requester does not wait for the array update.
 func (d *DRAM) Write(at sim.Cycle, l Line) sim.Cycle {
-	if d.functional {
-		return at
-	}
 	d.Writes++
 	return d.channels[d.ChannelOf(l)].Claim(at)
 }

@@ -56,10 +56,6 @@ type Mesh struct {
 	// links[d][n] is the outgoing link of node n in direction d.
 	links [4][]*sim.Resource
 
-	// functional short-circuits Send: messages deliver instantly without
-	// claiming links or counting traffic (sampled-run fast-forward).
-	functional bool
-
 	// Stats.
 	Messages    uint64
 	FlitHops    uint64
@@ -108,12 +104,6 @@ func New(cfg Config) (*Mesh, error) {
 	}
 	return m, nil
 }
-
-// SetFunctional switches the mesh between timed and functional mode. In
-// functional mode Send delivers instantly: no link is claimed and no
-// traffic is counted, so warming cache state costs no timing work and
-// leaves no bookings behind.
-func (m *Mesh) SetFunctional(on bool) { m.functional = on }
 
 // Nodes returns the number of routers.
 func (m *Mesh) Nodes() int { return m.nodes }
@@ -186,9 +176,6 @@ func (m *Mesh) Path(from, to NodeID) []NodeID {
 // to. Same-node delivery (bank or controller attached to the requester's
 // router) bypasses the network.
 func (m *Mesh) Send(at sim.Cycle, from, to NodeID, class Class, size int) sim.Cycle {
-	if m.functional {
-		return at
-	}
 	m.Messages++
 	if class == Data {
 		m.DataMsgs++

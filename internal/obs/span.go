@@ -104,11 +104,6 @@ func (h SpanHandle) Child(name string) SpanHandle {
 	return h.t.StartSpan(name, h)
 }
 
-// ChildAt opens a sub-span of h with an explicit start time.
-func (h SpanHandle) ChildAt(name string, start time.Time) SpanHandle {
-	return h.t.StartSpanAt(name, h, start)
-}
-
 // End closes the span now. Idempotent: the first End wins, so cleanup
 // paths may End defensively without clobbering the recorded interval.
 func (h SpanHandle) End() {

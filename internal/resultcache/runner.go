@@ -88,15 +88,13 @@ func (s *Store) RunCtx(ctx context.Context, rc experiment.RunConfig) (experiment
 }
 
 // runTraced executes the simulation under a `run` span with a
-// `simulate` sub-span, plus a sub-span describing sampled execution.
-// bypass marks runs that skipped the cache.
+// `simulate` sub-span. bypass marks runs that skipped the cache.
 func runTraced(tr *obs.JobTrace, rc experiment.RunConfig, bypass string) (experiment.RunResult, error) {
 	run := startCellSpan(tr, "run", rc)
 	if bypass != "" {
 		run.SetAttr("cache_bypass", bypass)
 	}
-	simStart := time.Now()
-	sim := run.ChildAt("simulate", simStart)
+	sim := run.Child("simulate")
 	res, err := experiment.Run(rc)
 	sim.End()
 	if err != nil {
@@ -106,11 +104,6 @@ func runTraced(tr *obs.JobTrace, rc experiment.RunConfig, bypass string) (experi
 	}
 	sim.SetAttr("cycles", strconv.FormatUint(uint64(res.Cycles), 10))
 	sim.SetAttr("retired", strconv.FormatUint(res.Retired, 10))
-	if res.Sampled != nil {
-		sub := run.ChildAt("sampled-windows", simStart)
-		sub.SetAttr("windows", strconv.Itoa(rc.SampleWindows))
-		sub.End()
-	}
 	run.End()
 	return res, nil
 }

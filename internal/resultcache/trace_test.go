@@ -134,32 +134,3 @@ func TestRunCtxNilStoreAndNilTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestRunCtxSampledSubSpan asserts sampled execution surfaces as a
-// sub-span of run carrying the window count.
-func TestRunCtxSampledSubSpan(t *testing.T) {
-	rc := quickTraceRC(5)
-	rc.Warmup = 8_000
-	rc.Instructions = 16_000
-	rc.SampleWindows = 2
-	s, err := Open("", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.NewJobTrace("")
-	res, err := s.RunCtx(obs.ContextWithJobTrace(context.Background(), tr), rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sampled == nil {
-		t.Fatal("expected a sampled result")
-	}
-	m := spansByName(tr.Snapshot())
-	sub := m["sampled-windows"]
-	if len(sub) != 1 || sub[0].Attrs["windows"] != "2" {
-		t.Fatalf("sampled-windows spans = %+v", sub)
-	}
-	if len(m["run"]) != 1 || sub[0].Parent != m["run"][0].ID {
-		t.Errorf("sampled-windows not parented under run")
-	}
-}

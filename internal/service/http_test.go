@@ -317,7 +317,7 @@ func TestHTTPErrorsAndIntrospection(t *testing.T) {
 	}
 	// Fields the specs do not define, such as the execution knobs of
 	// older clients, must get a 400 rather than a silently different run.
-	for _, field := range []string{"engine_shards", "barrier_parallelism"} {
+	for _, field := range []string{"engine_shards", "barrier_parallelism", "sample_windows"} {
 		resp, body = postJSON(t, ts.URL+"/v1/jobs", map[string]any{"kind": "run", "run": map[string]any{
 			"arch": "esp-nuca", "workload": "apache", field: 2}})
 		if resp.StatusCode != http.StatusBadRequest {

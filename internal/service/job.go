@@ -51,9 +51,6 @@ type MatrixSpec struct {
 	// Parallelism bounds the worker pool this one matrix fans out over
 	// (0 defers to the server's per-job default).
 	Parallelism int `json:"parallelism,omitempty"`
-	// SampleWindows, when positive, executes every cell in sampled mode
-	// with that many measurement windows per cell.
-	SampleWindows int `json:"sample_windows,omitempty"`
 }
 
 // Matrix lowers the spec and ends in Matrix.Validate, so a bad spec is
@@ -104,7 +101,6 @@ func (sp MatrixSpec) Matrix() (experiment.Matrix, error) {
 		m.Instructions = sp.Instructions
 	}
 	m.Parallelism = sp.Parallelism
-	m.SampleWindows = sp.SampleWindows
 	return m, m.Validate()
 }
 

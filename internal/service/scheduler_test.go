@@ -96,7 +96,6 @@ func TestSubmitValidatesEagerly(t *testing.T) {
 		{Run: &RunSpec{Arch: "x", Workload: "nosuch"}},                                                               // bad workload
 		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: 1.5}},                                    // cc_probability > 1
 		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", CCProbability: -0.2}},                                   // cc_probability <= 0
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: -3}},                                     // negative sample_windows
 		{Kind: KindMatrix, Matrix: &MatrixSpec{}},                                                                    // empty matrix
 		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}}},                                       // no variants
 		{Kind: KindMatrix, Matrix: &MatrixSpec{Workloads: []string{"apache"}, VariantSet: "nope"}},                   // bad set
@@ -106,30 +105,11 @@ func TestSubmitValidatesEagerly(t *testing.T) {
 		{Matrix: &MatrixSpec{Workloads: []string{"apache"}, Variants: []VariantSpec{{Arch: "nope"}}}},                // unknown variant arch
 		{Matrix: &MatrixSpec{Workloads: []string{"apache"}, Variants: []VariantSpec{{Arch: "cc", CCProb: &ccFive}}}}, // cc_prob > 1
 		{Matrix: &MatrixSpec{Workloads: []string{"apache"}, Variants: []VariantSpec{{Arch: "cc", CCProb: &ccNeg}}}},  // cc_prob < 0
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: 10000}},                                  // needs 80k instructions
-		{Run: &RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: 8, Instructions: 8}},                     // needs 64 instructions
 	}
 	for i, spec := range bad {
 		if _, err := s.Submit(spec); err == nil {
 			t.Errorf("spec %d accepted, want rejection", i)
 		}
-	}
-}
-
-func TestSpecLowersSampleWindows(t *testing.T) {
-	rc, err := RunSpec{Arch: "esp-nuca", Workload: "apache", SampleWindows: 4}.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.SampleWindows != 4 {
-		t.Fatalf("rc.SampleWindows = %d, want 4", rc.SampleWindows)
-	}
-	m, err := MatrixSpec{Workloads: []string{"apache"}, VariantSet: "counterparts", SampleWindows: 2}.Matrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SampleWindows != 2 {
-		t.Fatalf("m.SampleWindows = %d, want 2", m.SampleWindows)
 	}
 }
 

@@ -80,30 +80,6 @@ func CI95(xs []float64) float64 {
 	return t * StdDev(xs) / math.Sqrt(float64(n))
 }
 
-// Estimate is a sampled point estimate: the mean over measurement
-// windows (or any other sample set) with its two-sided 95% confidence
-// half-width. The sampled-execution mode attaches one per headline
-// metric so estimates always travel with their error bound.
-type Estimate struct {
-	Mean float64 `json:"mean"`
-	CI95 float64 `json:"ci95"`
-	N    int     `json:"n"`
-}
-
-// EstimateOf computes the estimate for xs.
-func EstimateOf(xs []float64) Estimate {
-	return Estimate{Mean: Mean(xs), CI95: CI95(xs), N: len(xs)}
-}
-
-// RelCI95 returns the confidence half-width relative to the magnitude of
-// the mean (0 when the mean is 0).
-func (e Estimate) RelCI95() float64 {
-	if e.Mean == 0 {
-		return 0
-	}
-	return math.Abs(e.CI95 / e.Mean)
-}
-
 // Summary bundles the descriptive statistics reported for each data point.
 type Summary struct {
 	Mean, Median, Min, Max, StdDev, CI95 float64

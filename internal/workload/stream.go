@@ -236,26 +236,6 @@ func (s *Stream) NextRun(m int) (empty int, in Instr, ok bool) {
 	return m, Instr{}, false
 }
 
-// maxRun bounds the m of one NextRun call made on behalf of a caller
-// that wants more instructions than an int may count.
-const maxRun = 1 << 20
-
-// Skip advances the stream by n instructions without handing them to a
-// core: the generator state (RNG draws, recency rings, scan cursor,
-// phase alternation) moves exactly as if Next had been called n times.
-// Sampled runs use it to position a measurement window; because a core
-// retires every instruction it draws from its stream, a skip count
-// equals an instruction distance.
-func (s *Stream) Skip(n uint64) {
-	for n > 0 {
-		empty, _, ok := s.NextRun(int(min(n, maxRun)))
-		n -= uint64(empty)
-		if ok {
-			n--
-		}
-	}
-}
-
 // Phase reports the active profile name and completed phase switches.
 func (s *Stream) Phase() (string, int) {
 	if p := s.phase; p != nil {
