@@ -63,11 +63,12 @@ type runFlags struct {
 
 func addRunFlags(fs *flag.FlagSet, defArch string) *runFlags {
 	rf := &runFlags{}
+	def := experiment.DefaultRunConfig("", "")
 	fs.StringVar(&rf.arch, "arch", defArch, "architecture")
 	fs.StringVar(&rf.workload, "workload", "oltp", "workload")
-	fs.Uint64Var(&rf.seed, "seed", 1, "perturbation seed")
-	fs.Uint64Var(&rf.warmup, "warmup", 80_000, "per-core warmup instructions")
-	fs.Uint64Var(&rf.instructions, "instructions", 40_000, "per-core measured instructions")
+	fs.Uint64Var(&rf.seed, "seed", def.Seed, "perturbation seed")
+	fs.Uint64Var(&rf.warmup, "warmup", def.Warmup, "per-core warmup instructions")
+	fs.Uint64Var(&rf.instructions, "instructions", def.Instructions, "per-core measured instructions")
 	fs.Uint64Var(&rf.interval, "interval", uint64(experiment.DefaultMetricsInterval), "sampling interval in cycles")
 	return rf
 }

@@ -16,15 +16,17 @@ import (
 
 	"espnuca"
 	"espnuca/internal/arch"
+	"espnuca/internal/experiment"
 )
 
 func main() {
+	def := experiment.DefaultRunConfig("", "")
 	var (
 		archName = flag.String("arch", "esp-nuca", "architecture (see -list)")
 		wlName   = flag.String("workload", "apache", "workload (see -list)")
-		seed     = flag.Uint64("seed", 1, "perturbation seed")
-		warmup   = flag.Uint64("warmup", 80_000, "per-core warmup instructions")
-		instrs   = flag.Uint64("instructions", 40_000, "per-core measured instructions")
+		seed     = flag.Uint64("seed", def.Seed, "perturbation seed")
+		warmup   = flag.Uint64("warmup", def.Warmup, "per-core warmup instructions")
+		instrs   = flag.Uint64("instructions", def.Instructions, "per-core measured instructions")
 		full     = flag.Bool("full", false, "simulate the full Table 2 machine (8 MB L2)")
 		check    = flag.Bool("check", false, "verify token conservation per transaction")
 		jsonOut  = flag.Bool("json", false, "emit the report as JSON (for espstat)")

@@ -4,6 +4,7 @@
 //
 //	espsweep -figure 8            # one evaluation figure (4-10)
 //	espsweep -table 1             # the workload catalog
+//	espsweep -table 2 -csv        # the machine, full and scaled, as CSV
 //	espsweep -all                 # every figure, full quality
 //	espsweep -figure 8 -quick     # one seed, short quantum
 //	espsweep -sweep params        # S5.2 sensitivity sweep (a, b, d, N)
@@ -26,7 +27,6 @@ import (
 	"time"
 
 	"espnuca"
-	"espnuca/internal/arch"
 	"espnuca/internal/core"
 	"espnuca/internal/experiment"
 	"espnuca/internal/resultcache"
@@ -148,6 +148,13 @@ func main() {
 		CacheDir:        *cacheDir,
 	}
 
+	show := func(tab espnuca.Table) {
+		if *csv {
+			fmt.Print(tab.CSV())
+			return
+		}
+		fmt.Println(tab)
+	}
 	emit := func(id int) {
 		fo := fo
 		fo.Progress = newProgress("").report // fresh counter per figure
@@ -155,11 +162,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if *csv {
-			fmt.Print(tab.CSV())
-			return
-		}
-		fmt.Println(tab)
+		show(tab)
 	}
 
 	switch {
@@ -176,9 +179,9 @@ func main() {
 	case *figure != 0:
 		emit(*figure)
 	case *table == 1:
-		fmt.Println(espnuca.WorkloadTable())
+		show(espnuca.WorkloadTable())
 	case *table == 2:
-		printTable2()
+		show(experiment.Table2())
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -203,25 +206,6 @@ func cachedRunner(dir string) (func(experiment.RunConfig) (experiment.RunResult,
 	}
 }
 
-// printTable2 prints the simulated system configuration (paper Table 2).
-func printTable2() {
-	cfg := arch.DefaultConfig()
-	fmt.Println("== Table 2: main simulation parameters ==")
-	fmt.Printf("cores            %d (out-of-order, window 64, 16 MSHRs, 4-issue)\n", cfg.Cores)
-	fmt.Printf("L1 I/D           %d KB, %d-way, %dB blocks, %d cycles (%d tag)\n",
-		cfg.L1.Bytes/1024, cfg.L1.Ways, cfg.L1.BlockBytes, cfg.L1.Latency, cfg.L1.TagLatency)
-	fmt.Printf("L2 NUCA          %d MB, %d banks (%d per router), %d-way, %d cycles (%d tag)\n",
-		cfg.L2Lines()*cfg.BlockBytes/(1024*1024), cfg.Banks, cfg.Banks/8, cfg.Ways,
-		cfg.BankLatency, cfg.TagLatency)
-	fmt.Printf("network          %dx%d mesh, DOR routing, %d-bit links, %d-cycle hops\n",
-		cfg.NoC.Cols, cfg.NoC.Rows, cfg.NoC.LinkBytes*8, cfg.NoC.HopLatency)
-	fmt.Printf("memory           %d controllers, %d-cycle latency\n",
-		cfg.DRAM.Channels, cfg.DRAM.Latency)
-	fmt.Printf("ESP-NUCA sampler a=%d b=%d d=%d, %d conventional + %d reference + %d explorer sets\n",
-		cfg.Sampler.A, cfg.Sampler.B, cfg.Sampler.D,
-		cfg.Sampler.ConventionalSets, cfg.Sampler.ReferenceSets, cfg.Sampler.ExplorerSets)
-}
-
 // sweepParams reruns a transactional and a NAS workload with varied
 // protected-LRU constants (paper S5.2's sensitivity analysis). The whole
 // workload x variant grid runs as one parallel batch; results print in
@@ -230,7 +214,7 @@ func sweepParams(quick bool, parallel int, cacheDir string) {
 	run, closeCache := cachedRunner(cacheDir)
 	defer closeCache()
 	workloads := []string{"apache", "CG"}
-	instrs := uint64(40_000)
+	instrs := experiment.DefaultRunConfig("", "").Instructions
 	if quick {
 		instrs = 15_000
 	}
@@ -238,8 +222,9 @@ func sweepParams(quick bool, parallel int, cacheDir string) {
 		name string
 		mod  func(*core.SamplerConfig)
 	}
+	def := core.DefaultSamplerConfig()
 	variants := []variant{
-		{"baseline a=1 b=8 d=3", func(*core.SamplerConfig) {}},
+		{fmt.Sprintf("baseline a=%d b=%d d=%d", def.A, def.B, def.D), func(*core.SamplerConfig) {}},
 		{"a=2 (N=7 samples)", func(s *core.SamplerConfig) { s.A = 2 }},
 		{"a=3 (N=15 samples)", func(s *core.SamplerConfig) { s.A = 3 }},
 		{"b=6", func(s *core.SamplerConfig) {

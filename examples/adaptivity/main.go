@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 
+	"espnuca/internal/arch"
 	"espnuca/internal/cache"
 	"espnuca/internal/core"
 	"espnuca/internal/mem"
@@ -21,7 +22,8 @@ const (
 )
 
 func main() {
-	bank, err := cache.NewBank(cache.Config{Sets: sets, Ways: ways})
+	sys := arch.DefaultConfig()
+	bank, err := cache.NewBank(cache.Config{Sets: sets, Ways: ways, Latency: sys.BankLatency, TagLatency: sys.TagLatency})
 	if err != nil {
 		panic(err)
 	}

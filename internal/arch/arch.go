@@ -114,7 +114,10 @@ type Config struct {
 
 // DefaultConfig returns the paper's Table 2 system: 8 cores, 8 MB L2 in
 // 32 banks (16-way, 256 sets, 64 B blocks, 5-cycle banks), 32 KB L1s,
-// 4x2 mesh with 5-cycle hops.
+// 4x2 mesh with 5-cycle hops. It and the component constructors it calls
+// are the only place these numbers are written. The 5-cycle sequential
+// bank and 2-cycle tag are the paper's own CACTI 5.0 (45 nm) output for
+// this bank, taken as given.
 func DefaultConfig() Config {
 	return Config{
 		Cores: 8, Banks: 32, SetsPerBank: 256, Ways: 16, BlockBytes: 64,
@@ -129,14 +132,16 @@ func DefaultConfig() Config {
 }
 
 // ScaledConfig returns a capacity-scaled system preserving Table 2's
-// organization and (approximately) its L1:L2 ratio: a 1 MB L2 in the same
-// 32 banks and 8 KB split L1s. The experiment harness uses it so that the
-// synthetic workloads exercise the same capacity regimes as the paper's
-// full-size system within short runs.
+// organization and (approximately) its L1:L2 ratio: 1/8 of the L2 sets
+// (a 1 MB L2 in the same 32 banks) and 1/4 of the L1 bytes (8 KB split
+// L1s). Every latency, associativity and block size is the full
+// machine's. The experiment harness uses it so that the synthetic
+// workloads exercise the same capacity regimes as the paper's full-size
+// system within short runs.
 func ScaledConfig() Config {
 	c := DefaultConfig()
-	c.SetsPerBank = 32 // 32 banks x 32 sets x 16 ways x 64B = 1 MB
-	c.L1 = coherence.L1Config{Bytes: 8 * 1024, Ways: 4, BlockBytes: 64, Latency: 3, TagLatency: 1}
+	c.SetsPerBank /= 8
+	c.L1.Bytes /= 4
 	return c
 }
 
@@ -146,8 +151,47 @@ func (c Config) L2Lines() int { return c.Banks * c.SetsPerBank * c.Ways }
 // L1ILines returns the instruction-L1 capacity in lines.
 func (c Config) L1ILines() int { return c.L1.Bytes / c.L1.BlockBytes }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. It is the one check of the
+// machine's parameters: the component constructors take every latency,
+// count and period as given, so a zero one is refused here.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"banks", int64(c.Banks)},
+		{"sets per bank", int64(c.SetsPerBank)},
+		{"ways", int64(c.Ways)},
+		{"block bytes", int64(c.BlockBytes)},
+		{"bank latency", int64(c.BankLatency)},
+		{"bank tag latency", int64(c.TagLatency)},
+		{"L1 bytes", int64(c.L1.Bytes)},
+		{"L1 ways", int64(c.L1.Ways)},
+		{"L1 block bytes", int64(c.L1.BlockBytes)},
+		{"L1 latency", int64(c.L1.Latency)},
+		{"L1 tag latency", int64(c.L1.TagLatency)},
+		{"mesh columns", int64(c.NoC.Cols)},
+		{"mesh rows", int64(c.NoC.Rows)},
+		{"hop latency", int64(c.NoC.HopLatency)},
+		{"link bytes", int64(c.NoC.LinkBytes)},
+		{"memory routers", int64(len(c.NoC.MemRouters))},
+		{"DRAM latency", int64(c.DRAM.Latency)},
+		{"DRAM interval", int64(c.DRAM.Interval)},
+		{"DRAM channels", int64(c.DRAM.Channels)},
+		{"sampler period", int64(c.Sampler.Period)},
+		{"sampler EMA width", int64(c.Sampler.B)},
+		{"sampler EMA shift", int64(c.Sampler.A)},
+		{"conventional sampled sets", int64(c.Sampler.ConventionalSets)},
+		{"reference sampled sets", int64(c.Sampler.ReferenceSets)},
+		{"explorer sampled sets", int64(c.Sampler.ExplorerSets)},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("arch: %s must be positive, got %d", f.name, f.v)
+		}
+	}
+	if c.Sampler.A > c.Sampler.B {
+		return fmt.Errorf("arch: sampler EMA shift %d exceeds its %d-bit width", c.Sampler.A, c.Sampler.B)
+	}
 	if c.Cores != coherence.TokensPerLine {
 		return fmt.Errorf("arch: this substrate models the paper's %d-core CMP, got %d cores", coherence.TokensPerLine, c.Cores)
 	}
@@ -293,11 +337,11 @@ func (s *Substrate) record(level Level, at, done sim.Cycle) {
 	s.Latency[level] += uint64(done - at)
 }
 
-// RecordL1Hit lets the CPU model account local L1 hits in the same
-// decomposition.
-func (s *Substrate) RecordL1Hit(lat sim.Cycle) {
+// RecordL1Hit lets the CPU model account a local L1 hit, at the L1's
+// access latency, in the same decomposition.
+func (s *Substrate) RecordL1Hit() {
 	s.Counts[LocalL1]++
-	s.Latency[LocalL1] += uint64(lat)
+	s.Latency[LocalL1] += uint64(s.Cfg.L1.Latency)
 }
 
 // --- L2 residency management ---

@@ -530,7 +530,7 @@ func TestAvgAccessTimeDecomposition(t *testing.T) {
 	sys := build(t, "shared")
 	s := sys.Sub()
 	sys.Access(0, 0, 100, false)
-	s.RecordL1Hit(3)
+	s.RecordL1Hit()
 	total, contrib := s.AvgAccessTime()
 	if total <= 0 {
 		t.Fatal("zero average access time")

@@ -346,9 +346,9 @@ func TestStatusLifecycle(t *testing.T) {
 func TestRecordL1HitAccounting(t *testing.T) {
 	sys := build(t, "shared")
 	s := sys.Sub()
-	s.RecordL1Hit(3)
-	s.RecordL1Hit(3)
-	if s.Counts[LocalL1] != 2 || s.Latency[LocalL1] != 6 {
+	s.RecordL1Hit()
+	s.RecordL1Hit()
+	if want := 2 * uint64(s.Cfg.L1.Latency); s.Counts[LocalL1] != 2 || s.Latency[LocalL1] != want {
 		t.Fatalf("L1 accounting: %d hits, %d cycles", s.Counts[LocalL1], s.Latency[LocalL1])
 	}
 }

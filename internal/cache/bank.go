@@ -88,16 +88,11 @@ type Bank struct {
 	Stats Stats
 }
 
-// NewBank builds a bank; Sets and Ways must be positive.
+// NewBank builds a bank; Sets and Ways must be positive. The latencies
+// are used as given (arch.Config.Validate refuses zero ones).
 func NewBank(cfg Config) (*Bank, error) {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		return nil, fmt.Errorf("cache: invalid geometry %d sets x %d ways", cfg.Sets, cfg.Ways)
-	}
-	if cfg.Latency == 0 {
-		cfg.Latency = 5
-	}
-	if cfg.TagLatency == 0 {
-		cfg.TagLatency = 2
 	}
 	b := &Bank{cfg: cfg, port: sim.NewResource(sim.Cycle(cfg.Latency))}
 	b.sets = make([]Set, cfg.Sets)

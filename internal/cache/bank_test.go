@@ -17,9 +17,13 @@ func TestBlockSize(t *testing.T) {
 	}
 }
 
+// Table 2's bank timing. arch.DefaultConfig owns it; arch imports this
+// package, so the tests restate it.
+const testLatency, testTagLatency = 5, 2
+
 func mustBank(t *testing.T, sets, ways int) *Bank {
 	t.Helper()
-	b, err := NewBank(Config{Sets: sets, Ways: ways})
+	b, err := NewBank(Config{Sets: sets, Ways: ways, Latency: testLatency, TagLatency: testTagLatency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +45,8 @@ func TestNewBankValidation(t *testing.T) {
 	if b.Sets() != 8 || b.Ways() != 4 {
 		t.Fatalf("geometry = %dx%d", b.Sets(), b.Ways())
 	}
-	if b.Config().Latency != 5 || b.Config().TagLatency != 2 {
-		t.Fatalf("default latencies = %d/%d, want 5/2", b.Config().Latency, b.Config().TagLatency)
+	if b.Config().Latency != testLatency || b.Config().TagLatency != testTagLatency {
+		t.Fatalf("latencies = %d/%d, want %d/%d as given", b.Config().Latency, b.Config().TagLatency, testLatency, testTagLatency)
 	}
 }
 
@@ -175,12 +179,12 @@ func TestBankPortSerializes(t *testing.T) {
 	b := mustBank(t, 4, 4)
 	first := b.Access(0)
 	second := b.Access(0)
-	if first != 5 || second != 10 {
-		t.Fatalf("accesses complete at %d,%d; want 5,10", first, second)
+	if first != testLatency || second != 2*testLatency {
+		t.Fatalf("accesses complete at %d,%d; want %d,%d", first, second, testLatency, 2*testLatency)
 	}
 	tp := b.TagProbe(20)
-	if tp != 22 {
-		t.Fatalf("tag probe completes at %d, want 22", tp)
+	if tp != 20+testTagLatency {
+		t.Fatalf("tag probe completes at %d, want %d", tp, 20+testTagLatency)
 	}
 }
 
@@ -257,7 +261,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 func TestBankInvariantProperty(t *testing.T) {
 	prop := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
-		b, _ := NewBank(Config{Sets: 4, Ways: 4})
+		b, _ := NewBank(Config{Sets: 4, Ways: 4, Latency: testLatency, TagLatency: testTagLatency})
 		classes := []Class{Private, Shared, Replica, Victim}
 		for op := 0; op < 2000; op++ {
 			set := rng.Intn(4)
@@ -374,7 +378,7 @@ func TestStaticPartitionBudgetProperty(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		ways := 8
 		budget := int(budget8%7) + 1 // 1..7 private ways
-		b, _ := NewBank(Config{Sets: 2, Ways: ways})
+		b, _ := NewBank(Config{Sets: 2, Ways: ways, Latency: testLatency, TagLatency: testTagLatency})
 		pol := StaticPartition{PrivateWays: budget}
 		classes := []Class{Private, Shared}
 		for op := 0; op < 600; op++ {
@@ -418,7 +422,7 @@ func TestStaticPartitionBudgetProperty(t *testing.T) {
 func TestShadowPolicyBoundsProperty(t *testing.T) {
 	prop := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
-		b, _ := NewBank(Config{Sets: 2, Ways: 4})
+		b, _ := NewBank(Config{Sets: 2, Ways: 4, Latency: testLatency, TagLatency: testTagLatency})
 		p := NewShadowPolicy(2, 8)
 		classes := []Class{Private, Shared}
 		for op := 0; op < 500; op++ {

@@ -147,9 +147,13 @@ func TestPrivatePanicsOnBadCore(t *testing.T) {
 
 // --- Sampler / ProtectedLRU ---
 
+// Table 2's bank timing. arch.DefaultConfig owns it; arch imports this
+// package, so the tests restate it.
+const testLatency, testTagLatency = 5, 2
+
 func newBankWithRoles(t *testing.T, ways int) (*cache.Bank, *Sampler) {
 	t.Helper()
-	b, err := cache.NewBank(cache.Config{Sets: 16, Ways: ways})
+	b, err := cache.NewBank(cache.Config{Sets: 16, Ways: ways, Latency: testLatency, TagLatency: testTagLatency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +419,7 @@ func TestExplorerSetAcceptsOneExtra(t *testing.T) {
 func TestProtectedLRUCapProperty(t *testing.T) {
 	prop := func(seed uint64, nmax8 uint8) bool {
 		rng := sim.NewRNG(seed)
-		b, _ := cache.NewBank(cache.Config{Sets: 4, Ways: 8})
+		b, _ := cache.NewBank(cache.Config{Sets: 4, Ways: 8, Latency: testLatency, TagLatency: testTagLatency})
 		cfg := DefaultSamplerConfig()
 		s := NewSampler(cfg, 8)
 		s.SetNMax(int(nmax8 % 7))
@@ -472,7 +476,7 @@ func TestSamplerRatesExposed(t *testing.T) {
 }
 
 func TestAssignRolesDegenerate(t *testing.T) {
-	b, _ := cache.NewBank(cache.Config{Sets: 2, Ways: 4})
+	b, _ := cache.NewBank(cache.Config{Sets: 2, Ways: 4, Latency: testLatency, TagLatency: testTagLatency})
 	cfg := DefaultSamplerConfig() // needs 4 sampled sets; bank has 2
 	AssignRoles(b, cfg)
 	for i := 0; i < b.Sets(); i++ {

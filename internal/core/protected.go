@@ -50,11 +50,9 @@ type Sampler struct {
 	Raises, Lowers uint64
 }
 
-// NewSampler builds the controller for a bank of the given associativity.
+// NewSampler builds the controller for a bank of the given associativity
+// from cfg as given (arch.Config.Validate refuses a zero period).
 func NewSampler(cfg SamplerConfig, ways int) *Sampler {
-	if cfg.Period <= 0 {
-		cfg.Period = 64
-	}
 	return &Sampler{
 		cfg:  cfg,
 		hrc:  stats.NewEMA(cfg.A, cfg.B),

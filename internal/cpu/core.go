@@ -19,22 +19,21 @@ import (
 	"espnuca/internal/workload"
 )
 
-// Config holds the core parameters.
+// Config holds the core parameters. Every field must be positive
+// (experiment.RunConfig.Validate refuses the rest); New uses them as
+// given.
 type Config struct {
-	IssueWidth  int // instructions per cycle (paper: 4)
-	Window      int // reorder window (paper: 64)
-	MSHRs       int // outstanding memory requests (paper: 16)
-	Quantum     int // instructions executed per scheduler slice
-	L1HitCycles sim.Cycle
-	// PrefetchDegree, when positive, enables a per-core stride
-	// prefetcher issuing that many lines ahead on confirmed strides
-	// (extension; the paper's system has none).
-	PrefetchDegree int
+	IssueWidth int // instructions per cycle (paper: 4)
+	Window     int // reorder window (paper: 64)
+	MSHRs      int // outstanding memory requests (paper: 16)
+	// Quantum is the instructions executed per scheduler slice, a
+	// simulator parameter rather than a Table 2 one.
+	Quantum int
 }
 
 // DefaultConfig returns Table 2's core.
 func DefaultConfig() Config {
-	return Config{IssueWidth: 4, Window: 64, MSHRs: 16, Quantum: 256, L1HitCycles: 3}
+	return Config{IssueWidth: 4, Window: 64, MSHRs: 16, Quantum: 256}
 }
 
 // missHeap orders outstanding misses by completion cycle. Like the event
@@ -165,9 +164,6 @@ type Core struct {
 	// Stalls counts cycles lost waiting on the window/MSHR limits.
 	Stalls sim.Cycle
 
-	// pf is the optional stride prefetcher.
-	pf *stridePrefetcher
-
 	// sliceEv is c.slice bound once in New: evaluating a method value
 	// builds a closure, and the cores reschedule themselves on every
 	// slice.
@@ -176,37 +172,13 @@ type Core struct {
 
 // New builds a core; call Start to schedule it.
 func New(id int, cfg Config, eng *sim.Engine, sys arch.System, stream InstrSource, target uint64) *Core {
-	if cfg.IssueWidth <= 0 {
-		cfg.IssueWidth = 4
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 64
-	}
-	if cfg.MSHRs <= 0 {
-		cfg.MSHRs = 16
-	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 256
-	}
 	rs, ok := stream.(runSource)
 	if !ok {
 		rs = oneByOne{stream}
 	}
 	c := &Core{ID: id, cfg: cfg, eng: eng, sys: sys, stream: rs, target: target}
 	c.sliceEv = c.slice
-	if cfg.PrefetchDegree > 0 {
-		c.pf = newStridePrefetcher(cfg.PrefetchDegree)
-	}
 	return c
-}
-
-// Prefetcher stats: prefetches issued and those that saw demand hits;
-// zeros when prefetching is disabled.
-func (c *Core) PrefetchStats() (issued, useful uint64) {
-	if c.pf == nil {
-		return 0, 0
-	}
-	return c.pf.Issued, c.pf.Useful
 }
 
 // Retired returns the number of instructions completed.
@@ -310,22 +282,16 @@ func (c *Core) slice() {
 			if !sub.L1.Lookup(c.ID, in.Fetch, false, true) {
 				c.handleMiss(in.Fetch, false, true)
 			} else {
-				sub.RecordL1Hit(c.cfg.L1HitCycles)
+				sub.RecordL1Hit()
 			}
 		}
 
 		// Data access.
 		if in.IsMem {
 			if sub.L1.Lookup(c.ID, in.Data, in.Write, false) {
-				sub.RecordL1Hit(c.cfg.L1HitCycles)
-				if c.pf != nil {
-					c.pf.observeHit(in.Data)
-				}
+				sub.RecordL1Hit()
 			} else {
 				c.handleMiss(in.Data, in.Write, false)
-				if c.pf != nil {
-					c.prefetch(in.Data)
-				}
 			}
 		}
 
@@ -370,22 +336,6 @@ func (c *Core) handleMiss(line mem.Line, write, ifetch bool) {
 	for len(c.misses) >= c.cfg.MSHRs ||
 		(len(c.misses) > 0 && c.retired-c.misses.oldestInstr() >= uint64(c.cfg.Window)) {
 		c.waitOldest()
-	}
-}
-
-// prefetch trains the stride predictor and issues non-blocking fills.
-func (c *Core) prefetch(miss mem.Line) {
-	sub := c.sys.Sub()
-	for _, l := range c.pf.observeMiss(miss) {
-		if sub.L1.Has(c.ID, l) {
-			continue
-		}
-		c.pf.markIssued(l)
-		res := c.sys.Access(c.localTime, c.ID, l, false)
-		wb := sub.L1.Fill(c.ID, l, false, false)
-		if wb.Valid {
-			c.sys.WriteBack(res.Done, c.ID, wb.Line, wb.Dirty)
-		}
 	}
 }
 

@@ -49,7 +49,7 @@ func TestCoreIPCBoundedByIssueWidth(t *testing.T) {
 	// Even a perfectly cache-resident stream cannot exceed issue width.
 	eng := sim.NewEngine()
 	sys := testSystem(t)
-	c := New(0, Config{IssueWidth: 2, Window: 64, MSHRs: 16, Quantum: 128, L1HitCycles: 3},
+	c := New(0, Config{IssueWidth: 2, Window: 64, MSHRs: 16, Quantum: 128},
 		eng, sys, testStream(t, 0), 3000)
 	c.Start()
 	eng.RunUntil(0, func() bool { return c.Done })
@@ -151,17 +151,6 @@ func TestDefaultConfigMatchesTable2(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.IssueWidth != 4 || cfg.Window != 64 || cfg.MSHRs != 16 {
 		t.Fatalf("core config %+v does not match Table 2", cfg)
-	}
-}
-
-func TestZeroConfigDefaults(t *testing.T) {
-	eng := sim.NewEngine()
-	sys := testSystem(t)
-	c := New(0, Config{}, eng, sys, testStream(t, 0), 100)
-	c.Start()
-	eng.RunUntil(0, func() bool { return c.Done })
-	if c.Retired() < 100 {
-		t.Fatal("zero-value config core made no progress")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // All of those invalidate every cached result, so the change must be
 // deliberate — update the constant only after confirming the drift is
 // intended (and bump CodeVersion when simulator behaviour changed).
-const goldenCanonicalKey = "6a55526bf35c32eeee89410596cb85d42f1f847f5ba70624fad2257fd42e304c"
+const goldenCanonicalKey = "69832c36295d02d6a8d49bc4c6d20373fee83facf2bd75470547bc0651adbb5a"
 
 func TestCanonicalKeyGolden(t *testing.T) {
 	rc := DefaultRunConfig("esp-nuca", "apache")

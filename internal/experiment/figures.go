@@ -67,9 +67,11 @@ type Options struct {
 	RunFunc func(RunConfig) (RunResult, error)
 }
 
-// DefaultOptions is the full-quality setting used by cmd/espsweep.
+// DefaultOptions is the full-quality setting used by cmd/espsweep: the
+// budgets, seeds and system of NewMatrix.
 func DefaultOptions() Options {
-	return Options{Seeds: []uint64{1, 2, 3}, Warmup: 80_000, Instructions: 40_000, System: arch.ScaledConfig()}
+	m := NewMatrix(nil, nil)
+	return Options{Seeds: m.Seeds, Warmup: m.Warmup, Instructions: m.Instructions, System: m.System}
 }
 
 // QuickOptions is a reduced-cost setting for benchmarks and smoke tests.
@@ -359,6 +361,61 @@ func Table1() Table {
 	t := Table{ID: "Table 1", Title: "Workloads under study", Columns: []string{"kind", "cores"}}
 	for _, s := range workload.Catalog() {
 		t.Rows = append(t.Rows, TableRow{Label: s.Name, Values: []float64{float64(s.Kind), float64(s.ActiveCores().Len())}})
+	}
+	return t
+}
+
+// Table2 renders the simulated machine (paper Table 2): one column for
+// the full machine, arch.DefaultConfig, and one for the capacity-scaled
+// machine the figures run, arch.ScaledConfig, both with
+// DefaultRunConfig's core. Every value is read from those constructors.
+func Table2() Table {
+	core := DefaultRunConfig("", "").Core
+	full, scaled := arch.DefaultConfig(), arch.ScaledConfig()
+	rows := []struct {
+		label string
+		of    func(c arch.Config) int
+	}{
+		{"cores", func(c arch.Config) int { return c.Cores }},
+		{"issue width", func(arch.Config) int { return core.IssueWidth }},
+		{"window", func(arch.Config) int { return core.Window }},
+		{"MSHRs", func(arch.Config) int { return core.MSHRs }},
+		{"L1 KB", func(c arch.Config) int { return c.L1.Bytes / 1024 }},
+		{"L1 ways", func(c arch.Config) int { return c.L1.Ways }},
+		{"L1 block B", func(c arch.Config) int { return c.L1.BlockBytes }},
+		{"L1 cycles", func(c arch.Config) int { return int(c.L1.Latency) }},
+		{"L1 tag cyc", func(c arch.Config) int { return int(c.L1.TagLatency) }},
+		{"L2 KB", func(c arch.Config) int { return c.L2Lines() * c.BlockBytes / 1024 }},
+		{"L2 banks", func(c arch.Config) int { return c.Banks }},
+		{"L2 ways", func(c arch.Config) int { return c.Ways }},
+		{"L2 block B", func(c arch.Config) int { return c.BlockBytes }},
+		{"bank cycles", func(c arch.Config) int { return int(c.BankLatency) }},
+		{"bank tag cyc", func(c arch.Config) int { return int(c.TagLatency) }},
+		{"mesh cols", func(c arch.Config) int { return c.NoC.Cols }},
+		{"mesh rows", func(c arch.Config) int { return c.NoC.Rows }},
+		{"hop cycles", func(c arch.Config) int { return int(c.NoC.HopLatency) }},
+		{"link bits", func(c arch.Config) int { return c.NoC.LinkBytes * 8 }},
+		{"mem ctrls", func(c arch.Config) int { return c.DRAM.Channels }},
+		{"DRAM cycles", func(c arch.Config) int { return int(c.DRAM.Latency) }},
+		{"DRAM ival", func(c arch.Config) int { return int(c.DRAM.Interval) }},
+		{"sampler a", func(c arch.Config) int { return int(c.Sampler.A) }},
+		{"sampler b", func(c arch.Config) int { return int(c.Sampler.B) }},
+		{"sampler d", func(c arch.Config) int { return int(c.Sampler.D) }},
+		{"period", func(c arch.Config) int { return c.Sampler.Period }},
+		{"conv sets", func(c arch.Config) int { return c.Sampler.ConventionalSets }},
+		{"ref sets", func(c arch.Config) int { return c.Sampler.ReferenceSets }},
+		{"explore sets", func(c arch.Config) int { return c.Sampler.ExplorerSets }},
+	}
+	t := Table{ID: "Table 2", Title: "main simulation parameters", Columns: []string{"full", "scaled"}}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, TableRow{Label: r.label, Values: []float64{float64(r.of(full)), float64(r.of(scaled))}})
+	}
+	t.Notes = []string{
+		"L1 KB is each of a core's split I and D caches; latencies are in core cycles",
+		fmt.Sprintf("scaled keeps every latency, way count and block size and cuts capacity: "+
+			"%d of %d L2 sets per bank and %d of %d L1 bytes, so the synthetic workloads "+
+			"reach the paper's capacity regimes within short runs",
+			scaled.SetsPerBank, full.SetsPerBank, scaled.L1.Bytes, full.L1.Bytes),
 	}
 	return t
 }

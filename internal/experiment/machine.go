@@ -66,7 +66,9 @@ type RunConfig struct {
 
 // DefaultRunConfig returns the harness defaults: the scaled system (all
 // organization ratios of Table 2, 1/8 capacity), a cache-filling warmup
-// and a 40k-instruction measurement quantum per core.
+// and a 40k-instruction measurement quantum per core. It owns the run
+// budgets: NewMatrix, DefaultOptions and the command-line defaults read
+// them from here.
 func DefaultRunConfig(archName, workloadName string) RunConfig {
 	return RunConfig{
 		Arch:         archName,
@@ -90,6 +92,19 @@ func (rc RunConfig) Validate() error {
 	}
 	if _, ok := workload.ByName(rc.Workload); !ok {
 		return fmt.Errorf("experiment: unknown workload %q", rc.Workload)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"issue width", rc.Core.IssueWidth},
+		{"window", rc.Core.Window},
+		{"MSHR count", rc.Core.MSHRs},
+		{"quantum", rc.Core.Quantum},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("experiment: core %s must be positive, got %d", f.name, f.v)
+		}
 	}
 	return rc.System.Validate()
 }
@@ -166,7 +181,8 @@ type RunResult struct {
 	// (Figure 7's second metric).
 	OnChipLatency float64
 
-	// L2Hits/L2Misses summarize L2 behaviour over L1 misses.
+	// L1MissRate is the fraction of the measured window's L1 lookups
+	// (instruction and data, all cores) that missed.
 	L1MissRate float64
 }
 

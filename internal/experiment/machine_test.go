@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"espnuca/internal/arch"
+	"espnuca/internal/cpu"
 	"espnuca/internal/workload"
 )
 
@@ -239,6 +240,116 @@ func TestTable1Catalog(t *testing.T) {
 	}
 	if tab.String() == "" {
 		t.Fatal("empty render")
+	}
+}
+
+// TestZeroParameterRefused zeroes each machine latency, count and period
+// and each core parameter, on the full and on the scaled machine: the
+// constructors take them as given, so validation must refuse every one.
+// A machine field left out (StaticPrivateWays, Sampler.D,
+// CCProbability, Seed, CheckTokens) has a meaningful zero.
+func TestZeroParameterRefused(t *testing.T) {
+	system := []struct {
+		name string
+		zero func(c *arch.Config)
+	}{
+		{"Cores", func(c *arch.Config) { c.Cores = 0 }},
+		{"Banks", func(c *arch.Config) { c.Banks = 0 }},
+		{"SetsPerBank", func(c *arch.Config) { c.SetsPerBank = 0 }},
+		{"Ways", func(c *arch.Config) { c.Ways = 0 }},
+		{"BlockBytes", func(c *arch.Config) { c.BlockBytes = 0 }},
+		{"BankLatency", func(c *arch.Config) { c.BankLatency = 0 }},
+		{"TagLatency", func(c *arch.Config) { c.TagLatency = 0 }},
+		{"L1.Bytes", func(c *arch.Config) { c.L1.Bytes = 0 }},
+		{"L1.Ways", func(c *arch.Config) { c.L1.Ways = 0 }},
+		{"L1.BlockBytes", func(c *arch.Config) { c.L1.BlockBytes = 0 }},
+		{"L1.Latency", func(c *arch.Config) { c.L1.Latency = 0 }},
+		{"L1.TagLatency", func(c *arch.Config) { c.L1.TagLatency = 0 }},
+		{"NoC.Cols", func(c *arch.Config) { c.NoC.Cols = 0 }},
+		{"NoC.Rows", func(c *arch.Config) { c.NoC.Rows = 0 }},
+		{"NoC.HopLatency", func(c *arch.Config) { c.NoC.HopLatency = 0 }},
+		{"NoC.LinkBytes", func(c *arch.Config) { c.NoC.LinkBytes = 0 }},
+		{"NoC.MemRouters", func(c *arch.Config) { c.NoC.MemRouters = nil }},
+		{"DRAM.Latency", func(c *arch.Config) { c.DRAM.Latency = 0 }},
+		{"DRAM.Interval", func(c *arch.Config) { c.DRAM.Interval = 0 }},
+		{"DRAM.Channels", func(c *arch.Config) { c.DRAM.Channels = 0 }},
+		{"Sampler.A", func(c *arch.Config) { c.Sampler.A = 0 }},
+		{"Sampler.B", func(c *arch.Config) { c.Sampler.B = 0 }},
+		{"Sampler.Period", func(c *arch.Config) { c.Sampler.Period = 0 }},
+		{"Sampler.ConventionalSets", func(c *arch.Config) { c.Sampler.ConventionalSets = 0 }},
+		{"Sampler.ReferenceSets", func(c *arch.Config) { c.Sampler.ReferenceSets = 0 }},
+		{"Sampler.ExplorerSets", func(c *arch.Config) { c.Sampler.ExplorerSets = 0 }},
+	}
+	core := []struct {
+		name string
+		zero func(c *cpu.Config)
+	}{
+		{"IssueWidth", func(c *cpu.Config) { c.IssueWidth = 0 }},
+		{"Window", func(c *cpu.Config) { c.Window = 0 }},
+		{"MSHRs", func(c *cpu.Config) { c.MSHRs = 0 }},
+		{"Quantum", func(c *cpu.Config) { c.Quantum = 0 }},
+	}
+	for machine, cfg := range map[string]arch.Config{"full": arch.DefaultConfig(), "scaled": arch.ScaledConfig()} {
+		base := DefaultRunConfig("esp-nuca", "apache")
+		base.System = cfg
+		if err := base.Validate(); err != nil {
+			t.Fatalf("%s: default config refused: %v", machine, err)
+		}
+		for _, f := range system {
+			rc := base
+			f.zero(&rc.System)
+			if rc.System.Validate() == nil {
+				t.Errorf("%s: arch.Config.Validate accepts zero %s", machine, f.name)
+			}
+		}
+		for _, f := range core {
+			rc := base
+			f.zero(&rc.Core)
+			if rc.Validate() == nil {
+				t.Errorf("%s: RunConfig.Validate accepts zero core %s", machine, f.name)
+			}
+		}
+	}
+}
+
+// TestTable2 checks that Table 2's columns are the full and the scaled
+// constructors' values and that the machines differ only in capacity.
+func TestTable2(t *testing.T) {
+	tab := Table2()
+	if len(tab.Columns) != 2 || len(tab.Notes) == 0 {
+		t.Fatalf("Table 2 has columns %v and %d notes", tab.Columns, len(tab.Notes))
+	}
+	row := map[string][]float64{}
+	for _, r := range tab.Rows {
+		row[r.Label] = r.Values
+	}
+	core := DefaultRunConfig("", "").Core
+	for i, c := range []arch.Config{arch.DefaultConfig(), arch.ScaledConfig()} {
+		for label, want := range map[string]int{
+			"cores":        c.Cores,
+			"window":       core.Window,
+			"L1 KB":        c.L1.Bytes / 1024,
+			"L1 cycles":    int(c.L1.Latency),
+			"L2 KB":        c.L2Lines() * c.BlockBytes / 1024,
+			"bank cycles":  int(c.BankLatency),
+			"bank tag cyc": int(c.TagLatency),
+			"hop cycles":   int(c.NoC.HopLatency),
+			"DRAM cycles":  int(c.DRAM.Latency),
+			"period":       c.Sampler.Period,
+		} {
+			if got := row[label]; len(got) != 2 || got[i] != float64(want) {
+				t.Errorf("%s %s = %v, want %d", tab.Columns[i], label, got, want)
+			}
+		}
+	}
+	var differ []string
+	for _, r := range tab.Rows {
+		if r.Values[0] != r.Values[1] {
+			differ = append(differ, r.Label)
+		}
+	}
+	if !reflect.DeepEqual(differ, []string{"L1 KB", "L2 KB"}) {
+		t.Errorf("full and scaled machines differ in %v, want only L1 KB and L2 KB", differ)
 	}
 }
 

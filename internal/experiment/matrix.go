@@ -68,16 +68,17 @@ type Matrix struct {
 	RunFunc func(RunConfig) (RunResult, error)
 }
 
-// NewMatrix returns a matrix with harness defaults (scaled system, three
-// seeds).
+// NewMatrix returns a matrix with harness defaults: DefaultRunConfig's
+// budgets and system, over three perturbation seeds.
 func NewMatrix(workloads []string, variants []Variant) Matrix {
+	rc := DefaultRunConfig("", "")
 	return Matrix{
 		Workloads:    workloads,
 		Variants:     variants,
 		Seeds:        []uint64{1, 2, 3},
-		Warmup:       80_000,
-		Instructions: 40_000,
-		System:       arch.ScaledConfig(),
+		Warmup:       rc.Warmup,
+		Instructions: rc.Instructions,
+		System:       rc.System,
 	}
 }
 

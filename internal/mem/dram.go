@@ -36,18 +36,9 @@ type DRAM struct {
 	Writes uint64
 }
 
-// NewDRAM builds the memory model; invalid fields fall back to defaults.
+// NewDRAM builds the memory model from cfg as given
+// (arch.Config.Validate refuses zero fields).
 func NewDRAM(cfg DRAMConfig) *DRAM {
-	def := DefaultDRAMConfig()
-	if cfg.Latency == 0 {
-		cfg.Latency = def.Latency
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = def.Interval
-	}
-	if cfg.Channels <= 0 {
-		cfg.Channels = def.Channels
-	}
 	d := &DRAM{cfg: cfg}
 	for i := 0; i < cfg.Channels; i++ {
 		d.channels = append(d.channels, sim.NewResource(cfg.Interval))

@@ -107,17 +107,6 @@ func TestDRAMPostedWrites(t *testing.T) {
 	}
 }
 
-func TestDRAMDefaults(t *testing.T) {
-	d := NewDRAM(DRAMConfig{})
-	def := DefaultDRAMConfig()
-	if d.Channels() != def.Channels {
-		t.Fatalf("Channels() = %d, want %d", d.Channels(), def.Channels)
-	}
-	if got := d.Read(0, 0); got != def.Latency {
-		t.Fatalf("default read latency = %d, want %d", got, def.Latency)
-	}
-}
-
 // Property: DRAM read completion is always >= arrival + latency, and
 // per-channel completions are spaced by at least the interval.
 func TestDRAMBandwidthProperty(t *testing.T) {

@@ -71,23 +71,11 @@ const (
 	south
 )
 
-// New builds the mesh; a nil-ish config falls back to the default.
+// New builds the mesh. The hop latency, link width and memory routers
+// are used as given (arch.Config.Validate refuses zero ones).
 func New(cfg Config) (*Mesh, error) {
-	def := DefaultConfig()
-	if cfg.Cols == 0 && cfg.Rows == 0 {
-		cfg = def
-	}
 	if cfg.Cols <= 0 || cfg.Rows <= 0 {
 		return nil, fmt.Errorf("noc: invalid grid %dx%d", cfg.Cols, cfg.Rows)
-	}
-	if cfg.HopLatency == 0 {
-		cfg.HopLatency = def.HopLatency
-	}
-	if cfg.LinkBytes <= 0 {
-		cfg.LinkBytes = def.LinkBytes
-	}
-	if len(cfg.MemRouters) == 0 {
-		cfg.MemRouters = def.MemRouters
 	}
 	n := cfg.Cols * cfg.Rows
 	for _, r := range cfg.MemRouters {

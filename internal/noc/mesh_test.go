@@ -204,16 +204,6 @@ func TestMemRouterWraps(t *testing.T) {
 	}
 }
 
-func TestDefaultFallback(t *testing.T) {
-	m, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Nodes() != 8 {
-		t.Fatalf("zero config built %d nodes", m.Nodes())
-	}
-}
-
 func TestLatencySymmetry(t *testing.T) {
 	m := mustMesh(t)
 	for a := NodeID(0); a < 8; a++ {
