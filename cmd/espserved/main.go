@@ -33,8 +33,7 @@
 // written atomically and is the same bytes whoever computes it.
 //
 // On SIGTERM/SIGINT the daemon stops accepting work, cancels queued
-// jobs, lets in-flight jobs finish (bounded by -drain-timeout) and
-// persists the cache index.
+// jobs and lets in-flight jobs finish (bounded by -drain-timeout).
 package main
 
 import (
@@ -167,11 +166,6 @@ func main() {
 	}
 	if err := <-drainc; err != nil {
 		logger.Warn("drain timed out, in-flight jobs were force-canceled", "error", err)
-	}
-	if err := store.Close(); err != nil {
-		logger.Warn("cache index close", "error", err)
-	} else if *cacheDir != "" {
-		logger.Info("cache index persisted")
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Warn("serve", "error", err)

@@ -189,21 +189,16 @@ func main() {
 }
 
 // cachedRunner opens the content-addressed result cache when dir is
-// non-empty and returns a memoizing run function (nil when uncached)
-// plus a close func that persists the cache index.
-func cachedRunner(dir string) (func(experiment.RunConfig) (experiment.RunResult, error), func()) {
+// non-empty and returns a memoizing run function (nil when uncached).
+func cachedRunner(dir string) func(experiment.RunConfig) (experiment.RunResult, error) {
 	if dir == "" {
-		return nil, func() {}
+		return nil
 	}
 	store, err := resultcache.Open(dir, resultcache.Options{})
 	if err != nil {
 		fail(err)
 	}
-	return store.Runner(), func() {
-		if err := store.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "espsweep: cache index:", err)
-		}
-	}
+	return store.Runner()
 }
 
 // sweepParams reruns a transactional and a NAS workload with varied
@@ -211,8 +206,7 @@ func cachedRunner(dir string) (func(experiment.RunConfig) (experiment.RunResult,
 // workload x variant grid runs as one parallel batch; results print in
 // grid order afterwards.
 func sweepParams(quick bool, parallel int, cacheDir string) {
-	run, closeCache := cachedRunner(cacheDir)
-	defer closeCache()
+	run := cachedRunner(cacheDir)
 	workloads := []string{"apache", "CG"}
 	instrs := experiment.DefaultRunConfig("", "").Instructions
 	if quick {
@@ -266,8 +260,7 @@ func sweepParams(quick bool, parallel int, cacheDir string) {
 // shared-normalized performance across each workload family, per
 // architecture, and ESP-NUCA's reduction versus its counterparts.
 func stability(quick bool, parallel int, cacheDir string) {
-	run, closeCache := cachedRunner(cacheDir)
-	defer closeCache()
+	run := cachedRunner(cacheDir)
 	o := experiment.DefaultOptions()
 	if quick {
 		o = experiment.QuickOptions()

@@ -171,7 +171,6 @@ func Figure(id int, fo FigureOptions) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		defer store.Close()
 		o.RunFunc = store.Runner()
 	}
 	switch id {

@@ -195,6 +195,9 @@ func (c Config) Validate() error {
 	if c.Cores != coherence.TokensPerLine {
 		return fmt.Errorf("arch: this substrate models the paper's %d-core CMP, got %d cores", coherence.TokensPerLine, c.Cores)
 	}
+	if routers := c.NoC.Cols * c.NoC.Rows; routers != c.Cores {
+		return fmt.Errorf("arch: %dx%d mesh has %d routers, want one per core (%d)", c.NoC.Cols, c.NoC.Rows, routers, c.Cores)
+	}
 	if c.Banks%c.Cores != 0 {
 		return fmt.Errorf("arch: %d banks not divisible across %d cores", c.Banks, c.Cores)
 	}

@@ -53,6 +53,15 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := NewSubstrate(cfg); err == nil {
 		t.Error("non-8-core config accepted")
 	}
+	// Core c sits at router c and each router holds Banks/Cores banks,
+	// so the mesh must have exactly one router per core.
+	for _, grid := range [][2]int{{2, 1}, {4, 4}} {
+		cfg = testConfig()
+		cfg.NoC.Cols, cfg.NoC.Rows = grid[0], grid[1]
+		if cfg.Validate() == nil {
+			t.Errorf("%dx%d mesh for %d cores accepted", grid[0], grid[1], cfg.Cores)
+		}
+	}
 	cfg = testConfig()
 	cfg.CCProbability = 1.5
 	if cfg.Validate() == nil {

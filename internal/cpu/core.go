@@ -111,7 +111,7 @@ func (h missHeap) oldestInstr() uint64 { // min instruction index among entries
 }
 
 // InstrSource supplies the instruction stream a core executes. The
-// synthetic workload generators implement it, as do trace replayers.
+// synthetic workload generators implement it.
 type InstrSource interface {
 	Next() workload.Instr
 }
@@ -125,8 +125,9 @@ type runSource interface {
 	NextRun(m int) (empty int, in workload.Instr, ok bool)
 }
 
-// oneByOne gives a source without NextRun (a trace replayer, a wrapper)
-// the runSource method by drawing single instructions.
+// oneByOne gives a source without NextRun (a wrapper, such as the
+// benchmark's timedSource) the runSource method by drawing single
+// instructions.
 type oneByOne struct{ InstrSource }
 
 func (s oneByOne) NextRun(m int) (int, workload.Instr, bool) {

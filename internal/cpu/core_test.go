@@ -154,7 +154,7 @@ func TestDefaultConfigMatchesTable2(t *testing.T) {
 	}
 }
 
-// nextOnly hides a stream's NextRun, as a trace replayer has none.
+// nextOnly hides a stream's NextRun, as a wrapping source does.
 type nextOnly struct{ s *workload.Stream }
 
 func (n nextOnly) Next() workload.Instr { return n.s.Next() }

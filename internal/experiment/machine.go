@@ -260,7 +260,7 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound) (RunResult, 
 		cores[c].Start()
 	}
 	if rc.Metrics != nil {
-		Instrument(eng, sys, rc.Metrics, rc.MetricsInterval)
+		instrument(eng, sys, rc.Metrics, rc.MetricsInterval)
 	}
 
 	// Phase 1: run until every measured core has crossed its own warmup

@@ -32,14 +32,13 @@ func (p *engineProbe) OnDispatch(now sim.Cycle, depth int, wallNS int64) {
 	p.queueDepth.Set(float64(depth))
 }
 
-// Instrument wires a registry into a live engine + system pair: the
+// instrument wires a registry into a live engine + system pair: the
 // substrate probes (per-bank hit rates, NoC, DRAM), the architecture's
 // own probes when it implements arch.Observable (ESP-NUCA's nmax/EMA
 // series), the engine dispatch probe, and a self-rescheduling tick event
 // that closes one sampling interval every interval cycles. Interval 0
-// uses DefaultMetricsInterval. The experiment harness and the trace
-// replayer share this path so their telemetry cannot drift apart.
-func Instrument(eng *sim.Engine, sys arch.System, reg *obs.Registry, interval sim.Cycle) {
+// uses DefaultMetricsInterval.
+func instrument(eng *sim.Engine, sys arch.System, reg *obs.Registry, interval sim.Cycle) {
 	if reg == nil {
 		return
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"espnuca/internal/stats"
 )
 
 // StabilityReport quantifies the paper's headline stability claims (§6):
@@ -31,15 +29,11 @@ func Stability(res Results, esp, baseline string, workloads []string, counterpar
 		Workloads: workloads,
 	}
 	for _, label := range append([]string{esp}, counterparts...) {
-		var vals []float64
-		for _, wl := range workloads {
-			n, _, err := res.Normalized(label, baseline, wl)
-			if err != nil {
-				return rep, err
-			}
-			vals = append(vals, n)
+		v, err := res.VarianceNormalized(label, baseline, workloads)
+		if err != nil {
+			return rep, err
 		}
-		rep.Variance[label] = stats.Variance(vals)
+		rep.Variance[label] = v
 	}
 	espVar := rep.Variance[esp]
 	for _, label := range counterparts {

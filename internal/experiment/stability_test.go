@@ -33,4 +33,7 @@ func TestStabilityReport(t *testing.T) {
 	if !strings.Contains(rep.String(), "esp-nuca") {
 		t.Fatal("render missing architecture")
 	}
+	if _, err := Stability(res, "esp-nuca", "shared", nil, []string{"private"}); err == nil {
+		t.Fatal("stability over zero workloads accepted")
+	}
 }

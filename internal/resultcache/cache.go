@@ -279,9 +279,8 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// diskKeys enumerates the object store on disk. Used at Open (to seed
-// the disk-entry set) and Close (to index even objects written by other
-// processes since) — never on the Stats hot path.
+// diskKeys enumerates the object store on disk. Used once, at Open, to
+// seed the disk-entry set — never on the Stats hot path.
 func (s *Store) diskKeys() []string {
 	var keys []string
 	root := filepath.Join(s.dir, "objects")
@@ -298,75 +297,8 @@ func (s *Store) diskKeys() []string {
 	return keys
 }
 
-// index is the persisted cache manifest: a human- and tool-readable
-// summary of what the store holds, written by Close (espserved persists
-// it on SIGTERM). Correctness never depends on it — objects are
-// self-describing — so a missing or stale index only loses the carried
-// lifetime counters.
-type index struct {
-	Version string       `json:"version"`
-	Stats   Stats        `json:"stats"`
-	Entries []indexEntry `json:"entries"`
-}
-
-type indexEntry struct {
-	Key      string `json:"key"`
-	Arch     string `json:"arch"`
-	Workload string `json:"workload"`
-	Seed     uint64 `json:"seed"`
-}
-
-func indexPath(dir string) string { return filepath.Join(dir, "index.json") }
-
-func readIndex(dir string) (index, error) {
-	var idx index
-	b, err := os.ReadFile(indexPath(dir))
-	if err != nil {
-		return idx, err
-	}
-	if err := json.Unmarshal(b, &idx); err != nil {
-		return idx, err
-	}
-	return idx, nil
-}
-
-// Close persists the index for disk-backed stores. The store stays
-// usable afterwards; Close may be called again to re-persist.
-func (s *Store) Close() error {
-	if s == nil || s.dir == "" {
-		return nil
-	}
-	idx := index{Version: experiment.CodeVersion, Stats: s.Stats()}
-	for _, key := range s.diskKeys() {
-		e, ok, err := s.readObject(key)
-		if err != nil || !ok {
-			continue
-		}
-		idx.Entries = append(idx.Entries, indexEntry{Key: key, Arch: e.Arch, Workload: e.Workload, Seed: e.Seed})
-	}
-	b, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("resultcache: index: %w", err)
-	}
-	tmp := indexPath(s.dir) + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("resultcache: index: %w", err)
-	}
-	if err := os.Rename(tmp, indexPath(s.dir)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("resultcache: index: %w", err)
-	}
-	return nil
-}
-
-// Index returns the persisted manifest of a store directory, if present.
-func Index(dir string) (found bool, entries int, stats Stats, err error) {
-	idx, err := readIndex(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return false, 0, Stats{}, nil
-	}
-	if err != nil {
-		return false, 0, Stats{}, err
-	}
-	return true, len(idx.Entries), idx.Stats, nil
-}
+// Close releases the store. Every object is published by an atomic
+// rename as it is stored and the store holds no open file between
+// calls, so there is nothing to flush: Close returns nil and the store
+// stays usable.
+func (s *Store) Close() error { return nil }

