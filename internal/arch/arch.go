@@ -289,12 +289,14 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 		return nil, err
 	}
 	s := &Substrate{
-		Cfg:   cfg,
-		Mesh:  mesh,
-		DRAM:  mem.NewDRAM(cfg.DRAM),
-		Map:   mapping,
-		RNG:   sim.NewRNG(cfg.Seed ^ 0xA11CE),
-		lines: newLineMap[lineRec](1 << 16),
+		Cfg:  cfg,
+		Mesh: mesh,
+		DRAM: mem.NewDRAM(cfg.DRAM),
+		Map:  mapping,
+		RNG:  sim.NewRNG(cfg.Seed ^ 0xA11CE),
+		// Size for a record per line the L2 and every core's instruction
+		// and data L1 can hold at once; token state in flight may add a few.
+		lines: newLineMap[lineRec](cfg.L2Lines() + 2*cfg.Cores*cfg.L1ILines()),
 	}
 	s.Dir = coherence.NewDirectory(s)
 	s.Dir.Check = cfg.CheckTokens

@@ -44,7 +44,7 @@ func NewDNUCA(cfg Config) (*DNUCA, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &DNUCA{s: s, lastReq: newLineMap[int8](1 << 14)}
+	a := &DNUCA{s: s, lastReq: newLineMap[int8](3 << 12)}
 	a.bankOrder = make([][][]int, cfg.NoC.Cols)
 	for col := range a.bankOrder {
 		a.bankOrder[col] = make([][]int, cfg.Cores)

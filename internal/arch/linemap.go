@@ -35,16 +35,17 @@ func mixLine(l mem.Line) uint64 {
 	return x
 }
 
-// newLineMap builds a table with capacity hint (rounded up to a power of
-// two).
-func newLineMap[V any](hint int) lineMap[V] {
-	cap := 16
-	for cap < hint {
-		cap *= 2
+// newLineMap builds the smallest table that holds n entries before it
+// grows: a power of two of at least 16 slots, at most three quarters of
+// them live.
+func newLineMap[V any](n int) lineMap[V] {
+	size := 16
+	for 3*size < 4*n {
+		size *= 2
 	}
 	return lineMap[V]{
-		entries: make([]lineMapEntry[V], cap),
-		mask:    uint64(cap - 1),
+		entries: make([]lineMapEntry[V], size),
+		mask:    uint64(size - 1),
 	}
 }
 

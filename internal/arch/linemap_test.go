@@ -94,6 +94,62 @@ func TestLineMapDeleteChains(t *testing.T) {
 	}
 }
 
+// TestNewLineMapHoldsWithoutGrowing checks newLineMap's sizing: a table
+// built for n entries takes n inserts without growing, and half its size
+// would not hold them.
+func TestNewLineMapHoldsWithoutGrowing(t *testing.T) {
+	scaled := ScaledConfig()
+	for _, n := range []int{0, 1, 12, 13, 24, 25, 1000, 3 << 12, scaled.L2Lines() + 2*scaled.Cores*scaled.L1ILines()} {
+		m := newLineMap[int](n)
+		size := len(m.entries)
+		for l := 0; l < n; l++ {
+			m.set(mem.Line(l), l)
+		}
+		if len(m.entries) != size {
+			t.Errorf("newLineMap(%d): grew from %d to %d slots", n, size, len(m.entries))
+		}
+		if size > 16 && 3*(size/2) >= 4*n {
+			t.Errorf("newLineMap(%d): %d slots, where %d would hold it", n, size, size/2)
+		}
+	}
+	s, err := NewSubstrate(scaled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.lines.entries); got != 1<<15 {
+		t.Errorf("the scaled machine's line table has %d slots, want %d", got, 1<<15)
+	}
+}
+
+// BenchmarkLineMap times the substrate's line record in a steady state,
+// at the scaled machine's table size holding 16,792 live records, the
+// most an esp-nuca FT run at the default budgets holds: each op finds a
+// live line, materializes a new one with ptr and deletes the oldest.
+func BenchmarkLineMap(b *testing.B) {
+	const (
+		live = 16_792
+		ring = 1 << 16 // distinct lines cycled through the table
+	)
+	cfg := ScaledConfig()
+	m := newLineMap[lineRec](cfg.L2Lines() + 2*cfg.Cores*cfg.L1ILines())
+	lines := make([]mem.Line, ring)
+	for i, p := range rand.New(rand.NewSource(1)).Perm(1 << 22)[:ring] {
+		lines[i] = 0x4000_0000 + mem.Line(p)
+	}
+	for _, l := range lines[:live] {
+		m.ptr(l).n = 1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m.find(lines[(i+live/2)%ring]) == nil {
+			b.Fatal("a live line is missing")
+		}
+		m.ptr(lines[(i+live)%ring]).n = 1
+		m.del(lines[i%ring])
+	}
+}
+
 // TestLineRecordSize pins the merged per-line record to one 64-byte cache
 // line, table key and slot flag included.
 func TestLineRecordSize(t *testing.T) {

@@ -212,19 +212,17 @@ func RunOn(rc RunConfig, sys arch.System) (RunResult, error) {
 	rc.System.Seed = rc.Seed
 	sys.Sub().Reseed(rc.Seed)
 	spec, _ := workload.ByName(rc.Workload) // present: rc is validated
-	wlLines := rc.WorkloadL2Lines
-	if wlLines == 0 {
-		wlLines = rc.System.L2Lines()
-	}
-	bound := spec.Bind(wlLines, rc.System.L1ILines(), rc.Seed)
-	return runBound(rc, sys, bound)
+	k := streamKeyOf(rc)
+	bound := spec.Bind(k.l2Lines, k.l1iLines, rc.Seed)
+	return runBound(rc, sys, bound, leasedRecording(k))
 }
 
 // runBound executes rc's warmup and measurement phases against a
-// prepared system and freshly bound streams. When a processor is spare,
-// the streams are generated ahead on it (pipe.go); the result is the
-// same.
-func runBound(rc RunConfig, sys arch.System, bound *workload.Bound) (RunResult, error) {
+// prepared system and freshly bound streams. With a recording of the
+// bound's measured streams, the measured cores read it; otherwise, when
+// a processor is spare, the streams are generated ahead on it (pipe.go).
+// The result is the same.
+func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, rec *recording) (RunResult, error) {
 	eng := enginePool.Get().(*sim.Engine)
 	defer func() {
 		eng.Reset()
@@ -240,22 +238,34 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound) (RunResult, 
 			targets[c] = ^uint64(0) >> 1
 		}
 	}
+	var sources [mem.MaxCores]cpu.InstrSource
+	for c := range rc.System.Cores {
+		sources[c] = bound.Streams[c]
+	}
 	spare := spareProcessor()
 	defer simulating.Add(-1)
-	var pl *pipeline
-	if spare {
-		pl = startPipeline(bound, targets[:rc.System.Cores])
+	switch {
+	case rec != nil:
+		rec.once.Do(func() { rec.record(bound, targets[:rc.System.Cores]) })
+		recorded := new([mem.MaxCores]recordedSource)
+		for c := range rc.System.Cores {
+			if measured.Has(c) {
+				recorded[c].runs = rec.cores[c]
+				sources[c] = &recorded[c]
+			}
+		}
+	case spare:
+		pl := startPipeline(bound, targets[:rc.System.Cores])
 		// The producer is stopped and joined on every return, a panic's
 		// included.
 		defer pl.finish()
+		for c := range rc.System.Cores {
+			sources[c] = &pl.sources[c]
+		}
 	}
 	cores := make([]*cpu.Core, rc.System.Cores)
 	for c := range cores {
-		var src cpu.InstrSource = bound.Streams[c]
-		if pl != nil {
-			src = &pl.sources[c]
-		}
-		cores[c] = cpu.New(c, rc.Core, eng, sys, src, targets[c])
+		cores[c] = cpu.New(c, rc.Core, eng, sys, sources[c], targets[c])
 		cores[c].SetWarmup(rc.Warmup)
 		cores[c].Start()
 	}

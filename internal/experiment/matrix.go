@@ -93,12 +93,22 @@ type Cell struct {
 // Results maps variant label -> workload -> cell.
 type Results map[string]map[string]Cell
 
-// cell returns the (variant, workload, seed) coordinates of flat index i.
-// The flattening order matches the serial triple loop (variants outermost,
-// seeds innermost), so progress and error precedence read the same.
+// cell returns the (variant, workload, seed) coordinates of flat index i:
+// variants outermost, seeds innermost, the order Results are assembled
+// in.
 func (m Matrix) cell(i int) (vi, wi, si int) {
 	perVariant := len(m.Workloads) * len(m.Seeds)
 	return i / perVariant, (i % perVariant) / len(m.Seeds), i % len(m.Seeds)
+}
+
+// dispatched returns the flat index of the d-th cell Run starts. Cells
+// start workload-major, then by seed, then by variant, so the variants
+// sharing a (workload, seed) recording run together and it is freed
+// early.
+func (m Matrix) dispatched(d int) int {
+	nv, ns := len(m.Variants), len(m.Seeds)
+	wi, si, vi := d/(ns*nv), d/nv%ns, d%nv
+	return (vi*len(m.Workloads)+wi)*ns + si
 }
 
 // cellConfig returns the run configuration of flat cell index i, without
@@ -138,6 +148,12 @@ func (m Matrix) Validate() error {
 // bit-for-bit identical at any parallelism. Progress, when non-nil, is
 // called after every completed run with a monotonically increasing done
 // count (calls are serialized; the callback needs no locking of its own).
+//
+// The cells of a (workload, seed) share their measured streams: Run
+// leases their stream key for its duration, so they are generated once
+// and every cell reads the same recording (pipe.go). Cells start in
+// dispatched order, and a failing Run returns the error of the first
+// failing cell in that order.
 func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -149,10 +165,25 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 	if runCell == nil {
 		runCell = Run
 	}
-	err := forEach(m.Parallelism, total, func(i int) error {
+	shared := map[streamKey]int{}
+	for i := range total {
+		if k := streamKeyOf(m.cellConfig(i)); k.target <= maxRecorded {
+			shared[k]++
+		}
+	}
+	for k, n := range shared {
+		if n < 2 {
+			delete(shared, k)
+		}
+	}
+	ls := leaseRecordings(shared)
+	defer ls.release()
+	err := forEach(m.Parallelism, total, func(d int) error {
+		i := m.dispatched(d)
 		vi, wi, si := m.cell(i)
 		v := m.Variants[vi]
 		rc := m.cellConfig(i)
+		defer ls.done(streamKeyOf(rc))
 		var finish func() error
 		if m.Obs != nil {
 			name := fmt.Sprintf("%s_%s_s%d", v.Label, m.Workloads[wi], m.Seeds[si])
