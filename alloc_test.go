@@ -12,7 +12,8 @@ package espnuca
 // the lookup path, a per-message slice in the NoC — fails loudly instead
 // of silently costing 20% of runtime in the garbage collector.
 // TestRunAllocs extends the guard to a whole run: core scheduling and the
-// shared resources' booking windows included.
+// shared resources' booking windows included. TestWarmRunAllocs pins what
+// a whole run allocates once its machine is reused.
 
 import (
 	"runtime"
@@ -107,5 +108,36 @@ func TestRunAllocs(t *testing.T) {
 	if perK > runAllocBudget {
 		t.Errorf("esp-nuca/FT allocates %.3f times per 1,000 retired instructions, budget %.2f",
 			perK, runAllocBudget)
+	}
+}
+
+// warmRunAllocBudget bounds the heap allocations of a whole default
+// esp-nuca/apache run once a machine of its hardware is idle in
+// experiment.Run's free list: only the architecture's own state, the
+// workload's streams and the run's bookkeeping are allocated, 81 to 85
+// times on a 2-vCPU Xeon (Go 1.24.0). A run that builds its machine
+// (the substrate's banks, L1s, line table and booking rings, and its
+// cores) allocates about 640 times, so a free list that stops hitting
+// fails here. The budget is the measurement with about 30% headroom.
+const warmRunAllocBudget = 110
+
+func TestWarmRunAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is slow under -short")
+	}
+	rc := experiment.DefaultRunConfig("esp-nuca", "apache")
+	if _, err := experiment.Run(rc); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := experiment.Run(rc); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("esp-nuca/apache on a warm machine: %d allocations", allocs)
+	if allocs > warmRunAllocBudget {
+		t.Errorf("esp-nuca/apache on a warm machine allocated %d times, budget %d", allocs, warmRunAllocBudget)
 	}
 }

@@ -14,6 +14,7 @@ package arch
 
 import (
 	"fmt"
+	"reflect"
 
 	"espnuca/internal/cache"
 	"espnuca/internal/coherence"
@@ -142,6 +143,19 @@ func ScaledConfig() Config {
 	c := DefaultConfig()
 	c.SetsPerBank /= 8
 	c.L1.Bytes /= 4
+	return c
+}
+
+// SameMachine reports whether c and d describe the same hardware: they
+// may differ only in Seed, CCProbability and CheckTokens, which a run
+// sets and Substrate.Reset takes.
+func (c Config) SameMachine(d Config) bool {
+	return reflect.DeepEqual(c.hardware(), d.hardware())
+}
+
+// hardware returns c without its per-run fields.
+func (c Config) hardware() Config {
+	c.Seed, c.CCProbability, c.CheckTokens = 0, 0, false
 	return c
 }
 
@@ -289,14 +303,12 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 		return nil, err
 	}
 	s := &Substrate{
-		Cfg:  cfg,
-		Mesh: mesh,
-		DRAM: mem.NewDRAM(cfg.DRAM),
-		Map:  mapping,
-		RNG:  sim.NewRNG(cfg.Seed ^ 0xA11CE),
-		// Size for a record per line the L2 and every core's instruction
-		// and data L1 can hold at once; token state in flight may add a few.
-		lines: newLineMap[lineRec](cfg.L2Lines() + 2*cfg.Cores*cfg.L1ILines()),
+		Cfg:   cfg,
+		Mesh:  mesh,
+		DRAM:  mem.NewDRAM(cfg.DRAM),
+		Map:   mapping,
+		RNG:   sim.NewRNG(cfg.Seed ^ 0xA11CE),
+		lines: newLineMap[lineRec](lineRecords(cfg)),
 	}
 	s.Dir = coherence.NewDirectory(s)
 	s.Dir.Check = cfg.CheckTokens
@@ -314,6 +326,36 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 		s.Bank = append(s.Bank, b)
 	}
 	return s, nil
+}
+
+// lineRecords sizes the line table: a record per line the L2 and every
+// core's instruction and data L1 can hold at once; token state in flight
+// may add a few.
+func lineRecords(cfg Config) int { return cfg.L2Lines() + 2*cfg.Cores*cfg.L1ILines() }
+
+// Reset returns s to the state NewSubstrate(cfg) builds, in place, so a
+// run on a reset substrate is the same as a run on a new one. cfg must
+// describe the same machine as s.Cfg (SameMachine). Reset empties every
+// L2 bank and L1 (blocks, set counters and roles, LRU clocks, statistics),
+// clears every link, bank port and DRAM channel booking and counter,
+// drops every line record, sets the directory's token check, reseeds the
+// RNG and zeroes the Figure 6 counters.
+func (s *Substrate) Reset(cfg Config) {
+	if !s.Cfg.SameMachine(cfg) {
+		panic("arch: Reset to a different machine")
+	}
+	s.Cfg = cfg
+	s.Mesh.Reset()
+	s.DRAM.Reset()
+	s.Dir.Check = cfg.CheckTokens
+	s.L1.Reset()
+	for _, b := range s.Bank {
+		b.Reset()
+	}
+	s.Reseed(cfg.Seed)
+	s.lines.reset(lineRecords(cfg))
+	s.scratch = s.scratch[:0]
+	s.Counts, s.Latency = [NumLevels]uint64{}, [NumLevels]uint64{}
 }
 
 // Reseed re-derives the substrate RNG exactly as NewSubstrate does for

@@ -20,6 +20,17 @@ func testConfig() Config {
 	return cfg
 }
 
+// newSub builds a substrate for a test that constructs an architecture
+// directly.
+func newSub(t *testing.T, cfg Config) *Substrate {
+	t.Helper()
+	s, err := NewSubstrate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func build(t *testing.T, name string) System {
 	t.Helper()
 	sys, err := Build(name, testConfig())
@@ -351,7 +362,7 @@ func TestESPNUCAWriteKillsReplicas(t *testing.T) {
 
 func TestESPNUCAVictimSpill(t *testing.T) {
 	cfg := testConfig()
-	sys, err := NewESPNUCA(cfg, true)
+	sys, err := NewESPNUCA(newSub(t, cfg), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +404,7 @@ func TestESPNUCAVictimSpill(t *testing.T) {
 
 func TestESPNUCAVictimPromotionOnForeignTouch(t *testing.T) {
 	cfg := testConfig()
-	sys, err := NewESPNUCA(cfg, true)
+	sys, err := NewESPNUCA(newSub(t, cfg), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,10 +487,7 @@ func TestDNUCAPromotesTowardRequester(t *testing.T) {
 func TestCCSpillsToPeer(t *testing.T) {
 	cfg := testConfig()
 	cfg.CCProbability = 1.0
-	sys, err := NewCC(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := NewCC(newSub(t, cfg))
 	s := sys.Sub()
 	// Overflow core 0's private bank 0 set 2 via write-backs (lines = 8
 	// mod 32).
@@ -502,10 +510,7 @@ func TestCCSpillsToPeer(t *testing.T) {
 func TestCCZeroProbabilityNeverSpills(t *testing.T) {
 	cfg := testConfig()
 	cfg.CCProbability = 0
-	sys, err := NewCC(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := NewCC(newSub(t, cfg))
 	var tm sim.Cycle
 	for _, l := range []mem.Line{8, 40, 72, 104, 136, 168} {
 		r := sys.Access(tm, 0, l, true)

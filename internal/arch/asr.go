@@ -29,18 +29,15 @@ type ASR struct {
 	LevelChanges uint64
 }
 
-// NewASR builds the ASR architecture.
-func NewASR(cfg Config) (*ASR, error) {
-	t, err := NewTiled(cfg)
-	if err != nil {
-		return nil, err
-	}
+// NewASR builds the ASR architecture on a prepared substrate.
+func NewASR(s *Substrate) *ASR {
+	t := NewTiled(s)
 	a := &ASR{
 		t:      t,
 		levels: []float64{0, 0.25, 0.5, 0.75, 1},
 		epoch:  4096,
 	}
-	n := cfg.Cores
+	n := s.Cfg.Cores
 	a.level = make([]int, n)
 	a.replicaHits = make([]uint64, n)
 	a.epochEvents = make([]uint64, n)
@@ -48,7 +45,7 @@ func NewASR(cfg Config) (*ASR, error) {
 		a.level[c] = 2 // start at 0.5
 	}
 	t.asr = a
-	return a, nil
+	return a
 }
 
 // Name implements System.

@@ -100,10 +100,7 @@ func TestCleanWritebackSharedReleasesTokens(t *testing.T) {
 func TestDirtyWritebackReachesDRAMEventually(t *testing.T) {
 	// Fill a private tile set until dirty victims cascade to memory.
 	cfg := testConfig()
-	sys, err := NewTiled(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := NewTiled(newSub(t, cfg))
 	s := sys.Sub()
 	var tm sim.Cycle
 	// Lines = 8 mod 32 all land in core 0's bank 0 set 2 (4 ways).
@@ -128,7 +125,7 @@ func TestDirtyWritebackReachesDRAMEventually(t *testing.T) {
 func TestESPFlatVersusProtectedDiffer(t *testing.T) {
 	run := func(protected bool) uint64 {
 		cfg := testConfig()
-		sys, err := NewESPNUCA(cfg, protected)
+		sys, err := NewESPNUCA(newSub(t, cfg), protected)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,11 +162,11 @@ func TestESPFlatVersusProtectedDiffer(t *testing.T) {
 
 func TestESPNMaxHistogram(t *testing.T) {
 	cfg := testConfig()
-	prot, _ := NewESPNUCA(cfg, true)
+	prot, _ := NewESPNUCA(newSub(t, cfg), true)
 	if h := prot.NMaxHistogram(); len(h) != cfg.Banks {
 		t.Fatalf("histogram length %d", len(h))
 	}
-	flat, _ := NewESPNUCA(cfg, false)
+	flat, _ := NewESPNUCA(newSub(t, cfg), false)
 	if flat.NMaxHistogram() != nil {
 		t.Fatal("flat variant has a histogram")
 	}
@@ -180,7 +177,7 @@ func TestESPNMaxHistogram(t *testing.T) {
 
 func TestESPAblationKnobs(t *testing.T) {
 	cfg := testConfig()
-	sys, _ := NewESPNUCA(cfg, true)
+	sys, _ := NewESPNUCA(newSub(t, cfg), true)
 	for _, smp := range sys.Samplers() {
 		smp.SetNMax(2)
 	}
@@ -211,7 +208,7 @@ func TestESPAblationKnobs(t *testing.T) {
 
 func TestSPNUCAVariantsStayConsistent(t *testing.T) {
 	for _, kind := range []PartitionKind{FlatLRUPartition, ShadowTagPartition, StaticPartitionKind} {
-		sys, err := NewSPNUCA(testConfig(), kind)
+		sys, err := NewSPNUCA(newSub(t, testConfig()), kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,10 +241,7 @@ func TestCCProbabilityOrdersSpills(t *testing.T) {
 	spills := func(p float64) uint64 {
 		cfg := testConfig()
 		cfg.CCProbability = p
-		sys, err := NewCC(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := NewCC(newSub(t, cfg))
 		s := sys.Sub()
 		var tm sim.Cycle
 		// Pound one set with dirty write-backs to force evictions.
@@ -275,10 +269,7 @@ func TestCCProbabilityOrdersSpills(t *testing.T) {
 func TestASRReplicationCreatesLocalCopies(t *testing.T) {
 	cfg := testConfig()
 	cfg.Seed = 3
-	sys, err := NewASR(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := NewASR(newSub(t, cfg))
 	s := sys.Sub()
 	// Put a line in tile 0's L2 only; core 7 reads it repeatedly. With
 	// replication level 0.5 some read should copy it into tile 7.

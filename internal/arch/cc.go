@@ -21,14 +21,9 @@ type CC struct {
 	Spills, SpillHits uint64
 }
 
-// NewCC builds Cooperative Caching with the config's CCProbability.
-func NewCC(cfg Config) (*CC, error) {
-	t, err := NewTiled(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &CC{t: t, prob: cfg.CCProbability}, nil
-}
+// NewCC builds Cooperative Caching on a prepared substrate, at its
+// config's CCProbability.
+func NewCC(s *Substrate) *CC { return &CC{t: NewTiled(s), prob: s.Cfg.CCProbability} }
 
 // Name implements System.
 func (a *CC) Name() string { return "cc" }

@@ -38,21 +38,24 @@ type DNUCA struct {
 	bankOrder [][][]int
 }
 
-// NewDNUCA builds the idealized D-NUCA.
-func NewDNUCA(cfg Config) (*DNUCA, error) {
-	s, err := NewSubstrate(cfg)
-	if err != nil {
-		return nil, err
-	}
+// NewDNUCA builds the idealized D-NUCA on a prepared substrate.
+func NewDNUCA(s *Substrate) *DNUCA {
+	cfg := s.Cfg
 	a := &DNUCA{s: s, lastReq: newLineMap[int8](3 << 12)}
-	a.bankOrder = make([][][]int, cfg.NoC.Cols)
+	// Every list is a capped window of one backing array.
+	cols := cfg.NoC.Cols
+	order := make([]int, 0, cfg.Banks*cfg.Cores)
+	lists := make([][]int, cols*cfg.Cores)
+	a.bankOrder = make([][][]int, cols)
 	for col := range a.bankOrder {
-		a.bankOrder[col] = make([][]int, cfg.Cores)
+		a.bankOrder[col] = lists[col*cfg.Cores : (col+1)*cfg.Cores]
 		for c := range a.bankOrder[col] {
-			a.bankOrder[col][c] = a.buildBanksInColumn(col, c)
+			start := len(order)
+			order = a.appendBanksInColumn(order, col, c)
+			a.bankOrder[col][c] = order[start:len(order):len(order)]
 		}
 	}
-	return a, nil
+	return a
 }
 
 // Name implements System.
@@ -76,20 +79,22 @@ func (a *DNUCA) banksInColumn(col, c int) []int {
 	return a.bankOrder[col][c]
 }
 
-// buildBanksInColumn computes one bankOrder entry at construction time.
-func (a *DNUCA) buildBanksInColumn(col, c int) []int {
+// appendBanksInColumn appends one bankOrder entry to dst at
+// construction time.
+func (a *DNUCA) appendBanksInColumn(dst []int, col, c int) []int {
 	s := a.s
 	perNode := s.Cfg.Banks / s.Mesh.Nodes()
-	var banks []int
+	start := len(dst)
 	for node := 0; node < s.Mesh.Nodes(); node++ {
 		if node%s.Cfg.NoC.Cols != col {
 			continue
 		}
 		for k := 0; k < perNode; k++ {
-			banks = append(banks, node*perNode+k)
+			dst = append(dst, node*perNode+k)
 		}
 	}
 	// Order by hop distance from the requester.
+	banks := dst[start:]
 	reqNode := s.NodeOfCore(c)
 	for i := 1; i < len(banks); i++ {
 		for j := i; j > 0 && s.Mesh.Hops(reqNode, s.NodeOfBank(banks[j])) <
@@ -97,7 +102,7 @@ func (a *DNUCA) buildBanksInColumn(col, c int) []int {
 			banks[j], banks[j-1] = banks[j-1], banks[j]
 		}
 	}
-	return banks
+	return dst
 }
 
 // Access implements System with perfect search over the bankset.

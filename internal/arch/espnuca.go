@@ -27,13 +27,14 @@ type ESPNUCA struct {
 	Replicas, Victims, RefusedHelping uint64
 }
 
-// NewESPNUCA builds ESP-NUCA; protected selects protected LRU (the
-// paper's final configuration) over flat LRU.
-func NewESPNUCA(cfg Config, protected bool) (*ESPNUCA, error) {
-	sp, err := NewSPNUCA(cfg, FlatLRUPartition)
+// NewESPNUCA builds ESP-NUCA on a prepared substrate; protected selects
+// protected LRU (the paper's final configuration) over flat LRU.
+func NewESPNUCA(s *Substrate, protected bool) (*ESPNUCA, error) {
+	sp, err := NewSPNUCA(s, FlatLRUPartition)
 	if err != nil {
 		return nil, err
 	}
+	cfg := s.Cfg
 	a := &ESPNUCA{sp: sp, protected: protected}
 	sp.esp = a
 	sp.privateMatch |= cache.MaskReplica
@@ -41,6 +42,7 @@ func NewESPNUCA(cfg Config, protected bool) (*ESPNUCA, error) {
 	if !protected {
 		return a, nil // SP-NUCA's flat LRU
 	}
+	a.samplers = make([]*core.Sampler, 0, len(sp.pol))
 	for b := range sp.pol {
 		smp := core.NewSampler(cfg.Sampler, cfg.Ways)
 		core.AssignRoles(sp.s.Bank[b], cfg.Sampler)

@@ -5,28 +5,29 @@ import (
 	"sort"
 )
 
-// builders maps every buildable architecture name to its constructor.
-// Build, Names and ValidateName all read this one table.
-var builders = map[string]func(Config) (System, error){
+// builders maps every buildable architecture name to its constructor
+// over a prepared substrate. Build, BuildOn, Names and ValidateName all
+// read this one table.
+var builders = map[string]func(*Substrate) (System, error){
 	// Static-NUCA baseline.
-	"shared": func(c Config) (System, error) { return NewSharedNUCA(c) },
+	"shared": func(s *Substrate) (System, error) { return NewSharedNUCA(s), nil },
 	// Tiled private baseline.
-	"private": func(c Config) (System, error) { return NewTiled(c) },
+	"private": func(s *Substrate) (System, error) { return NewTiled(s), nil },
 	// SP-NUCA with flat LRU (the paper's choice), with shadow-tag
 	// partitioning and with a static 12+4 partition (Fig. 4).
-	"sp-nuca":        func(c Config) (System, error) { return NewSPNUCA(c, FlatLRUPartition) },
-	"sp-nuca-shadow": func(c Config) (System, error) { return NewSPNUCA(c, ShadowTagPartition) },
-	"sp-nuca-static": func(c Config) (System, error) { return NewSPNUCA(c, StaticPartitionKind) },
+	"sp-nuca":        func(s *Substrate) (System, error) { return NewSPNUCA(s, FlatLRUPartition) },
+	"sp-nuca-shadow": func(s *Substrate) (System, error) { return NewSPNUCA(s, ShadowTagPartition) },
+	"sp-nuca-static": func(s *Substrate) (System, error) { return NewSPNUCA(s, StaticPartitionKind) },
 	// ESP-NUCA with flat LRU (Fig. 5 baseline) and with protected LRU
 	// (the proposal).
-	"esp-nuca-flat": func(c Config) (System, error) { return NewESPNUCA(c, false) },
-	"esp-nuca":      func(c Config) (System, error) { return NewESPNUCA(c, true) },
+	"esp-nuca-flat": func(s *Substrate) (System, error) { return NewESPNUCA(s, false) },
+	"esp-nuca":      func(s *Substrate) (System, error) { return NewESPNUCA(s, true) },
 	// Idealized-perfect-search D-NUCA.
-	"d-nuca": func(c Config) (System, error) { return NewDNUCA(c) },
+	"d-nuca": func(s *Substrate) (System, error) { return NewDNUCA(s), nil },
 	// Adaptive Selective Replication.
-	"asr": func(c Config) (System, error) { return NewASR(c) },
+	"asr": func(s *Substrate) (System, error) { return NewASR(s), nil },
 	// Cooperative Caching at cfg.CCProbability.
-	"cc": func(c Config) (System, error) { return NewCC(c) },
+	"cc": func(s *Substrate) (System, error) { return NewCC(s), nil },
 }
 
 // ValidateName reports an error naming the known architectures when
@@ -38,12 +39,28 @@ func ValidateName(name string) error {
 	return nil
 }
 
-// Build constructs an architecture by name (see Names).
+// Build constructs an architecture by name (see Names) on a new
+// substrate.
 func Build(name string, cfg Config) (System, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
 	}
-	return builders[name](cfg)
+	s, err := NewSubstrate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return builders[name](s)
+}
+
+// BuildOn constructs an architecture by name over s, a substrate just
+// built by NewSubstrate or returned to that state by Reset. Only the
+// architecture's own state (policies, samplers, tables, counters) is
+// allocated.
+func BuildOn(name string, s *Substrate) (System, error) {
+	if err := ValidateName(name); err != nil {
+		return nil, err
+	}
+	return builders[name](s)
 }
 
 // Names returns every buildable architecture name, sorted.

@@ -39,14 +39,31 @@ func mixLine(l mem.Line) uint64 {
 // grows: a power of two of at least 16 slots, at most three quarters of
 // them live.
 func newLineMap[V any](n int) lineMap[V] {
-	size := 16
-	for 3*size < 4*n {
-		size *= 2
-	}
+	size := lineMapSize(n)
 	return lineMap[V]{
 		entries: make([]lineMapEntry[V], size),
 		mask:    uint64(size - 1),
 	}
+}
+
+// lineMapSize is the slot count newLineMap(n) allocates.
+func lineMapSize(n int) int {
+	size := 16
+	for 3*size < 4*n {
+		size *= 2
+	}
+	return size
+}
+
+// reset returns the table to the state newLineMap(n) builds: it removes
+// every entry, and rebuilds a table that grew.
+func (m *lineMap[V]) reset(n int) {
+	if len(m.entries) != lineMapSize(n) {
+		*m = newLineMap[V](n)
+		return
+	}
+	clear(m.entries)
+	m.count = 0
 }
 
 // slot returns the index of l's entry, or -1 and the free slot that

@@ -99,7 +99,7 @@ func TestLineMapDeleteChains(t *testing.T) {
 // would not hold them.
 func TestNewLineMapHoldsWithoutGrowing(t *testing.T) {
 	scaled := ScaledConfig()
-	for _, n := range []int{0, 1, 12, 13, 24, 25, 1000, 3 << 12, scaled.L2Lines() + 2*scaled.Cores*scaled.L1ILines()} {
+	for _, n := range []int{0, 1, 12, 13, 24, 25, 1000, 3 << 12, lineRecords(scaled)} {
 		m := newLineMap[int](n)
 		size := len(m.entries)
 		for l := 0; l < n; l++ {

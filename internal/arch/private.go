@@ -21,14 +21,8 @@ type Tiled struct {
 	asr *ASR
 }
 
-// NewTiled builds the private baseline.
-func NewTiled(cfg Config) (*Tiled, error) {
-	s, err := NewSubstrate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Tiled{s: s}, nil
-}
+// NewTiled builds the private baseline on a prepared substrate.
+func NewTiled(s *Substrate) *Tiled { return &Tiled{s: s} }
 
 // Name implements System.
 func (a *Tiled) Name() string { return "private" }

@@ -15,14 +15,8 @@ type SharedNUCA struct {
 	s *Substrate
 }
 
-// NewSharedNUCA builds the baseline on a fresh substrate.
-func NewSharedNUCA(cfg Config) (*SharedNUCA, error) {
-	s, err := NewSubstrate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedNUCA{s: s}, nil
-}
+// NewSharedNUCA builds the baseline on a prepared substrate.
+func NewSharedNUCA(s *Substrate) *SharedNUCA { return &SharedNUCA{s: s} }
 
 // Name implements System.
 func (a *SharedNUCA) Name() string { return "shared" }

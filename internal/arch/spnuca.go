@@ -52,13 +52,12 @@ type SPNUCA struct {
 	Migrations uint64
 }
 
-// NewSPNUCA builds SP-NUCA with the given partitioning variant.
-func NewSPNUCA(cfg Config, kind PartitionKind) (*SPNUCA, error) {
-	s, err := NewSubstrate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	a := &SPNUCA{s: s, kind: kind, privateMatch: cache.MaskPrivate, homeMatch: cache.MaskShared}
+// NewSPNUCA builds SP-NUCA with the given partitioning variant on a
+// prepared substrate.
+func NewSPNUCA(s *Substrate, kind PartitionKind) (*SPNUCA, error) {
+	cfg := s.Cfg
+	a := &SPNUCA{s: s, kind: kind, privateMatch: cache.MaskPrivate, homeMatch: cache.MaskShared,
+		pol: make([]cache.Policy, 0, cfg.Banks)}
 	for b := 0; b < cfg.Banks; b++ {
 		switch kind {
 		case FlatLRUPartition:

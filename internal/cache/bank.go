@@ -103,6 +103,19 @@ func NewBank(cfg Config) (*Bank, error) {
 	return b, nil
 }
 
+// Reset empties the bank and returns it to its state as NewBank built
+// it: every block, set counter and set role cleared, the LRU clock, the
+// helping count and the statistics zeroed, and the port reset.
+func (b *Bank) Reset() {
+	for i := range b.sets {
+		set := &b.sets[i]
+		clear(set.Blocks)
+		*set = Set{Blocks: set.Blocks}
+	}
+	b.clock, b.helping, b.Stats = 0, 0, Stats{}
+	b.port.Reset()
+}
+
 // Config returns the bank geometry.
 func (b *Bank) Config() Config { return b.cfg }
 

@@ -73,6 +73,16 @@ func NewL1s(n int, cfg L1Config, dir *Directory) (*L1s, error) {
 	return l, nil
 }
 
+// Reset empties every core's L1s and zeroes the hit and miss counters,
+// as NewL1s built them.
+func (l *L1s) Reset() {
+	for c := range l.data {
+		l.data[c].Reset()
+		l.instr[c].Reset()
+	}
+	l.dataHits, l.dataMisses, l.instrHits, l.instrMisses = 0, 0, 0, 0
+}
+
 // Totals returns the hit/miss counters summed over all cores.
 func (l *L1s) Totals() (dataHits, dataMisses, instrHits, instrMisses uint64) {
 	return l.dataHits, l.dataMisses, l.instrHits, l.instrMisses

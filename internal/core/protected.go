@@ -38,9 +38,9 @@ func DefaultSamplerConfig() SamplerConfig {
 // update rule of paper eq. (3).
 type Sampler struct {
 	cfg  SamplerConfig
-	hrc  *stats.EMA // conventional sets, first-class hit rate
-	hrr  *stats.EMA // reference sets
-	hre  *stats.EMA // explorer sets
+	hrc  stats.EMA // conventional sets, first-class hit rate
+	hrr  stats.EMA // reference sets
+	hre  stats.EMA // explorer sets
 	nmax int
 	ways int
 
@@ -55,9 +55,9 @@ type Sampler struct {
 func NewSampler(cfg SamplerConfig, ways int) *Sampler {
 	return &Sampler{
 		cfg:  cfg,
-		hrc:  stats.NewEMA(cfg.A, cfg.B),
-		hrr:  stats.NewEMA(cfg.A, cfg.B),
-		hre:  stats.NewEMA(cfg.A, cfg.B),
+		hrc:  *stats.NewEMA(cfg.A, cfg.B),
+		hrr:  *stats.NewEMA(cfg.A, cfg.B),
+		hre:  *stats.NewEMA(cfg.A, cfg.B),
 		nmax: 0,
 		ways: ways,
 	}
@@ -117,12 +117,12 @@ func (s *Sampler) Observe(role cache.SetRole, firstClassHit bool) {
 // explorer sets (one extra helping block) are not degraded.
 func (s *Sampler) update() {
 	switch {
-	case s.hrr.DegradedBelow(s.hrc, s.cfg.D):
+	case s.hrr.DegradedBelow(&s.hrc, s.cfg.D):
 		if n := s.clamp(s.nmax - 1); n != s.nmax {
 			s.nmax = n
 			s.Lowers++
 		}
-	case !s.hrr.DegradedBelow(s.hre, s.cfg.D):
+	case !s.hrr.DegradedBelow(&s.hre, s.cfg.D):
 		if n := s.clamp(s.nmax + 1); n != s.nmax {
 			s.nmax = n
 			s.Raises++

@@ -173,14 +173,29 @@ type Core struct {
 
 // New builds a core; call Start to schedule it.
 func New(id int, cfg Config, eng *sim.Engine, sys arch.System, stream InstrSource, target uint64) *Core {
+	c := new(Core)
+	c.sliceEv = c.slice
+	c.Reuse(id, cfg, eng, sys, stream, target)
+	return c
+}
+
+// Reuse makes c the core New(id, cfg, eng, sys, stream, target) would
+// build, keeping its miss heap's backing array and its bound slice
+// event. A run that reuses its cores allocates neither. The core must
+// not be scheduled on an engine that still runs.
+func (c *Core) Reuse(id int, cfg Config, eng *sim.Engine, sys arch.System, stream InstrSource, target uint64) {
 	rs, ok := stream.(runSource)
 	if !ok {
 		rs = oneByOne{stream}
 	}
-	c := &Core{ID: id, cfg: cfg, eng: eng, sys: sys, stream: rs, target: target}
-	c.sliceEv = c.slice
-	return c
+	*c = Core{ID: id, cfg: cfg, eng: eng, sys: sys, stream: rs, target: target,
+		misses: c.misses[:0], sliceEv: c.sliceEv}
 }
+
+// Release drops c's references to its run's engine, system and stream,
+// so a core kept for reuse keeps none of them alive; Reuse binds it
+// again.
+func (c *Core) Release() { c.eng, c.sys, c.stream = nil, nil, nil }
 
 // Retired returns the number of instructions completed.
 func (c *Core) Retired() uint64 { return c.retired }

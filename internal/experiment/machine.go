@@ -8,7 +8,10 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"time"
 
 	"espnuca/internal/arch"
 	"espnuca/internal/cpu"
@@ -25,6 +28,113 @@ import (
 // their event closures released, so a pooled engine is indistinguishable
 // from a fresh one.
 var enginePool = sync.Pool{New: func() any { return sim.NewEngine() }}
+
+// machine is the hardware of one run that Run reuses for the next: the
+// substrate every architecture is built over, and the cores (and their
+// recorded sources) that drive it.
+type machine struct {
+	sub       *arch.Substrate
+	cores     [mem.MaxCores]*cpu.Core
+	recorded  [mem.MaxCores]recordedSource
+	idleSince time.Time // when put last returned it
+}
+
+// machines is the free list Run takes its machines from. Building one
+// (banks, line table, L1s, mesh, DRAM, every port's booking ring) is
+// most of a short run's allocations, and every architecture runs on the
+// same substrate, so a machine serves any run of the same hardware
+// (arch.Config.SameMachine): the seed, the cooperation probability and
+// the token check are per run, and Substrate.Reset takes them. Keying on
+// the architecture too would rarely hit, since Matrix.Run starts the
+// variants of a (workload, seed) one after another.
+var machines machinePool
+
+// machinePool is a bounded free list of idle machines. It holds at most
+// GOMAXPROCS of them, the most that run at once, so a daemon keeps at
+// most one idle machine per processor; past that the longest idle is
+// dropped. A machine idle for idleMachineTTL is dropped too.
+type machinePool struct {
+	sync.Mutex
+	idle  []*machine  // longest idle first
+	sweep *time.Timer // runs dropStale while armed
+	armed bool
+}
+
+// idleMachineTTL is how long an idle machine is kept. The runs of a
+// matrix, a sweep, a benchmark loop or a daemon's queue follow each
+// other within a millisecond or two. A process that has stopped
+// simulating would otherwise keep a few megabytes of machines live, and
+// the collector, pacing itself on the live heap, lets that much more
+// garbage build up: with a one-second TTL, espserved's peak RSS while
+// it served cached results read 8% above building a machine per run.
+const idleMachineTTL = 100 * time.Millisecond
+
+// get returns an idle machine of cfg's hardware, reset to cfg, or a new
+// one when none is idle.
+func (p *machinePool) get(cfg arch.Config) (*machine, error) {
+	p.Lock()
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if m := p.idle[i]; m.sub.Cfg.SameMachine(cfg) {
+			p.idle = slices.Delete(p.idle, i, i+1)
+			p.Unlock()
+			m.sub.Reset(cfg)
+			return m, nil
+		}
+	}
+	p.Unlock()
+	return newMachine(cfg)
+}
+
+// newMachine builds a machine of cfg's hardware.
+func newMachine(cfg arch.Config) (*machine, error) {
+	sub, err := arch.NewSubstrate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &machine{sub: sub}, nil
+}
+
+// put returns m to the free list once its run has returned. It drops
+// the run's streams, system and recording first: an idle machine would
+// otherwise keep them alive (a bound workload's Zipf tables run to
+// megabytes) until its next run.
+func (p *machinePool) put(m *machine) {
+	for _, c := range m.cores {
+		if c != nil {
+			c.Release()
+		}
+	}
+	clear(m.recorded[:])
+	m.idleSince = time.Now()
+	p.Lock()
+	defer p.Unlock()
+	p.idle = append(p.idle, m)
+	if n := len(p.idle) - runtime.GOMAXPROCS(0); n > 0 {
+		p.idle = slices.Delete(p.idle, 0, n)
+	}
+	if !p.armed {
+		p.armed = true
+		if p.sweep == nil {
+			p.sweep = time.AfterFunc(idleMachineTTL, p.dropStale)
+		} else {
+			p.sweep.Reset(idleMachineTTL)
+		}
+	}
+}
+
+// dropStale drops the machines idle for idleMachineTTL or longer, and
+// runs again when the longest idle of the rest has been.
+func (p *machinePool) dropStale() {
+	p.Lock()
+	defer p.Unlock()
+	now := time.Now()
+	p.idle = slices.DeleteFunc(p.idle, func(m *machine) bool { return now.Sub(m.idleSince) >= idleMachineTTL })
+	if len(p.idle) == 0 {
+		p.armed = false
+		return
+	}
+	p.sweep.Reset(idleMachineTTL - now.Sub(p.idle[0].idleSince))
+}
 
 // RunConfig describes one simulation run.
 type RunConfig struct {
@@ -54,7 +164,9 @@ type RunConfig struct {
 	// blocks, ESP-NUCA's nmax/EMA series, NoC and DRAM utilization, and
 	// the engine dispatch profile, plus warmup/measured phase events when
 	// tracing is enabled. Each run needs its own registry; the matrix
-	// runner creates one per cell.
+	// runner creates one per cell. Its probes read the run's machine,
+	// which a later run reuses, so the registry is final when the run
+	// returns: tick it no further.
 	// Telemetry attachments carry `canon:"-"`: TestRunMetricsDoNotPerturbResults
 	// proves instrumentation leaves results bit-identical, so they are
 	// excluded from CanonicalKey.
@@ -186,21 +298,37 @@ type RunResult struct {
 	L1MissRate float64
 }
 
-// Run validates rc and executes one simulation.
+// Run validates rc and executes one simulation on a machine from the
+// free list (machines), built fresh only when no idle one matches.
 func Run(rc RunConfig) (RunResult, error) {
 	if err := rc.Validate(); err != nil {
 		return RunResult{}, err
 	}
 	rc.System.Seed = rc.Seed
-	sys, err := arch.Build(rc.Arch, rc.System)
+	m, err := machines.get(rc.System)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return RunOn(rc, sys)
+	// A run that panics leaves its machine to the collector rather than
+	// to the free list.
+	res, err := m.run(rc)
+	machines.put(m)
+	return res, err
 }
 
-// RunOn executes a simulation against a caller-built system; ablation
-// studies use it to flip architecture-internal knobs before running.
+// run builds rc's architecture over m's substrate, new or reset to
+// rc.System, and runs rc on it.
+func (m *machine) run(rc RunConfig) (RunResult, error) {
+	sys, err := arch.BuildOn(rc.Arch, m.sub)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return runOn(rc, sys, m)
+}
+
+// RunOn validates rc and executes a simulation against a caller-built
+// system; ablation studies use it to flip architecture-internal knobs
+// before running.
 func RunOn(rc RunConfig, sys arch.System) (RunResult, error) {
 	if err := rc.Validate(); err != nil {
 		return RunResult{}, err
@@ -211,18 +339,30 @@ func RunOn(rc RunConfig, sys arch.System) (RunResult, error) {
 	// happened to carry at build time.
 	rc.System.Seed = rc.Seed
 	sys.Sub().Reseed(rc.Seed)
+	return runOn(rc, sys, new(machine))
+}
+
+// runOn binds the streams rc's run draws live and runs it on sys with
+// m's cores. A run whose measured cores read a leased recording binds
+// only its idle cores' streams.
+func runOn(rc RunConfig, sys arch.System, m *machine) (RunResult, error) {
 	spec, _ := workload.ByName(rc.Workload) // present: rc is validated
 	k := streamKeyOf(rc)
-	bound := spec.Bind(k.l2Lines, k.l1iLines, rc.Seed)
-	return runBound(rc, sys, bound, leasedRecording(k))
+	rec := leasedRecording(k)
+	live := mem.CoreSet(1<<rc.System.Cores - 1)
+	if rec != nil {
+		live &^= spec.ActiveCores()
+	}
+	bound := spec.BindCores(k.l2Lines, k.l1iLines, rc.Seed, live)
+	return runBound(rc, sys, bound, rec, m)
 }
 
 // runBound executes rc's warmup and measurement phases against a
-// prepared system and freshly bound streams. With a recording of the
-// bound's measured streams, the measured cores read it; otherwise, when
-// a processor is spare, the streams are generated ahead on it (pipe.go).
-// The result is the same.
-func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, rec *recording) (RunResult, error) {
+// prepared system and freshly bound streams, on m's cores. With a
+// recording of the measured streams, the measured cores read it;
+// otherwise, when a processor is spare, the streams are generated ahead
+// on it (pipe.go). The result is the same.
+func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, rec *recording, m *machine) (RunResult, error) {
 	eng := enginePool.Get().(*sim.Engine)
 	defer func() {
 		eng.Reset()
@@ -246,12 +386,16 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, rec *recordi
 	defer simulating.Add(-1)
 	switch {
 	case rec != nil:
-		rec.once.Do(func() { rec.record(bound, targets[:rc.System.Cores]) })
-		recorded := new([mem.MaxCores]recordedSource)
+		rec.once.Do(func() {
+			// The run bound only its idle cores' streams (runOn); the
+			// recording binds the measured ones it draws.
+			k := streamKeyOf(rc)
+			rec.record(bound.Spec.BindCores(k.l2Lines, k.l1iLines, rc.Seed, measured), targets[:rc.System.Cores])
+		})
 		for c := range rc.System.Cores {
 			if measured.Has(c) {
-				recorded[c].runs = rec.cores[c]
-				sources[c] = &recorded[c]
+				m.recorded[c] = recordedSource{runReader{runs: rec.cores[c]}}
+				sources[c] = &m.recorded[c]
 			}
 		}
 	case spare:
@@ -263,9 +407,13 @@ func runBound(rc RunConfig, sys arch.System, bound *workload.Bound, rec *recordi
 			sources[c] = &pl.sources[c]
 		}
 	}
-	cores := make([]*cpu.Core, rc.System.Cores)
+	cores := m.cores[:rc.System.Cores]
 	for c := range cores {
-		cores[c] = cpu.New(c, rc.Core, eng, sys, sources[c], targets[c])
+		if cores[c] == nil {
+			cores[c] = cpu.New(c, rc.Core, eng, sys, sources[c], targets[c])
+		} else {
+			cores[c].Reuse(c, rc.Core, eng, sys, sources[c], targets[c])
+		}
 		cores[c].SetWarmup(rc.Warmup)
 		cores[c].Start()
 	}

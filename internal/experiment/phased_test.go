@@ -36,10 +36,11 @@ func TestPhasedWorkloadDrivesAdaptation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := arch.ScaledConfig()
-	sys, err := arch.NewESPNUCA(cfg, true)
+	sys, err := arch.Build("esp-nuca", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	esp := sys.(*arch.ESPNUCA)
 	bound := spec.Bind(cfg.L2Lines(), cfg.L1ILines(), 1)
 	eng := sim.NewEngine()
 	cores := make([]*cpu.Core, 8)
@@ -50,7 +51,7 @@ func TestPhasedWorkloadDrivesAdaptation(t *testing.T) {
 	var raised, lowered bool
 	// Sample the controllers periodically while the run progresses.
 	probe := func() {
-		for _, smp := range sys.Samplers() {
+		for _, smp := range esp.Samplers() {
 			if smp.Raises > 0 {
 				raised = true
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -350,7 +351,7 @@ func streamKeyOf(rc RunConfig) streamKey {
 }
 
 // recording holds the measured cores' runs of one stream key. The first
-// run to need it draws them from its own bound streams, under once;
+// run to need it binds those streams and draws them, under once;
 // after that it is immutable and any number of runs read it at once,
 // each through its own recordedSource. Idle cores are not recorded:
 // their targets are unbounded, so they draw from their bound streams.
@@ -361,18 +362,22 @@ type recording struct {
 }
 
 // record draws the runs of every measured core c, up to targets[c].
+// Each core's runs are drawn into one reused buffer and copied out at
+// their exact length, so the appends' regrowth is paid once a recording,
+// not once a core, and no core keeps spare capacity.
 func (r *recording) record(bound *workload.Bound, targets []uint64) {
+	var buf []run
 	for c, target := range targets {
 		if !bound.Active.Has(c) {
 			continue
 		}
-		var runs []run
+		buf = buf[:0]
 		for drawn := uint64(0); drawn < target; {
 			rec, n := drawRun(bound.Streams[c], target-drawn)
-			runs = append(runs, rec)
+			buf = append(buf, rec)
 			drawn += n
 		}
-		r.cores[c] = runs
+		r.cores[c] = slices.Clone(buf)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestPipedRunIdentical(t *testing.T) {
 				return RunResult{}, err
 			}
 			bound := phased.Bind(rc.System.L2Lines(), rc.System.L1ILines(), rc.Seed)
-			return runBound(rc, sys, bound, nil)
+			return runBound(rc, sys, bound, nil, new(machine))
 		}},
 	}
 
@@ -267,7 +267,7 @@ func TestRecordedRunIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := runBound(rc, sys, phased.Bind(rc.System.L2Lines(), rc.System.L1ILines(), rc.Seed), r)
+			res, err := runBound(rc, sys, phased.Bind(rc.System.L2Lines(), rc.System.L1ILines(), rc.Seed), r, new(machine))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,6 +46,15 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	return d
 }
 
+// Reset clears every channel's bookings and the access counters, as
+// NewDRAM built them.
+func (d *DRAM) Reset() {
+	for _, ch := range d.channels {
+		ch.Reset()
+	}
+	d.Reads, d.Writes = 0, 0
+}
+
 // Config returns the memory configuration.
 func (d *DRAM) Config() DRAMConfig { return d.cfg }
 

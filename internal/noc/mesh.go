@@ -93,6 +93,17 @@ func New(cfg Config) (*Mesh, error) {
 	return m, nil
 }
 
+// Reset clears every link's bookings and the traffic counters, as New
+// built them.
+func (m *Mesh) Reset() {
+	for d := range m.links {
+		for _, l := range m.links[d] {
+			l.Reset()
+		}
+	}
+	m.Messages, m.FlitHops, m.ControlMsgs, m.DataMsgs = 0, 0, 0, 0
+}
+
 // Nodes returns the number of routers.
 func (m *Mesh) Nodes() int { return m.nodes }
 

@@ -66,6 +66,19 @@ func NewResource(interval Cycle) *Resource {
 	return &Resource{interval: interval}
 }
 
+// Reset returns the resource to its state as NewResource built it,
+// keeping its ring: the ring is cleared, and one that doubled goes back
+// to its initial size.
+func (r *Resource) Reset() {
+	ring := r.ring
+	if len(ring) == initialChunks {
+		clear(ring)
+	} else {
+		ring = nil
+	}
+	*r = Resource{interval: r.interval, ring: ring}
+}
+
 // Claim reserves the resource for a request arriving at cycle at and
 // returns the cycle service starts.
 func (r *Resource) Claim(at Cycle) Cycle {

@@ -178,6 +178,8 @@ func newStream(core int, prof AppProfile, privBase, shBase, cdBase mem.Line,
 		dataCap: recentDataCap(l1Lines),
 		codeCap: recentCodeCap(l1Lines),
 	}
+	s.recentData = make([]recEntry, 0, s.dataCap)
+	s.recentCode = make([]mem.Line, 0, s.codeCap)
 	s.privZipf = zs.get(clampCap(privLines), prof.PrivateZipf)
 	s.shZipf = zs.get(clampCap(shLines), prof.SharedZipf)
 	s.codeZipf = zs.get(clampCap(codeLines), 1.0)
@@ -374,6 +376,14 @@ type Bound struct {
 // cache lines and whose L1I holds l1iLines, using seed for perturbation.
 // Cores without an assignment run the idle/system-services profile.
 func (s Spec) Bind(l2Lines, l1iLines int, seed uint64) *Bound {
+	return s.BindCores(l2Lines, l1iLines, seed, 1<<mem.MaxCores-1)
+}
+
+// BindCores is Bind for the streams of cores only; the others stay nil.
+// Each stream it builds is the one Bind builds for that core: the seed's
+// RNG is split for every core in the same order, whether or not its
+// stream is built.
+func (s Spec) BindCores(l2Lines, l1iLines int, seed uint64, cores mem.CoreSet) *Bound {
 	master := sim.NewRNG(seed)
 	b := &Bound{Spec: s, Active: s.ActiveCores()}
 	zs := zipfSet{}
@@ -398,6 +408,13 @@ func (s Spec) Bind(l2Lines, l1iLines int, seed uint64) *Bound {
 		// gets wholly disjoint regions.
 		for i, c := range a.Cores {
 			assigned[c] = true
+			if !cores.Has(c) {
+				master.Split()
+				if a.phase != nil {
+					master.Split()
+				}
+				continue
+			}
 			var shB, cdB, pvB mem.Line
 			pl := privLines
 			if a.Multithreaded {
@@ -431,8 +448,12 @@ func (s Spec) Bind(l2Lines, l1iLines int, seed uint64) *Bound {
 		}
 	}
 	idle := idleProfile()
-	for c := 0; c < 8; c++ {
+	for c := 0; c < mem.MaxCores; c++ {
 		if assigned[c] {
+			continue
+		}
+		if !cores.Has(c) {
+			master.Split()
 			continue
 		}
 		pvB := privateBase + mem.Line(c)*regionSpan

@@ -73,6 +73,39 @@ func TestBindGivesEveryCoreAStream(t *testing.T) {
 	}
 }
 
+// TestBindCoresMatchesBind checks that BindCores builds, for each core
+// it is asked for, the stream Bind builds, and no other: a run reading
+// its measured cores from a recording binds only its idle ones. A
+// phased workload covers the assignment that splits the seed twice.
+func TestBindCoresMatchesBind(t *testing.T) {
+	specs := Catalog()
+	phased, err := PhasedSpec("phased", apacheProfile(), mcfProfile(), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs = append(specs, phased)
+	for _, s := range specs {
+		all := s.Bind(testL2Lines, testL1ILines, 7)
+		for _, cores := range []mem.CoreSet{0, s.ActiveCores(), ^s.ActiveCores(), 0b1010_0101} {
+			b := s.BindCores(testL2Lines, testL1ILines, 7, cores)
+			for c := range mem.MaxCores {
+				if !cores.Has(c) {
+					if b.Streams[c] != nil {
+						t.Fatalf("%s cores %08b: core %d was bound", s.Name, cores, c)
+					}
+					continue
+				}
+				for i := 0; i < 2000; i++ {
+					if x, y := b.Streams[c].Next(), all.Streams[c].Next(); x != y {
+						t.Fatalf("%s cores %08b: core %d instruction %d is %+v, Bind's %+v", s.Name, cores, c, i, x, y)
+					}
+				}
+			}
+			all = s.Bind(testL2Lines, testL1ILines, 7)
+		}
+	}
+}
+
 func TestIdleCoresRunIdleProfile(t *testing.T) {
 	s, _ := ByName("art-4")
 	b := s.Bind(testL2Lines, testL1ILines, 1)
