@@ -9,7 +9,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +28,6 @@ func main() {
 		instrs   = flag.Uint64("instructions", def.Instructions, "per-core measured instructions")
 		full     = flag.Bool("full", false, "simulate the full Table 2 machine (8 MB L2)")
 		check    = flag.Bool("check", false, "verify token conservation per transaction")
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON (for espstat)")
 		list     = flag.Bool("list", false, "list architectures and workloads")
 	)
 	flag.Parse()
@@ -58,15 +56,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "espsim:", err)
 		os.Exit(1)
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "espsim:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	fmt.Printf("architecture     %s\n", rep.Arch)

@@ -304,6 +304,11 @@ func Run(rc RunConfig) (RunResult, error) {
 	if err := rc.Validate(); err != nil {
 		return RunResult{}, err
 	}
+	return runValid(rc)
+}
+
+// runValid is Run for a validated rc.
+func runValid(rc RunConfig) (RunResult, error) {
 	rc.System.Seed = rc.Seed
 	m, err := machines.get(rc.System)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"espnuca/internal/arch"
+	"espnuca/internal/cpu"
 	"espnuca/internal/stats"
 	"espnuca/internal/workload"
 )
@@ -112,28 +113,46 @@ func (m Matrix) dispatched(d int) int {
 }
 
 // cellConfig returns the run configuration of flat cell index i, without
-// telemetry (Run attaches a per-cell registry when Obs is set).
+// telemetry (Run attaches a per-cell registry when Obs is set): the
+// matrix's budgets and system on DefaultRunConfig's core.
 func (m Matrix) cellConfig(i int) RunConfig {
 	vi, wi, si := m.cell(i)
 	v := m.Variants[vi]
-	rc := DefaultRunConfig(v.Arch, m.Workloads[wi])
-	rc.Warmup = m.Warmup
-	rc.Instructions = m.Instructions
-	rc.Seed = m.Seeds[si]
-	rc.System = m.System
+	rc := RunConfig{
+		Arch:         v.Arch,
+		Workload:     m.Workloads[wi],
+		Warmup:       m.Warmup,
+		Instructions: m.Instructions,
+		Seed:         m.Seeds[si],
+		System:       m.System,
+		Core:         cpu.DefaultConfig(),
+	}
 	if v.CCProb >= 0 {
 		rc.System.CCProbability = v.CCProb
 	}
 	return rc
 }
 
+// configs returns every cell's run configuration, by flat index.
+func (m Matrix) configs() []RunConfig {
+	cfgs := make([]RunConfig, len(m.Variants)*len(m.Workloads)*len(m.Seeds))
+	for i := range cfgs {
+		cfgs[i] = m.cellConfig(i)
+	}
+	return cfgs
+}
+
 // Validate checks every distinct (variant, workload) cell with
-// RunConfig.Validate (seeds never change the verdict). Run calls it
-// before opening any telemetry file or starting any simulation.
+// RunConfig.Validate (seeds never change the verdict). Run checks the
+// same before opening any telemetry file or starting any simulation.
 func (m Matrix) Validate() error {
-	total := len(m.Variants) * len(m.Workloads) * len(m.Seeds)
-	for i := 0; i < total; i += len(m.Seeds) {
-		if err := m.cellConfig(i).Validate(); err != nil {
+	return m.validate(m.configs())
+}
+
+// validate is Validate over the matrix's configs.
+func (m Matrix) validate(cfgs []RunConfig) error {
+	for i := 0; i < len(cfgs); i += len(m.Seeds) {
+		if err := cfgs[i].Validate(); err != nil {
 			vi, wi, _ := m.cell(i)
 			return fmt.Errorf("%s/%s: %w", m.Variants[vi].Label, m.Workloads[wi], err)
 		}
@@ -155,19 +174,21 @@ func (m Matrix) Validate() error {
 // dispatched order, and a failing Run returns the error of the first
 // failing cell in that order.
 func (m Matrix) Run(progress func(done, total int)) (Results, error) {
-	if err := m.Validate(); err != nil {
+	cfgs := m.configs()
+	if err := m.validate(cfgs); err != nil {
 		return nil, err
 	}
-	total := len(m.Variants) * len(m.Workloads) * len(m.Seeds)
+	total := len(cfgs)
 	results := make([]RunResult, total)
 	meter := newProgressMeter(total, progress)
 	runCell := m.RunFunc
 	if runCell == nil {
-		runCell = Run
+		// The cells are validated.
+		runCell = runValid
 	}
 	shared := map[streamKey]int{}
-	for i := range total {
-		if k := streamKeyOf(m.cellConfig(i)); k.target <= maxRecorded {
+	for _, rc := range cfgs {
+		if k := streamKeyOf(rc); k.target <= maxRecorded {
 			shared[k]++
 		}
 	}
@@ -182,7 +203,7 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 		i := m.dispatched(d)
 		vi, wi, si := m.cell(i)
 		v := m.Variants[vi]
-		rc := m.cellConfig(i)
+		rc := cfgs[i]
 		defer ls.done(streamKeyOf(rc))
 		var finish func() error
 		if m.Obs != nil {

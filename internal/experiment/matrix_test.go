@@ -121,3 +121,22 @@ func TestVarianceNormalizedErrorPaths(t *testing.T) {
 		t.Error("zero baseline accepted, want error")
 	}
 }
+
+// TestCellConfigAllocs checks that a cell's configuration is built
+// without a heap allocation: Matrix.Run builds one per cell, and
+// Validate one per cell too.
+func TestCellConfigAllocs(t *testing.T) {
+	m := NewMatrix([]string{"apache", "mcf-4"}, append(CounterpartVariants(), CCFamily()...))
+	cells := len(m.Variants) * len(m.Workloads) * len(m.Seeds)
+	var rc RunConfig
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := range cells {
+			rc = m.cellConfig(i)
+		}
+	}); allocs != 0 {
+		t.Errorf("cellConfig allocates %.1f times per matrix", allocs)
+	}
+	if rc.Arch != "cc" || rc.Workload != "mcf-4" || rc.Seed != 3 || rc.System.CCProbability != 1 || rc.Core.Quantum == 0 {
+		t.Errorf("last cell config = %s/%s seed %d CC %v core %+v", rc.Arch, rc.Workload, rc.Seed, rc.System.CCProbability, rc.Core)
+	}
+}
