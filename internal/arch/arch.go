@@ -266,6 +266,10 @@ type lineRec struct {
 	st     coherence.LineState
 }
 
+// empty reports whether the record holds nothing: no copy, no status and
+// no token state, which reads exactly as no record.
+func (r *lineRec) empty() bool { return r.n == 0 && !r.known && !r.tokens }
+
 // Substrate is the hardware common to every architecture.
 type Substrate struct {
 	Cfg  Config
@@ -279,9 +283,7 @@ type Substrate struct {
 
 	// lines holds each line's L2 copies, private bit and token state;
 	// Dir reads and writes the token state through State and Peek.
-	lines lineMap[lineRec]
-	// scratch is collectForWrite's reusable copy snapshot.
-	scratch []l2loc
+	lines lineTable
 
 	// Counts and Latency accumulate the Figure 6 decomposition; index by
 	// Level. Latency is in cycles summed over accesses.
@@ -308,7 +310,7 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 		DRAM:  mem.NewDRAM(cfg.DRAM),
 		Map:   mapping,
 		RNG:   sim.NewRNG(cfg.Seed ^ 0xA11CE),
-		lines: newLineMap[lineRec](lineRecords(cfg)),
+		lines: newLineTable(lineRecords(cfg), lineSlots(cfg)),
 	}
 	s.Dir = coherence.NewDirectory(s)
 	s.Dir.Check = cfg.CheckTokens
@@ -333,6 +335,11 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 // may add a few.
 func lineRecords(cfg Config) int { return cfg.L2Lines() + 2*cfg.Cores*cfg.L1ILines() }
 
+// lineSlots sizes the line table's index: a table for twice the records,
+// 65,536 slots on the scaled machine, so an FT run's ~16,800 live records
+// load it to about a quarter.
+func lineSlots(cfg Config) int { return lineMapSize(2 * lineRecords(cfg)) }
+
 // Reset returns s to the state NewSubstrate(cfg) builds, in place, so a
 // run on a reset substrate is the same as a run on a new one. cfg must
 // describe the same machine as s.Cfg (SameMachine). Reset empties every
@@ -353,8 +360,7 @@ func (s *Substrate) Reset(cfg Config) {
 		b.Reset()
 	}
 	s.Reseed(cfg.Seed)
-	s.lines.reset(lineRecords(cfg))
-	s.scratch = s.scratch[:0]
+	s.lines.reset(lineRecords(cfg), lineSlots(cfg))
 	s.Counts, s.Latency = [NumLevels]uint64{}, [NumLevels]uint64{}
 }
 
@@ -393,48 +399,44 @@ func (s *Substrate) RecordL1Hit() {
 
 // --- L2 residency management ---
 
-// l2Has returns the copies of line currently in the L2. The slice aliases
-// the line's table entry, so inserting or deleting any line — l2Insert,
-// l2Invalidate, dropEvicted, statusOf, markShared, maybeForgetStatus,
-// and every token movement through Dir (State materializes) — may move or
-// overwrite it (growth, backward shift). Callers that mutate the
-// substrate while walking it walk a copy, as collectForWrite does. The
-// loops in private.go (bestOnChipResponse) and spnuca.go
-// (findRemotePrivate) only send messages and read banks, and every other
-// caller reads just its length or one element.
-func (s *Substrate) l2Has(line mem.Line) []l2loc {
-	if r := s.lines.find(line); r != nil {
-		return r.locs[:r.n]
-	}
-	return nil
+// Open begins a transaction on line and returns the handle every step
+// of the transaction reaches the line's record through, creating an
+// empty record if the line has none. Each architecture's Access and
+// WriteBack open their line first, and open nothing else: Open deletes
+// the records the previous transaction left empty.
+func (s *Substrate) Open(line mem.Line) lineRef { return s.lines.open(line) }
+
+// Find implements coherence.Table: line's handle, if it has a record.
+func (s *Substrate) Find(line mem.Line) (lineRef, bool) { return s.lines.find(line) }
+
+// l2Has returns the copies of r's line currently in the L2.
+func (s *Substrate) l2Has(r lineRef) []l2loc {
+	rec := s.lines.rec(r)
+	return rec.locs[:rec.n]
 }
 
 // State implements coherence.Table over the line record, materializing
-// the all-at-memory state on first touch. Like l2Has, the pointer aliases
-// the table: any insertion or deletion of any line invalidates it, so
-// holders (the st of every architecture's Access, Upgrade,
-// collectForWrite, dropEvicted) read it before calling anything that can
-// add or remove a record, and re-fetch afterwards.
-func (s *Substrate) State(line mem.Line) *coherence.LineState {
-	r := s.lines.ptr(line)
-	if !r.tokens {
-		r.tokens, r.st = true, coherence.MemoryState()
+// the all-at-memory state on first touch.
+func (s *Substrate) State(r lineRef) *coherence.LineState {
+	rec := s.lines.rec(r)
+	if !rec.tokens {
+		rec.tokens, rec.st = true, coherence.MemoryState()
 	}
-	return &r.st
+	return &rec.st
 }
 
 // Peek implements coherence.Table: the line's token state, or nil when
 // it is not materialized (all tokens at memory).
-func (s *Substrate) Peek(line mem.Line) *coherence.LineState {
-	if r := s.lines.find(line); r != nil && r.tokens {
-		return &r.st
+func (s *Substrate) Peek(r lineRef) *coherence.LineState {
+	if rec := s.lines.rec(r); rec.tokens {
+		return &rec.st
 	}
 	return nil
 }
 
-// l2Find returns line's copy in bank, if any.
-func (s *Substrate) l2Find(line mem.Line, bank int) (l2loc, bool) {
-	for _, loc := range s.l2Has(line) {
+// l2Find returns r's copy in bank, if any.
+func (s *Substrate) l2Find(r lineRef, bank int) (l2loc, bool) {
+	for _, loc := range s.l2Has(r) {
 		if int(loc.bank) == bank {
 			return loc, true
 		}
@@ -442,64 +444,73 @@ func (s *Substrate) l2Find(line mem.Line, bank int) (l2loc, bool) {
 	return l2loc{}, false
 }
 
-// l2Insert places blk into (bank, set) under pol and returns the eviction
-// for the caller to route. Copy bookkeeping for both the inserted and
-// the evicted block is handled here; token/dirty consequences of the
-// eviction are the caller's job via dropEvicted or an architecture-
-// specific spill.
-func (s *Substrate) l2Insert(bank, set int, blk cache.Block, pol cache.Policy) cache.Evicted {
-	ev := s.Bank[bank].Insert(set, blk, pol)
+// eviction is an L2 insertion's displaced block, with the handle of its
+// line's record.
+type eviction struct {
+	cache.Evicted
+	ref lineRef
+}
+
+// l2Insert places blk, a block of r's line, into (bank, set) under pol
+// and returns the eviction for the caller to route. Copy bookkeeping for
+// both the inserted and the evicted block is handled here; token/dirty
+// consequences of the eviction are the caller's job via dropEvicted or
+// an architecture-specific spill. The block keeps its record's slot in
+// Ref, so an eviction finds its line's record without a lookup: a
+// record keeps its slot while it has a copy.
+func (s *Substrate) l2Insert(r lineRef, bank, set int, blk cache.Block, pol cache.Policy) eviction {
+	blk.Ref = r.Index
+	ev := eviction{Evicted: s.Bank[bank].Insert(set, blk, pol)}
 	if !ev.Refused {
-		s.addCopy(blk.Line, l2loc{bank: uint8(bank), class: blk.Class, set: uint16(set)})
+		s.addCopy(r, l2loc{bank: uint8(bank), class: blk.Class, set: uint16(set)})
 	}
 	if ev.Valid {
-		s.removeWhere(ev.Block.Line, bank)
+		ev.ref = lineRef{Line: ev.Block.Line, Index: ev.Block.Ref}
+		s.removeWhere(ev.ref, bank)
 	}
 	return ev
 }
 
-// l2Invalidate removes line from bank and returns the dropped block.
-func (s *Substrate) l2Invalidate(line mem.Line, bank, set int) (cache.Block, bool) {
-	blk, ok := s.Bank[bank].Invalidate(set, cache.LineQuery(line))
+// l2Invalidate removes r's line from bank and returns the dropped block.
+func (s *Substrate) l2Invalidate(r lineRef, bank, set int) (cache.Block, bool) {
+	blk, ok := s.Bank[bank].Invalidate(set, cache.LineQuery(r.Line))
 	if ok {
-		s.removeWhere(line, bank)
+		s.removeWhere(r, bank)
 	}
 	return blk, ok
 }
 
-// addCopy appends a copy of line to its record.
-func (s *Substrate) addCopy(line mem.Line, loc l2loc) {
-	r := s.lines.ptr(line)
-	if r.n == maxCopies {
-		panic(fmt.Sprintf("arch: line %#x already has %d L2 copies, cannot add one in bank %d", line, maxCopies, loc.bank))
+// addCopy appends a copy to r's record.
+func (s *Substrate) addCopy(r lineRef, loc l2loc) {
+	rec := s.lines.rec(r)
+	if rec.n == maxCopies {
+		panic(fmt.Sprintf("arch: line %#x already has %d L2 copies, cannot add one in bank %d", r.Line, maxCopies, loc.bank))
 	}
-	r.locs[r.n] = loc
-	r.n++
+	rec.locs[rec.n] = loc
+	rec.n++
 }
 
-// removeWhere drops line's copy in bank, moving the last copy into its
+// removeWhere drops r's copy in bank, moving the last copy into its
 // place (collectForWrite claims the mesh in copy order). With no copy
 // left, maybeForgetStatus decides what else of the record goes.
-func (s *Substrate) removeWhere(line mem.Line, bank int) {
-	if r := s.lines.find(line); r != nil {
-		for i := uint8(0); i < r.n; i++ {
-			if int(r.locs[i].bank) == bank {
-				r.n--
-				r.locs[i] = r.locs[r.n]
-				break
-			}
-		}
-		if r.n > 0 {
-			return
+func (s *Substrate) removeWhere(r lineRef, bank int) {
+	rec := s.lines.rec(r)
+	for i := uint8(0); i < rec.n; i++ {
+		if int(rec.locs[i].bank) == bank {
+			rec.n--
+			rec.locs[i] = rec.locs[rec.n]
+			break
 		}
 	}
-	s.maybeForgetStatus(line)
+	if rec.n == 0 {
+		s.maybeForgetStatus(r)
+	}
 }
 
-// reclassWhere updates the cached class of line's copy in bank after a
+// reclassWhere updates the cached class of r's copy in bank after a
 // Reclass on the bank.
-func (s *Substrate) reclassWhere(line mem.Line, bank int, to cache.Class) {
-	locs := s.l2Has(line)
+func (s *Substrate) reclassWhere(r lineRef, bank int, to cache.Class) {
+	locs := s.l2Has(r)
 	for i := range locs {
 		if int(locs[i].bank) == bank {
 			locs[i].class = to
@@ -510,57 +521,57 @@ func (s *Substrate) reclassWhere(line mem.Line, bank int, to cache.Class) {
 // dropEvicted applies the default fate of an evicted L2 block: if it was
 // the last on-chip L2 copy, its tokens return to memory and dirty data is
 // written back to DRAM (posted).
-func (s *Substrate) dropEvicted(at sim.Cycle, ev cache.Evicted, fromBank int) {
+func (s *Substrate) dropEvicted(at sim.Cycle, ev eviction, fromBank int) {
 	if !ev.Valid {
 		return
 	}
-	line := ev.Block.Line
-	if len(s.l2Has(line)) > 0 {
+	r := ev.ref
+	if len(s.l2Has(r)) > 0 {
 		return // other L2 copies remain; the pool keeps its tokens
 	}
-	st := s.Dir.State(line)
+	st := s.Dir.State(r)
 	dirty := ev.Block.Dirty || (st.Owner == coherence.HolderL2 && st.Dirty)
-	if s.Dir.L2Evict(line) || dirty {
+	if s.Dir.L2Evict(r) || dirty {
 		// Posted write-back: bank -> memory controller.
-		mcNode := s.Mesh.MemRouter(s.DRAM.ChannelOf(line))
+		mcNode := s.Mesh.MemRouter(s.DRAM.ChannelOf(r.Line))
 		t := s.Mesh.Send(at, s.NodeOfBank(fromBank), mcNode, noc.Data, s.Cfg.BlockBytes)
-		s.DRAM.Write(t, line)
+		s.DRAM.Write(t, r.Line)
 	}
-	s.maybeForgetStatus(line)
+	s.maybeForgetStatus(r)
 }
 
 // --- SP/ESP private-bit status ---
 
-// statusOf returns (shared?, firstOwner) for a line, registering core c
-// as the first accessor on first touch and upgrading to shared when a
+// statusOf returns (shared?, firstOwner) for r's line, registering core
+// c as the first accessor on first touch and upgrading to shared when a
 // different core touches a private line (paper §2.1).
-func (s *Substrate) statusOf(line mem.Line, c int) (shared bool, owner int) {
-	r := s.lines.ptr(line)
-	if !r.known {
-		r.known, r.owner = true, uint8(c)
+func (s *Substrate) statusOf(r lineRef, c int) (shared bool, owner int) {
+	rec := s.lines.rec(r)
+	if !rec.known {
+		rec.known, rec.owner = true, uint8(c)
 		return false, c
 	}
-	if !r.shared && int(r.owner) != c {
-		r.shared = true
+	if !rec.shared && int(rec.owner) != c {
+		rec.shared = true
 	}
-	return r.shared, int(r.owner)
+	return rec.shared, int(rec.owner)
 }
 
 // peekStatus returns the status without mutating it.
-func (s *Substrate) peekStatus(line mem.Line) (shared bool, owner int, known bool) {
-	r := s.lines.find(line)
-	if r == nil || !r.known {
+func (s *Substrate) peekStatus(r lineRef) (shared bool, owner int, known bool) {
+	rec := s.lines.rec(r)
+	if !rec.known {
 		return false, 0, false
 	}
-	return r.shared, int(r.owner), true
+	return rec.shared, int(rec.owner), true
 }
 
 // markShared forces a line's status to shared (victim touched by a
 // non-owner, migration, etc.). An unknown status becomes shared with
 // owner 0.
-func (s *Substrate) markShared(line mem.Line) {
-	r := s.lines.ptr(line)
-	r.known, r.shared = true, true
+func (s *Substrate) markShared(r lineRef) {
+	rec := s.lines.rec(r)
+	rec.known, rec.shared = true, true
 }
 
 // maybeForgetStatus clears the private bit when the line has left the
@@ -569,17 +580,18 @@ func (s *Substrate) markShared(line mem.Line) {
 // all-at-memory it is redundant (a later State call re-materializes
 // identical contents), so it goes too, and with it the record: this is
 // the record's one deletion rule, which bounds the table's live entries.
-func (s *Substrate) maybeForgetStatus(line mem.Line) {
-	r := s.lines.find(line)
-	if r == nil || r.n > 0 || r.tokens && r.st.Sharers() != 0 {
+// The emptied record is deleted at the next transaction's Open.
+func (s *Substrate) maybeForgetStatus(r lineRef) {
+	rec := s.lines.rec(r)
+	if rec.n > 0 || rec.tokens && rec.st.Sharers() != 0 {
 		return
 	}
-	r.known, r.shared, r.owner = false, false, 0
-	if r.tokens && r.st == coherence.MemoryState() {
-		r.tokens = false
+	rec.known, rec.shared, rec.owner = false, false, 0
+	if rec.tokens && rec.st == coherence.MemoryState() {
+		rec.tokens = false
 	}
-	if !r.tokens {
-		s.lines.del(line)
+	if !rec.tokens {
+		s.lines.markEmptied(r)
 	}
 }
 
@@ -609,19 +621,19 @@ func (s *Substrate) l1Intervention(at sim.Cycle, viaNode noc.NodeID, holder, req
 // its tokens via a control round trip; other holders are invalidated as
 // in any GETX. It reports false when the requester's L1 does not hold the
 // line (a real miss).
-func (s *Substrate) Upgrade(at sim.Cycle, c int, line mem.Line) (Result, bool) {
-	if !s.L1.Has(c, line) {
+func (s *Substrate) Upgrade(at sim.Cycle, c int, r lineRef) (Result, bool) {
+	if !s.L1.Has(c, r.Line) {
 		return Result{}, false
 	}
-	st := s.Dir.State(line)
+	st := s.Dir.State(r)
 	t := at
 	if st.MemTokens > 0 {
-		mc := s.Mesh.MemRouter(s.DRAM.ChannelOf(line))
+		mc := s.Mesh.MemRouter(s.DRAM.ChannelOf(r.Line))
 		tt := s.Mesh.Send(at, s.NodeOfCore(c), mc, noc.Control, 0)
 		tt = s.Mesh.Send(tt, mc, s.NodeOfCore(c), noc.Control, 0)
 		t = tt
 	}
-	if ack := s.collectForWrite(at, s.NodeOfCore(c), c, line); ack > t {
+	if ack := s.collectForWrite(at, s.NodeOfCore(c), c, r); ack > t {
 		t = ack
 	}
 	s.record(LocalL1, at, t)
@@ -633,8 +645,8 @@ func (s *Substrate) Upgrade(at sim.Cycle, c int, line mem.Line) (Result, bool) {
 // copy, grants all tokens to the writer, and returns the cycle the last
 // acknowledgement reaches the requester. viaNode is the serialization
 // point the invalidations fan out from.
-func (s *Substrate) collectForWrite(at sim.Cycle, viaNode noc.NodeID, reqCore int, line mem.Line) sim.Cycle {
-	st := s.Dir.State(line)
+func (s *Substrate) collectForWrite(at sim.Cycle, viaNode noc.NodeID, reqCore int, r lineRef) sim.Cycle {
+	st := s.Dir.State(r)
 	done := at
 	mask := st.Sharers()
 	for c := 0; c < s.Cfg.Cores; c++ {
@@ -647,14 +659,14 @@ func (s *Substrate) collectForWrite(at sim.Cycle, viaNode noc.NodeID, reqCore in
 		if t > done {
 			done = t
 		}
-		s.L1.Invalidate(c, line)
+		s.L1.Invalidate(c, r.Line)
 	}
-	// Invalidate every L2 copy (tokens drain to the writer). l2Invalidate
-	// mutates the line's record, so iterate over a reusable snapshot
-	// instead of the live slice (the scratch buffer avoids an allocation
-	// per write; collectForWrite never reenters itself).
-	s.scratch = append(s.scratch[:0], s.l2Has(line)...)
-	for _, loc := range s.scratch {
+	// Invalidate every L2 copy (tokens drain to the writer), in copy
+	// order, from a copy of the record's fixed array: l2Invalidate
+	// reorders the record's copies.
+	rec := s.lines.rec(r)
+	locs, n := rec.locs, rec.n
+	for _, loc := range locs[:n] {
 		bank := int(loc.bank)
 		t := s.Mesh.Send(at, viaNode, s.NodeOfBank(bank), noc.Control, 0)
 		t = s.Bank[bank].TagProbe(t)
@@ -662,9 +674,9 @@ func (s *Substrate) collectForWrite(at sim.Cycle, viaNode noc.NodeID, reqCore in
 		if t > done {
 			done = t
 		}
-		s.l2Invalidate(line, bank, int(loc.set))
+		s.l2Invalidate(r, bank, int(loc.set))
 	}
-	s.Dir.GrantWriteL1(line, reqCore)
+	s.Dir.GrantWriteL1(r, reqCore)
 	return done
 }
 
@@ -674,37 +686,47 @@ func (s *Substrate) collectForWrite(at sim.Cycle, viaNode noc.NodeID, reqCore in
 // read hands core c's L1 its tokens. Architectures record the access
 // with the cycle complete returns, except D-NUCA, which records it before
 // the write acknowledgements (a known defect, ROADMAP.md).
-func (s *Substrate) complete(t sim.Cycle, via noc.NodeID, c int, line mem.Line, write bool) sim.Cycle {
+func (s *Substrate) complete(t sim.Cycle, via noc.NodeID, c int, r lineRef, write bool) sim.Cycle {
 	if !write {
-		s.Dir.GrantReadL1(line, c)
+		s.Dir.GrantReadL1(r, c)
 		return t
 	}
-	if ack := s.collectForWrite(t, via, c, line); ack > t {
+	if ack := s.collectForWrite(t, via, c, r); ack > t {
 		return ack
 	}
 	return t
 }
 
-// CheckInvariants verifies bank counters, copy bookkeeping and token
-// conservation. Tests call it after driving traffic.
+// CheckInvariants verifies bank counters, the line table, copy
+// bookkeeping and token conservation. Tests call it after driving
+// traffic.
 func (s *Substrate) CheckInvariants() error {
 	for i, b := range s.Bank {
 		if err := b.CheckInvariants(); err != nil {
 			return fmt.Errorf("bank %d: %w", i, err)
 		}
 	}
-	// Every recorded copy must exist in its bank, and vice versa; every
-	// materialized token state must conserve tokens.
-	if err := s.lines.forEach(func(line mem.Line, r lineRec) error {
-		if r.n == 0 && !r.known && !r.tokens {
-			return fmt.Errorf("arch: line %#x has an empty record", line)
+	if err := s.lines.check(); err != nil {
+		return err
+	}
+	// Every recorded copy must exist in its bank, and vice versa, with
+	// the block naming its record's slot; every materialized token state
+	// must conserve tokens. A record may be empty only while it waits for
+	// the next Open to delete it.
+	pending := map[uint32]bool{}
+	for _, r := range s.lines.emptied {
+		pending[r.Index] = true
+	}
+	if err := s.lines.forEach(func(r lineRef, rec *lineRec) error {
+		if rec.empty() && !pending[r.Index] {
+			return fmt.Errorf("arch: line %#x has an empty record", r.Line)
 		}
-		if err := s.Dir.Verify(line); err != nil {
+		if err := s.Dir.Verify(r); err != nil {
 			return err
 		}
-		for _, loc := range r.locs[:r.n] {
-			if s.Bank[loc.bank].Peek(int(loc.set), cache.LineQuery(line)) == nil {
-				return fmt.Errorf("arch: copy of line %#x in bank %d not present in array", line, loc.bank)
+		for _, loc := range rec.locs[:rec.n] {
+			if s.Bank[loc.bank].Peek(int(loc.set), cache.LineQuery(r.Line)) == nil {
+				return fmt.Errorf("arch: copy of line %#x in bank %d not present in array", r.Line, loc.bank)
 			}
 		}
 		return nil
@@ -719,8 +741,15 @@ func (s *Substrate) CheckInvariants() error {
 				if !blk.Valid {
 					continue
 				}
-				if _, ok := s.l2Find(blk.Line, bi); !ok {
+				r, ok := s.lines.find(blk.Line)
+				if ok {
+					_, ok = s.l2Find(r, bi)
+				}
+				if !ok {
 					return fmt.Errorf("arch: bank %d holds line %#x without a recorded copy", bi, blk.Line)
+				}
+				if blk.Ref != r.Index {
+					return fmt.Errorf("arch: bank %d's block of line %#x names slab slot %d, its record is at %d", bi, blk.Line, blk.Ref, r.Index)
 				}
 			}
 		}

@@ -180,7 +180,7 @@ func TestSharedWriteInvalidatesSharers(t *testing.T) {
 			t.Fatalf("core %d retains the line after remote write", c)
 		}
 	}
-	st := s.Dir.State(100)
+	st := s.Dir.State(s.Open(100))
 	if st.L1Tokens[3] != 8 || !st.Dirty {
 		t.Fatalf("writer state = %+v", st)
 	}
@@ -248,7 +248,7 @@ func TestSPNUCAMemoryFillIsPrivate(t *testing.T) {
 	}
 	// The block must sit in core 3's private partition as Private.
 	pbank, _ := s.Map.Private(100, 3)
-	loc, ok := s.l2Find(100, pbank)
+	loc, ok := s.l2Find(s.Open(100), pbank)
 	if !ok || loc.class != cache.Private {
 		t.Fatalf("fill not private in owner bank: %+v ok=%v", loc, ok)
 	}
@@ -273,12 +273,12 @@ func TestSPNUCAMigrationOnSecondCore(t *testing.T) {
 		t.Fatalf("Migrations = %d", sys.Migrations)
 	}
 	hbank, _ := s.Map.Shared(100)
-	loc, ok := s.l2Find(100, hbank)
+	loc, ok := s.l2Find(s.Open(100), hbank)
 	if !ok || loc.class != cache.Shared {
 		t.Fatalf("line not migrated to home: %+v ok=%v", loc, ok)
 	}
 	pbank, _ := s.Map.Private(100, 3)
-	if _, ok := s.l2Find(100, pbank); ok {
+	if _, ok := s.l2Find(s.Open(100), pbank); ok {
 		t.Fatal("stale private copy after migration")
 	}
 	// Third access (core 7) hits the shared bank directly.
@@ -296,7 +296,7 @@ func TestSPNUCAStatusPersistsWhileOnChip(t *testing.T) {
 	s := sys.Sub()
 	r := sys.Access(0, 3, 100, false)
 	r2 := sys.Access(r.Done, 5, 100, false)
-	shared, _, known := s.peekStatus(100)
+	shared, _, known := s.peekStatus(s.Open(100))
 	if !known || !shared {
 		t.Fatalf("status = shared=%v known=%v, want shared", shared, known)
 	}
@@ -322,7 +322,7 @@ func TestESPNUCACreatesReplicaOnRemoteSharedHit(t *testing.T) {
 		t.Fatalf("shared hit = %v", r3.Level)
 	}
 	pbank, _ := s.Map.Private(100, 5)
-	loc, ok := s.l2Find(100, pbank)
+	loc, ok := s.l2Find(s.Open(100), pbank)
 	if !ok || loc.class != cache.Replica {
 		t.Fatalf("replica not created: %+v ok=%v", loc, ok)
 	}
@@ -347,10 +347,10 @@ func TestESPNUCAWriteKillsReplicas(t *testing.T) {
 	r3 := sys.Access(r2.Done, 5, 100, false) // replica for 5 (if remote home)
 	// Core 1 writes: every L2 copy (home + replicas) must be gone.
 	r4 := sys.Access(r3.Done, 1, 100, true)
-	if locs := s.l2Has(100); len(locs) != 0 {
+	if locs := s.l2Has(s.Open(100)); len(locs) != 0 {
 		t.Fatalf("L2 copies after GETX: %+v", locs)
 	}
-	st := s.Dir.State(100)
+	st := s.Dir.State(s.Open(100))
 	if st.L1Tokens[1] != 8 {
 		t.Fatalf("writer tokens = %d", st.L1Tokens[1])
 	}
@@ -388,7 +388,7 @@ func TestESPNUCAVictimSpill(t *testing.T) {
 	// bank.
 	foundVictim := false
 	for _, l := range lines {
-		for _, loc := range s.l2Has(l) {
+		for _, loc := range s.l2Has(s.Open(l)) {
 			if loc.class == cache.Victim {
 				foundVictim = true
 			}
@@ -422,7 +422,7 @@ func TestESPNUCAVictimPromotionOnForeignTouch(t *testing.T) {
 	var vbank int
 	found := false
 	for _, l := range []mem.Line{8, 40, 72, 104, 136} {
-		for _, loc := range s.l2Has(l) {
+		for _, loc := range s.l2Has(s.Open(l)) {
 			if loc.class == cache.Victim {
 				vline, vbank, found = l, int(loc.bank), true
 			}
@@ -432,10 +432,10 @@ func TestESPNUCAVictimPromotionOnForeignTouch(t *testing.T) {
 		t.Skip("no victim resident (policy refused)")
 	}
 	r := sys.Access(tm, 5, vline, false)
-	if loc, ok := s.l2Find(vline, vbank); !ok || loc.class != cache.Shared {
+	if loc, ok := s.l2Find(s.Open(vline), vbank); !ok || loc.class != cache.Shared {
 		t.Fatalf("victim not promoted to shared: %+v ok=%v (level %v)", loc, ok, r.Level)
 	}
-	if shared, _, _ := s.peekStatus(vline); !shared {
+	if shared, _, _ := s.peekStatus(s.Open(vline)); !shared {
 		t.Fatal("status not marked shared after promotion")
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -453,7 +453,7 @@ func TestDNUCAPromotesTowardRequester(t *testing.T) {
 		t.Fatalf("cold = %v", r.Level)
 	}
 	// The fill must be in a bank on node 4 (nearest in column).
-	locs := s.l2Has(0)
+	locs := s.l2Has(s.Open(0))
 	if len(locs) != 1 || s.NodeOfBank(int(locs[0].bank)) != 4 {
 		t.Fatalf("fill location = %+v", locs)
 	}

@@ -28,7 +28,7 @@ func TestUpgradeDoesNotTouchDRAM(t *testing.T) {
 			if r2.Level != LocalL1 {
 				t.Fatalf("upgrade level = %v, want LocalL1", r2.Level)
 			}
-			st := s.Dir.State(100)
+			st := s.Dir.State(s.Open(100))
 			if st.L1Tokens[0] != coherence.TokensPerLine {
 				t.Fatalf("upgrade did not collect all tokens: %+v", st)
 			}
@@ -71,7 +71,7 @@ func TestCleanWritebackAllocatesInVictimArchitectures(t *testing.T) {
 			s.L1.Fill(1, 200, false, false)
 			s.L1.Invalidate(1, 200)
 			sys.WriteBack(r.Done, 1, 200, false) // clean eviction
-			if len(s.l2Has(200)) == 0 {
+			if len(s.l2Has(s.Open(200))) == 0 {
 				t.Fatal("clean victim not allocated in L2")
 			}
 			if err := s.CheckInvariants(); err != nil {
@@ -88,7 +88,7 @@ func TestCleanWritebackSharedReleasesTokens(t *testing.T) {
 	s.L1.Fill(1, 200, false, false)
 	s.L1.Invalidate(1, 200)
 	sys.WriteBack(r.Done, 1, 200, false)
-	st := s.Dir.State(200)
+	st := s.Dir.State(s.Open(200))
 	if st.L1Tokens[1] != 0 {
 		t.Fatal("clean write-back left tokens in L1")
 	}
@@ -284,7 +284,7 @@ func TestASRReplicationCreatesLocalCopies(t *testing.T) {
 		sys.Access(tm, 7, 100, false)
 		s.L1.Invalidate(7, 100) // force re-access through L2
 		tm += 500
-		if _, ok := s.l2Find(100, pbank); ok {
+		if _, ok := s.l2Find(s.Open(100), pbank); ok {
 			created = true
 		}
 	}
@@ -303,11 +303,11 @@ func TestCollectForWriteOnUntouchedLine(t *testing.T) {
 	s := sys.Sub()
 	// A write to a line nobody holds: no invalidation latency beyond the
 	// access path itself.
-	done := s.collectForWrite(10, 0, 0, 999)
+	done := s.collectForWrite(10, 0, 0, s.Open(999))
 	if done != 10 {
 		t.Fatalf("no-sharer GETX took %d extra cycles", done-10)
 	}
-	st := s.Dir.State(999)
+	st := s.Dir.State(s.Open(999))
 	if st.L1Tokens[0] != coherence.TokensPerLine {
 		t.Fatal("writer did not receive all tokens")
 	}
@@ -317,19 +317,19 @@ func TestStatusLifecycle(t *testing.T) {
 	sys := build(t, "sp-nuca")
 	s := sys.Sub()
 	// First toucher becomes the private owner.
-	shared, owner := s.statusOf(300, 2)
+	shared, owner := s.statusOf(s.Open(300), 2)
 	if shared || owner != 2 {
 		t.Fatalf("first touch: shared=%v owner=%d", shared, owner)
 	}
 	// Second core upgrades to shared.
-	shared, _ = s.statusOf(300, 5)
+	shared, _ = s.statusOf(s.Open(300), 5)
 	if !shared {
 		t.Fatal("second core did not shared-ify the line")
 	}
 	// Status survives while the line is on chip... here nothing holds it,
 	// so dropping the last copy forgets it.
-	s.maybeForgetStatus(300)
-	if _, _, known := s.peekStatus(300); known {
+	s.maybeForgetStatus(s.Open(300))
+	if _, _, known := s.peekStatus(s.Open(300)); known {
 		t.Fatal("status survived with no on-chip copies")
 	}
 }

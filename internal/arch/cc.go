@@ -47,26 +47,27 @@ func (a *CC) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 // the cooperation probability (one-chance forwarding).
 func (a *CC) WriteBack(at sim.Cycle, c int, line mem.Line, dirty bool) {
 	s := a.t.s
+	r := s.Open(line)
 	bank, set := s.Map.Private(line, c)
 	t := s.Bank[bank].Access(at)
-	s.Dir.L1Evict(line, c, true)
-	if _, ok := s.l2Find(line, bank); ok {
+	s.Dir.L1Evict(r, c, true)
+	if _, ok := s.l2Find(r, bank); ok {
 		if dirty {
-			s.Dir.WriteBackDirty(line)
+			s.Dir.WriteBackDirty(r)
 		}
 		return
 	}
-	ev := s.l2Insert(bank, set, cache.Block{
-		Valid: true, Line: line, Class: cache.Private, Owner: c, Dirty: dirty,
+	ev := s.l2Insert(r, bank, set, cache.Block{
+		Valid: true, Line: line, Class: cache.Private, Owner: int8(c), Dirty: dirty,
 	}, cache.FlatLRU{})
 	if dirty {
-		s.Dir.WriteBackDirty(line)
+		s.Dir.WriteBackDirty(r)
 	}
 	a.routeEviction(t, c, ev, bank)
 }
 
 // routeEviction spills eligible victims to a peer tile.
-func (a *CC) routeEviction(at sim.Cycle, c int, ev cache.Evicted, fromBank int) {
+func (a *CC) routeEviction(at sim.Cycle, c int, ev eviction, fromBank int) {
 	s := a.t.s
 	if !ev.Valid {
 		return
@@ -75,7 +76,7 @@ func (a *CC) routeEviction(at sim.Cycle, c int, ev cache.Evicted, fromBank int) 
 	// Spill only first-class (non-spilled) singlets, with probability
 	// prob; a spilled block (marked Victim) evicted again is dropped
 	// (one-chance forwarding).
-	singlet := len(s.l2Has(blk.Line)) == 0
+	singlet := len(s.l2Has(ev.ref)) == 0
 	if blk.Class != cache.Private || !singlet || !s.RNG.Bool(a.prob) {
 		s.dropEvicted(at, ev, fromBank)
 		return
@@ -88,7 +89,7 @@ func (a *CC) routeEviction(at sim.Cycle, c int, ev cache.Evicted, fromBank int) 
 	pbank, pset := s.Map.Private(blk.Line, peer)
 	t := s.Mesh.Send(at, s.NodeOfBank(fromBank), s.NodeOfBank(pbank), noc.Data, s.Cfg.BlockBytes)
 	t = s.Bank[pbank].Access(t)
-	sev := s.l2Insert(pbank, pset, cache.Block{
+	sev := s.l2Insert(ev.ref, pbank, pset, cache.Block{
 		Valid: true, Line: blk.Line, Class: cache.Victim, Owner: blk.Owner, Dirty: blk.Dirty,
 	}, cache.FlatLRU{})
 	a.Spills++

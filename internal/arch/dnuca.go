@@ -108,20 +108,21 @@ func (a *DNUCA) appendBanksInColumn(dst []int, col, c int) []int {
 // Access implements System with perfect search over the bankset.
 func (a *DNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 	s := a.s
+	r := s.Open(line)
 	if write {
-		if res, ok := s.Upgrade(at, c, line); ok {
+		if res, ok := s.Upgrade(at, c, r); ok {
 			return res
 		}
 	}
 	col, set := a.column(line)
 	reqNode := s.NodeOfCore(c)
-	st := s.Dir.State(line)
+	st := s.Dir.State(r)
 
 	// Perfect search: find the nearest resident copy in the column.
 	banks := a.banksInColumn(col, c)
 	var hitBank, hitSet int = -1, set
 	for _, b := range banks {
-		if _, ok := s.l2Find(line, b); ok {
+		if _, ok := s.l2Find(r, b); ok {
 			hitBank = b
 			break
 		}
@@ -138,15 +139,15 @@ func (a *DNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 		if node == reqNode {
 			level = LocalL2
 		} else if !write {
-			a.promote(t, line, hitBank, hitSet, banks, c)
+			a.promote(t, r, hitBank, hitSet, banks, c)
 		}
 		s.record(level, at, t)
-		return Result{Done: s.complete(t, node, c, line, write), Level: level}
+		return Result{Done: s.complete(t, node, c, r, write), Level: level}
 
 	case ownedByRemoteL1(st, c):
 		t := a.s.l1Intervention(at, reqNode, int(st.Owner-coherence.HolderL1), c)
 		s.record(RemoteL1, at, t)
-		return Result{Done: s.complete(t, reqNode, c, line, write), Level: RemoteL1}
+		return Result{Done: s.complete(t, reqNode, c, r, write), Level: RemoteL1}
 
 	case st.Sharers().Without(c) != 0:
 		holder := nearestSharer(s, st, c)
@@ -155,7 +156,7 @@ func (a *DNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 			t = a.s.l1Intervention(at, reqNode, holder, c)
 		}
 		s.record(RemoteL1, at, t)
-		return Result{Done: s.complete(t, reqNode, c, line, write), Level: RemoteL1}
+		return Result{Done: s.complete(t, reqNode, c, r, write), Level: RemoteL1}
 	}
 
 	// Off-chip: probe nearest bank (tag miss), fetch, allocate at the far
@@ -168,13 +169,13 @@ func (a *DNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 	t = s.Bank[near].TagProbe(t)
 	t = s.memFetch(t, reqNode, line)
 	if !write {
-		s.Dir.L2Fill(line, coherence.TokensPerLine)
-		a.insertFar(t, set, banks, line, cache.Block{
+		s.Dir.L2Fill(r, coherence.TokensPerLine)
+		a.insertFar(t, set, banks, r, cache.Block{
 			Valid: true, Line: line, Class: cache.Shared, Owner: -1,
 		})
 	}
 	s.record(OffChip, at, t)
-	return Result{Done: s.complete(t, reqNode, c, line, write), Level: OffChip}
+	return Result{Done: s.complete(t, reqNode, c, r, write), Level: OffChip}
 }
 
 // insertFar allocates blk into a line-hashed bank of the bankset: fills
@@ -183,13 +184,13 @@ func (a *DNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 // streaming data stays at its hashed position (average distance, like a
 // shared cache), which is exactly the regime where the paper finds
 // D-NUCA unrewarding.
-func (a *DNUCA) insertFar(at sim.Cycle, set int, ordered []int, line mem.Line, blk cache.Block) {
+func (a *DNUCA) insertFar(at sim.Cycle, set int, ordered []int, r lineRef, blk cache.Block) {
 	s := a.s
-	bank := ordered[int(uint64(line)>>7)%len(ordered)]
-	if _, ok := s.l2Find(line, bank); ok {
+	bank := ordered[int(uint64(r.Line)>>7)%len(ordered)]
+	if _, ok := s.l2Find(r, bank); ok {
 		return
 	}
-	ev := s.l2Insert(bank, set, blk, cache.FlatLRU{})
+	ev := s.l2Insert(r, bank, set, blk, cache.FlatLRU{})
 	s.dropEvicted(at, ev, bank)
 }
 
@@ -200,44 +201,44 @@ func (a *DNUCA) insertFar(at sim.Cycle, set int, ordered []int, line mem.Line, b
 // replica may only displace another replica, never first-class data, so
 // replication cannot thrash the bankset (the replication-enabled D-NUCA
 // variant of §6.1).
-func (a *DNUCA) promote(at sim.Cycle, line mem.Line, fromBank, set int, ordered []int, c int) {
+func (a *DNUCA) promote(at sim.Cycle, r lineRef, fromBank, set int, ordered []int, c int) {
 	s := a.s
-	shared, _ := s.statusOf(line, c)
-	if last, ok := a.lastReq.get(line); !ok || last != int8(c) {
-		a.lastReq.set(line, int8(c))
+	shared, _ := s.statusOf(r, c)
+	if last, ok := a.lastReq.get(r.Line); !ok || last != int8(c) {
+		a.lastReq.set(r.Line, int8(c))
 		return
 	}
 	for _, b := range ordered {
 		if b == fromBank {
 			return // already nearest
 		}
-		if _, ok := s.l2Find(line, b); ok {
+		if _, ok := s.l2Find(r, b); ok {
 			continue
 		}
-		st := s.Dir.Peek(line)
+		st := s.Dir.Peek(r)
 		dirtyHere := st != nil && st.Owner == coherence.HolderL2 && st.Dirty
 		if !shared || dirtyHere {
 			if a.MigrationOff {
 				return
 			}
-			blk, ok := s.l2Invalidate(line, fromBank, set)
+			blk, ok := s.l2Invalidate(r, fromBank, set)
 			if !ok {
 				return
 			}
 			// Migration moves a whole block between banks: real data
 			// traffic on the mesh (posted, but it loads the links).
 			s.Mesh.Send(at, s.NodeOfBank(fromBank), s.NodeOfBank(b), noc.Data, s.Cfg.BlockBytes)
-			ev := s.l2Insert(b, set, blk, cache.FlatLRU{})
+			ev := s.l2Insert(r, b, set, blk, cache.FlatLRU{})
 			a.Migs++
 			if ev.Valid {
-				if _, dup := s.l2Find(ev.Block.Line, fromBank); dup {
+				if _, dup := s.l2Find(ev.ref, fromBank); dup {
 					// The displaced line already has a copy in the source
 					// bank; dropping this one loses nothing.
 					s.dropEvicted(at, ev, b)
 				} else {
 					// Swap: the displaced block takes the way just freed
 					// in the source bank (same set index bankset-wide).
-					sev := s.l2Insert(fromBank, set, ev.Block, cache.FlatLRU{})
+					sev := s.l2Insert(ev.ref, fromBank, set, ev.Block, cache.FlatLRU{})
 					s.dropEvicted(at, sev, fromBank)
 				}
 			}
@@ -249,8 +250,8 @@ func (a *DNUCA) promote(at sim.Cycle, line mem.Line, fromBank, set int, ordered 
 		// Unrestricted replication (paper §6.1): the copy may displace
 		// first-class data — the latency gain costs L2 hit rate, which is
 		// exactly the D-NUCA trade-off Figure 6 shows.
-		ev := s.l2Insert(b, set, cache.Block{
-			Valid: true, Line: line, Class: cache.Replica, Owner: c,
+		ev := s.l2Insert(r, b, set, cache.Block{
+			Valid: true, Line: r.Line, Class: cache.Replica, Owner: int8(c),
 		}, cache.FlatLRU{})
 		a.Reps++
 		s.dropEvicted(at, ev, b)
@@ -262,24 +263,25 @@ func (a *DNUCA) promote(at sim.Cycle, line mem.Line, fromBank, set int, ordered 
 // bankset (clean ones too — D-NUCA keeps blocks in their bankset).
 func (a *DNUCA) WriteBack(at sim.Cycle, c int, line mem.Line, dirty bool) {
 	s := a.s
+	r := s.Open(line)
 	col, set := a.column(line)
 	banks := a.banksInColumn(col, c)
 	near := banks[0]
 	t := s.Mesh.Send(at, s.NodeOfCore(c), s.NodeOfBank(near), noc.Data, s.Cfg.BlockBytes)
 	t = s.Bank[near].Access(t)
-	s.Dir.L1Evict(line, c, true)
-	resident := len(s.l2Has(line)) > 0
+	s.Dir.L1Evict(r, c, true)
+	resident := len(s.l2Has(r)) > 0
 	if resident {
 		if dirty {
-			s.Dir.WriteBackDirty(line)
+			s.Dir.WriteBackDirty(r)
 		}
 		return
 	}
-	a.insertFar(t, set, banks, line, cache.Block{
+	a.insertFar(t, set, banks, r, cache.Block{
 		Valid: true, Line: line, Class: cache.Shared, Owner: -1, Dirty: dirty,
 	})
 	if dirty {
-		s.Dir.WriteBackDirty(line)
+		s.Dir.WriteBackDirty(r)
 	}
 }
 

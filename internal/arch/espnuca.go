@@ -94,13 +94,13 @@ func (a *ESPNUCA) observe(bank, set int, firstClassHit bool) {
 //   - replica creation: a shared block served from a remote home bank is
 //     copied into the requester's private partition as a helping block,
 //     subject to the replacement policy's admission decision.
-func (a *ESPNUCA) onHomeHit(t sim.Cycle, c int, line mem.Line, bank, set int, blk *cache.Block) {
+func (a *ESPNUCA) onHomeHit(t sim.Cycle, c int, r lineRef, bank, set int, blk *cache.Block) {
 	s := a.sp.s
 	if blk.Class == cache.Victim {
-		if blk.Owner != c {
-			s.Bank[bank].Reclass(set, cache.ClassQuery(line, cache.Victim), cache.Shared, -1)
-			s.reclassWhere(line, bank, cache.Shared)
-			s.markShared(line)
+		if int(blk.Owner) != c {
+			s.Bank[bank].Reclass(set, cache.ClassQuery(r.Line, cache.Victim), cache.Shared, -1)
+			s.reclassWhere(r, bank, cache.Shared)
+			s.markShared(r)
 		}
 		return
 	}
@@ -111,15 +111,15 @@ func (a *ESPNUCA) onHomeHit(t sim.Cycle, c int, line mem.Line, bank, set int, bl
 	if s.NodeOfBank(bank) == s.NodeOfCore(c) {
 		return // already local: nothing to gain
 	}
-	pbank, pset := s.Map.Private(line, c)
+	pbank, pset := s.Map.Private(r.Line, c)
 	if pbank == bank {
 		return
 	}
-	if _, ok := s.l2Find(line, pbank); ok {
+	if _, ok := s.l2Find(r, pbank); ok {
 		return // replica already present
 	}
-	ev := s.l2Insert(pbank, pset, cache.Block{
-		Valid: true, Line: line, Class: cache.Replica, Owner: c,
+	ev := s.l2Insert(r, pbank, pset, cache.Block{
+		Valid: true, Line: r.Line, Class: cache.Replica, Owner: int8(c),
 	}, a.sp.pol[pbank])
 	if ev.Refused {
 		a.RefusedHelping++
@@ -133,7 +133,7 @@ func (a *ESPNUCA) onHomeHit(t sim.Cycle, c int, line mem.Line, bank, set int, bl
 // private block is spilled into its home bank's shared partition as a
 // victim (helping block) instead of being dropped; everything else takes
 // the default path.
-func (a *ESPNUCA) routeEviction(at sim.Cycle, ev cache.Evicted, fromBank int) {
+func (a *ESPNUCA) routeEviction(at sim.Cycle, ev eviction, fromBank int) {
 	s := a.sp.s
 	if !ev.Valid {
 		return
@@ -148,13 +148,13 @@ func (a *ESPNUCA) routeEviction(at sim.Cycle, ev cache.Evicted, fromBank int) {
 		s.dropEvicted(at, ev, fromBank)
 		return
 	}
-	if _, ok := s.l2Find(blk.Line, hbank); ok {
+	if _, ok := s.l2Find(ev.ref, hbank); ok {
 		s.dropEvicted(at, ev, fromBank)
 		return
 	}
 	t := s.Mesh.Send(at, s.NodeOfBank(fromBank), s.NodeOfBank(hbank), noc.Data, s.Cfg.BlockBytes)
 	t = s.Bank[hbank].Access(t)
-	vev := s.l2Insert(hbank, hset, cache.Block{
+	vev := s.l2Insert(ev.ref, hbank, hset, cache.Block{
 		Valid: true, Line: blk.Line, Class: cache.Victim, Owner: blk.Owner, Dirty: blk.Dirty,
 	}, a.sp.pol[hbank])
 	if vev.Refused {

@@ -15,7 +15,7 @@ func TestInjectTokenLossDetected(t *testing.T) {
 	sys := build(t, "esp-nuca")
 	s := sys.Sub()
 	sys.Access(0, 0, 100, false)
-	st := s.Dir.State(100)
+	st := s.Dir.State(s.Open(100))
 	st.MemTokens-- // lose a token
 	if err := s.CheckInvariants(); err == nil {
 		t.Fatal("token loss not detected")
@@ -63,7 +63,7 @@ func TestInjectDirtyAtMemoryDetected(t *testing.T) {
 	sys := build(t, "private")
 	s := sys.Sub()
 	sys.Access(0, 2, mem.Line(300), false)
-	st := s.Dir.State(300)
+	st := s.Dir.State(s.Open(300))
 	// All tokens back at memory but dirty set: impossible state.
 	for c := range st.L1Tokens {
 		st.MemTokens += st.L1Tokens[c]
@@ -73,7 +73,7 @@ func TestInjectDirtyAtMemoryDetected(t *testing.T) {
 	st.L2Tokens = 0
 	st.Owner = -2 // HolderMem
 	st.Dirty = true
-	if err := s.Dir.Verify(300); err == nil {
+	if err := s.Dir.Verify(s.Open(300)); err == nil {
 		t.Fatal("dirty-at-memory not detected")
 	}
 }

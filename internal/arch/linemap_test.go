@@ -29,11 +29,14 @@ func TestLineMapDifferential(t *testing.T) {
 			m.set(l, v)
 			ref[l] = v
 		case 1: // ptr (materializes zero)
-			p := m.ptr(l)
+			p, added := m.ptr(l)
 			r, ok := ref[l]
 			if !ok {
 				r = 0
 				ref[l] = 0
+			}
+			if added == ok {
+				t.Fatalf("op %d: ptr(%d) added %v, ref held it %v", op, l, added, ok)
 			}
 			if *p != r {
 				t.Fatalf("op %d: ptr(%d) = %d, ref %d", op, l, *p, r)
@@ -47,7 +50,10 @@ func TestLineMapDifferential(t *testing.T) {
 				t.Fatalf("op %d: get(%d) = (%d,%v), ref (%d,%v)", op, l, v, ok, r, rok)
 			}
 		case 3: // del
-			m.del(l)
+			_, ok := ref[l]
+			if m.del(l) != ok {
+				t.Fatalf("op %d: del(%d) removed %v, ref held it %v", op, l, !ok, ok)
+			}
 			delete(ref, l)
 		}
 		if m.count != len(ref) {
@@ -96,7 +102,9 @@ func TestLineMapDeleteChains(t *testing.T) {
 
 // TestNewLineMapHoldsWithoutGrowing checks newLineMap's sizing: a table
 // built for n entries takes n inserts without growing, and half its size
-// would not hold them.
+// would not hold them. The scaled machine's line table then has a
+// 65,536-slot index and a slab of lineRecords records, and takes that
+// many live records without growing either.
 func TestNewLineMapHoldsWithoutGrowing(t *testing.T) {
 	scaled := ScaledConfig()
 	for _, n := range []int{0, 1, 12, 13, 24, 25, 1000, 3 << 12, lineRecords(scaled)} {
@@ -116,45 +124,67 @@ func TestNewLineMapHoldsWithoutGrowing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.lines.entries); got != 1<<15 {
-		t.Errorf("the scaled machine's line table has %d slots, want %d", got, 1<<15)
+	n := lineRecords(scaled)
+	if got := len(s.lines.index.entries); got != 1<<16 {
+		t.Errorf("the scaled machine's line index has %d slots, want %d", got, 1<<16)
+	}
+	if got := cap(s.lines.recs); got != n {
+		t.Errorf("the scaled machine's line slab holds %d records, want %d", got, n)
+	}
+	recs := &s.lines.recs[:1][0]
+	for l := 0; l < n; l++ {
+		s.State(s.Open(mem.Line(l)))
+	}
+	if len(s.lines.index.entries) != 1<<16 || &s.lines.recs[0] != recs {
+		t.Errorf("%d live records grew the table: %d index slots, slab moved %v",
+			n, len(s.lines.index.entries), &s.lines.recs[0] != recs)
 	}
 }
 
-// BenchmarkLineMap times the substrate's line record in a steady state,
-// at the scaled machine's table size holding 16,792 live records, the
-// most an esp-nuca FT run at the default budgets holds: each op finds a
-// live line, materializes a new one with ptr and deletes the oldest.
+// BenchmarkLineMap times the substrate's line table in a steady state,
+// at the scaled machine's size holding 16,792 live records, the most an
+// esp-nuca FT run at the default budgets holds: each op finds a live
+// line, opens a new one and gives it a copy, and empties the oldest,
+// which the next op's open deletes.
 func BenchmarkLineMap(b *testing.B) {
 	const (
 		live = 16_792
 		ring = 1 << 16 // distinct lines cycled through the table
 	)
 	cfg := ScaledConfig()
-	m := newLineMap[lineRec](cfg.L2Lines() + 2*cfg.Cores*cfg.L1ILines())
+	m := newLineTable(lineRecords(cfg), lineSlots(cfg))
 	lines := make([]mem.Line, ring)
 	for i, p := range rand.New(rand.NewSource(1)).Perm(1 << 22)[:ring] {
 		lines[i] = 0x4000_0000 + mem.Line(p)
 	}
 	for _, l := range lines[:live] {
-		m.ptr(l).n = 1
+		m.rec(m.open(l)).n = 1
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if m.find(lines[(i+live/2)%ring]) == nil {
+		if _, ok := m.find(lines[(i+live/2)%ring]); !ok {
 			b.Fatal("a live line is missing")
 		}
-		m.ptr(lines[(i+live)%ring]).n = 1
-		m.del(lines[i%ring])
+		m.rec(m.open(lines[(i+live)%ring])).n = 1
+		old, _ := m.find(lines[i%ring])
+		m.rec(old).n = 0
+		m.markEmptied(old)
 	}
 }
 
-// TestLineRecordSize pins the merged per-line record to one 64-byte cache
-// line, table key and slot flag included.
+// TestLineRecordSize pins the line table's layout: a 16-byte index entry
+// (line key, slot flag and slab index), and an index and slab that
+// together take at most the 2 MB the scaled machine's table took when it
+// held records inline.
 func TestLineRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(lineMapEntry[lineRec]{}); got > 64 {
-		t.Fatalf("line record entry is %d bytes, want at most 64", got)
+	if got := unsafe.Sizeof(lineMapEntry[uint32]{}); got != 16 {
+		t.Fatalf("line index entry is %d bytes, want 16", got)
+	}
+	cfg := ScaledConfig()
+	total := lineSlots(cfg)*int(unsafe.Sizeof(lineMapEntry[uint32]{})) + lineRecords(cfg)*int(unsafe.Sizeof(lineRec{}))
+	if total > 2<<20 {
+		t.Fatalf("the scaled machine's line index and slab take %d bytes, want at most %d", total, 2<<20)
 	}
 }
 
@@ -167,25 +197,29 @@ func TestForgetStatusKeepsLiveTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const l = 10
+	l := s.Open(10)
 	s.statusOf(l, 3)
 	s.Dir.L2Fill(l, 2) // two tokens on chip, no L1 sharer, no L2 copy
 	s.maybeForgetStatus(l)
 	if _, _, known := s.peekStatus(l); known {
 		t.Fatal("status survived the line leaving the chip")
 	}
-	if s.Peek(l) == nil || s.lines.count != 1 {
+	s.lines.sweep()
+	if s.Peek(l) == nil || s.lines.index.count != 1 {
 		t.Fatal("token state with tokens on chip was dropped")
 	}
 	s.Dir.L2Evict(l)
 	s.maybeForgetStatus(l)
-	if s.Peek(l) != nil || s.lines.count != 0 {
+	if s.Peek(l) != nil || s.lines.index.count != 1 {
+		t.Fatal("an emptied record was deleted before the transaction ended")
+	}
+	s.lines.sweep()
+	if s.lines.index.count != 0 || len(s.lines.free) != 1 {
 		t.Fatal("all-at-memory token state kept its record")
 	}
-	if *s.State(l) != coherence.MemoryState() {
+	if *s.State(s.Open(10)) != coherence.MemoryState() {
 		t.Fatal("re-materialized state differs from all-at-memory")
 	}
-	s.maybeForgetStatus(999) // absent line: no-op
 }
 
 // mapTable is a map-backed coherence.Table with the lifetime the
@@ -193,17 +227,22 @@ func TestForgetStatusKeepsLiveTokens(t *testing.T) {
 // only by refLines.maybeForget.
 type mapTable map[mem.Line]*coherence.LineState
 
-func (m mapTable) State(l mem.Line) *coherence.LineState {
-	st, ok := m[l]
+func (m mapTable) Find(l mem.Line) (coherence.Ref, bool) {
+	_, ok := m[l]
+	return coherence.Ref{Line: l}, ok
+}
+
+func (m mapTable) State(r coherence.Ref) *coherence.LineState {
+	st, ok := m[r.Line]
 	if !ok {
 		v := coherence.MemoryState()
 		st = &v
-		m[l] = st
+		m[r.Line] = st
 	}
 	return st
 }
 
-func (m mapTable) Peek(l mem.Line) *coherence.LineState { return m[l] }
+func (m mapTable) Peek(r coherence.Ref) *coherence.LineState { return m[r.Line] }
 
 // refLines is the substrate's per-line bookkeeping as it was kept before
 // the record merges: a copy table, a private-bit table and the coherence
@@ -267,15 +306,16 @@ func TestLineRecordDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.lines = lineMap[lineRec]{entries: make([]lineMapEntry[lineRec], 8), mask: 7}
+	s.lines = newLineTable(8, 8)
 	ref := refLines{where: map[mem.Line][]l2loc{}, status: map[mem.Line]refStatus{}, tokens: mapTable{}}
 	ref.dir = coherence.NewDirectory(ref.tokens)
 	ref.dir.Check = true
 	rng := rand.New(rand.NewSource(11))
 	const universe = 96
-	check := func(op int, l mem.Line) {
+	check := func(op int, r lineRef) {
 		t.Helper()
-		got, want := s.l2Has(l), ref.where[l]
+		l := r.Line
+		got, want := s.l2Has(r), ref.where[l]
 		if len(got) != len(want) {
 			t.Fatalf("op %d: line %d copies %v, ref %v", op, l, got, want)
 		}
@@ -284,25 +324,27 @@ func TestLineRecordDifferential(t *testing.T) {
 				t.Fatalf("op %d: line %d copies %v, ref %v", op, l, got, want)
 			}
 		}
-		shared, owner, known := s.peekStatus(l)
+		shared, owner, known := s.peekStatus(r)
 		st, ok := ref.status[l]
 		if known != ok || shared != st.shared || owner != st.owner {
 			t.Fatalf("op %d: line %d status (%v,%d,%v), ref %+v,%v", op, l, shared, owner, known, st, ok)
 		}
-		gotTok, wantTok := s.Dir.Peek(l), ref.dir.Peek(l)
+		gotTok, wantTok := s.Dir.Peek(r), ref.dir.PeekLine(l)
 		if (gotTok == nil) != (wantTok == nil) || gotTok != nil && *gotTok != *wantTok {
 			t.Fatalf("op %d: line %d tokens %+v, ref %+v", op, l, gotTok, wantTok)
 		}
 	}
-	// both applies one directory operation to the substrate and the
-	// reference.
-	both := func(f func(d *coherence.Directory)) {
-		f(s.Dir)
-		f(ref.dir)
+	// both applies one directory operation to the substrate, through the
+	// transaction's handle r, and to the reference.
+	var r lineRef
+	both := func(f func(d *coherence.Directory, r coherence.Ref)) {
+		f(s.Dir, r)
+		f(ref.dir, coherence.Ref{Line: r.Line})
 	}
 
 	for op := 0; op < 300_000; op++ {
 		l := mem.Line(rng.Intn(universe))
+		r = s.Open(l)
 		c := rng.Intn(8)
 		switch rng.Intn(13) {
 		case 0, 1: // add a copy in a bank the line does not use yet
@@ -320,16 +362,16 @@ func TestLineRecordDifferential(t *testing.T) {
 			}
 			loc := l2loc{bank: uint8(bank), class: cache.Class(rng.Intn(4)), set: uint16(rng.Intn(8))}
 			ref.where[l] = append(locs, loc)
-			s.addCopy(l, loc)
+			s.addCopy(r, loc)
 		case 2, 3: // remove a copy, or a bank the line does not use
 			bank := rng.Intn(32)
 			if locs := ref.where[l]; len(locs) > 0 && rng.Intn(4) > 0 {
 				bank = int(locs[rng.Intn(len(locs))].bank)
 			}
 			ref.remove(l, bank)
-			s.removeWhere(l, bank)
+			s.removeWhere(r, bank)
 		case 4: // statusOf
-			shared, owner := s.statusOf(l, c)
+			shared, owner := s.statusOf(r, c)
 			st, ok := ref.status[l]
 			if !ok {
 				st = refStatus{owner: c}
@@ -344,39 +386,40 @@ func TestLineRecordDifferential(t *testing.T) {
 			st := ref.status[l]
 			st.shared = true
 			ref.status[l] = st
-			s.markShared(l)
+			s.markShared(r)
 		case 6: // maybeForgetStatus
 			ref.maybeForget(l)
-			s.maybeForgetStatus(l)
+			s.maybeForgetStatus(r)
 		case 7: // an L1 takes a read token, so the status outlives the copies
-			both(func(d *coherence.Directory) { d.GrantReadL1(l, c) })
+			both(func(d *coherence.Directory, r coherence.Ref) { d.GrantReadL1(r, c) })
 		case 8: // every L1 drops the line to memory
-			if st := ref.dir.Peek(l); st != nil {
+			if st := ref.dir.PeekLine(l); st != nil {
 				mask := st.Sharers()
 				for h := 0; h < 8; h++ {
 					if mask&(1<<uint(h)) != 0 {
-						both(func(d *coherence.Directory) { d.L1Evict(l, h, false) })
+						both(func(d *coherence.Directory, r coherence.Ref) { d.L1Evict(r, h, false) })
 					}
 				}
 			}
 		case 9: // a writer collects every token
-			both(func(d *coherence.Directory) { d.GrantWriteL1(l, c) })
+			both(func(d *coherence.Directory, r coherence.Ref) { d.GrantWriteL1(r, c) })
 		case 10: // an L1 write-back to the L2, possibly dirty
 			dirty := rng.Intn(2) == 0
-			both(func(d *coherence.Directory) {
-				d.L1Evict(l, c, true)
+			both(func(d *coherence.Directory, r coherence.Ref) {
+				d.L1Evict(r, c, true)
 				if dirty {
-					d.WriteBackDirty(l)
+					d.WriteBackDirty(r)
 				}
 			})
 		case 11: // a fill from memory
 			n := uint8(rng.Intn(coherence.TokensPerLine + 1))
-			both(func(d *coherence.Directory) { d.L2Fill(l, n) })
+			both(func(d *coherence.Directory, r coherence.Ref) { d.L2Fill(r, n) })
 		case 12: // the L2 releases its tokens to memory
-			both(func(d *coherence.Directory) { d.L2Evict(l) })
+			both(func(d *coherence.Directory, r coherence.Ref) { d.L2Evict(r) })
 		}
-		check(op, l)
+		check(op, r)
 		if op%1024 == 0 {
+			s.lines.sweep() // as the next op's Open does
 			keys := map[mem.Line]bool{}
 			for k := range ref.where {
 				keys[k] = true
@@ -387,13 +430,16 @@ func TestLineRecordDifferential(t *testing.T) {
 			for k := range ref.tokens {
 				keys[k] = true
 			}
-			if s.lines.count != len(keys) {
-				t.Fatalf("op %d: %d records, ref %d lines", op, s.lines.count, len(keys))
+			if s.lines.index.count != len(keys) {
+				t.Fatalf("op %d: %d records, ref %d lines", op, s.lines.index.count, len(keys))
+			}
+			if err := s.lines.check(); err != nil {
+				t.Fatalf("op %d: %v", op, err)
 			}
 		}
 	}
 	for l := mem.Line(0); l < universe; l++ {
-		check(-1, l)
+		check(-1, s.Open(l))
 	}
 }
 
@@ -404,8 +450,9 @@ func TestAddCopyPanicsPastBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := s.Open(0x40)
 	for b := 0; b < maxCopies; b++ {
-		s.addCopy(0x40, l2loc{bank: uint8(b)})
+		s.addCopy(r, l2loc{bank: uint8(b)})
 	}
 	defer func() {
 		msg, _ := recover().(string)
@@ -413,7 +460,7 @@ func TestAddCopyPanicsPastBound(t *testing.T) {
 			t.Fatalf("panic %q does not name line 0x40 and bank 9", msg)
 		}
 	}()
-	s.addCopy(0x40, l2loc{bank: 9})
+	s.addCopy(r, l2loc{bank: 9})
 }
 
 // TestResidencyCopyBound drives all eight cores over a few lines strided
@@ -448,7 +495,7 @@ func TestResidencyCopyBound(t *testing.T) {
 							continue
 						}
 						res := sys.Access(tm, c, line, write)
-						if n := len(s.l2Has(line)); n > most {
+						if n := len(s.l2Has(s.Open(line))); n > most {
 							most = n
 						}
 						if wb := s.L1.Fill(c, line, write, false); wb.Valid {
@@ -459,7 +506,7 @@ func TestResidencyCopyBound(t *testing.T) {
 					if err := s.CheckInvariants(); err != nil {
 						t.Fatalf("%d lines, writes %.2f: %v", nlines, writeFrac, err)
 					}
-					s.lines.forEach(func(_ mem.Line, r lineRec) error {
+					s.lines.forEach(func(_ lineRef, r *lineRec) error {
 						if int(r.n) > most {
 							most = int(r.n)
 						}

@@ -33,8 +33,9 @@ func (a *Tiled) Sub() *Substrate { return a.s }
 // Access implements System.
 func (a *Tiled) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 	s := a.s
+	r := s.Open(line)
 	if write {
-		if res, ok := s.Upgrade(at, c, line); ok {
+		if res, ok := s.Upgrade(at, c, r); ok {
 			return res
 		}
 	}
@@ -43,7 +44,7 @@ func (a *Tiled) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 
 	// Local private bank: same router, no hops.
 	blk := s.Bank[bank].Lookup(set, cache.LineQuery(line))
-	st := s.Dir.State(line)
+	st := s.Dir.State(r)
 	var t sim.Cycle
 	level := LocalL2
 
@@ -58,13 +59,13 @@ func (a *Tiled) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 		// counting requires knowing no probe will supply tokens).
 		t = s.Bank[bank].TagProbe(at)
 		probeDone := a.broadcastProbes(t, c, line)
-		if resp, lvl, ok := a.bestOnChipResponse(t, c, line, st); ok {
+		if resp, lvl, ok := a.bestOnChipResponse(t, c, r, st); ok {
 			t, level = resp, lvl
 			if t < probeDone {
 				t = probeDone
 			}
 			if !write && a.asr != nil && a.asr.shouldReplicate(c) {
-				a.fillLocal(t, c, line, false)
+				a.fillLocal(t, c, r, false)
 			}
 		} else {
 			memDone := s.memFetch(t, reqNode, line)
@@ -76,7 +77,7 @@ func (a *Tiled) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 		}
 	}
 
-	t = s.complete(t, reqNode, c, line, write)
+	t = s.complete(t, reqNode, c, r, write)
 	s.record(level, at, t)
 	return Result{Done: t, Level: level}
 }
@@ -104,14 +105,14 @@ func (a *Tiled) broadcastProbes(at sim.Cycle, c int, line mem.Line) sim.Cycle {
 }
 
 // bestOnChipResponse finds the fastest on-chip source (remote tile L2 or
-// remote L1) for the line.
-func (a *Tiled) bestOnChipResponse(at sim.Cycle, c int, line mem.Line, st *coherence.LineState) (sim.Cycle, Level, bool) {
+// remote L1) for r's line.
+func (a *Tiled) bestOnChipResponse(at sim.Cycle, c int, r lineRef, st *coherence.LineState) (sim.Cycle, Level, bool) {
 	s := a.s
 	best := sim.Cycle(0)
 	level := RemoteL2
 	found := false
 	// Remote tiles holding the line in L2.
-	for _, loc := range s.l2Has(line) {
+	for _, loc := range s.l2Has(r) {
 		bank := int(loc.bank)
 		if s.Map.CoreOfBank(bank) == c {
 			continue
@@ -142,19 +143,19 @@ func (a *Tiled) bestOnChipResponse(at sim.Cycle, c int, line mem.Line, st *coher
 	return best, level, found
 }
 
-// fillLocal allocates a copy of line in core c's private bank (ASR
+// fillLocal allocates a copy of r's line in core c's private bank (ASR
 // replication or CC-style placement).
-func (a *Tiled) fillLocal(at sim.Cycle, c int, line mem.Line, dirty bool) {
+func (a *Tiled) fillLocal(at sim.Cycle, c int, r lineRef, dirty bool) {
 	s := a.s
-	bank, set := s.Map.Private(line, c)
-	if _, ok := s.l2Find(line, bank); ok {
+	bank, set := s.Map.Private(r.Line, c)
+	if _, ok := s.l2Find(r, bank); ok {
 		if dirty {
-			s.Dir.WriteBackDirty(line)
+			s.Dir.WriteBackDirty(r)
 		}
 		return
 	}
-	ev := s.l2Insert(bank, set, cache.Block{
-		Valid: true, Line: line, Class: cache.Private, Owner: c, Dirty: dirty,
+	ev := s.l2Insert(r, bank, set, cache.Block{
+		Valid: true, Line: r.Line, Class: cache.Private, Owner: int8(c), Dirty: dirty,
 	}, cache.FlatLRU{})
 	s.dropEvicted(at, ev, bank)
 }
@@ -164,12 +165,13 @@ func (a *Tiled) fillLocal(at sim.Cycle, c int, line mem.Line, dirty bool) {
 // its L1 with unrestricted replication (paper §6.1).
 func (a *Tiled) WriteBack(at sim.Cycle, c int, line mem.Line, dirty bool) {
 	s := a.s
+	r := s.Open(line)
 	bank, _ := s.Map.Private(line, c)
 	t := s.Bank[bank].Access(at)
-	s.Dir.L1Evict(line, c, true)
-	a.fillLocal(t, c, line, dirty)
+	s.Dir.L1Evict(r, c, true)
+	a.fillLocal(t, c, r, dirty)
 	if dirty {
-		s.Dir.WriteBackDirty(line)
+		s.Dir.WriteBackDirty(r)
 	}
 }
 

@@ -29,8 +29,9 @@ func (a *SharedNUCA) Sub() *Substrate { return a.s }
 // the L1 holders known by the directory or to memory.
 func (a *SharedNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 	s := a.s
+	r := s.Open(line)
 	if write {
-		if res, ok := s.Upgrade(at, c, line); ok {
+		if res, ok := s.Upgrade(at, c, r); ok {
 			return res
 		}
 	}
@@ -42,7 +43,7 @@ func (a *SharedNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Resu
 	}
 
 	t := s.Mesh.Send(at, reqNode, homeNode, noc.Control, 0)
-	st := s.Dir.State(line)
+	st := s.Dir.State(r)
 	blk := s.Bank[bank].Lookup(set, cache.LineQuery(line))
 
 	switch {
@@ -68,15 +69,15 @@ func (a *SharedNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Resu
 		t = s.Mesh.Send(t, homeNode, reqNode, noc.Data, s.Cfg.BlockBytes)
 		level = OffChip
 		if !write {
-			s.Dir.L2Fill(line, coherence.TokensPerLine)
-			ev := s.l2Insert(bank, set, cache.Block{
+			s.Dir.L2Fill(r, coherence.TokensPerLine)
+			ev := s.l2Insert(r, bank, set, cache.Block{
 				Valid: true, Line: line, Class: cache.Shared, Owner: -1,
 			}, cache.FlatLRU{})
 			s.dropEvicted(t, ev, bank)
 		}
 	}
 
-	t = s.complete(t, homeNode, c, line, write)
+	t = s.complete(t, homeNode, c, r, write)
 	s.record(level, at, t)
 	return Result{Done: t, Level: level}
 }
@@ -86,29 +87,27 @@ func (a *SharedNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Resu
 // one exists, to memory otherwise) without allocating.
 func (a *SharedNUCA) WriteBack(at sim.Cycle, c int, line mem.Line, dirty bool) {
 	s := a.s
+	r := s.Open(line)
 	bank, set := s.Map.Shared(line)
-	resident := false
-	if _, ok := s.l2Find(line, bank); ok {
-		resident = true
-	}
+	_, resident := s.l2Find(r, bank)
 	if !dirty {
-		s.Dir.L1Evict(line, c, resident)
+		s.Dir.L1Evict(r, c, resident)
 		if !resident {
-			s.maybeForgetStatus(line)
+			s.maybeForgetStatus(r)
 		}
 		return
 	}
 	t := s.Mesh.Send(at, s.NodeOfCore(c), s.NodeOfBank(bank), noc.Data, s.Cfg.BlockBytes)
 	t = s.Bank[bank].Access(t)
-	s.Dir.L1Evict(line, c, true)
+	s.Dir.L1Evict(r, c, true)
 	if resident {
-		s.Dir.WriteBackDirty(line)
+		s.Dir.WriteBackDirty(r)
 		return
 	}
-	ev := s.l2Insert(bank, set, cache.Block{
+	ev := s.l2Insert(r, bank, set, cache.Block{
 		Valid: true, Line: line, Class: cache.Shared, Owner: -1, Dirty: true,
 	}, cache.FlatLRU{})
-	s.Dir.WriteBackDirty(line)
+	s.Dir.WriteBackDirty(r)
 	s.dropEvicted(t, ev, bank)
 }
 

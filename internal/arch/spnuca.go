@@ -100,8 +100,9 @@ func (a *SPNUCA) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 // when a.esp is set.
 func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool) (sim.Cycle, Level) {
 	s := a.s
+	r := s.Open(line)
 	if write {
-		if res, ok := s.Upgrade(at, c, line); ok {
+		if res, ok := s.Upgrade(at, c, r); ok {
 			// Upgrade has already recorded the request under LocalL1, and
 			// Access records it again: the SP-NUCA family counts an
 			// upgrade twice in the Figure 6 decomposition, where every
@@ -112,16 +113,16 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool) (sim.Cy
 		}
 	}
 	reqNode := s.NodeOfCore(c)
-	shared, _ := s.statusOf(line, c)
-	st := s.Dir.State(line)
+	shared, _ := s.statusOf(r, c)
+	st := s.Dir.State(r)
 
 	// Step 1: the requester's private bank (same router: no hops).
 	pbank, pset := s.Map.Private(line, c)
-	pblk := s.Bank[pbank].Lookup(pset, cache.Query{Line: line, Classes: a.privateMatch, Owner: cache.AnyOwner})
+	pblk := s.Bank[pbank].Lookup(pset, cache.Query{Line: line, Classes: a.privateMatch})
 	a.observeSample(pbank, pset, pblk != nil && pblk.Class.FirstClass())
 	if pblk != nil && !ownedByRemoteL1(st, c) {
 		t := s.Bank[pbank].Access(at)
-		return s.complete(t, reqNode, c, line, write), LocalL2
+		return s.complete(t, reqNode, c, r, write), LocalL2
 	}
 	if a.shadow != nil && pblk == nil && !shared {
 		a.shadow[pbank].OnMiss(pset, line, cache.Private)
@@ -136,7 +137,7 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool) (sim.Cy
 	homeNode := s.NodeOfBank(hbank)
 	t = s.Mesh.Send(t, reqNode, homeNode, noc.Control, 0)
 
-	hblk := s.Bank[hbank].Lookup(hset, cache.Query{Line: line, Classes: a.homeMatch, Owner: cache.AnyOwner})
+	hblk := s.Bank[hbank].Lookup(hset, cache.Query{Line: line, Classes: a.homeMatch})
 	a.observeSample(hbank, hset, hblk != nil && hblk.Class.FirstClass())
 
 	level := SharedL2
@@ -148,14 +149,14 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool) (sim.Cy
 		// Stale home copy: forward to the owning L1 (step 3 of Fig 2b).
 		t = s.Bank[hbank].TagProbe(t)
 		t = s.l1Intervention(t, homeNode, int(st.Owner-coherence.HolderL1), c)
-		return s.complete(t, homeNode, c, line, write), RemoteL1
+		return s.complete(t, homeNode, c, r, write), RemoteL1
 	case hblk != nil:
 		t = s.Bank[hbank].Access(t)
 		done := s.Mesh.Send(t, homeNode, reqNode, noc.Data, s.Cfg.BlockBytes)
 		if a.esp != nil {
-			a.esp.onHomeHit(t, c, line, hbank, hset, hblk)
+			a.esp.onHomeHit(t, c, r, hbank, hset, hblk)
 		}
-		return s.complete(done, homeNode, c, line, write), level
+		return s.complete(done, homeNode, c, r, write), level
 	}
 	if a.shadow != nil && shared {
 		a.shadow[hbank].OnMiss(hset, line, cache.Shared)
@@ -164,12 +165,12 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool) (sim.Cy
 
 	// Step 3': the block may be private in another core's bank. The home
 	// bank forwards the request to the other private banks.
-	if owner, obank, oset, ok := a.findRemotePrivate(line, c); ok {
+	if owner, obank, oset, ok := a.findRemotePrivate(r, c); ok {
 		probe := s.Mesh.Send(t, homeNode, s.NodeOfBank(obank), noc.Control, 0)
 		probe = s.Bank[obank].Access(probe)
 		done := s.Mesh.Send(probe, s.NodeOfBank(obank), reqNode, noc.Data, s.Cfg.BlockBytes)
-		a.migrateToHome(probe, line, owner, obank, oset, hbank, hset)
-		return s.complete(done, homeNode, c, line, write), RemoteL2
+		a.migrateToHome(probe, r, owner, obank, oset, hbank, hset)
+		return s.complete(done, homeNode, c, r, write), RemoteL2
 	}
 
 	// Step 3: L1-only holders (line fell out of L2 but lives in an L1).
@@ -178,8 +179,8 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool) (sim.Cy
 		if holder != c {
 			done := s.l1Intervention(t, homeNode, holder, c)
 			// A second core is touching the line: it is shared now.
-			s.markShared(line)
-			return s.complete(done, homeNode, c, line, write), RemoteL1
+			s.markShared(r)
+			return s.complete(done, homeNode, c, r, write), RemoteL1
 		}
 	}
 
@@ -193,20 +194,20 @@ func (a *SPNUCA) resolve(at sim.Cycle, c int, line mem.Line, write bool) (sim.Cy
 		// A block arriving from memory has its private bit set and is
 		// stored in the bank closest to its only user (paper §2.1) -
 		// unless it is already known shared, in which case it fills home.
-		s.Dir.L2Fill(line, coherence.TokensPerLine)
+		s.Dir.L2Fill(r, coherence.TokensPerLine)
 		if shared {
-			ev := s.l2Insert(hbank, hset, cache.Block{
+			ev := s.l2Insert(r, hbank, hset, cache.Block{
 				Valid: true, Line: line, Class: cache.Shared, Owner: -1,
 			}, a.pol[hbank])
 			a.routeEviction(done, ev, hbank)
 		} else {
-			ev := s.l2Insert(pbank, pset, cache.Block{
-				Valid: true, Line: line, Class: cache.Private, Owner: c,
+			ev := s.l2Insert(r, pbank, pset, cache.Block{
+				Valid: true, Line: line, Class: cache.Private, Owner: int8(c),
 			}, a.pol[pbank])
 			a.routeEviction(done, ev, pbank)
 		}
 	}
-	return s.complete(done, homeNode, c, line, write), OffChip
+	return s.complete(done, homeNode, c, r, write), OffChip
 }
 
 // observeSample feeds ESP-NUCA's set samplers; plain SP-NUCA has none.
@@ -216,10 +217,10 @@ func (a *SPNUCA) observeSample(bank, set int, firstClassHit bool) {
 	}
 }
 
-// findRemotePrivate locates a private copy of line in another core's
-// partition.
-func (a *SPNUCA) findRemotePrivate(line mem.Line, c int) (owner, bank, set int, ok bool) {
-	for _, loc := range a.s.l2Has(line) {
+// findRemotePrivate locates a private copy of r's line in another
+// core's partition.
+func (a *SPNUCA) findRemotePrivate(r lineRef, c int) (owner, bank, set int, ok bool) {
+	for _, loc := range a.s.l2Has(r) {
 		if loc.class != cache.Private {
 			continue
 		}
@@ -233,23 +234,23 @@ func (a *SPNUCA) findRemotePrivate(line mem.Line, c int) (owner, bank, set int, 
 
 // migrateToHome resets the private bit and moves the block to its shared
 // home bank (paper §2.3): further accesses hit in the shared bank.
-func (a *SPNUCA) migrateToHome(at sim.Cycle, line mem.Line, owner, obank, oset, hbank, hset int) {
+func (a *SPNUCA) migrateToHome(at sim.Cycle, r lineRef, owner, obank, oset, hbank, hset int) {
 	s := a.s
-	blk, ok := s.l2Invalidate(line, obank, oset)
+	blk, ok := s.l2Invalidate(r, obank, oset)
 	if !ok {
 		return
 	}
 	a.Migrations++
-	s.markShared(line)
-	ev := s.l2Insert(hbank, hset, cache.Block{
-		Valid: true, Line: line, Class: cache.Shared, Owner: -1, Dirty: blk.Dirty,
+	s.markShared(r)
+	ev := s.l2Insert(r, hbank, hset, cache.Block{
+		Valid: true, Line: r.Line, Class: cache.Shared, Owner: -1, Dirty: blk.Dirty,
 	}, a.pol[hbank])
 	a.routeEviction(at, ev, hbank)
 }
 
 // routeEviction applies the default eviction fate; ESP-NUCA turns
 // evicted private blocks into victims instead (see espnuca.go).
-func (a *SPNUCA) routeEviction(at sim.Cycle, ev cache.Evicted, fromBank int) {
+func (a *SPNUCA) routeEviction(at sim.Cycle, ev eviction, fromBank int) {
 	if a.esp != nil {
 		a.esp.routeEviction(at, ev, fromBank)
 		return
@@ -262,22 +263,23 @@ func (a *SPNUCA) routeEviction(at sim.Cycle, ev cache.Evicted, fromBank int) {
 // clean evictions allocate too, keeping recently-used blocks on chip.
 func (a *SPNUCA) WriteBack(at sim.Cycle, c int, line mem.Line, dirty bool) {
 	s := a.s
-	shared, _, known := s.peekStatus(line)
-	s.Dir.L1Evict(line, c, true)
+	r := s.Open(line)
+	shared, _, known := s.peekStatus(r)
+	s.Dir.L1Evict(r, c, true)
 	markDirty := func() {
 		if dirty {
-			s.Dir.WriteBackDirty(line)
+			s.Dir.WriteBackDirty(r)
 		}
 	}
 	if known && shared {
 		hbank, hset := s.Map.Shared(line)
 		t := s.Mesh.Send(at, s.NodeOfCore(c), s.NodeOfBank(hbank), noc.Data, s.Cfg.BlockBytes)
 		t = s.Bank[hbank].Access(t)
-		if _, ok := s.l2Find(line, hbank); ok {
+		if _, ok := s.l2Find(r, hbank); ok {
 			markDirty()
 			return
 		}
-		ev := s.l2Insert(hbank, hset, cache.Block{
+		ev := s.l2Insert(r, hbank, hset, cache.Block{
 			Valid: true, Line: line, Class: cache.Shared, Owner: -1, Dirty: dirty,
 		}, a.pol[hbank])
 		markDirty()
@@ -286,12 +288,12 @@ func (a *SPNUCA) WriteBack(at sim.Cycle, c int, line mem.Line, dirty bool) {
 	}
 	pbank, pset := s.Map.Private(line, c)
 	t := s.Bank[pbank].Access(at)
-	if _, ok := s.l2Find(line, pbank); ok {
+	if _, ok := s.l2Find(r, pbank); ok {
 		markDirty()
 		return
 	}
-	ev := s.l2Insert(pbank, pset, cache.Block{
-		Valid: true, Line: line, Class: cache.Private, Owner: c, Dirty: dirty,
+	ev := s.l2Insert(r, pbank, pset, cache.Block{
+		Valid: true, Line: line, Class: cache.Private, Owner: int8(c), Dirty: dirty,
 	}, a.pol[pbank])
 	markDirty()
 	a.routeEviction(t, ev, pbank)

@@ -13,10 +13,11 @@ import (
 // This is the system-level safety net on top of the per-package property
 // tests.
 //
-// Each run is repeated on an 8-entry line table, where growth and
-// backward shift fire on nearly every insertion and deletion, so a
-// *LineState or l2Has slice held across a call that adds or removes any
-// line's record reads moved data; the two runs must agree exactly.
+// Each run is repeated on an 8-entry line table, where the index grows
+// and backward-shifts on nearly every insertion and deletion, and the
+// slab grows, moving every record, at nearly every Open, so a *LineState
+// or l2Has slice held across an Open reads moved data; the two runs must
+// agree exactly.
 func TestRandomTrafficInvariants(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -45,8 +46,9 @@ func TestRandomTrafficInvariants(t *testing.T) {
 }
 
 // randomTraffic runs one seed of TestRandomTrafficInvariants' traffic on
-// architecture name, starting from a tableSize-entry line table when
-// tableSize is non-zero, and returns the substrate.
+// architecture name, starting from a line table of tableSize index slots
+// and slab records when tableSize is non-zero, and returns the
+// substrate.
 func randomTraffic(t *testing.T, name string, seed uint64, tableSize int) *Substrate {
 	t.Helper()
 	cfg := testConfig()
@@ -57,7 +59,7 @@ func randomTraffic(t *testing.T, name string, seed uint64, tableSize int) *Subst
 	}
 	s := sys.Sub()
 	if tableSize > 0 {
-		s.lines = lineMap[lineRec]{entries: make([]lineMapEntry[lineRec], tableSize), mask: uint64(tableSize - 1)}
+		s.lines = newLineTable(tableSize, tableSize)
 	}
 	rng := sim.NewRNG(seed * 77)
 	var tm sim.Cycle
@@ -74,8 +76,9 @@ func randomTraffic(t *testing.T, name string, seed uint64, tableSize int) *Subst
 			if wb.Dirty {
 				sys.WriteBack(res.Done, c, wb.Line, true)
 			} else {
-				s.Dir.L1Evict(wb.Line, c, false)
-				s.maybeForgetStatus(wb.Line)
+				r := s.Open(wb.Line)
+				s.Dir.L1Evict(r, c, false)
+				s.maybeForgetStatus(r)
 			}
 		}
 		tm = res.Done

@@ -73,11 +73,24 @@ type Stats struct {
 
 // Bank is one NUCA bank: a tag/data array plus a port that serializes
 // accesses (sequential-access banks service one operation at a time).
+//
+// Beside the blocks, the bank keeps one packed tag word per way (see
+// tagWord) and the ways' LRU stamps, each in its own array indexed
+// set*ways+way. Scans compare the words, so a 16-way scan reads 128
+// bytes and touches a block only on a match. The words are kept in sync
+// by the Bank methods that change a block (place, Invalidate, Reclass),
+// the only places a block's line, validity or class changes; callers
+// may change a block's Dirty bit through the pointer Lookup and Peek
+// return, which no word holds.
 type Bank struct {
-	cfg   Config
-	sets  []Set
-	clock uint64
-	port  *sim.Resource
+	cfg  Config
+	sets []Set
+	tags []uint64
+	// stamps holds each way's bank clock at its last touch; smaller is
+	// older.
+	stamps []uint64
+	clock  uint64
+	port   *sim.Resource
 	// helping is the bank-wide helping-block count (the sum of the per-set
 	// HelpCount counters), maintained incrementally so the observability
 	// layer's per-interval HelpingBlocks sample is O(1) instead of a walk
@@ -88,15 +101,34 @@ type Bank struct {
 	Stats Stats
 }
 
+// A tag word packs a valid block's line, a valid bit and its class's
+// mask bit as line<<tagLineShift | tagValid | class mask; an invalid way's
+// word is 0. Lines must fit in 64-tagLineShift bits.
+const (
+	tagLineShift = 8
+	tagValid     = 1 << 7
+)
+
+// tagWord returns blk's packed tag word.
+func tagWord(blk *Block) uint64 {
+	if !blk.Valid {
+		return 0
+	}
+	return uint64(blk.Line)<<tagLineShift | tagValid | uint64(blk.Class.Mask())
+}
+
 // NewBank builds a bank; Sets and Ways must be positive. The latencies
 // are used as given (arch.Config.Validate refuses zero ones).
 func NewBank(cfg Config) (*Bank, error) {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		return nil, fmt.Errorf("cache: invalid geometry %d sets x %d ways", cfg.Sets, cfg.Ways)
 	}
-	b := &Bank{cfg: cfg, port: sim.NewResource(sim.Cycle(cfg.Latency))}
-	b.sets = make([]Set, cfg.Sets)
-	blocks := make([]Block, cfg.Sets*cfg.Ways)
+	n := cfg.Sets * cfg.Ways
+	b := &Bank{
+		cfg: cfg, port: sim.NewResource(sim.Cycle(cfg.Latency)),
+		sets: make([]Set, cfg.Sets), tags: make([]uint64, n), stamps: make([]uint64, n),
+	}
+	blocks := make([]Block, n)
 	for i := range b.sets {
 		b.sets[i].Blocks = blocks[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
@@ -104,14 +136,17 @@ func NewBank(cfg Config) (*Bank, error) {
 }
 
 // Reset empties the bank and returns it to its state as NewBank built
-// it: every block, set counter and set role cleared, the LRU clock, the
-// helping count and the statistics zeroed, and the port reset.
+// it: every block, tag word, LRU stamp, set counter and set role
+// cleared, the LRU clock, the helping count and the statistics zeroed,
+// and the port reset.
 func (b *Bank) Reset() {
 	for i := range b.sets {
 		set := &b.sets[i]
 		clear(set.Blocks)
 		*set = Set{Blocks: set.Blocks}
 	}
+	clear(b.tags)
+	clear(b.stamps)
 	b.clock, b.helping, b.Stats = 0, 0, Stats{}
 	b.port.Reset()
 }
@@ -147,29 +182,18 @@ func (b *Bank) TagProbe(at sim.Cycle) sim.Cycle {
 	return b.port.ClaimFor(at, b.cfg.TagLatency) + b.cfg.TagLatency
 }
 
-// Query is a concrete tag-comparison rule: the line, the set of classes
-// that may answer, and (optionally) the owning core. The private bit and
-// owner take part in the comparison exactly as the widened tags do in
-// hardware, so each architecture supplies its own matching rule — but as a
-// plain value compared inline, not a predicate closure: the previous
-// func(*Block) bool API heap-allocated a closure per tag lookup, which was
-// 18% of all objects allocated on the simulator's access path.
+// Query is a concrete tag-comparison rule: the line and the set of
+// classes that may answer. The private bit takes part in the comparison
+// exactly as the widened tags do in hardware, so each architecture
+// supplies its own matching rule as a plain value compared inline.
 type Query struct {
 	Line    mem.Line
 	Classes ClassMask
-	// Owner restricts the match to blocks owned by one core; AnyOwner
-	// (the zero-value constructors' default) disables the comparison.
-	Owner int
 }
-
-// AnyOwner disables Query's owner comparison. It is deliberately outside
-// the valid owner range (cores are small non-negative ints, -1 marks
-// shared blocks).
-const AnyOwner = -1 << 30
 
 // LineQuery matches any block holding the line regardless of class.
 func LineQuery(l mem.Line) Query {
-	return Query{Line: l, Classes: AnyClass, Owner: AnyOwner}
+	return Query{Line: l, Classes: AnyClass}
 }
 
 // ClassQuery matches the line only in the given classes.
@@ -178,42 +202,49 @@ func ClassQuery(l mem.Line, classes ...Class) Query {
 	for _, c := range classes {
 		m |= c.Mask()
 	}
-	return Query{Line: l, Classes: m, Owner: AnyOwner}
+	return Query{Line: l, Classes: m}
 }
 
-// matches reports whether a valid block satisfies the query.
-func (q Query) matches(blk *Block) bool {
-	return blk.Line == q.Line &&
-		q.Classes&blk.Class.Mask() != 0 &&
-		(q.Owner == AnyOwner || q.Owner == blk.Owner)
+// ways returns the first way's index into tags and stamps for set idx,
+// and set idx's tag words.
+func (b *Bank) ways(idx int) (base int, tags []uint64) {
+	base = idx * b.cfg.Ways
+	return base, b.tags[base : base+b.cfg.Ways]
+}
+
+// find returns set idx's base (see ways) and the first way whose block
+// satisfies q, or -1. A matching word equals the query's line and valid bit, differs from it
+// only in the class bits, and has one of q's classes.
+func (b *Bank) find(idx int, q Query) (base, way int) {
+	base, tags := b.ways(idx)
+	key := uint64(q.Line)<<tagLineShift | tagValid
+	for i, w := range tags {
+		if w^key < tagValid && ClassMask(w)&q.Classes != 0 {
+			return base, i
+		}
+	}
+	return base, -1
 }
 
 // Lookup searches set idx for a block satisfying q and, on a hit, updates
 // its LRU position. It returns the block (nil on miss).
 func (b *Bank) Lookup(idx int, q Query) *Block {
 	b.Stats.Lookups++
-	set := &b.sets[idx]
-	for i := range set.Blocks {
-		blk := &set.Blocks[i]
-		if blk.Valid && q.matches(blk) {
-			b.clock++
-			blk.lastUse = b.clock
-			b.Stats.Hits++
-			return blk
-		}
+	base, way := b.find(idx, q)
+	if way < 0 {
+		b.Stats.Misses++
+		return nil
 	}
-	b.Stats.Misses++
-	return nil
+	b.clock++
+	b.stamps[base+way] = b.clock
+	b.Stats.Hits++
+	return &b.sets[idx].Blocks[way]
 }
 
 // Peek searches without touching LRU state or statistics.
 func (b *Bank) Peek(idx int, q Query) *Block {
-	set := &b.sets[idx]
-	for i := range set.Blocks {
-		blk := &set.Blocks[i]
-		if blk.Valid && q.matches(blk) {
-			return blk
-		}
+	if _, way := b.find(idx, q); way >= 0 {
+		return &b.sets[idx].Blocks[way]
 	}
 	return nil
 }
@@ -242,11 +273,14 @@ func (b *Bank) Insert(idx int, nb Block, pol Policy) Evicted {
 	if !nb.Valid {
 		panic("cache: inserting invalid block")
 	}
-	set := &b.sets[idx]
+	if uint64(nb.Line)>>(64-tagLineShift) != 0 {
+		panic(fmt.Sprintf("cache: line %#x does not fit a tag word", nb.Line))
+	}
+	base, tags := b.ways(idx)
 	// Prefer an empty way; no eviction needed.
-	for i := range set.Blocks {
-		if !set.Blocks[i].Valid {
-			b.place(set, i, nb)
+	for i, w := range tags {
+		if w == 0 {
+			b.place(idx, base, i, nb)
 			return Evicted{}
 		}
 	}
@@ -258,19 +292,24 @@ func (b *Bank) Insert(idx int, nb Block, pol Policy) Evicted {
 		b.Stats.HelpRefused++
 		return Evicted{Refused: true}
 	}
+	set := &b.sets[idx]
 	old := set.Blocks[way]
 	if old.Class.Helping() {
 		set.HelpCount--
 		b.helping--
 	}
-	b.place(set, way, nb)
+	b.place(idx, base, way, nb)
 	return Evicted{Block: old, Valid: true}
 }
 
-func (b *Bank) place(set *Set, way int, nb Block) {
+// place writes nb into way of set idx, with its tag word and a fresh LRU
+// stamp.
+func (b *Bank) place(idx, base, way int, nb Block) {
+	set := &b.sets[idx]
 	b.clock++
-	nb.lastUse = b.clock
+	b.stamps[base+way] = b.clock
 	set.Blocks[way] = nb
+	b.tags[base+way] = tagWord(&nb)
 	if nb.Class.Helping() {
 		set.HelpCount++
 		b.helping++
@@ -280,69 +319,77 @@ func (b *Bank) place(set *Set, way int, nb Block) {
 // Invalidate removes the first block matching q from set idx and returns
 // it (Valid=false result if absent).
 func (b *Bank) Invalidate(idx int, q Query) (Block, bool) {
-	set := &b.sets[idx]
-	for i := range set.Blocks {
-		blk := &set.Blocks[i]
-		if blk.Valid && q.matches(blk) {
-			old := *blk
-			if blk.Class.Helping() {
-				set.HelpCount--
-				b.helping--
-			}
-			blk.Valid = false
-			return old, true
-		}
+	base, way := b.find(idx, q)
+	if way < 0 {
+		return Block{}, false
 	}
-	return Block{}, false
+	set := &b.sets[idx]
+	blk := &set.Blocks[way]
+	old := *blk
+	if blk.Class.Helping() {
+		set.HelpCount--
+		b.helping--
+	}
+	blk.Valid = false
+	b.tags[base+way] = 0
+	return old, true
 }
 
 // Reclass changes the class of a resident block in place, maintaining the
-// helping counters. It returns false if no block matches q.
+// helping counters and its tag word. It returns false if no block
+// matches q.
 func (b *Bank) Reclass(idx int, q Query, to Class, owner int) bool {
-	set := &b.sets[idx]
-	for i := range set.Blocks {
-		blk := &set.Blocks[i]
-		if blk.Valid && q.matches(blk) {
-			if blk.Class.Helping() {
-				set.HelpCount--
-				b.helping--
-			}
-			blk.Class = to
-			blk.Owner = owner
-			if to.Helping() {
-				set.HelpCount++
-				b.helping++
-			}
-			return true
-		}
+	base, way := b.find(idx, q)
+	if way < 0 {
+		return false
 	}
-	return false
+	set := &b.sets[idx]
+	blk := &set.Blocks[way]
+	if blk.Class.Helping() {
+		set.HelpCount--
+		b.helping--
+	}
+	blk.Class = to
+	blk.Owner = int8(owner)
+	b.tags[base+way] = tagWord(blk)
+	if to.Helping() {
+		set.HelpCount++
+		b.helping++
+	}
+	return true
 }
 
 // LRUWay returns the least-recently-used way among the valid blocks whose
 // class is in mask (AnyClass = all valid ways), or -1 if none qualifies.
+// An invalid way's word has no class bit, so it never qualifies.
 func (b *Bank) LRUWay(idx int, mask ClassMask) int {
-	set := &b.sets[idx]
+	base, tags := b.ways(idx)
+	stamps := b.stamps[base : base+len(tags)]
 	best, bestUse := -1, uint64(0)
-	for i := range set.Blocks {
-		blk := &set.Blocks[i]
-		if !blk.Valid || mask&blk.Class.Mask() == 0 {
+	for i, w := range tags {
+		if ClassMask(w)&mask == 0 {
 			continue
 		}
-		if best == -1 || blk.lastUse < bestUse {
-			best, bestUse = i, blk.lastUse
+		if best == -1 || stamps[i] < bestUse {
+			best, bestUse = i, stamps[i]
 		}
 	}
 	return best
 }
 
-// CheckInvariants verifies internal consistency (helping counters, no
-// duplicate first-class tags). Tests and debug builds call it; it returns
-// a descriptive error on the first violation.
+// CheckInvariants verifies internal consistency (tag words, helping
+// counters, no duplicate first-class tags). Tests and debug builds call
+// it; it returns a descriptive error on the first violation.
 func (b *Bank) CheckInvariants() error {
 	helping := 0
 	for si := range b.sets {
 		set := &b.sets[si]
+		_, tags := b.ways(si)
+		for i := range set.Blocks {
+			if want := tagWord(&set.Blocks[i]); tags[i] != want {
+				return fmt.Errorf("cache: set %d way %d tag word %#x, block gives %#x", si, i, tags[i], want)
+			}
+		}
 		if got := set.recount(); got != set.HelpCount {
 			return fmt.Errorf("cache: set %d helping counter %d, actual %d", si, set.HelpCount, got)
 		}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -9,11 +10,12 @@ import (
 	"espnuca/internal/sim"
 )
 
-// TestBlockSize pins Block's packed layout: 32 bytes, so a 16-way set
-// scan reads 8 cache lines.
+// TestBlockSize pins Block's packed layout: 16 bytes, with the LRU stamp
+// and the 8-byte tag word a scan reads kept beside it by the bank, so a
+// way costs the 32 bytes a block alone took before.
 func TestBlockSize(t *testing.T) {
-	if got := unsafe.Sizeof(Block{}); got != 32 {
-		t.Fatalf("Block is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(Block{}); got != 16 {
+		t.Fatalf("Block is %d bytes, want 16", got)
 	}
 }
 
@@ -31,7 +33,7 @@ func mustBank(t *testing.T, sets, ways int) *Bank {
 }
 
 func blk(line mem.Line, c Class, owner int) Block {
-	return Block{Valid: true, Line: line, Class: c, Owner: owner}
+	return Block{Valid: true, Line: line, Class: c, Owner: int8(owner)}
 }
 
 func TestNewBankValidation(t *testing.T) {
@@ -247,11 +249,50 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatal("corrupted HelpCount not detected")
 	}
 	b.Set(0).HelpCount = 1
-	// Duplicate same-class copies of one line are illegal.
-	b.Set(0).Blocks[1] = Block{Valid: true, Line: 1, Class: Replica, Owner: 0}
-	b.Set(0).HelpCount = 2
-	if err := b.CheckInvariants(); err == nil {
-		t.Fatal("duplicate copy not detected")
+	// A tag word that disagrees with its block.
+	b.tags[0] ^= uint64(MaskReplica | MaskVictim)
+	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "tag word") {
+		t.Fatalf("corrupted tag word reported %v", err)
+	}
+	b.tags[0] ^= uint64(MaskReplica | MaskVictim)
+	// Duplicate same-class copies of one line are illegal; make one
+	// through the bank's own methods, so only the duplicate is wrong.
+	b.Insert(0, blk(1, Victim, 0), FlatLRU{})
+	b.Reclass(0, ClassQuery(1, Victim), Replica, 0)
+	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("duplicate copy reported %v", err)
+	}
+}
+
+// TestTagWordsFollowBlocks checks that every block change through the
+// bank (insert, eviction, invalidation, reclass) leaves each way's tag
+// word equal to the one its block gives, and that an invalid way's word
+// is zero.
+func TestTagWordsFollowBlocks(t *testing.T) {
+	rng := sim.NewRNG(5)
+	b := mustBank(t, 4, 4)
+	classes := []Class{Private, Shared, Replica, Victim}
+	for op := 0; op < 5000; op++ {
+		set, line, c := rng.Intn(4), mem.Line(rng.Intn(32)), classes[rng.Intn(4)]
+		switch rng.Intn(3) {
+		case 0:
+			if b.Peek(set, ClassQuery(line, c)) == nil {
+				b.Insert(set, blk(line, c, 0), FlatLRU{})
+			}
+		case 1:
+			b.Invalidate(set, ClassQuery(line, c))
+		case 2:
+			to := classes[rng.Intn(4)]
+			if b.Peek(set, ClassQuery(line, to)) == nil {
+				b.Reclass(set, ClassQuery(line, c), to, 1)
+			}
+		}
+		for i := range b.tags {
+			blk := &b.sets[i/4].Blocks[i%4]
+			if want := tagWord(blk); b.tags[i] != want || !blk.Valid && b.tags[i] != 0 {
+				t.Fatalf("op %d: way %d word %#x, block %+v gives %#x", op, i, b.tags[i], *blk, want)
+			}
+		}
 	}
 }
 
@@ -485,5 +526,56 @@ func TestHelpingBlocksCounter(t *testing.T) {
 	check("after invalidate")
 	if b.HelpingBlocks() != recount() {
 		t.Fatal("counter drifted")
+	}
+}
+
+// benchBank is an L2 bank of the scaled machine (32 sets of 16 ways;
+// arch owns the geometry, and arch imports this package) filled with
+// blocks of every class, and a query stream over it: n lines, about half
+// of them resident, each with the set it maps to.
+func benchBank(b *testing.B, n int) (*Bank, []mem.Line) {
+	const sets, ways = 32, 16
+	bank, err := NewBank(Config{Sets: sets, Ways: ways, Latency: testLatency, TagLatency: testTagLatency})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := sim.NewRNG(1)
+	classes := []Class{Private, Shared, Replica, Victim}
+	for line := mem.Line(0); line < sets*ways; line++ {
+		bank.Insert(int(line%sets), blk(line, classes[rng.Intn(4)], rng.Intn(8)), FlatLRU{})
+	}
+	lines := make([]mem.Line, n)
+	for i := range lines {
+		lines[i] = mem.Line(rng.Intn(2 * sets * ways))
+	}
+	return bank, lines
+}
+
+// BenchmarkBankLookup times one tag lookup in a full 16-way L2 bank,
+// alternating a line query and a first-class query over a stream that
+// hits about half the time.
+func BenchmarkBankLookup(b *testing.B) {
+	bank, lines := benchBank(b, 1<<12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := lines[i%len(lines)]
+		q := LineQuery(l)
+		if i&1 != 0 {
+			q.Classes = FirstClassMask
+		}
+		bank.Lookup(int(l%32), q)
+	}
+}
+
+// BenchmarkBankInsert times one fill of a full 16-way L2 bank under flat
+// LRU: the empty-way scan, the LRU victim scan and the eviction.
+func BenchmarkBankInsert(b *testing.B) {
+	bank, _ := benchBank(b, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := mem.Line(512 + i)
+		bank.Insert(int(l%32), blk(l, Private, 0), FlatLRU{})
 	}
 }

@@ -75,22 +75,24 @@ const (
 	HelpingMask = MaskReplica | MaskVictim
 )
 
-// Block is one tag-array entry.
+// Block is one tag-array entry. Its bank keeps the LRU stamp and a
+// packed tag word beside it (see Bank), so a way costs 32 bytes in all.
 //
-// The word-sized fields come first and the byte-sized ones last, so a
-// block packs into 32 bytes and a 16-way set scan reads 8 cache lines.
+// The line comes first and the narrower fields after it, so a block
+// packs into 16 bytes.
 type Block struct {
 	Line mem.Line
+	// Ref is a handle the bank's user keeps with the block: the
+	// substrate keeps the slab slot of the line's record there. The bank
+	// copies it with the block and never reads it.
+	Ref uint32
 	// Owner is the core the block belongs to: the single accessor for
 	// Private blocks and Victims, the replica-holding core for Replicas.
-	// It is meaningless (-1) for Shared blocks.
-	Owner   int
-	lastUse uint64 // bank access counter at last touch; smaller = older
+	// It is meaningless (-1) for Shared blocks. Cores fit it: the machine
+	// has at most mem.MaxCores.
+	Owner int8
 
 	Valid bool
 	Class Class
 	Dirty bool
 }
-
-// LastUse exposes the LRU timestamp for policies and tests.
-func (b *Block) LastUse() uint64 { return b.lastUse }

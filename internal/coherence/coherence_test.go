@@ -12,22 +12,30 @@ import (
 // mapTable is a map-backed Table: the directory's storage in tests.
 type mapTable map[mem.Line]*LineState
 
-func (m mapTable) State(l mem.Line) *LineState {
-	s, ok := m[l]
+// ref is line l's handle in a mapTable, which keys by line alone.
+func ref(l mem.Line) Ref { return Ref{Line: l} }
+
+func (m mapTable) Find(l mem.Line) (Ref, bool) {
+	_, ok := m[l]
+	return Ref{Line: l}, ok
+}
+
+func (m mapTable) State(r Ref) *LineState {
+	s, ok := m[r.Line]
 	if !ok {
 		st := MemoryState()
 		s = &st
-		m[l] = s
+		m[r.Line] = s
 	}
 	return s
 }
 
-func (m mapTable) Peek(l mem.Line) *LineState { return m[l] }
+func (m mapTable) Peek(r Ref) *LineState { return m[r.Line] }
 
 // verifyAll checks token conservation on every line d's map holds.
 func verifyAll(d *Directory) error {
 	for l := range d.Table.(mapTable) {
-		if err := d.Verify(l); err != nil {
+		if err := d.Verify(ref(l)); err != nil {
 			return err
 		}
 	}
@@ -42,14 +50,14 @@ func newDir() *Directory {
 
 func TestDirectoryInitialState(t *testing.T) {
 	d := newDir()
-	s := d.State(5)
+	s := d.State(ref(5))
 	if s.MemTokens != TokensPerLine || s.Owner != HolderMem {
 		t.Fatalf("initial state = %+v", s)
 	}
 	if n := len(d.Table.(mapTable)); n != 1 {
 		t.Fatalf("%d lines materialized", n)
 	}
-	if d.Peek(6) != nil {
+	if d.PeekLine(6) != nil {
 		t.Fatal("Peek materialized a line")
 	}
 	if err := verifyAll(d); err != nil {
@@ -59,13 +67,13 @@ func TestDirectoryInitialState(t *testing.T) {
 
 func TestGrantReadFromMemory(t *testing.T) {
 	d := newDir()
-	d.GrantReadL1(1, 3)
-	s := d.State(1)
+	d.GrantReadL1(ref(1), 3)
+	s := d.State(ref(1))
 	if s.L1Tokens[3] != 1 || s.MemTokens != TokensPerLine-1 {
 		t.Fatalf("state = %+v", s)
 	}
 	// Idempotent for a core already holding a token.
-	d.GrantReadL1(1, 3)
+	d.GrantReadL1(ref(1), 3)
 	if s.L1Tokens[3] != 1 {
 		t.Fatalf("second grant changed tokens: %+v", s)
 	}
@@ -76,9 +84,9 @@ func TestGrantReadFromMemory(t *testing.T) {
 
 func TestGrantReadPrefersL2(t *testing.T) {
 	d := newDir()
-	d.L2Fill(1, 4)
-	d.GrantReadL1(1, 0)
-	s := d.State(1)
+	d.L2Fill(ref(1), 4)
+	d.GrantReadL1(ref(1), 0)
+	s := d.State(ref(1))
 	if s.L2Tokens != 3 || s.L1Tokens[0] != 1 {
 		t.Fatalf("state = %+v", s)
 	}
@@ -86,11 +94,11 @@ func TestGrantReadPrefersL2(t *testing.T) {
 
 func TestGrantWriteCollectsAllTokens(t *testing.T) {
 	d := newDir()
-	d.GrantReadL1(1, 0)
-	d.GrantReadL1(1, 1)
-	d.L2Fill(1, 2)
-	d.GrantWriteL1(1, 2)
-	s := d.State(1)
+	d.GrantReadL1(ref(1), 0)
+	d.GrantReadL1(ref(1), 1)
+	d.L2Fill(ref(1), 2)
+	d.GrantWriteL1(ref(1), 2)
+	s := d.State(ref(1))
 	if s.L1Tokens[2] != TokensPerLine {
 		t.Fatalf("writer tokens = %d", s.L1Tokens[2])
 	}
@@ -104,9 +112,9 @@ func TestGrantWriteCollectsAllTokens(t *testing.T) {
 
 func TestGrantReadStealsFromRichL1(t *testing.T) {
 	d := newDir()
-	d.GrantWriteL1(1, 0) // core 0 has all 8 tokens
-	d.GrantReadL1(1, 5)
-	s := d.State(1)
+	d.GrantWriteL1(ref(1), 0) // core 0 has all 8 tokens
+	d.GrantReadL1(ref(1), 5)
+	s := d.State(ref(1))
 	if s.L1Tokens[0] != 7 || s.L1Tokens[5] != 1 {
 		t.Fatalf("state = %+v", s)
 	}
@@ -120,17 +128,17 @@ func TestOwnershipMovesWhenLastTokenStolen(t *testing.T) {
 	d := newDir()
 	// Core 0 is owner with exactly 1 token, rest at... construct: write
 	// at 0, then 7 reads drain it to 1 token.
-	d.GrantWriteL1(1, 0)
+	d.GrantWriteL1(ref(1), 0)
 	for c := 1; c < 8; c++ {
-		d.GrantReadL1(1, c)
+		d.GrantReadL1(ref(1), c)
 	}
-	s := d.State(1)
+	s := d.State(ref(1))
 	if s.L1Tokens[0] != 1 {
 		t.Fatalf("core 0 tokens = %d, want 1", s.L1Tokens[0])
 	}
 	// Next grant must steal core 0's last token and move ownership.
-	d.L1Evict(1, 3, false) // free a slot: core 3 gives its token to memory
-	d.GrantReadL1(1, 3)    // takes from memory, not core 0
+	d.L1Evict(ref(1), 3, false) // free a slot: core 3 gives its token to memory
+	d.GrantReadL1(ref(1), 3)    // takes from memory, not core 0
 	if s.L1Tokens[0] != 1 {
 		t.Fatalf("grant stole from owner despite memory tokens: %+v", s)
 	}
@@ -138,29 +146,29 @@ func TestOwnershipMovesWhenLastTokenStolen(t *testing.T) {
 
 func TestL1EvictToMemory(t *testing.T) {
 	d := newDir()
-	d.GrantWriteL1(1, 4)
-	dirty := d.L1Evict(1, 4, false)
+	d.GrantWriteL1(ref(1), 4)
+	dirty := d.L1Evict(ref(1), 4, false)
 	if !dirty {
 		t.Fatal("dirty eviction not reported")
 	}
-	s := d.State(1)
+	s := d.State(ref(1))
 	if s.MemTokens != TokensPerLine || s.Owner != HolderMem || s.Dirty {
 		t.Fatalf("state = %+v", s)
 	}
 	// Evicting a non-holder is a no-op.
-	if d.L1Evict(1, 2, false) {
+	if d.L1Evict(ref(1), 2, false) {
 		t.Fatal("non-holder eviction reported dirty")
 	}
 }
 
 func TestL1EvictToL2KeepsDirtyOnChip(t *testing.T) {
 	d := newDir()
-	d.GrantWriteL1(1, 4)
-	dirty := d.L1Evict(1, 4, true)
+	d.GrantWriteL1(ref(1), 4)
+	dirty := d.L1Evict(ref(1), 4, true)
 	if !dirty {
 		t.Fatal("dirty write-back to L2 not reported")
 	}
-	s := d.State(1)
+	s := d.State(ref(1))
 	if s.L2Tokens != TokensPerLine || s.Owner != HolderL2 {
 		t.Fatalf("state = %+v", s)
 	}
@@ -171,40 +179,40 @@ func TestL1EvictToL2KeepsDirtyOnChip(t *testing.T) {
 
 func TestL2EvictReturnsDirty(t *testing.T) {
 	d := newDir()
-	d.GrantWriteL1(1, 4)
-	d.L1Evict(1, 4, true)
-	dirty := d.L2Evict(1)
+	d.GrantWriteL1(ref(1), 4)
+	d.L1Evict(ref(1), 4, true)
+	dirty := d.L2Evict(ref(1))
 	if !dirty {
 		t.Fatal("dirty L2 eviction not reported")
 	}
-	s := d.State(1)
+	s := d.State(ref(1))
 	if s.MemTokens != TokensPerLine || s.Dirty {
 		t.Fatalf("state = %+v", s)
 	}
-	if d.L2Evict(1) {
+	if d.L2Evict(ref(1)) {
 		t.Fatal("second eviction reported dirty")
 	}
 }
 
 func TestWriteBackDirty(t *testing.T) {
 	d := newDir()
-	d.L2Fill(1, 8)
-	d.WriteBackDirty(1)
-	if !d.State(1).Dirty {
+	d.L2Fill(ref(1), 8)
+	d.WriteBackDirty(ref(1))
+	if !d.State(ref(1)).Dirty {
 		t.Fatal("L2 copy not marked dirty")
 	}
 }
 
 func TestVerifyDetectsViolation(t *testing.T) {
 	d := NewDirectory(mapTable{})
-	s := d.State(9)
+	s := d.State(ref(9))
 	s.MemTokens = 3 // break conservation
-	if err := d.Verify(9); err == nil {
+	if err := d.Verify(ref(9)); err == nil {
 		t.Fatal("token loss not detected")
 	}
 	s.MemTokens = TokensPerLine
 	s.Dirty = true // dirty at memory owner is illegal
-	if err := d.Verify(9); err == nil {
+	if err := d.Verify(ref(9)); err == nil {
 		t.Fatal("dirty-at-memory not detected")
 	}
 }
@@ -221,17 +229,17 @@ func TestTokenConservationProperty(t *testing.T) {
 			c := rng.Intn(8)
 			switch rng.Intn(6) {
 			case 0:
-				d.GrantReadL1(l, c)
+				d.GrantReadL1(ref(l), c)
 			case 1:
-				d.GrantWriteL1(l, c)
+				d.GrantWriteL1(ref(l), c)
 			case 2:
-				d.L1Evict(l, c, rng.Intn(2) == 0)
+				d.L1Evict(ref(l), c, rng.Intn(2) == 0)
 			case 3:
-				d.L2Fill(l, uint8(rng.Intn(9)))
+				d.L2Fill(ref(l), uint8(rng.Intn(9)))
 			case 4:
-				d.L2Evict(l)
+				d.L2Evict(ref(l))
 			case 5:
-				d.WriteBackDirty(l)
+				d.WriteBackDirty(ref(l))
 			}
 		}
 		return verifyAll(d) == nil
@@ -259,7 +267,7 @@ func TestL1LookupMissThenHit(t *testing.T) {
 	if l.Lookup(0, 100, false, false) {
 		t.Fatal("cold lookup hit")
 	}
-	d.GrantReadL1(100, 0)
+	d.GrantReadL1(ref(100), 0)
 	l.Fill(0, 100, false, false)
 	if !l.Lookup(0, 100, false, false) {
 		t.Fatal("filled line missed")
@@ -271,14 +279,14 @@ func TestL1LookupMissThenHit(t *testing.T) {
 
 func TestL1WriteHitNeedsAllTokens(t *testing.T) {
 	l, d := newL1s(t)
-	d.GrantReadL1(100, 0)
-	d.GrantReadL1(100, 1)
+	d.GrantReadL1(ref(100), 0)
+	d.GrantReadL1(ref(100), 1)
 	l.Fill(0, 100, false, false)
 	// Core 0 has 1 token: a write lookup is an upgrade miss.
 	if l.Lookup(0, 100, true, false) {
 		t.Fatal("write hit without all tokens")
 	}
-	d.GrantWriteL1(100, 0)
+	d.GrantWriteL1(ref(100), 0)
 	if !l.Lookup(0, 100, true, false) {
 		t.Fatal("write miss despite holding all tokens")
 	}
@@ -286,7 +294,7 @@ func TestL1WriteHitNeedsAllTokens(t *testing.T) {
 
 func TestL1SplitIAndD(t *testing.T) {
 	l, d := newL1s(t)
-	d.GrantReadL1(100, 0)
+	d.GrantReadL1(ref(100), 0)
 	l.Fill(0, 100, false, true) // instruction side
 	if l.Lookup(0, 100, false, false) {
 		t.Fatal("data lookup hit the instruction array")
@@ -302,11 +310,11 @@ func TestL1SplitIAndD(t *testing.T) {
 func TestL1FillEvictsAndReportsDirty(t *testing.T) {
 	l, d := newL1s(t)
 	// Set count: 1024/64/2 = 8 sets. Lines 0, 8, 16 conflict in set 0.
-	d.GrantWriteL1(0, 0)
+	d.GrantWriteL1(ref(0), 0)
 	l.Fill(0, 0, true, false)
-	d.GrantReadL1(8, 0)
+	d.GrantReadL1(ref(8), 0)
 	l.Fill(0, 8, false, false)
-	d.GrantReadL1(16, 0)
+	d.GrantReadL1(ref(16), 0)
 	wb := l.Fill(0, 16, false, false)
 	if !wb.Valid || wb.Line != 0 || !wb.Dirty {
 		t.Fatalf("writeback = %+v, want dirty line 0", wb)
@@ -315,9 +323,9 @@ func TestL1FillEvictsAndReportsDirty(t *testing.T) {
 
 func TestL1FillUpgradeInPlace(t *testing.T) {
 	l, d := newL1s(t)
-	d.GrantReadL1(100, 0)
+	d.GrantReadL1(ref(100), 0)
 	l.Fill(0, 100, false, false)
-	d.GrantWriteL1(100, 0)
+	d.GrantWriteL1(ref(100), 0)
 	wb := l.Fill(0, 100, true, false)
 	if wb.Valid {
 		t.Fatalf("upgrade fill displaced %+v", wb)

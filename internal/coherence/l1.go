@@ -119,7 +119,7 @@ func (l *L1s) Lookup(c int, line mem.Line, write, ifetch bool) bool {
 		// State: a line whose state was never materialized holds all its
 		// tokens at memory (zero in any L1), which fails the check the
 		// same way, so the read need not materialize it.
-		if st := l.dir.Peek(line); st == nil || st.L1Tokens[c] != TokensPerLine {
+		if st := l.dir.PeekLine(line); st == nil || st.L1Tokens[c] != TokensPerLine {
 			hit = false
 		} else {
 			blk.Dirty = true
@@ -156,7 +156,7 @@ func (l *L1s) Fill(c int, line mem.Line, write, ifetch bool) WriteBack {
 		return WriteBack{}
 	}
 	ev := b.Insert(set, cache.Block{
-		Valid: true, Line: line, Class: cache.Private, Owner: c, Dirty: write,
+		Valid: true, Line: line, Class: cache.Private, Owner: int8(c), Dirty: write,
 	}, cache.FlatLRU{})
 	if !ev.Valid {
 		return WriteBack{}

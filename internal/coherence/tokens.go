@@ -91,22 +91,31 @@ func MemoryState() LineState {
 	return LineState{MemTokens: TokensPerLine, Owner: HolderMem}
 }
 
+// Ref is a handle to one line's record in a Table: the line and the
+// table's index for it. The table hands refs out, keeps each valid for a
+// whole transaction, and reads Index back; the directory only passes it
+// on.
+type Ref struct {
+	Line  mem.Line
+	Index uint32
+}
+
 // Table is the per-line storage the directory reads and writes token
 // state through. The directory keeps no table of its own: the
 // architecture layer keeps each line's LineState in its one per-line
 // record (arch.Substrate implements Table), beside the line's L2 copies
-// and private bit.
-//
-// Pointer invalidation: the returned pointer may alias the table's
-// backing array, so any later insertion or deletion of any line (which
-// may grow the table or shift entries) invalidates it. Callers fetch,
-// then read or mutate, before anything else touches the table.
+// and private bit. A transaction resolves its line to a Ref once, through
+// the table, and passes the Ref to every directory call; a state pointer
+// stays valid while its Ref does.
 type Table interface {
-	// State returns l's state, materializing MemoryState on first touch.
-	State(l mem.Line) *LineState
-	// Peek returns l's state without materializing it: nil means
+	// Find returns l's handle, or false when l has no record (its tokens
+	// are all at memory).
+	Find(l mem.Line) (Ref, bool)
+	// State returns r's state, materializing MemoryState on first touch.
+	State(r Ref) *LineState
+	// Peek returns r's state without materializing it: nil means
 	// MemoryState.
-	Peek(l mem.Line) *LineState
+	Peek(r Ref) *LineState
 }
 
 // Directory is the global token/sharing state, logically distributed
@@ -124,10 +133,20 @@ type Directory struct {
 // NewDirectory returns a directory over t.
 func NewDirectory(t Table) *Directory { return &Directory{Table: t} }
 
-// Verify checks token conservation for l and returns an error on
+// PeekLine returns l's token state without a handle: nil when l has no
+// record or its tokens are all at memory.
+func (d *Directory) PeekLine(l mem.Line) *LineState {
+	if r, ok := d.Find(l); ok {
+		return d.Peek(r)
+	}
+	return nil
+}
+
+// Verify checks token conservation for r's line and returns an error on
 // violation.
-func (d *Directory) Verify(l mem.Line) error {
-	s := d.Peek(l)
+func (d *Directory) Verify(r Ref) error {
+	l := r.Line
+	s := d.Peek(r)
 	if s == nil {
 		return nil
 	}
@@ -153,11 +172,11 @@ func (d *Directory) Verify(l mem.Line) error {
 	return nil
 }
 
-func (d *Directory) check(l mem.Line) {
+func (d *Directory) check(r Ref) {
 	if !d.Check {
 		return
 	}
-	if err := d.Verify(l); err != nil {
+	if err := d.Verify(r); err != nil {
 		panic(err)
 	}
 }
@@ -169,8 +188,8 @@ func (d *Directory) check(l mem.Line) {
 
 // GrantReadL1 moves one token to core c's L1 from the richest other
 // holder, for a load hit/fill. It is a no-op if c already holds a token.
-func (d *Directory) GrantReadL1(l mem.Line, c int) {
-	s := d.State(l)
+func (d *Directory) GrantReadL1(r Ref, c int) {
+	s := d.State(r)
 	if s.L1Tokens[c] > 0 {
 		return
 	}
@@ -197,7 +216,7 @@ func (d *Directory) GrantReadL1(l mem.Line, c int) {
 			}
 		}
 		if rich < 0 {
-			panic(fmt.Sprintf("coherence: no token source for line %#x", l))
+			panic(fmt.Sprintf("coherence: no token source for line %#x", r.Line))
 		}
 		s.L1Tokens[rich]--
 		if s.L1Tokens[rich] == 0 && s.Owner == L1Holder(rich) {
@@ -205,14 +224,14 @@ func (d *Directory) GrantReadL1(l mem.Line, c int) {
 		}
 	}
 	s.L1Tokens[c]++
-	d.check(l)
+	d.check(r)
 }
 
 // GrantWriteL1 collects every token at core c's L1 (a GETX): all other L1
 // copies are invalidated, the L2 and memory cede their tokens, c becomes
 // the owner and the line is marked dirty.
-func (d *Directory) GrantWriteL1(l mem.Line, c int) {
-	s := d.State(l)
+func (d *Directory) GrantWriteL1(r Ref, c int) {
+	s := d.State(r)
 	for i := 0; i < TokensPerLine; i++ {
 		if i != c {
 			s.L1Tokens[i] = 0
@@ -223,15 +242,15 @@ func (d *Directory) GrantWriteL1(l mem.Line, c int) {
 	s.MemTokens = 0
 	s.Owner = L1Holder(c)
 	s.Dirty = true
-	d.check(l)
+	d.check(r)
 }
 
 // L1Evict releases core c's tokens to the L2 (toL2=true, an L2 allocation
 // of the write-back) or to memory. Ownership follows the tokens when c was
 // the owner. It returns whether the line was dirty at c (write-back data
 // needed).
-func (d *Directory) L1Evict(l mem.Line, c int, toL2 bool) (dirty bool) {
-	s := d.State(l)
+func (d *Directory) L1Evict(r Ref, c int, toL2 bool) (dirty bool) {
+	s := d.State(r)
 	n := s.L1Tokens[c]
 	if n == 0 {
 		return false
@@ -256,13 +275,13 @@ func (d *Directory) L1Evict(l mem.Line, c int, toL2 bool) (dirty bool) {
 	if wasOwner && s.Dirty && toL2 {
 		dirty = true // data moves with the owner token to L2
 	}
-	d.check(l)
+	d.check(r)
 	return dirty
 }
 
 // L2Fill moves n tokens from memory to the L2 (a fill from DRAM).
-func (d *Directory) L2Fill(l mem.Line, n uint8) {
-	s := d.State(l)
+func (d *Directory) L2Fill(r Ref, n uint8) {
+	s := d.State(r)
 	if n > s.MemTokens {
 		n = s.MemTokens
 	}
@@ -271,13 +290,13 @@ func (d *Directory) L2Fill(l mem.Line, n uint8) {
 	if s.Owner == HolderMem && s.L2Tokens > 0 {
 		s.Owner = HolderL2
 	}
-	d.check(l)
+	d.check(r)
 }
 
 // L2Evict releases all L2 tokens back to memory, returning whether the L2
 // copy was dirty (write-back to DRAM required).
-func (d *Directory) L2Evict(l mem.Line) (dirty bool) {
-	s := d.State(l)
+func (d *Directory) L2Evict(r Ref) (dirty bool) {
+	s := d.State(r)
 	if s.L2Tokens == 0 {
 		return false
 	}
@@ -290,19 +309,19 @@ func (d *Directory) L2Evict(l mem.Line) (dirty bool) {
 			s.Dirty = false
 		}
 	}
-	d.check(l)
+	d.check(r)
 	return dirty
 }
 
 // WriteBackDirty marks the L2 copy dirty (used when a dirty L1 write-back
 // lands in an L2 bank).
-func (d *Directory) WriteBackDirty(l mem.Line) {
-	s := d.State(l)
+func (d *Directory) WriteBackDirty(r Ref) {
+	s := d.State(r)
 	if s.L2Tokens > 0 {
 		s.Dirty = true
 		if s.Owner == HolderMem {
 			s.Owner = HolderL2
 		}
 	}
-	d.check(l)
+	d.check(r)
 }

@@ -280,7 +280,7 @@ func TestSamplerStorageBits(t *testing.T) {
 }
 
 func helpingBlock(line mem.Line, owner int) cache.Block {
-	return cache.Block{Valid: true, Line: line, Class: cache.Replica, Owner: owner}
+	return cache.Block{Valid: true, Line: line, Class: cache.Replica, Owner: int8(owner)}
 }
 
 func firstClassBlock(line mem.Line) cache.Block {
@@ -432,7 +432,7 @@ func TestProtectedLRUCapProperty(t *testing.T) {
 			if b.Peek(set, cache.ClassQuery(line, c)) != nil {
 				continue
 			}
-			b.Insert(set, cache.Block{Valid: true, Line: line, Class: c, Owner: rng.Intn(8)}, pol)
+			b.Insert(set, cache.Block{Valid: true, Line: line, Class: c, Owner: int8(rng.Intn(8))}, pol)
 			if err := b.CheckInvariants(); err != nil {
 				return false
 			}

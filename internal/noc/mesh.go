@@ -53,8 +53,12 @@ const (
 type Mesh struct {
 	cfg   Config
 	nodes int
-	// links[d][n] is the outgoing link of node n in direction d.
-	links [4][]*sim.Resource
+	// links[d*nodes+n] is the outgoing link of node n in direction d.
+	links []sim.Resource
+	// routes[from*nodes+to] is the DOR route from node from to node to:
+	// the outgoing link each hop claims, in order. Every route is a
+	// window of one backing array.
+	routes [][]*sim.Resource
 
 	// Stats.
 	Messages    uint64
@@ -83,12 +87,25 @@ func New(cfg Config) (*Mesh, error) {
 			return nil, fmt.Errorf("noc: memory router %d outside grid of %d nodes", r, n)
 		}
 	}
-	m := &Mesh{cfg: cfg, nodes: n}
-	for d := 0; d < 4; d++ {
-		m.links[d] = make([]*sim.Resource, n)
-		for i := 0; i < n; i++ {
-			m.links[d][i] = sim.NewResource(1)
+	m := &Mesh{cfg: cfg, nodes: n, links: make([]sim.Resource, 4*n), routes: make([][]*sim.Resource, n*n)}
+	for i := range m.links {
+		m.links[i] = *sim.NewResource(1)
+	}
+	var backing []*sim.Resource
+	ends := make([]int, n*n)
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			path := m.Path(NodeID(from), NodeID(to))
+			for i := 1; i < len(path); i++ {
+				backing = append(backing, m.linkFor(path[i-1], path[i]))
+			}
+			ends[from*n+to] = len(backing)
 		}
+	}
+	start := 0
+	for i, end := range ends {
+		m.routes[i] = backing[start:end:end]
+		start = end
 	}
 	return m, nil
 }
@@ -96,10 +113,8 @@ func New(cfg Config) (*Mesh, error) {
 // Reset clears every link's bookings and the traffic counters, as New
 // built them.
 func (m *Mesh) Reset() {
-	for d := range m.links {
-		for _, l := range m.links[d] {
-			l.Reset()
-		}
+	for i := range m.links {
+		m.links[i].Reset()
 	}
 	m.Messages, m.FlitHops, m.ControlMsgs, m.DataMsgs = 0, 0, 0, 0
 }
@@ -120,17 +135,11 @@ func (m *Mesh) coord(n NodeID) (x, y int) {
 }
 
 // Hops returns the DOR hop count between two nodes.
-func (m *Mesh) Hops(from, to NodeID) int {
-	fx, fy := m.coord(from)
-	tx, ty := m.coord(to)
-	dx, dy := tx-fx, ty-fy
-	if dx < 0 {
-		dx = -dx
-	}
-	if dy < 0 {
-		dy = -dy
-	}
-	return dx + dy
+func (m *Mesh) Hops(from, to NodeID) int { return len(m.route(from, to)) }
+
+// route returns the links a message from node from to node to claims.
+func (m *Mesh) route(from, to NodeID) []*sim.Resource {
+	return m.routes[int(from)*m.nodes+int(to)]
 }
 
 // Flits returns the number of flits for a payload of size bytes (plus an
@@ -185,40 +194,15 @@ func (m *Mesh) Send(at sim.Cycle, from, to NodeID, class Class, size int) sim.Cy
 		return at
 	}
 	flits := m.Flits(size)
-	// Walk the DOR route directly, claiming each hop's outgoing link as it
-	// is reached. This folds Path() into the claim loop: building the
-	// []NodeID slice per message was the single largest allocation source
-	// in the whole simulator (~47% of objects on the access hot path).
-	fx, fy := m.coord(from)
-	tx, ty := m.coord(to)
+	// Claim each hop's outgoing link along the precomputed DOR route as
+	// it is reached: the head flit claims the link; the body occupies it
+	// for one cycle per flit (wormhole pipelining).
+	route := m.route(from, to)
 	t := at
-	hop := func(dir int, node NodeID) {
-		// The head flit claims the link; the body occupies it for
-		// one cycle per flit (wormhole pipelining).
-		t = m.links[dir][node].ClaimFor(t, sim.Cycle(flits)) + m.cfg.HopLatency
-		m.FlitHops += uint64(flits)
+	for _, link := range route {
+		t = link.ClaimFor(t, sim.Cycle(flits)) + m.cfg.HopLatency
 	}
-	x, y := fx, fy
-	for x != tx {
-		node := NodeID(y*m.cfg.Cols + x)
-		if x < tx {
-			hop(east, node)
-			x++
-		} else {
-			hop(west, node)
-			x--
-		}
-	}
-	for y != ty {
-		node := NodeID(y*m.cfg.Cols + x)
-		if y < ty {
-			hop(south, node)
-			y++
-		} else {
-			hop(north, node)
-			y--
-		}
-	}
+	m.FlitHops += uint64(flits * len(route))
 	// Tail flit trails the head by flits-1 cycles.
 	return t + sim.Cycle(flits-1)
 }
@@ -233,18 +217,24 @@ func (m *Mesh) Latency(from, to NodeID, size int) sim.Cycle {
 	return h*m.cfg.HopLatency + sim.Cycle(m.Flits(size)-1)
 }
 
+// linkFor returns the outgoing link of node from toward its neighbour
+// to.
 func (m *Mesh) linkFor(from, to NodeID) *sim.Resource {
 	fx, fy := m.coord(from)
 	tx, ty := m.coord(to)
+	dir := -1
 	switch {
 	case tx == fx+1 && ty == fy:
-		return m.links[east][from]
+		dir = east
 	case tx == fx-1 && ty == fy:
-		return m.links[west][from]
+		dir = west
 	case ty == fy+1 && tx == fx:
-		return m.links[south][from]
+		dir = south
 	case ty == fy-1 && tx == fx:
-		return m.links[north][from]
+		dir = north
+	}
+	if dir >= 0 {
+		return &m.links[dir*m.nodes+int(from)]
 	}
 	panic(fmt.Sprintf("noc: %d -> %d is not a mesh edge", from, to))
 }
@@ -261,10 +251,8 @@ func (m *Mesh) LinkUtilization(now sim.Cycle) float64 {
 		return 0
 	}
 	var busy sim.Cycle
-	for d := 0; d < 4; d++ {
-		for _, l := range m.links[d] {
-			busy += l.Busy
-		}
+	for i := range m.links {
+		busy += m.links[i].Busy
 	}
 	u := float64(busy) / (float64(now) * float64(m.LinkCount()))
 	if u > 1 {
@@ -277,10 +265,8 @@ func (m *Mesh) LinkUtilization(now sim.Cycle) float64 {
 // aggregate congestion indicator.
 func (m *Mesh) LinkWaits() sim.Cycle {
 	var w sim.Cycle
-	for d := 0; d < 4; d++ {
-		for _, l := range m.links[d] {
-			w += l.Waits
-		}
+	for i := range m.links {
+		w += m.links[i].Waits
 	}
 	return w
 }
