@@ -5,10 +5,10 @@
 //	espsweep -figure 8            # one evaluation figure (4-10)
 //	espsweep -table 1             # the workload catalog
 //	espsweep -table 2 -csv        # the machine, full and scaled, as CSV
-//	espsweep -all                 # every figure, full quality
+//	espsweep -all                 # every figure from one run set, full quality
 //	espsweep -figure 8 -quick     # one seed, short quantum
 //	espsweep -sweep params        # S5.2 sensitivity sweep (a, b, d, N)
-//	espsweep -stability           # S6 cross-suite variance comparison
+//	espsweep -stability           # S6 cross-suite variance comparison (Figures 8-10's runs)
 //	espsweep -all -parallel 8     # bound the worker pool (0 = all cores)
 //	espsweep -figure 8 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	espsweep -figure 8 -quick -metrics-dir obs -trace   # per-run telemetry
@@ -23,46 +23,25 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
-	"sync"
+	"strconv"
 	"time"
 
-	"espnuca"
 	"espnuca/internal/core"
 	"espnuca/internal/experiment"
 	"espnuca/internal/resultcache"
+	"espnuca/internal/sim"
 )
 
-// progressLine is a goroutine-safe `\r<done>/<total>` printer. Matrix
-// workers report completions concurrently; the line only ever moves
-// forward, and on the final update it closes with an elapsed-time
-// summary and exactly one newline, so subsequent table output starts
-// on a fresh line.
-type progressLine struct {
-	mu     sync.Mutex
-	last   int
-	prefix string
-	start  time.Time
-}
-
-// newProgress starts the clock at construction so the summary covers
-// the whole batch, including the first run.
-func newProgress(prefix string) *progressLine {
-	return &progressLine{prefix: prefix, start: time.Now()}
-}
-
-func (p *progressLine) report(done, total int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.start.IsZero() {
-		p.start = time.Now()
-	}
-	if done <= p.last {
-		return
-	}
-	p.last = done
-	fmt.Fprintf(os.Stderr, "\r%s%d/%d runs", p.prefix, done, total)
-	if done == total {
-		fmt.Fprintf(os.Stderr, " in %.1fs\n", time.Since(p.start).Seconds())
+// progress returns a `\r<done>/<total>` printer that closes with the
+// elapsed time and one newline, so the tables start on a fresh line.
+// Matrix.Run serializes its calls and done only moves forward.
+func progress() func(done, total int) {
+	start := time.Now()
+	return func(done, total int) {
+		fmt.Fprintf(os.Stderr, "\r%d/%d runs", done, total)
+		if done == total {
+			fmt.Fprintf(os.Stderr, " in %.1fs\n", time.Since(start).Seconds())
+		}
 	}
 }
 
@@ -129,57 +108,59 @@ func main() {
 		}()
 	}
 
-	var seedList []uint64
-	for i := 0; i < *seeds; i++ {
-		seedList = append(seedList, uint64(i+1))
-	}
 	if *traceEv && *metrics == "" {
 		fail(fmt.Errorf("-trace requires -metrics-dir"))
 	}
-	fo := espnuca.FigureOptions{
-		Quick:           *quick,
-		Seeds:           seedList,
-		Instructions:    *instrs,
-		Parallelism:     *parallel,
-		Progress:        newProgress("").report,
-		MetricsDir:      *metrics,
-		TraceEvents:     *traceEv,
-		MetricsInterval: *obsIval,
-		CacheDir:        *cacheDir,
+	o := experiment.DefaultOptions()
+	if *quick {
+		o = experiment.QuickOptions()
 	}
+	if *seeds > 0 {
+		o.Seeds = nil
+		for i := 0; i < *seeds; i++ {
+			o.Seeds = append(o.Seeds, uint64(i+1))
+		}
+	}
+	if *instrs > 0 {
+		o.Instructions = *instrs
+	}
+	o.Parallelism = *parallel
+	o.Progress = progress()
+	if *metrics != "" {
+		o.Obs = &experiment.ObsSpec{Dir: *metrics, Interval: sim.Cycle(*obsIval), Trace: *traceEv}
+	}
+	o.RunFunc = cachedRunner(*cacheDir)
 
-	show := func(tab espnuca.Table) {
+	show := func(tab experiment.Table) {
 		if *csv {
 			fmt.Print(tab.CSV())
 			return
 		}
 		fmt.Println(tab)
 	}
-	emit := func(id int) {
-		fo := fo
-		fo.Progress = newProgress("").report // fresh counter per figure
-		tab, err := espnuca.Figure(id, fo)
+	evaluate := func(names ...string) {
+		tabs, err := experiment.Evaluate(names, o)
 		if err != nil {
 			fail(err)
 		}
-		show(tab)
+		for _, tab := range tabs {
+			show(tab)
+		}
 	}
 
 	switch {
 	case *stab:
-		stability(*quick, *parallel, *cacheDir)
+		evaluate("stability")
 	case *sweep == "params":
-		sweepParams(*quick, *parallel, *cacheDir)
+		sweepParams(*quick, *parallel, o.RunFunc)
 	case *sweep != "":
 		fail(fmt.Errorf("unknown -sweep %q (the only sweep is 'params')", *sweep))
 	case *all:
-		for id := 4; id <= 10; id++ {
-			emit(id)
-		}
+		evaluate("4", "5", "6", "7", "8", "9", "10")
 	case *figure != 0:
-		emit(*figure)
+		evaluate(strconv.Itoa(*figure))
 	case *table == 1:
-		show(espnuca.WorkloadTable())
+		show(experiment.Table1())
 	case *table == 2:
 		show(experiment.Table2())
 	default:
@@ -205,8 +186,7 @@ func cachedRunner(dir string) func(experiment.RunConfig) (experiment.RunResult, 
 // protected-LRU constants (paper S5.2's sensitivity analysis). The whole
 // workload x variant grid runs as one parallel batch; results print in
 // grid order afterwards.
-func sweepParams(quick bool, parallel int, cacheDir string) {
-	run := cachedRunner(cacheDir)
+func sweepParams(quick bool, parallel int, run func(experiment.RunConfig) (experiment.RunResult, error)) {
 	workloads := []string{"apache", "CG"}
 	instrs := experiment.DefaultRunConfig("", "").Instructions
 	if quick {
@@ -253,26 +233,5 @@ func sweepParams(quick bool, parallel int, cacheDir string) {
 			fmt.Printf("%-8s %-22s perf=%8.4f norm=%6.3f\n", wl, v.name, res.Throughput, res.Throughput/base)
 		}
 		fmt.Println()
-	}
-}
-
-// stability reproduces the paper's S6 variance claims: the variance of
-// shared-normalized performance across each workload family, per
-// architecture, and ESP-NUCA's reduction versus its counterparts.
-func stability(quick bool, parallel int, cacheDir string) {
-	run := cachedRunner(cacheDir)
-	o := experiment.DefaultOptions()
-	if quick {
-		o = experiment.QuickOptions()
-	}
-	o.Parallelism = parallel
-	o.RunFunc = run
-	o.Progress = newProgress("stability ").report
-	reports, err := experiment.StabilityStudy(experiment.StabilityFamilies(), o)
-	if err != nil {
-		fail(err)
-	}
-	for _, fam := range reports {
-		fmt.Printf("== %s ==\n%s\n", fam.Family, fam.Report)
 	}
 }

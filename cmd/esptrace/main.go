@@ -7,7 +7,6 @@
 //
 //	esptrace -workload oltp -core 0 -n 20           # print 20 instructions
 //	esptrace -workload oltp -summary -n 100000      # stream statistics
-//	esptrace -workload oltp -dinero t.din -n 20000  # export core 0 as ASCII
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 
 	"espnuca/internal/arch"
 	"espnuca/internal/mem"
-	"espnuca/internal/trace"
 	"espnuca/internal/workload"
 )
 
@@ -28,7 +26,6 @@ func main() {
 		n       = flag.Int("n", 0, "instructions to generate (0 means 20)")
 		seed    = flag.Uint64("seed", 1, "stream seed")
 		summary = flag.Bool("summary", false, "print statistics instead of the trace")
-		dinero  = flag.String("dinero", "", "export the selected core's stream as a Dinero ASCII trace")
 	)
 	flag.Parse()
 
@@ -52,26 +49,6 @@ func main() {
 	cfg := arch.ScaledConfig()
 	bound := spec.Bind(cfg.L2Lines(), cfg.L1ILines(), *seed)
 	st := bound.Streams[*coreID]
-
-	if *dinero != "" {
-		seq := make([]workload.Instr, *n)
-		for i := range seq {
-			seq[i] = st.Next()
-		}
-		g, _ := mem.NewGeometry(cfg.BlockBytes)
-		f, err := os.Create(*dinero)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "esptrace:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := trace.WriteDinero(f, seq, g); err != nil {
-			fmt.Fprintln(os.Stderr, "esptrace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("exported %d instructions of %s core %d to %s\n", *n, spec.Name, *coreID, *dinero)
-		return
-	}
 
 	if !*summary {
 		fmt.Printf("# %s core %d (%s), seed %d\n", spec.Name, *coreID, st.Profile().Name, *seed)

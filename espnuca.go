@@ -29,7 +29,7 @@
 package espnuca
 
 import (
-	"fmt"
+	"strconv"
 
 	"espnuca/internal/arch"
 	"espnuca/internal/experiment"
@@ -173,23 +173,11 @@ func Figure(id int, fo FigureOptions) (Table, error) {
 		}
 		o.RunFunc = store.Runner()
 	}
-	switch id {
-	case 4:
-		return experiment.Figure4(o)
-	case 5:
-		return experiment.Figure5(o)
-	case 6:
-		return experiment.Figure6(o)
-	case 7:
-		return experiment.Figure7(o)
-	case 8:
-		return experiment.Figure8(o)
-	case 9:
-		return experiment.Figure9(o)
-	case 10:
-		return experiment.Figure10(o)
+	tabs, err := experiment.Evaluate([]string{strconv.Itoa(id)}, o)
+	if err != nil {
+		return Table{}, err
 	}
-	return Table{}, fmt.Errorf("espnuca: no figure %d (the evaluation figures are 4-10)", id)
+	return tabs[0], nil
 }
 
 // WorkloadTable returns Table 1 (the workload catalog).

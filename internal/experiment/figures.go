@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,6 +20,9 @@ type Table struct {
 	Columns []string
 	Rows    []TableRow
 	Notes   []string
+	// text, when set, is what String renders: the §6 report keeps its
+	// own layout.
+	text string
 }
 
 // TableRow is one labelled row of values.
@@ -29,6 +33,9 @@ type TableRow struct {
 
 // String renders the table as fixed-width text.
 func (t Table) String() string {
+	if t.text != "" {
+		return t.text
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
 	fmt.Fprintf(&b, "%-12s", "")
@@ -56,9 +63,9 @@ type Options struct {
 	Instructions uint64
 	System       arch.Config
 	Progress     func(done, total int)
-	// Parallelism bounds the worker pool the underlying matrices fan
-	// their independent simulations out over (0: all cores,
-	// 1: serial). Results are deterministic at any setting.
+	// Parallelism bounds the worker pool the matrix fans its
+	// independent simulations out over (0: all cores, 1: serial).
+	// Results are deterministic at any setting.
 	Parallelism int
 	// Obs, when non-nil, captures per-run telemetry files (see ObsSpec).
 	Obs *ObsSpec
@@ -79,8 +86,118 @@ func QuickOptions() Options {
 	return Options{Seeds: []uint64{1}, Warmup: 25_000, Instructions: 10_000, System: arch.ScaledConfig()}
 }
 
-func (o Options) matrix(workloads []string, variants []Variant) Matrix {
-	m := NewMatrix(workloads, variants)
+// A suite is one of the paper's three workload suites.
+type suite struct {
+	name      string
+	workloads []string
+}
+
+// The suites in the §6 report's order, and the variant sets the figures
+// read.
+var (
+	transactional   = suite{"transactional", []string{"apache", "jbb", "oltp", "zeus"}}
+	multiprogrammed = suite{"multiprogrammed", []string{"art-4", "gcc-4", "gzip-4", "mcf-4", "twolf-4",
+		"art-gzip", "gcc-gzip", "gcc-twolf", "mcf-gzip", "mcf-twolf"}}
+	nas    = suite{"NAS", []string{"BT", "CG", "FT", "IS", "LU", "MG", "SP", "UA"}}
+	suites = []suite{transactional, multiprogrammed, nas}
+
+	// fig45Workloads is the workload set of Figures 4 and 5.
+	fig45Workloads = slices.Concat(nas.workloads, transactional.workloads)
+	// fig6Variants is the architecture set of Figures 6 and 7.
+	fig6Variants = slices.Concat(archs("shared", "private", "d-nuca", "asr"), CCFamily(), archs("esp-nuca"))
+	// perfVariants is the series set of Figures 8-10 and the §6 report.
+	perfVariants = append(CounterpartVariants(), CCFamily()...)
+)
+
+// archs returns one plain variant per architecture, labelled with its
+// name.
+func archs(names ...string) []Variant {
+	vs := make([]Variant, len(names))
+	for i, n := range names {
+		vs[i] = V(n, n)
+	}
+	return vs
+}
+
+// An artifact is one of the paper's figures or its §6 report: the
+// (variant, workload) cells it reads and the view that renders it from
+// any Results holding them. A variant's label names one simulated
+// configuration in every artifact, so artifacts share cells by label.
+type artifact struct {
+	name  string
+	reads []cells
+	view  func(Results) (Table, error)
+}
+
+// cells is every variant on every workload.
+type cells struct {
+	workloads []string
+	variants  []Variant
+}
+
+// artifacts are the artifacts Evaluate renders, by name: "4" to "10" for
+// Figures 4-10, and "stability" for the §6 report.
+var artifacts = []artifact{
+	{"4", []cells{{fig45Workloads, archs("sp-nuca", "sp-nuca-static", "sp-nuca-shadow")}},
+		normalizedView("Figure 4", "SP-NUCA flat-LRU and static partition, normalized to shadow tags",
+			[]string{"SP-NUCA", "Static"}, "sp-nuca-shadow", "sp-nuca", "sp-nuca-static")},
+	{"5", []cells{{fig45Workloads, archs("sp-nuca", "esp-nuca-flat", "esp-nuca")}},
+		normalizedView("Figure 5", "ESP-NUCA flat vs protected LRU, normalized to SP-NUCA",
+			[]string{"Flat-LRU", "Protected-LRU"}, "sp-nuca", "esp-nuca-flat", "esp-nuca")},
+	{"6", []cells{{transactional.workloads, fig6Variants}}, figure6},
+	{"7", []cells{{transactional.workloads, fig6Variants}}, figure7},
+	{"8", []cells{{transactional.workloads, perfVariants}}, perfFigure("Figure 8",
+		"Shared-cache-normalized performance, transactional workloads", transactional.workloads, "GEOMEAN")},
+	{"9", []cells{{multiprogrammed.workloads, perfVariants}}, perfFigure("Figure 9",
+		"Shared-cache-normalized performance, multiprogrammed workloads", multiprogrammed.workloads, "GEOMEAN")},
+	{"10", []cells{{nas.workloads, perfVariants}}, perfFigure("Figure 10",
+		"Shared-cache-normalized performance, NAS Parallel Benchmarks", nas.workloads, "GMEAN")},
+	{"stability", []cells{{transactional.workloads, perfVariants}, {multiprogrammed.workloads, perfVariants},
+		{nas.workloads, perfVariants}}, stabilityView},
+}
+
+// Evaluate renders the named artifacts, "4" to "10" for Figures 4-10 and
+// "stability" for the §6 report, in order, from one matrix over the
+// union of the cells they read: every cell runs once, however many
+// artifacts read it, in a single Matrix.Run that reports one progress
+// count, and every view reads the one Results.
+func Evaluate(names []string, o Options) ([]Table, error) {
+	arts, err := lookup(names)
+	if err != nil {
+		return nil, err
+	}
+	res, err := o.plan(arts).Run(o.Progress)
+	if err != nil {
+		return nil, err
+	}
+	tables := make([]Table, len(arts))
+	for i, a := range arts {
+		if tables[i], err = a.view(res); err != nil {
+			return nil, err
+		}
+	}
+	return tables, nil
+}
+
+// lookup returns the named artifacts.
+func lookup(names []string) ([]artifact, error) {
+	arts := make([]artifact, len(names))
+	for i, name := range names {
+		j := slices.IndexFunc(artifacts, func(a artifact) bool { return a.name == name })
+		if j < 0 {
+			return nil, fmt.Errorf("experiment: no figure or report %q (figures 4-10, stability)", name)
+		}
+		arts[i] = artifacts[j]
+	}
+	return arts, nil
+}
+
+// plan returns one matrix over the union of the artifacts' cells: each
+// variant and workload once, in the order the artifacts first read them,
+// and each workload running only the variants read on it. A single
+// figure's plan is its own cross product, in its own order.
+func (o Options) plan(arts []artifact) Matrix {
+	m := NewMatrix(nil, nil)
 	if len(o.Seeds) > 0 {
 		m.Seeds = o.Seeds
 	}
@@ -94,141 +211,112 @@ func (o Options) matrix(workloads []string, variants []Variant) Matrix {
 	m.Parallelism = o.Parallelism
 	m.Obs = o.Obs
 	m.RunFunc = o.RunFunc
+	label := func(l string) int { return slices.IndexFunc(m.Variants, func(v Variant) bool { return v.Label == l }) }
+	for _, a := range arts {
+		for _, c := range a.reads {
+			for _, wl := range c.workloads {
+				if !slices.Contains(m.Workloads, wl) {
+					m.Workloads = append(m.Workloads, wl)
+				}
+			}
+			for _, v := range c.variants {
+				if label(v.Label) < 0 {
+					m.Variants = append(m.Variants, v)
+				}
+			}
+		}
+	}
+	m.only = make([]bool, len(m.Workloads)*len(m.Variants))
+	for _, a := range arts {
+		for _, c := range a.reads {
+			for _, wl := range c.workloads {
+				for _, v := range c.variants {
+					m.only[slices.Index(m.Workloads, wl)*len(m.Variants)+label(v.Label)] = true
+				}
+			}
+		}
+	}
 	return m
 }
 
-// fig45Workloads is the 12-workload set of Figures 4 and 5 (NAS suite +
-// transactional suite).
-func fig45Workloads() []string {
-	return []string{"BT", "CG", "FT", "IS", "LU", "MG", "SP", "UA", "apache", "jbb", "oltp", "zeus"}
-}
-
-func transactionalWorkloads() []string { return []string{"apache", "jbb", "oltp", "zeus"} }
-
-func multiprogrammedWorkloads() []string {
-	return []string{"art-4", "gcc-4", "gzip-4", "mcf-4", "twolf-4",
-		"art-gzip", "gcc-gzip", "gcc-twolf", "mcf-gzip", "mcf-twolf"}
-}
-
-func nasWorkloads() []string { return []string{"BT", "CG", "FT", "IS", "LU", "MG", "SP", "UA"} }
-
-// Figure4 regenerates "Dynamic partitioning in SP-NUCA": SP-NUCA
-// (flat LRU) and the static partition, normalized to shadow tags.
-func Figure4(o Options) (Table, error) {
-	m := o.matrix(fig45Workloads(), []Variant{
-		V("sp-nuca", "sp-nuca"),
-		V("static", "sp-nuca-static"),
-		V("shadow", "sp-nuca-shadow"),
-	})
-	res, err := m.Run(o.Progress)
+// figure renders one artifact from exactly its own cells.
+func figure(name string, o Options) (Table, error) {
+	t, err := Evaluate([]string{name}, o)
 	if err != nil {
 		return Table{}, err
 	}
-	t := Table{
-		ID:      "Figure 4",
-		Title:   "SP-NUCA flat-LRU and static partition, normalized to shadow tags",
-		Columns: []string{"SP-NUCA", "Static"},
-	}
-	for _, wl := range m.Workloads {
-		flat, _, err := res.Normalized("sp-nuca", "shadow", wl)
-		if err != nil {
-			return Table{}, err
-		}
-		static, _, err := res.Normalized("static", "shadow", wl)
-		if err != nil {
-			return Table{}, err
-		}
-		t.Rows = append(t.Rows, TableRow{Label: wl, Values: []float64{flat, static}})
-	}
-	return t, nil
+	return t[0], nil
 }
 
-// Figure5 regenerates "ESP-NUCA replacement policies normalized with
-// SP-NUCA": flat LRU vs protected LRU.
-func Figure5(o Options) (Table, error) {
-	m := o.matrix(fig45Workloads(), []Variant{
-		V("sp-nuca", "sp-nuca"),
-		V("flat", "esp-nuca-flat"),
-		V("protected", "esp-nuca"),
-	})
-	res, err := m.Run(o.Progress)
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
-		ID:      "Figure 5",
-		Title:   "ESP-NUCA flat vs protected LRU, normalized to SP-NUCA",
-		Columns: []string{"Flat-LRU", "Protected-LRU"},
-	}
-	for _, wl := range m.Workloads {
-		flat, _, err := res.Normalized("flat", "sp-nuca", wl)
-		if err != nil {
-			return Table{}, err
+// Figure4 renders Figure 4, SP-NUCA's flat LRU and static partition.
+func Figure4(o Options) (Table, error) { return figure("4", o) }
+
+// Figure5 renders Figure 5, ESP-NUCA's flat vs protected LRU.
+func Figure5(o Options) (Table, error) { return figure("5", o) }
+
+// Figure6 renders Figure 6, the transactional access time decomposition.
+func Figure6(o Options) (Table, error) { return figure("6", o) }
+
+// Figure7 renders Figure 7, transactional off-chip accesses and latency.
+func Figure7(o Options) (Table, error) { return figure("7", o) }
+
+// Figure8 renders Figure 8, transactional normalized performance.
+func Figure8(o Options) (Table, error) { return figure("8", o) }
+
+// Figure9 renders Figure 9, multiprogrammed normalized performance.
+func Figure9(o Options) (Table, error) { return figure("9", o) }
+
+// Figure10 renders Figure 10, NAS normalized performance.
+func Figure10(o Options) (Table, error) { return figure("10", o) }
+
+// normalizedView is the view of Figures 4 and 5: the series over
+// fig45Workloads, each normalized to base.
+func normalizedView(id, title string, columns []string, base string, series ...string) func(Results) (Table, error) {
+	return func(res Results) (Table, error) {
+		t := Table{ID: id, Title: title, Columns: columns}
+		for _, wl := range fig45Workloads {
+			row := TableRow{Label: wl, Values: make([]float64, len(series))}
+			for i, s := range series {
+				var err error
+				if row.Values[i], _, err = res.Normalized(s, base, wl); err != nil {
+					return Table{}, err
+				}
+			}
+			t.Rows = append(t.Rows, row)
 		}
-		prot, _, err := res.Normalized("protected", "sp-nuca", wl)
-		if err != nil {
-			return Table{}, err
-		}
-		t.Rows = append(t.Rows, TableRow{Label: wl, Values: []float64{flat, prot}})
+		return t, nil
 	}
-	return t, nil
 }
 
-// fig6Variants is the architecture set of Figures 6 and 7.
-func fig6Variants() []Variant {
-	vs := []Variant{V("shared", "shared"), V("private", "private"),
-		V("d-nuca", "d-nuca"), V("asr", "asr")}
-	vs = append(vs, CCFamily()...)
-	return append(vs, V("esp-nuca", "esp-nuca"))
-}
-
-// Figure6 regenerates the average access time decomposition for the
-// transactional workloads: one row per (workload, architecture), columns
-// = the six latency components in cycles.
-func Figure6(o Options) (Table, error) {
-	m := o.matrix(transactionalWorkloads(), fig6Variants())
-	res, err := m.Run(o.Progress)
-	if err != nil {
-		return Table{}, err
-	}
+// figure6 is Figure 6's view.
+func figure6(res Results) (Table, error) {
 	t := Table{
 		ID:    "Figure 6",
 		Title: "Average access time decomposition (cycles per access)",
 		Columns: []string{"LocalL1", "RemoteL1", "Loc/PrivL2",
 			"RemoteL2", "SharedL2", "OffChip", "Total"},
 	}
-	for _, wl := range m.Workloads {
-		for _, v := range fig6Variants() {
-			cell := res[v.Label][wl]
-			var dec [arch.NumLevels]float64
-			var tot float64
-			for _, r := range cell.Runs {
-				for l := 0; l < int(arch.NumLevels); l++ {
-					dec[l] += r.Decomposition[l]
+	for _, wl := range transactional.workloads {
+		for _, v := range fig6Variants {
+			// The six levels' cycles, then their total.
+			runs, vals := res[v.Label][wl].Runs, make([]float64, arch.NumLevels+1)
+			for _, r := range runs {
+				for l, c := range r.Decomposition {
+					vals[l] += c
 				}
-				tot += r.AvgAccessTime
+				vals[arch.NumLevels] += r.AvgAccessTime
 			}
-			n := float64(len(cell.Runs))
-			vals := make([]float64, 0, 7)
-			for l := 0; l < int(arch.NumLevels); l++ {
-				vals = append(vals, dec[l]/n)
+			for i := range vals {
+				vals[i] /= float64(len(runs))
 			}
-			vals = append(vals, tot/n)
 			t.Rows = append(t.Rows, TableRow{Label: wl + "/" + v.Label, Values: vals})
 		}
 	}
 	return t, nil
 }
 
-// Figure7 regenerates the normalized off-chip access count and on-chip
-// latency for transactional workloads (averaged over the suite, per
-// architecture, normalized to shared).
-func Figure7(o Options) (Table, error) {
-	m := o.matrix(transactionalWorkloads(), fig6Variants())
-	res, err := m.Run(o.Progress)
-	if err != nil {
-		return Table{}, err
-	}
+// figure7 is Figure 7's view.
+func figure7(res Results) (Table, error) {
 	t := Table{
 		ID:      "Figure 7",
 		Title:   "Off-chip accesses and on-chip latency, normalized to shared",
@@ -242,118 +330,92 @@ func Figure7(o Options) (Table, error) {
 		}
 		return s / float64(len(cell.Runs))
 	}
-	for _, v := range fig6Variants() {
+	for _, v := range fig6Variants {
 		var off, lat float64
-		for _, wl := range m.Workloads {
+		for _, wl := range transactional.workloads {
 			offBase := mean("shared", wl, func(r RunResult) float64 { return float64(r.OffChipAccesses) })
 			latBase := mean("shared", wl, func(r RunResult) float64 { return r.OnChipLatency })
 			off += mean(v.Label, wl, func(r RunResult) float64 { return float64(r.OffChipAccesses) }) / offBase
 			lat += mean(v.Label, wl, func(r RunResult) float64 { return r.OnChipLatency }) / latBase
 		}
-		n := float64(len(m.Workloads))
+		n := float64(len(transactional.workloads))
 		t.Rows = append(t.Rows, TableRow{Label: v.Label, Values: []float64{off / n, lat / n}})
 	}
 	return t, nil
 }
 
-// perfFigure regenerates a normalized-performance figure (8, 9 or 10).
-func perfFigure(o Options, id, title string, workloads []string, summaryLabel string) (Table, error) {
-	variants := append(CounterpartVariants(), CCFamily()...)
-	m := o.matrix(workloads, variants)
-	res, err := m.Run(o.Progress)
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
-		ID:    id,
-		Title: title,
-		Columns: []string{"shared", "private", "d-nuca", "asr",
-			"cc-avg", "cc-best", "cc-worst", "esp-nuca"},
-	}
-	series := []string{"shared", "private", "d-nuca", "asr"}
-	perWl := map[string][]float64{}
-	for _, wl := range workloads {
-		row := TableRow{Label: wl}
-		for _, sName := range series {
-			n, _, err := res.Normalized(sName, "shared", wl)
+// perfFigure returns the view of a normalized-performance figure (8, 9
+// or 10).
+func perfFigure(id, title string, workloads []string, summaryLabel string) func(Results) (Table, error) {
+	return func(res Results) (Table, error) {
+		t := Table{
+			ID:    id,
+			Title: title,
+			Columns: []string{"shared", "private", "d-nuca", "asr",
+				"cc-avg", "cc-best", "cc-worst", "esp-nuca"},
+		}
+		series := []string{"shared", "private", "d-nuca", "asr"}
+		perWl := map[string][]float64{}
+		for _, wl := range workloads {
+			row := TableRow{Label: wl}
+			for _, sName := range series {
+				n, _, err := res.Normalized(sName, "shared", wl)
+				if err != nil {
+					return Table{}, err
+				}
+				row.Values = append(row.Values, n)
+				perWl[sName] = append(perWl[sName], n)
+			}
+			avg, best, worst, err := res.CCAggregate("shared", wl)
 			if err != nil {
 				return Table{}, err
 			}
-			row.Values = append(row.Values, n)
-			perWl[sName] = append(perWl[sName], n)
+			row.Values = append(row.Values, avg, best, worst)
+			perWl["cc-avg"] = append(perWl["cc-avg"], avg)
+			esp, _, err := res.Normalized("esp-nuca", "shared", wl)
+			if err != nil {
+				return Table{}, err
+			}
+			row.Values = append(row.Values, esp)
+			perWl["esp-nuca"] = append(perWl["esp-nuca"], esp)
+			t.Rows = append(t.Rows, row)
 		}
-		avg, best, worst, err := res.CCAggregate("shared", wl)
+
+		// Summary row: geomean of normalized performance.
+		sum := TableRow{Label: summaryLabel}
+		for _, sName := range []string{"shared", "private", "d-nuca", "asr"} {
+			g, err := res.GeoMeanNormalized(sName, "shared", workloads)
+			if err != nil {
+				return Table{}, err
+			}
+			sum.Values = append(sum.Values, g)
+		}
+		// CC summary over the per-workload aggregates.
+		gm := func(vals []float64) float64 {
+			p := 1.0
+			for _, v := range vals {
+				p *= v
+			}
+			n := float64(len(vals))
+			return pow(p, 1/n)
+		}
+		sum.Values = append(sum.Values, gm(perWl["cc-avg"]), 0, 0)
+		ge, err := res.GeoMeanNormalized("esp-nuca", "shared", workloads)
 		if err != nil {
 			return Table{}, err
 		}
-		row.Values = append(row.Values, avg, best, worst)
-		perWl["cc-avg"] = append(perWl["cc-avg"], avg)
-		esp, _, err := res.Normalized("esp-nuca", "shared", wl)
-		if err != nil {
-			return Table{}, err
+		sum.Values = append(sum.Values, ge)
+		t.Rows = append(t.Rows, sum)
+
+		// Stability: variance of normalized performance across workloads.
+		names := []string{"d-nuca", "asr", "cc-avg", "esp-nuca"}
+		sort.Strings(names)
+		for _, n := range names {
+			v := stats.Variance(perWl[n])
+			t.Notes = append(t.Notes, fmt.Sprintf("variance(%s) = %.5f", n, v))
 		}
-		row.Values = append(row.Values, esp)
-		perWl["esp-nuca"] = append(perWl["esp-nuca"], esp)
-		t.Rows = append(t.Rows, row)
+		return t, nil
 	}
-
-	// Summary row: geomean of normalized performance.
-	sum := TableRow{Label: summaryLabel}
-	for _, sName := range []string{"shared", "private", "d-nuca", "asr"} {
-		g, err := res.GeoMeanNormalized(sName, "shared", workloads)
-		if err != nil {
-			return Table{}, err
-		}
-		sum.Values = append(sum.Values, g)
-	}
-	// CC summary over the per-workload aggregates.
-	gm := func(vals []float64) float64 {
-		p := 1.0
-		for _, v := range vals {
-			p *= v
-		}
-		n := float64(len(vals))
-		return pow(p, 1/n)
-	}
-	sum.Values = append(sum.Values, gm(perWl["cc-avg"]), 0, 0)
-	ge, err := res.GeoMeanNormalized("esp-nuca", "shared", workloads)
-	if err != nil {
-		return Table{}, err
-	}
-	sum.Values = append(sum.Values, ge)
-	t.Rows = append(t.Rows, sum)
-
-	// Stability: variance of normalized performance across workloads.
-	names := []string{"d-nuca", "asr", "cc-avg", "esp-nuca"}
-	sort.Strings(names)
-	for _, n := range names {
-		v := stats.Variance(perWl[n])
-		t.Notes = append(t.Notes, fmt.Sprintf("variance(%s) = %.5f", n, v))
-	}
-	return t, nil
-}
-
-// Figure8 regenerates shared-normalized performance for transactional
-// workloads.
-func Figure8(o Options) (Table, error) {
-	return perfFigure(o, "Figure 8",
-		"Shared-cache-normalized performance, transactional workloads",
-		transactionalWorkloads(), "GEOMEAN")
-}
-
-// Figure9 regenerates shared-normalized performance for multiprogrammed
-// workloads.
-func Figure9(o Options) (Table, error) {
-	return perfFigure(o, "Figure 9",
-		"Shared-cache-normalized performance, multiprogrammed workloads",
-		multiprogrammedWorkloads(), "GEOMEAN")
-}
-
-// Figure10 regenerates shared-normalized performance for the NAS suite.
-func Figure10(o Options) (Table, error) {
-	return perfFigure(o, "Figure 10",
-		"Shared-cache-normalized performance, NAS Parallel Benchmarks",
-		nasWorkloads(), "GMEAN")
 }
 
 // Table1 renders the workload catalog.

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"espnuca/internal/arch"
@@ -16,6 +17,25 @@ func tinyOptions() Options {
 		Instructions: 4_000,
 		System:       arch.ScaledConfig(),
 	}
+}
+
+// tinyEval is one evaluation of Figures 6, 7 and 8 at tinyOptions, which
+// the structure tests of those figures share: the three read the same
+// cells.
+var tinyEval struct {
+	once sync.Once
+	tabs []Table
+	err  error
+}
+
+// tinyFigure returns Figure id (6, 7 or 8) from tinyEval.
+func tinyFigure(t *testing.T, id int) Table {
+	t.Helper()
+	tinyEval.once.Do(func() { tinyEval.tabs, tinyEval.err = Evaluate([]string{"6", "7", "8"}, tinyOptions()) })
+	if tinyEval.err != nil {
+		t.Fatal(tinyEval.err)
+	}
+	return tinyEval.tabs[id-6]
 }
 
 func TestFigure4Structure(t *testing.T) {
@@ -48,10 +68,7 @@ func TestFigure6Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure run")
 	}
-	tab, err := Figure6(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := tinyFigure(t, 6)
 	// 4 workloads x 9 architectures.
 	if len(tab.Rows) != 36 {
 		t.Fatalf("rows = %d, want 36", len(tab.Rows))
@@ -75,10 +92,7 @@ func TestFigure7Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure run")
 	}
-	tab, err := Figure7(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := tinyFigure(t, 7)
 	if len(tab.Rows) != 9 {
 		t.Fatalf("rows = %d, want 9 architectures", len(tab.Rows))
 	}
@@ -103,10 +117,7 @@ func TestFigure8Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure run")
 	}
-	tab, err := Figure8(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := tinyFigure(t, 8)
 	if len(tab.Rows) != 5 { // 4 workloads + GEOMEAN
 		t.Fatalf("rows = %d, want 5", len(tab.Rows))
 	}
@@ -128,6 +139,67 @@ func TestFigure8Structure(t *testing.T) {
 		avg, best, worst := r.Values[4], r.Values[5], r.Values[6]
 		if best < avg || avg < worst {
 			t.Fatalf("row %s: CC avg/best/worst = %g/%g/%g out of order", r.Label, avg, best, worst)
+		}
+	}
+}
+
+// TestAllPlanRunsEachConfigOnce evaluates -all's plan, Figures 4-10,
+// through a stub RunFunc, so nothing is simulated. Every distinct
+// configuration runs exactly once: 246 at one seed, where one matrix per
+// figure ran 342. The §6 report adds no run to it, as it reads the cells
+// of Figures 8-10. A variant label names one (Arch, CCProb) in every
+// artifact, which is what lets artifacts share cells by label.
+func TestAllPlanRunsEachConfigOnce(t *testing.T) {
+	figures := []string{"4", "5", "6", "7", "8", "9", "10"}
+	for _, names := range [][]string{figures, append(figures, "stability")} {
+		var mu sync.Mutex
+		calls := map[string]int{}
+		o := QuickOptions()
+		o.Parallelism = 2
+		o.RunFunc = func(rc RunConfig) (RunResult, error) {
+			key, err := rc.CanonicalKey()
+			if err != nil {
+				return RunResult{}, err
+			}
+			mu.Lock()
+			calls[key]++
+			mu.Unlock()
+			return RunResult{Throughput: 1, MeanIPC: 1, AvgAccessTime: 1, OffChipAccesses: 1, OnChipLatency: 1}, nil
+		}
+		tabs, err := Evaluate(names, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tabs) != len(names) {
+			t.Fatalf("%d tables for %d artifacts", len(tabs), len(names))
+		}
+		if len(calls) != 246 {
+			t.Errorf("%v: %d distinct configs, want 246", names, len(calls))
+		}
+		for key, n := range calls {
+			if n != 1 {
+				t.Errorf("config %.16s… ran %d times", key, n)
+			}
+		}
+	}
+
+	type config struct {
+		arch   string
+		ccProb float64
+	}
+	byLabel, byConfig := map[string]config{}, map[config]string{}
+	for _, a := range artifacts {
+		for _, c := range a.reads {
+			for _, v := range c.variants {
+				cfg := config{v.Arch, v.CCProb}
+				if got, ok := byLabel[v.Label]; ok && got != cfg {
+					t.Errorf("label %s names %v and %v", v.Label, got, cfg)
+				}
+				if got, ok := byConfig[cfg]; ok && got != v.Label {
+					t.Errorf("%v is labelled %s and %s", cfg, got, v.Label)
+				}
+				byLabel[v.Label], byConfig[cfg] = cfg, v.Label
+			}
 		}
 	}
 }

@@ -44,8 +44,10 @@ func CCFamily() []Variant {
 	return []Variant{CCVariant(0), CCVariant(0.3), CCVariant(0.7), CCVariant(1.0)}
 }
 
-// Matrix is a run plan: the cross product of workloads, variants and
-// seeds.
+// Matrix is a run plan over workloads, variants and seeds. Every
+// workload runs every variant, unless the matrix is the union of paper
+// artifacts' cells (Options.plan), which runs each workload on only the
+// variants read on it.
 type Matrix struct {
 	Workloads    []string
 	Variants     []Variant
@@ -67,6 +69,9 @@ type Matrix struct {
 	// cancellation-aware execution while keeping the matrix's
 	// deterministic index-keyed assembly.
 	RunFunc func(RunConfig) (RunResult, error)
+	// only, when non-nil, marks the variants each workload runs:
+	// only[wi*len(Variants)+vi]. Nil runs the cross product.
+	only []bool
 }
 
 // NewMatrix returns a matrix with harness defaults: DefaultRunConfig's
@@ -94,36 +99,42 @@ type Cell struct {
 // Results maps variant label -> workload -> cell.
 type Results map[string]map[string]Cell
 
-// cell returns the (variant, workload, seed) coordinates of flat index i:
-// variants outermost, seeds innermost, the order Results are assembled
-// in.
-func (m Matrix) cell(i int) (vi, wi, si int) {
-	perVariant := len(m.Workloads) * len(m.Seeds)
-	return i / perVariant, (i % perVariant) / len(m.Seeds), i % len(m.Seeds)
+// at is one run of a plan: its variant, workload and seed indices, and
+// the index of its (variant, workload) cell in workload-major order.
+type at struct{ v, w, s, cell int }
+
+// order returns the runs in the order Run starts them: workload-major,
+// then by seed, then by variant, so the variants sharing a (workload,
+// seed) recording run together and it is freed early.
+func (m Matrix) order() []at {
+	runs := make([]at, 0, len(m.Variants)*len(m.Workloads)*len(m.Seeds))
+	cell := 0
+	for wi := range m.Workloads {
+		first := cell
+		for si := range m.Seeds {
+			cell = first
+			for vi := range m.Variants {
+				if m.only == nil || m.only[wi*len(m.Variants)+vi] {
+					runs = append(runs, at{vi, wi, si, cell})
+					cell++
+				}
+			}
+		}
+	}
+	return runs
 }
 
-// dispatched returns the flat index of the d-th cell Run starts. Cells
-// start workload-major, then by seed, then by variant, so the variants
-// sharing a (workload, seed) recording run together and it is freed
-// early.
-func (m Matrix) dispatched(d int) int {
-	nv, ns := len(m.Variants), len(m.Seeds)
-	wi, si, vi := d/(ns*nv), d/nv%ns, d%nv
-	return (vi*len(m.Workloads)+wi)*ns + si
-}
-
-// cellConfig returns the run configuration of flat cell index i, without
-// telemetry (Run attaches a per-cell registry when Obs is set): the
-// matrix's budgets and system on DefaultRunConfig's core.
-func (m Matrix) cellConfig(i int) RunConfig {
-	vi, wi, si := m.cell(i)
-	v := m.Variants[vi]
+// cellConfig returns the run configuration of cell c, without telemetry
+// (Run attaches a per-cell registry when Obs is set): the matrix's
+// budgets and system on DefaultRunConfig's core.
+func (m Matrix) cellConfig(c at) RunConfig {
+	v := m.Variants[c.v]
 	rc := RunConfig{
 		Arch:         v.Arch,
-		Workload:     m.Workloads[wi],
+		Workload:     m.Workloads[c.w],
 		Warmup:       m.Warmup,
 		Instructions: m.Instructions,
-		Seed:         m.Seeds[si],
+		Seed:         m.Seeds[c.s],
 		System:       m.System,
 		Core:         cpu.DefaultConfig(),
 	}
@@ -133,28 +144,16 @@ func (m Matrix) cellConfig(i int) RunConfig {
 	return rc
 }
 
-// configs returns every cell's run configuration, by flat index.
-func (m Matrix) configs() []RunConfig {
-	cfgs := make([]RunConfig, len(m.Variants)*len(m.Workloads)*len(m.Seeds))
-	for i := range cfgs {
-		cfgs[i] = m.cellConfig(i)
-	}
-	return cfgs
-}
-
 // Validate checks every distinct (variant, workload) cell with
 // RunConfig.Validate (seeds never change the verdict). Run checks the
 // same before opening any telemetry file or starting any simulation.
 func (m Matrix) Validate() error {
-	return m.validate(m.configs())
-}
-
-// validate is Validate over the matrix's configs.
-func (m Matrix) validate(cfgs []RunConfig) error {
-	for i := 0; i < len(cfgs); i += len(m.Seeds) {
-		if err := cfgs[i].Validate(); err != nil {
-			vi, wi, _ := m.cell(i)
-			return fmt.Errorf("%s/%s: %w", m.Variants[vi].Label, m.Workloads[wi], err)
+	for _, c := range m.order() {
+		if c.s != 0 {
+			continue
+		}
+		if err := m.cellConfig(c).Validate(); err != nil {
+			return fmt.Errorf("%s/%s: %w", m.Variants[c.v].Label, m.Workloads[c.w], err)
 		}
 	}
 	return nil
@@ -162,21 +161,25 @@ func (m Matrix) validate(cfgs []RunConfig) error {
 
 // Run executes the whole matrix, fanning the (variant, workload, seed)
 // cells out over a bounded worker pool (see Matrix.Parallelism). Results
-// are assembled from an index-keyed buffer in the serial order, so the
-// output — including every Cell.Runs / Cell.PerfVec ordering — is
-// bit-for-bit identical at any parallelism. Progress, when non-nil, is
-// called after every completed run with a monotonically increasing done
-// count (calls are serialized; the callback needs no locking of its own).
+// are assembled from an index-keyed buffer, so the output — including
+// every Cell.Runs / Cell.PerfVec ordering — is bit-for-bit identical at
+// any parallelism. Progress, when non-nil, is called after every
+// completed run with a monotonically increasing done count (calls are
+// serialized; the callback needs no locking of its own).
 //
 // The cells of a (workload, seed) share their measured streams: Run
 // leases their stream key for its duration, so they are generated once
-// and every cell reads the same recording (pipe.go). Cells start in
-// dispatched order, and a failing Run returns the error of the first
-// failing cell in that order.
+// and every cell reads the same recording (pipe.go). Runs start in the
+// order that order returns, and a failing Run returns the error of the
+// first failing run in that order.
 func (m Matrix) Run(progress func(done, total int)) (Results, error) {
-	cfgs := m.configs()
-	if err := m.validate(cfgs); err != nil {
+	if err := m.Validate(); err != nil {
 		return nil, err
+	}
+	order := m.order()
+	cfgs := make([]RunConfig, len(order))
+	for d, c := range order {
+		cfgs[d] = m.cellConfig(c)
 	}
 	total := len(cfgs)
 	results := make([]RunResult, total)
@@ -200,17 +203,14 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 	ls := leaseRecordings(shared)
 	defer ls.release()
 	err := forEach(m.Parallelism, total, func(d int) error {
-		i := m.dispatched(d)
-		vi, wi, si := m.cell(i)
-		v := m.Variants[vi]
-		rc := cfgs[i]
+		c, rc := order[d], cfgs[d]
+		label, wl, seed := m.Variants[c.v].Label, m.Workloads[c.w], m.Seeds[c.s]
 		defer ls.done(streamKeyOf(rc))
 		var finish func() error
 		if m.Obs != nil {
-			name := fmt.Sprintf("%s_%s_s%d", v.Label, m.Workloads[wi], m.Seeds[si])
-			reg, fin, oerr := m.Obs.open(name)
+			reg, fin, oerr := m.Obs.open(fmt.Sprintf("%s_%s_s%d", label, wl, seed))
 			if oerr != nil {
-				return fmt.Errorf("%s/%s seed %d: %w", v.Label, m.Workloads[wi], m.Seeds[si], oerr)
+				return fmt.Errorf("%s/%s seed %d: %w", label, wl, seed, oerr)
 			}
 			rc.Metrics = reg
 			rc.MetricsInterval = m.Obs.Interval
@@ -223,9 +223,9 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 			}
 		}
 		if err != nil {
-			return fmt.Errorf("%s/%s seed %d: %w", v.Label, m.Workloads[wi], m.Seeds[si], err)
+			return fmt.Errorf("%s/%s seed %d: %w", label, wl, seed, err)
 		}
-		results[i] = res
+		results[c.cell*len(m.Seeds)+c.s] = res
 		meter.tick()
 		return nil
 	})
@@ -233,22 +233,25 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 		return nil, err
 	}
 
-	// Deterministic assembly in serial iteration order.
+	// Deterministic assembly: a cell's runs are its seeds' results, in
+	// seed order.
 	out := make(Results, len(m.Variants))
-	for vi, v := range m.Variants {
-		out[v.Label] = make(map[string]Cell, len(m.Workloads))
-		for wi, wl := range m.Workloads {
-			spec, _ := workload.ByName(wl) // present: the matrix is validated
-			cell := Cell{Kind: spec.Kind}
-			base := (vi*len(m.Workloads) + wi) * len(m.Seeds)
-			for si := range m.Seeds {
-				res := results[base+si]
-				cell.Runs = append(cell.Runs, res)
-				cell.PerfVec = append(cell.PerfVec, res.Performance(spec.Kind))
-			}
-			cell.Perf = stats.Summarize(cell.PerfVec)
-			out[v.Label][wl] = cell
+	for _, c := range order {
+		if c.s != 0 {
+			continue
 		}
+		v, wl := m.Variants[c.v], m.Workloads[c.w]
+		if out[v.Label] == nil {
+			out[v.Label] = make(map[string]Cell, len(m.Workloads))
+		}
+		spec, _ := workload.ByName(wl) // present: the matrix is validated
+		n := len(m.Seeds)
+		cell := Cell{Kind: spec.Kind, Runs: results[c.cell*n : (c.cell+1)*n : (c.cell+1)*n], PerfVec: make([]float64, n)}
+		for si, res := range cell.Runs {
+			cell.PerfVec[si] = res.Performance(spec.Kind)
+		}
+		cell.Perf = stats.Summarize(cell.PerfVec)
+		out[v.Label][wl] = cell
 	}
 	return out, nil
 }

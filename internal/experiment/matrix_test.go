@@ -127,11 +127,11 @@ func TestVarianceNormalizedErrorPaths(t *testing.T) {
 // Validate one per cell too.
 func TestCellConfigAllocs(t *testing.T) {
 	m := NewMatrix([]string{"apache", "mcf-4"}, append(CounterpartVariants(), CCFamily()...))
-	cells := len(m.Variants) * len(m.Workloads) * len(m.Seeds)
+	order := m.order()
 	var rc RunConfig
 	if allocs := testing.AllocsPerRun(100, func() {
-		for i := range cells {
-			rc = m.cellConfig(i)
+		for _, c := range order {
+			rc = m.cellConfig(c)
 		}
 	}); allocs != 0 {
 		t.Errorf("cellConfig allocates %.1f times per matrix", allocs)

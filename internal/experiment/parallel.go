@@ -8,12 +8,13 @@ import (
 )
 
 // This file holds the concurrency substrate of the experiment harness.
-// Every simulation in a matrix, the sensitivity sweep or the stability
-// study is a pure function of (configuration, seed), so the cross
-// product they iterate is embarrassingly parallel: forEach fans
-// index-addressed jobs out over a bounded worker pool while the callers
-// keep results in index-keyed slices, which makes the assembled output
-// bit-for-bit identical to a serial run regardless of completion order.
+// Every simulation of a matrix (and so of every figure and the §6
+// report) or of the sensitivity sweep is a pure function of
+// (configuration, seed), so the cells they iterate are embarrassingly
+// parallel: forEach fans index-addressed jobs out over a bounded worker
+// pool while the callers keep results in index-keyed slices, which makes
+// the assembled output bit-for-bit identical to a serial run regardless
+// of completion order.
 
 // forEach runs job(0..n-1) on up to parallelism workers (<= 0 means
 // runtime.GOMAXPROCS(0)). The first error — by job index, not by wall
@@ -110,18 +111,12 @@ func (p *progressMeter) tick() {
 	p.mu.Unlock()
 }
 
-// RunAll executes a batch of independent run configurations on up to
-// parallelism workers (<= 0: all cores) and returns the results in input
-// order. It is the building block callers outside the matrix harness
-// (cmd/espsweep's sensitivity sweep, custom studies) use to get
-// the same deterministic fan-out.
-func RunAll(parallelism int, rcs []RunConfig) ([]RunResult, error) {
-	return RunAllFunc(parallelism, nil, rcs)
-}
-
-// RunAllFunc is RunAll with a substitutable run function (nil: Run).
-// Callers use it to route the same deterministic fan-out through a
-// memoizing runner such as resultcache.Store.Runner.
+// RunAllFunc executes a batch of independent run configurations on up
+// to parallelism workers (<= 0: all cores) with run (nil: Run), and
+// returns the results in input order. It gives callers outside the
+// matrix harness (cmd/espsweep's sensitivity sweep) the same
+// deterministic fan-out, optionally through a memoizing runner such as
+// resultcache.Store.Runner.
 func RunAllFunc(parallelism int, run func(RunConfig) (RunResult, error), rcs []RunConfig) ([]RunResult, error) {
 	if run == nil {
 		run = Run

@@ -56,6 +56,33 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 		t.Errorf("progress reported %d completions, want 8", got)
 	}
 
+	sameResults(t, serial, parallel)
+
+	// A union plan across Figures 4, 5 and 8, where each workload runs
+	// only the variants read on it.
+	arts, err := lookup([]string{"4", "5", "8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := Options{Seeds: []uint64{1}, Warmup: 2_000, Instructions: 1_000, System: arch.ScaledConfig()}.plan(arts)
+	u.Parallelism = 1
+	if serial, err = u.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	u.Parallelism = 8
+	if parallel, err = u.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(u.order()); n != 92 {
+		t.Errorf("union plan has %d cells, want 92 (12 workloads x 5 SP/ESP variants, and 4 x the 8 others)", n)
+	}
+	sameResults(t, serial, parallel)
+}
+
+// sameResults fails the test unless the serial and parallel Results
+// are identical.
+func sameResults(t *testing.T, serial, parallel Results) {
+	t.Helper()
 	if !reflect.DeepEqual(serial, parallel) {
 		for label, wls := range serial {
 			for wl, cell := range wls {
@@ -150,16 +177,16 @@ func TestRunAllPreservesOrder(t *testing.T) {
 		rcs[i].Warmup, rcs[i].Instructions = 5_000, 2_000
 		rcs[i].Seed = uint64(i + 1)
 	}
-	par, err := RunAll(8, rcs)
+	par, err := RunAllFunc(8, nil, rcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := RunAll(1, rcs)
+	ser, err := RunAllFunc(1, nil, rcs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(par, ser) {
-		t.Fatal("RunAll results differ between 8 workers and serial")
+		t.Fatal("RunAllFunc results differ between 8 workers and serial")
 	}
 	for i, r := range par {
 		if r.Seed != uint64(i+1) {

@@ -47,7 +47,7 @@ func resultGoldenConfigs() []RunConfig {
 // meant to alter results regenerates the file with -update and says so.
 func TestResultGoldens(t *testing.T) {
 	rcs := resultGoldenConfigs()
-	res, err := RunAll(2, rcs)
+	res, err := RunAllFunc(2, nil, rcs)
 	if err != nil {
 		t.Fatal(err)
 	}

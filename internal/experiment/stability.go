@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -46,68 +47,47 @@ func Stability(res Results, esp, baseline string, workloads []string, counterpar
 	return rep, nil
 }
 
-// Family is one workload suite of the §6 stability study.
-type Family struct {
-	Name      string
-	Workloads []string
-}
-
-// StabilityFamilies returns the paper's three suites in reporting order.
-func StabilityFamilies() []Family {
-	return []Family{
-		{"transactional", []string{"apache", "jbb", "oltp", "zeus"}},
-		{"multiprogrammed", []string{"art-4", "gcc-4", "gzip-4", "mcf-4", "twolf-4",
-			"art-gzip", "gcc-gzip", "gcc-twolf", "mcf-gzip", "mcf-twolf"}},
-		{"NAS", []string{"BT", "CG", "FT", "IS", "LU", "MG", "SP", "UA"}},
-	}
-}
-
-// FamilyStability pairs a family with its computed report.
-type FamilyStability struct {
-	Family string
-	Report StabilityReport
-}
-
-// StabilityStudy runs the full §6 comparison — every family's matrix over
-// the counterpart + CC variant set — and reduces each to its variance
-// report. The per-family matrices share one run budget: o.Progress sees a
-// single monotonic done count across the whole study, and o.Parallelism
-// bounds the workers each matrix fans out over.
-func StabilityStudy(families []Family, o Options) ([]FamilyStability, error) {
-	variants := append(CounterpartVariants(), CCFamily()...)
-	matrices := make([]Matrix, len(families))
-	grand := 0
-	for i, fam := range families {
-		matrices[i] = o.matrix(fam.Workloads, variants)
-		grand += len(fam.Workloads) * len(variants) * len(matrices[i].Seeds)
-	}
-	meter := newProgressMeter(grand, o.Progress)
-	out := make([]FamilyStability, 0, len(families))
-	for i, fam := range families {
-		res, err := matrices[i].Run(func(done, total int) { meter.tick() })
-		if err != nil {
-			return nil, fmt.Errorf("stability %s: %w", fam.Name, err)
-		}
-		rep, err := Stability(res, "esp-nuca", "shared", fam.Workloads,
+// stabilityView renders the §6 report: each suite's variance report
+// over the cells of Figures 8-10, one row per (suite, architecture) with
+// its variance and ESP-NUCA's reduction versus it (NaN for esp-nuca).
+func stabilityView(res Results) (Table, error) {
+	t := Table{ID: "§6", Title: "cross-workload variance of shared-normalized performance",
+		Columns: []string{"variance", "reduction"}}
+	var text strings.Builder
+	for _, s := range suites {
+		rep, err := Stability(res, "esp-nuca", "shared", s.workloads,
 			[]string{"private", "d-nuca", "asr", "CC70"})
 		if err != nil {
-			return nil, fmt.Errorf("stability %s: %w", fam.Name, err)
+			return Table{}, fmt.Errorf("stability %s: %w", s.name, err)
 		}
-		out = append(out, FamilyStability{Family: fam.Name, Report: rep})
+		fmt.Fprintf(&text, "== %s ==\n%s\n", s.name, rep)
+		for _, l := range rep.labels() {
+			red, ok := rep.Reduction[l]
+			if !ok {
+				red = math.NaN()
+			}
+			t.Rows = append(t.Rows, TableRow{Label: s.name + "/" + l, Values: []float64{rep.Variance[l], red}})
+		}
 	}
-	return out, nil
+	t.text = strings.TrimSuffix(text.String(), "\n")
+	return t, nil
+}
+
+// labels returns the report's architectures, sorted.
+func (r StabilityReport) labels() []string {
+	labels := make([]string, 0, len(r.Variance))
+	for l := range r.Variance {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels)
+	return labels
 }
 
 // String renders the report.
 func (r StabilityReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cross-workload performance variance (%d workloads):\n", len(r.Workloads))
-	labels := make([]string, 0, len(r.Variance))
-	for l := range r.Variance {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
+	for _, l := range r.labels() {
 		fmt.Fprintf(&b, "  %-12s %.5f", l, r.Variance[l])
 		if red, ok := r.Reduction[l]; ok {
 			fmt.Fprintf(&b, "   (esp-nuca variance %+.0f%% vs this)", -red*100)
