@@ -198,23 +198,6 @@ func BenchmarkAblationDNUCA(b *testing.B) {
 	}
 }
 
-// BenchmarkSensitivityD sweeps the protected-LRU degradation threshold
-// (paper §5.2's d parameter).
-func BenchmarkSensitivityD(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, d := range []uint{2, 3, 4} {
-			rc := experiment.DefaultRunConfig("esp-nuca", "apache")
-			rc.Warmup, rc.Instructions = 25_000, 10_000
-			rc.System.Sampler.D = d
-			res, err := experiment.Run(rc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.Throughput, fmt.Sprintf("throughput-d%d", d))
-		}
-	}
-}
-
 // --- Simulator hot-path benchmarks ---
 
 // BenchmarkESPNUCAAccess measures the cost of one ESP-NUCA transaction.

@@ -5,10 +5,11 @@
 //	espsweep -figure 8            # one evaluation figure (4-10)
 //	espsweep -table 1             # the workload catalog
 //	espsweep -table 2 -csv        # the machine, full and scaled, as CSV
-//	espsweep -all                 # every figure from one run set, full quality
+//	espsweep -all                 # every figure and the S6 report from one run set, full quality
 //	espsweep -figure 8 -quick     # one seed, short quantum
 //	espsweep -sweep params        # S5.2 sensitivity sweep (a, b, d, N)
 //	espsweep -stability           # S6 cross-suite variance comparison (Figures 8-10's runs)
+//	espsweep -figure 8 -table 1   # modes combine: their union runs once
 //	espsweep -all -parallel 8     # bound the worker pool (0 = all cores)
 //	espsweep -figure 8 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	espsweep -figure 8 -quick -metrics-dir obs -trace   # per-run telemetry
@@ -23,10 +24,10 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strconv"
 	"time"
 
-	"espnuca/internal/core"
 	"espnuca/internal/experiment"
 	"espnuca/internal/resultcache"
 	"espnuca/internal/sim"
@@ -131,41 +132,45 @@ func main() {
 	}
 	o.RunFunc = cachedRunner(*cacheDir)
 
-	show := func(tab experiment.Table) {
-		if *csv {
-			fmt.Print(tab.CSV())
-			return
-		}
-		fmt.Println(tab)
-	}
-	evaluate := func(names ...string) {
-		tabs, err := experiment.Evaluate(names, o)
-		if err != nil {
-			fail(err)
-		}
-		for _, tab := range tabs {
-			show(tab)
+	// Every mode is a list of artifact names; the modes given together
+	// are evaluated as their union, in this order, from one run set.
+	var names []string
+	add := func(ns ...string) {
+		for _, n := range ns {
+			if !slices.Contains(names, n) {
+				names = append(names, n)
+			}
 		}
 	}
-
-	switch {
-	case *stab:
-		evaluate("stability")
-	case *sweep == "params":
-		sweepParams(*quick, *parallel, o.RunFunc)
-	case *sweep != "":
-		fail(fmt.Errorf("unknown -sweep %q (the only sweep is 'params')", *sweep))
-	case *all:
-		evaluate("4", "5", "6", "7", "8", "9", "10")
-	case *figure != 0:
-		evaluate(strconv.Itoa(*figure))
-	case *table == 1:
-		show(experiment.Table1())
-	case *table == 2:
-		show(experiment.Table2())
-	default:
+	if *table != 0 {
+		add("table" + strconv.Itoa(*table))
+	}
+	if *all {
+		add("4", "5", "6", "7", "8", "9", "10")
+	}
+	if *figure != 0 {
+		add(strconv.Itoa(*figure))
+	}
+	if *sweep != "" {
+		add(*sweep)
+	}
+	if *all || *stab {
+		add("stability")
+	}
+	if len(names) == 0 {
 		flag.Usage()
 		os.Exit(2)
+	}
+	tabs, err := experiment.Evaluate(names, o)
+	if err != nil {
+		fail(err)
+	}
+	for _, tab := range tabs {
+		if *csv {
+			fmt.Print(tab.CSV())
+		} else {
+			fmt.Println(tab)
+		}
 	}
 }
 
@@ -180,58 +185,4 @@ func cachedRunner(dir string) func(experiment.RunConfig) (experiment.RunResult, 
 		fail(err)
 	}
 	return store.Runner()
-}
-
-// sweepParams reruns a transactional and a NAS workload with varied
-// protected-LRU constants (paper S5.2's sensitivity analysis). The whole
-// workload x variant grid runs as one parallel batch; results print in
-// grid order afterwards.
-func sweepParams(quick bool, parallel int, run func(experiment.RunConfig) (experiment.RunResult, error)) {
-	workloads := []string{"apache", "CG"}
-	instrs := experiment.DefaultRunConfig("", "").Instructions
-	if quick {
-		instrs = 15_000
-	}
-	type variant struct {
-		name string
-		mod  func(*core.SamplerConfig)
-	}
-	def := core.DefaultSamplerConfig()
-	variants := []variant{
-		{fmt.Sprintf("baseline a=%d b=%d d=%d", def.A, def.B, def.D), func(*core.SamplerConfig) {}},
-		{"a=2 (N=7 samples)", func(s *core.SamplerConfig) { s.A = 2 }},
-		{"a=3 (N=15 samples)", func(s *core.SamplerConfig) { s.A = 3 }},
-		{"b=6", func(s *core.SamplerConfig) {
-			s.B = 6
-			if s.A > s.B {
-				s.A = s.B
-			}
-		}},
-		{"d=2 (25% slack)", func(s *core.SamplerConfig) { s.D = 2 }},
-		{"d=4 (6.25% slack)", func(s *core.SamplerConfig) { s.D = 4 }},
-		{"4 conventional sets", func(s *core.SamplerConfig) { s.ConventionalSets = 4 }},
-		{"2 ref + 2 explorer", func(s *core.SamplerConfig) { s.ReferenceSets = 2; s.ExplorerSets = 2 }},
-	}
-	var rcs []experiment.RunConfig
-	for _, wl := range workloads {
-		for _, v := range variants {
-			rc := experiment.DefaultRunConfig("esp-nuca", wl)
-			rc.Instructions = instrs
-			v.mod(&rc.System.Sampler)
-			rcs = append(rcs, rc)
-		}
-	}
-	results, err := experiment.RunAllFunc(parallel, run, rcs)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println("== S5.2 sensitivity: ESP-NUCA protected-LRU constants ==")
-	for wi, wl := range workloads {
-		base := results[wi*len(variants)].Throughput
-		for vi, v := range variants {
-			res := results[wi*len(variants)+vi]
-			fmt.Printf("%-8s %-22s perf=%8.4f norm=%6.3f\n", wl, v.name, res.Throughput, res.Throughput/base)
-		}
-		fmt.Println()
-	}
 }

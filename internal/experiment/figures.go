@@ -107,7 +107,39 @@ var (
 	fig6Variants = slices.Concat(archs("shared", "private", "d-nuca", "asr"), CCFamily(), archs("esp-nuca"))
 	// perfVariants is the series set of Figures 8-10 and the §6 report.
 	perfVariants = append(CounterpartVariants(), CCFamily()...)
+	// paramWorkloads are the §5.2 sweep's workloads: a transactional and
+	// a NAS one.
+	paramWorkloads = []string{"apache", "CG"}
 )
+
+// paramSettings are the §5.2 sweep's ESP-NUCA sampler settings: the
+// default first (paramsView formats its note from arch.DefaultConfig),
+// then one edit of it each.
+var paramSettings = []struct {
+	label, note string
+	edit        func(arch.Config) arch.Config
+}{
+	{"esp-nuca", "", nil},
+	{"esp-nuca-a2", "a=2 (N=7 samples)", func(c arch.Config) arch.Config { c.Sampler.A = 2; return c }},
+	{"esp-nuca-a3", "a=3 (N=15 samples)", func(c arch.Config) arch.Config { c.Sampler.A = 3; return c }},
+	{"esp-nuca-b6", "b=6", func(c arch.Config) arch.Config { c.Sampler.B = 6; return c }},
+	{"esp-nuca-d2", "d=2 (25% slack)", func(c arch.Config) arch.Config { c.Sampler.D = 2; return c }},
+	{"esp-nuca-d4", "d=4 (6.25% slack)", func(c arch.Config) arch.Config { c.Sampler.D = 4; return c }},
+	{"esp-nuca-conv4", "4 conventional sets", func(c arch.Config) arch.Config { c.Sampler.ConventionalSets = 4; return c }},
+	{"esp-nuca-ref2exp2", "2 reference + 2 explorer sets", func(c arch.Config) arch.Config {
+		c.Sampler.ReferenceSets, c.Sampler.ExplorerSets = 2, 2
+		return c
+	}},
+}
+
+// paramVariants returns one esp-nuca variant per sampler setting.
+func paramVariants() []Variant {
+	vs := make([]Variant, len(paramSettings))
+	for i, p := range paramSettings {
+		vs[i] = Variant{Label: p.label, Arch: "esp-nuca", CCProb: -1, edit: p.edit}
+	}
+	return vs
+}
 
 // archs returns one plain variant per architecture, labelled with its
 // name.
@@ -119,10 +151,11 @@ func archs(names ...string) []Variant {
 	return vs
 }
 
-// An artifact is one of the paper's figures or its §6 report: the
-// (variant, workload) cells it reads and the view that renders it from
-// any Results holding them. A variant's label names one simulated
-// configuration in every artifact, so artifacts share cells by label.
+// An artifact is one of the paper's tables, figures, its §5.2 sweep or
+// its §6 report: the (variant, workload) cells it reads and the view
+// that renders it from any Results holding them. A variant's label names
+// one simulated configuration in every artifact, so artifacts share
+// cells by label.
 type artifact struct {
 	name  string
 	reads []cells
@@ -135,9 +168,12 @@ type cells struct {
 	variants  []Variant
 }
 
-// artifacts are the artifacts Evaluate renders, by name: "4" to "10" for
-// Figures 4-10, and "stability" for the §6 report.
+// artifacts are the artifacts Evaluate renders, by name: "table1" and
+// "table2" for Tables 1-2 (they read no cells), "4" to "10" for Figures
+// 4-10, "params" for the §5.2 sweep and "stability" for the §6 report.
 var artifacts = []artifact{
+	{"table1", nil, func(Results) (Table, error) { return Table1(), nil }},
+	{"table2", nil, func(Results) (Table, error) { return Table2(), nil }},
 	{"4", []cells{{fig45Workloads, archs("sp-nuca", "sp-nuca-static", "sp-nuca-shadow")}},
 		normalizedView("Figure 4", "SP-NUCA flat-LRU and static partition, normalized to shadow tags",
 			[]string{"SP-NUCA", "Static"}, "sp-nuca-shadow", "sp-nuca", "sp-nuca-static")},
@@ -152,15 +188,16 @@ var artifacts = []artifact{
 		"Shared-cache-normalized performance, multiprogrammed workloads", multiprogrammed.workloads, "GEOMEAN")},
 	{"10", []cells{{nas.workloads, perfVariants}}, perfFigure("Figure 10",
 		"Shared-cache-normalized performance, NAS Parallel Benchmarks", nas.workloads, "GMEAN")},
+	{"params", []cells{{paramWorkloads, paramVariants()}}, paramsView},
 	{"stability", []cells{{transactional.workloads, perfVariants}, {multiprogrammed.workloads, perfVariants},
 		{nas.workloads, perfVariants}}, stabilityView},
 }
 
-// Evaluate renders the named artifacts, "4" to "10" for Figures 4-10 and
-// "stability" for the §6 report, in order, from one matrix over the
-// union of the cells they read: every cell runs once, however many
-// artifacts read it, in a single Matrix.Run that reports one progress
-// count, and every view reads the one Results.
+// Evaluate renders the named artifacts (see artifacts) in order, from
+// one matrix over the union of the cells they read: every cell runs
+// once, however many artifacts read it, in a single Matrix.Run that
+// reports one progress count, and every view reads the one Results. A
+// plan with no cells simulates nothing and reports no progress.
 func Evaluate(names []string, o Options) ([]Table, error) {
 	arts, err := lookup(names)
 	if err != nil {
@@ -185,7 +222,7 @@ func lookup(names []string) ([]artifact, error) {
 	for i, name := range names {
 		j := slices.IndexFunc(artifacts, func(a artifact) bool { return a.name == name })
 		if j < 0 {
-			return nil, fmt.Errorf("experiment: no figure or report %q (figures 4-10, stability)", name)
+			return nil, fmt.Errorf("experiment: no artifact %q (table1, table2, figures 4-10, params, stability)", name)
 		}
 		arts[i] = artifacts[j]
 	}
@@ -416,6 +453,29 @@ func perfFigure(id, title string, workloads []string, summaryLabel string) func(
 		}
 		return t, nil
 	}
+}
+
+// paramsView is the §5.2 sweep's view: one row per (workload, setting)
+// with the cell's mean performance and its ratio to the default's.
+func paramsView(res Results) (Table, error) {
+	t := Table{ID: "§5.2", Title: "ESP-NUCA protected-LRU constants, normalized to the default",
+		Columns: []string{"perf", "norm"}}
+	for _, wl := range paramWorkloads {
+		for _, p := range paramSettings {
+			norm, _, err := res.Normalized(p.label, "esp-nuca", wl)
+			if err != nil {
+				return Table{}, err
+			}
+			t.Rows = append(t.Rows, TableRow{Label: wl + "/" + p.label, Values: []float64{res[p.label][wl].Perf.Mean, norm}})
+		}
+	}
+	def := arch.DefaultConfig().Sampler
+	t.Notes = []string{fmt.Sprintf("esp-nuca: the default, a=%d b=%d d=%d, %d conventional + %d reference + %d explorer sets",
+		def.A, def.B, def.D, def.ConventionalSets, def.ReferenceSets, def.ExplorerSets)}
+	for _, p := range paramSettings[1:] {
+		t.Notes = append(t.Notes, p.label+": "+p.note)
+	}
+	return t, nil
 }
 
 // Table1 renders the workload catalog.

@@ -143,15 +143,24 @@ func TestFigure8Structure(t *testing.T) {
 	}
 }
 
-// TestAllPlanRunsEachConfigOnce evaluates -all's plan, Figures 4-10,
-// through a stub RunFunc, so nothing is simulated. Every distinct
-// configuration runs exactly once: 246 at one seed, where one matrix per
-// figure ran 342. The §6 report adds no run to it, as it reads the cells
-// of Figures 8-10. A variant label names one (Arch, CCProb) in every
-// artifact, which is what lets artifacts share cells by label.
+// TestAllPlanRunsEachConfigOnce evaluates -all's plan, Figures 4-10 and
+// the §6 report, through a stub RunFunc, so nothing is simulated. Every
+// distinct configuration runs exactly once: 246 at one seed, where one
+// matrix per figure ran 342. The §6 report adds no run to it, as it
+// reads the cells of Figures 8-10, and the §5.2 sweep adds 14, as its
+// default esp-nuca cells on apache and CG are Figures 8 and 10's. A
+// variant label names one configuration in every artifact, which is what
+// lets artifacts share cells by label.
 func TestAllPlanRunsEachConfigOnce(t *testing.T) {
-	figures := []string{"4", "5", "6", "7", "8", "9", "10"}
-	for _, names := range [][]string{figures, append(figures, "stability")} {
+	all := []string{"4", "5", "6", "7", "8", "9", "10", "stability"}
+	for _, plan := range []struct {
+		names   []string
+		configs int
+	}{
+		{all[:7], 246},
+		{all, 246},
+		{append(all[:7:7], "params", "stability"), 260},
+	} {
 		var mu sync.Mutex
 		calls := map[string]int{}
 		o := QuickOptions()
@@ -166,15 +175,20 @@ func TestAllPlanRunsEachConfigOnce(t *testing.T) {
 			mu.Unlock()
 			return RunResult{Throughput: 1, MeanIPC: 1, AvgAccessTime: 1, OffChipAccesses: 1, OnChipLatency: 1}, nil
 		}
-		tabs, err := Evaluate(names, o)
+		tabs, err := Evaluate(plan.names, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tabs) != len(names) {
-			t.Fatalf("%d tables for %d artifacts", len(tabs), len(names))
+		if len(tabs) != len(plan.names) {
+			t.Fatalf("%d tables for %d artifacts", len(tabs), len(plan.names))
 		}
-		if len(calls) != 246 {
-			t.Errorf("%v: %d distinct configs, want 246", names, len(calls))
+		for _, tab := range tabs {
+			if tab.ID == "§5.2" && len(tab.Rows) != 16 {
+				t.Errorf("§5.2 sweep has %d rows, want 16 (2 workloads x 8 settings)", len(tab.Rows))
+			}
+		}
+		if len(calls) != plan.configs {
+			t.Errorf("%v: %d distinct configs, want %d", plan.names, len(calls), plan.configs)
 		}
 		for key, n := range calls {
 			if n != 1 {
@@ -183,23 +197,43 @@ func TestAllPlanRunsEachConfigOnce(t *testing.T) {
 		}
 	}
 
-	type config struct {
-		arch   string
-		ccProb float64
-	}
-	byLabel, byConfig := map[string]config{}, map[config]string{}
+	// Each label's full cell config, by its key on one workload and seed.
+	byLabel, byKey := map[string]string{}, map[string]string{}
 	for _, a := range artifacts {
 		for _, c := range a.reads {
 			for _, v := range c.variants {
-				cfg := config{v.Arch, v.CCProb}
-				if got, ok := byLabel[v.Label]; ok && got != cfg {
-					t.Errorf("label %s names %v and %v", v.Label, got, cfg)
+				m := NewMatrix([]string{"apache"}, []Variant{v})
+				m.Seeds = []uint64{1}
+				key, err := m.cellConfig(at{}).CanonicalKey()
+				if err != nil {
+					t.Fatal(err)
 				}
-				if got, ok := byConfig[cfg]; ok && got != v.Label {
-					t.Errorf("%v is labelled %s and %s", cfg, got, v.Label)
+				if got, ok := byLabel[v.Label]; ok && got != key {
+					t.Errorf("label %s names two configs", v.Label)
 				}
-				byLabel[v.Label], byConfig[cfg] = cfg, v.Label
+				if got, ok := byKey[key]; ok && got != v.Label {
+					t.Errorf("one config is labelled %s and %s", got, v.Label)
+				}
+				byLabel[v.Label], byKey[key] = key, v.Label
 			}
 		}
+	}
+}
+
+// TestTableArtifactsRunNothing checks that Tables 1 and 2 render as
+// artifacts from an empty plan: no run and no progress.
+func TestTableArtifactsRunNothing(t *testing.T) {
+	o := QuickOptions()
+	o.RunFunc = func(RunConfig) (RunResult, error) {
+		t.Error("a table artifact ran a simulation")
+		return RunResult{}, nil
+	}
+	o.Progress = func(done, total int) { t.Errorf("a table artifact reported progress %d/%d", done, total) }
+	tabs, err := Evaluate([]string{"table1", "table2"}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tabs[0].String() != Table1().String() || tabs[1].String() != Table2().String() {
+		t.Error("table artifacts differ from Table1 and Table2")
 	}
 }

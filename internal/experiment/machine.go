@@ -205,6 +205,10 @@ func (rc RunConfig) Validate() error {
 	if _, ok := workload.ByName(rc.Workload); !ok {
 		return fmt.Errorf("experiment: unknown workload %q", rc.Workload)
 	}
+	if rc.Warmup+rc.Instructions < rc.Warmup {
+		// runBound's per-core target would wrap.
+		return fmt.Errorf("experiment: warmup %d + instructions %d overflows", rc.Warmup, rc.Instructions)
+	}
 	for _, f := range []struct {
 		name string
 		v    int

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -113,6 +114,23 @@ func TestRunNoProgressError(t *testing.T) {
 	rc.Warmup, rc.Instructions = 0, 0
 	if _, err := Run(rc); err == nil || !strings.Contains(err.Error(), "made no progress") {
 		t.Fatalf("err = %v, want a 'made no progress' failure for an empty budget", err)
+	}
+}
+
+// TestBudgetOverflowRefused checks that a budget whose sum wraps is
+// refused by every entry point, not run as the wrapped budget.
+func TestBudgetOverflowRefused(t *testing.T) {
+	rc, err := RunSpec{Arch: "shared", Workload: "apache", Warmup: math.MaxUint64 - 9, Instructions: 20}.Config()
+	if err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("RunSpec.Config: err = %v, want an overflow refusal", err)
+	}
+	if res, err := Run(rc); err == nil {
+		t.Errorf("Run accepted the budget: %d instructions retired in %d cycles", res.Retired, res.Cycles)
+	}
+	m := NewMatrix([]string{"apache"}, []Variant{V("shared", "shared")})
+	m.Warmup, m.Instructions = rc.Warmup, rc.Instructions
+	if _, err := m.Run(nil); err == nil {
+		t.Error("Matrix.Run accepted the budget")
 	}
 }
 

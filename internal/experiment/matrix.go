@@ -16,6 +16,10 @@ type Variant struct {
 	Label  string
 	Arch   string
 	CCProb float64
+	// edit, when non-nil, edits the system after CCProb (the §5.2
+	// sweep's sampler settings). It changes RunConfig.System, so the
+	// canonical key covers it.
+	edit func(arch.Config) arch.Config
 }
 
 // V returns a plain variant.
@@ -140,6 +144,9 @@ func (m Matrix) cellConfig(c at) RunConfig {
 	}
 	if v.CCProb >= 0 {
 		rc.System.CCProbability = v.CCProb
+	}
+	if v.edit != nil {
+		rc.System = v.edit(rc.System)
 	}
 	return rc
 }

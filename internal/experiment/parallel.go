@@ -8,13 +8,12 @@ import (
 )
 
 // This file holds the concurrency substrate of the experiment harness.
-// Every simulation of a matrix (and so of every figure and the §6
-// report) or of the sensitivity sweep is a pure function of
-// (configuration, seed), so the cells they iterate are embarrassingly
-// parallel: forEach fans index-addressed jobs out over a bounded worker
-// pool while the callers keep results in index-keyed slices, which makes
-// the assembled output bit-for-bit identical to a serial run regardless
-// of completion order.
+// Every simulation of a matrix, and so of every artifact Evaluate
+// renders, is a pure function of (configuration, seed), so its cells are
+// embarrassingly parallel: forEach fans index-addressed jobs out over a
+// bounded worker pool while Matrix.Run keeps results in an index-keyed
+// slice, which makes the assembled output bit-for-bit identical to a
+// serial run regardless of completion order.
 
 // forEach runs job(0..n-1) on up to parallelism workers (<= 0 means
 // runtime.GOMAXPROCS(0)). The first error — by job index, not by wall
@@ -109,29 +108,4 @@ func (p *progressMeter) tick() {
 	p.done++
 	p.fn(p.done, p.total)
 	p.mu.Unlock()
-}
-
-// RunAllFunc executes a batch of independent run configurations on up
-// to parallelism workers (<= 0: all cores) with run (nil: Run), and
-// returns the results in input order. It gives callers outside the
-// matrix harness (cmd/espsweep's sensitivity sweep) the same
-// deterministic fan-out, optionally through a memoizing runner such as
-// resultcache.Store.Runner.
-func RunAllFunc(parallelism int, run func(RunConfig) (RunResult, error), rcs []RunConfig) ([]RunResult, error) {
-	if run == nil {
-		run = Run
-	}
-	out := make([]RunResult, len(rcs))
-	err := forEach(parallelism, len(rcs), func(i int) error {
-		res, err := run(rcs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -58,9 +58,10 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 
 	sameResults(t, serial, parallel)
 
-	// A union plan across Figures 4, 5 and 8, where each workload runs
-	// only the variants read on it.
-	arts, err := lookup([]string{"4", "5", "8"})
+	// A union plan across Figures 4, 5 and 8 and the §5.2 sweep, where
+	// each workload runs only the variants read on it and seven variants
+	// edit the system.
+	arts, err := lookup([]string{"4", "5", "8", "params"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +74,8 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 	if parallel, err = u.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(u.order()); n != 92 {
-		t.Errorf("union plan has %d cells, want 92 (12 workloads x 5 SP/ESP variants, and 4 x the 8 others)", n)
+	if n := len(u.order()); n != 106 {
+		t.Errorf("union plan has %d cells, want 106 (12 workloads x 5 SP/ESP variants, 4 x the 8 others and 2 x 7 sampler edits)", n)
 	}
 	sameResults(t, serial, parallel)
 }
@@ -167,6 +168,20 @@ func TestProgressMeterMonotonic(t *testing.T) {
 	}
 }
 
+// runAll runs rcs on up to parallelism workers and returns the results
+// in input order.
+func runAll(t *testing.T, parallelism int, rcs []RunConfig) []RunResult {
+	t.Helper()
+	out := make([]RunResult, len(rcs))
+	if err := forEach(parallelism, len(rcs), func(i int) (err error) {
+		out[i], err = Run(rcs[i])
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestRunAllPreservesOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs")
@@ -177,16 +192,9 @@ func TestRunAllPreservesOrder(t *testing.T) {
 		rcs[i].Warmup, rcs[i].Instructions = 5_000, 2_000
 		rcs[i].Seed = uint64(i + 1)
 	}
-	par, err := RunAllFunc(8, nil, rcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser, err := RunAllFunc(1, nil, rcs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par, ser := runAll(t, 8, rcs), runAll(t, 1, rcs)
 	if !reflect.DeepEqual(par, ser) {
-		t.Fatal("RunAllFunc results differ between 8 workers and serial")
+		t.Fatal("results differ between 8 workers and serial")
 	}
 	for i, r := range par {
 		if r.Seed != uint64(i+1) {

@@ -160,9 +160,7 @@ func TestPipedRunIdentical(t *testing.T) {
 			checkIdentical(t, "piped", a, wl, got)
 		}
 	}
-	if _, err := RunAllFunc(2, nil, []RunConfig{smallIdentityRun("esp-nuca", "mcf-4"), smallIdentityRun("esp-nuca", "FT"), smallIdentityRun("esp-nuca", "apache")}); err != nil {
-		t.Fatal(err)
-	}
+	runAll(t, 2, []RunConfig{smallIdentityRun("esp-nuca", "mcf-4"), smallIdentityRun("esp-nuca", "FT"), smallIdentityRun("esp-nuca", "apache")})
 	if drainPiped() {
 		t.Error("a 2-worker pool at GOMAXPROCS 2 piped a run")
 	}

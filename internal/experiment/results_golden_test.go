@@ -47,10 +47,7 @@ func resultGoldenConfigs() []RunConfig {
 // meant to alter results regenerates the file with -update and says so.
 func TestResultGoldens(t *testing.T) {
 	rcs := resultGoldenConfigs()
-	res, err := RunAllFunc(2, nil, rcs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAll(t, 2, rcs)
 	got := make(map[string]string, len(rcs))
 	var b strings.Builder
 	for i, rc := range rcs {
