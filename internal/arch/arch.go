@@ -281,6 +281,9 @@ type Substrate struct {
 	Bank []*cache.Bank
 	RNG  *sim.RNG
 
+	// bankNode[b] is bank b's router.
+	bankNode []noc.NodeID
+
 	// lines holds each line's L2 copies, private bit and token state;
 	// Dir reads and writes the token state through State and Peek.
 	lines lineTable
@@ -311,6 +314,10 @@ func NewSubstrate(cfg Config) (*Substrate, error) {
 		Map:   mapping,
 		RNG:   sim.NewRNG(cfg.Seed ^ 0xA11CE),
 		lines: newLineTable(lineRecords(cfg), lineSlots(cfg)),
+	}
+	perNode := cfg.Banks / mesh.Nodes()
+	for b := range cfg.Banks {
+		s.bankNode = append(s.bankNode, noc.NodeID(b/perNode))
 	}
 	s.Dir = coherence.NewDirectory(s)
 	s.Dir.Check = cfg.CheckTokens
@@ -377,8 +384,7 @@ func (s *Substrate) Reseed(seed uint64) {
 // NodeOfBank returns the router to which bank b attaches (banks attach in
 // groups of Banks/Nodes per router, groups aligned with cores).
 func (s *Substrate) NodeOfBank(b int) noc.NodeID {
-	perNode := s.Cfg.Banks / s.Mesh.Nodes()
-	return noc.NodeID(b / perNode)
+	return s.bankNode[b]
 }
 
 // NodeOfCore returns core c's router.

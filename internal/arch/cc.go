@@ -16,6 +16,8 @@ import (
 type CC struct {
 	t    *Tiled
 	prob float64
+	// spills is false when CC simulates the private system (Simulation).
+	spills bool
 
 	// Spills and SpillHits count cooperation activity.
 	Spills, SpillHits uint64
@@ -23,7 +25,10 @@ type CC struct {
 
 // NewCC builds Cooperative Caching on a prepared substrate, at its
 // config's CCProbability.
-func NewCC(s *Substrate) *CC { return &CC{t: NewTiled(s), prob: s.Cfg.CCProbability} }
+func NewCC(s *Substrate) *CC {
+	name, _ := Simulation("cc", s.Cfg)
+	return &CC{t: NewTiled(s), prob: s.Cfg.CCProbability, spills: name == "cc"}
+}
 
 // Name implements System.
 func (a *CC) Name() string { return "cc" }
@@ -44,8 +49,13 @@ func (a *CC) Access(at sim.Cycle, c int, line mem.Line, write bool) Result {
 
 // WriteBack implements System: like Tiled, but when the local allocation
 // evicts a singlet, the victim is forwarded to a random peer tile with
-// the cooperation probability (one-chance forwarding).
+// the cooperation probability (one-chance forwarding). CC that never
+// spills takes Tiled's path.
 func (a *CC) WriteBack(at sim.Cycle, c int, line mem.Line, dirty bool) {
+	if !a.spills {
+		a.t.WriteBack(at, c, line, dirty)
+		return
+	}
 	s := a.t.s
 	r := s.Open(line)
 	bank, set := s.Map.Private(line, c)

@@ -63,6 +63,23 @@ func BuildOn(name string, s *Substrate) (System, error) {
 	return builders[name](s)
 }
 
+// Simulation returns the architecture and configuration whose
+// simulation running name on cfg is, event for event, so that a harness
+// runs configurations that share them once. Cooperative Caching that
+// never spills is the private system: NewCC gives it Tiled's write-back
+// path, and its accesses are Tiled's. No other architecture reads
+// CCProbability, so it is zeroed outside spilling CC.
+func Simulation(name string, cfg Config) (string, Config) {
+	if name == "cc" && cfg.CCProbability != 0 {
+		return name, cfg
+	}
+	if name == "cc" {
+		name = "private"
+	}
+	cfg.CCProbability = 0
+	return name, cfg
+}
+
 // Names returns every buildable architecture name, sorted.
 func Names() []string {
 	names := make([]string, 0, len(builders))

@@ -330,7 +330,7 @@ func TestL1FillUpgradeInPlace(t *testing.T) {
 	if wb.Valid {
 		t.Fatalf("upgrade fill displaced %+v", wb)
 	}
-	set := l.setOf(100)
+	set := l.SetOf(100)
 	blk := l.data[0].Peek(set, cache.LineQuery(100))
 	if blk == nil || !blk.Dirty {
 		t.Fatal("upgrade did not mark dirty")

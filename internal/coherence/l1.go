@@ -36,6 +36,7 @@ type L1s struct {
 	instr []*cache.Bank
 	dir   *Directory
 	sets  int
+	setOf sim.Divisor // by sets
 
 	// Hits/misses per kind, aggregated over all cores.
 	dataHits, dataMisses, instrHits, instrMisses uint64
@@ -51,7 +52,7 @@ func NewL1s(n int, cfg L1Config, dir *Directory) (*L1s, error) {
 	if sets <= 0 {
 		return nil, fmt.Errorf("coherence: L1 of %d bytes has no sets", cfg.Bytes)
 	}
-	l := &L1s{cfg: cfg, dir: dir, sets: sets}
+	l := &L1s{cfg: cfg, dir: dir, sets: sets, setOf: sim.NewDivisor(sets)}
 	for i := 0; i < n; i++ {
 		mk := func() (*cache.Bank, error) {
 			return cache.NewBank(cache.Config{
@@ -97,7 +98,9 @@ func (l *L1s) HitMissTotals() (hits, misses uint64) {
 // Config returns the L1 configuration.
 func (l *L1s) Config() L1Config { return l.cfg }
 
-func (l *L1s) setOf(line mem.Line) int { return int(uint64(line) % uint64(l.sets)) }
+// SetOf returns the set index of line in every core's L1s: the line
+// number modulo the set count.
+func (l *L1s) SetOf(line mem.Line) int { return int(l.setOf.Rem(uint64(line))) }
 
 func (l *L1s) bank(c int, ifetch bool) *cache.Bank {
 	if ifetch {
@@ -111,7 +114,7 @@ func (l *L1s) bank(c int, ifetch bool) *cache.Bank {
 // all tokens (write hit on a shared line is an upgrade miss).
 func (l *L1s) Lookup(c int, line mem.Line, write, ifetch bool) bool {
 	b := l.bank(c, ifetch)
-	set := l.setOf(line)
+	set := l.SetOf(line)
 	blk := b.Lookup(set, cache.LineQuery(line))
 	hit := blk != nil
 	if hit && write {
@@ -147,7 +150,7 @@ func (l *L1s) Lookup(c int, line mem.Line, write, ifetch bool) bool {
 // tokens come from before calling Fill.
 func (l *L1s) Fill(c int, line mem.Line, write, ifetch bool) WriteBack {
 	b := l.bank(c, ifetch)
-	set := l.setOf(line)
+	set := l.SetOf(line)
 	if blk := b.Peek(set, cache.LineQuery(line)); blk != nil {
 		// Already present (upgrade): just set dirty.
 		if write {
@@ -170,7 +173,7 @@ func (l *L1s) Fill(c int, line mem.Line, write, ifetch bool) WriteBack {
 // only be in one, but code/data aliasing is legal) and returns whether a
 // dirty copy was dropped.
 func (l *L1s) Invalidate(c int, line mem.Line) (dirty bool) {
-	set := l.setOf(line)
+	set := l.SetOf(line)
 	if old, ok := l.data[c].Invalidate(set, cache.LineQuery(line)); ok && old.Dirty {
 		dirty = true
 	}
@@ -183,7 +186,7 @@ func (l *L1s) Invalidate(c int, line mem.Line) (dirty bool) {
 // Has reports whether core c's L1 holds the line (either array), without
 // touching LRU state.
 func (l *L1s) Has(c int, line mem.Line) bool {
-	set := l.setOf(line)
+	set := l.SetOf(line)
 	return l.data[c].Peek(set, cache.LineQuery(line)) != nil ||
 		l.instr[c].Peek(set, cache.LineQuery(line)) != nil
 }

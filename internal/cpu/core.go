@@ -311,7 +311,7 @@ func (c *Core) slice() {
 			}
 		}
 
-		c.retire(1)
+		c.retireOne()
 		n++
 	}
 	// Yield: reschedule at the core's current local time so other cores
@@ -333,6 +333,20 @@ func (c *Core) retire(k int) {
 	if c.slot += k; c.slot >= iw {
 		c.localTime += sim.Cycle(c.slot / iw)
 		c.slot %= iw
+	}
+}
+
+// retireOne is retire(1) without a division: the clock advances one
+// cycle when the instruction takes the cycle's last issue slot.
+func (c *Core) retireOne() {
+	if !c.warmed && c.warmTarget > 0 && c.retired+1 >= c.warmTarget {
+		c.warmed = true
+		c.warmTime = c.localTime
+	}
+	c.retired++
+	if c.slot++; c.slot >= c.cfg.IssueWidth {
+		c.localTime++
+		c.slot = 0
 	}
 }
 

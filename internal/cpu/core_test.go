@@ -195,3 +195,38 @@ func TestCoreRunsMatchSingles(t *testing.T) {
 		}
 	}
 }
+
+// TestRetireMatchesDivision pins retireOne, which advances the clock
+// without a division, and retire to the arithmetic of the division,
+// warmup boundary included, at power-of-two and other issue widths.
+func TestRetireMatchesDivision(t *testing.T) {
+	rng := sim.NewRNG(3)
+	for _, iw := range []int{1, 2, 3, 4, 5, 8} {
+		for _, warm := range []uint64{0, 1, 2, 7, 1_000} {
+			c := &Core{cfg: Config{IssueWidth: iw}, warmTarget: warm}
+			var time, warmTime sim.Cycle
+			var retired uint64
+			slot := 0
+			for i := 0; i < 2_000; i++ {
+				k := 1
+				if rng.Bool(0.3) {
+					k = rng.Intn(4 * iw)
+					c.retire(k)
+				} else {
+					c.retireOne()
+				}
+				if warm > 0 && retired < warm && retired+uint64(k) >= warm {
+					warmTime = time + sim.Cycle((slot+int(warm-retired-1))/iw)
+				}
+				retired += uint64(k)
+				time += sim.Cycle((slot + k) / iw)
+				slot = (slot + k) % iw
+				if c.localTime != time || c.slot != slot || c.retired != retired || c.warmTime != warmTime ||
+					c.warmed != (warm > 0 && retired >= warm) {
+					t.Fatalf("issue width %d, warmup %d, retiring %d: clock %d slot %d warm %v at %d, want %d %d %v at %d",
+						iw, warm, k, c.localTime, c.slot, c.warmed, c.warmTime, time, slot, retired >= warm, warmTime)
+				}
+			}
+		}
+	}
+}

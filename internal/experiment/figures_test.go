@@ -145,24 +145,30 @@ func TestFigure8Structure(t *testing.T) {
 
 // TestAllPlanRunsEachConfigOnce evaluates -all's plan, Figures 4-10 and
 // the §6 report, through a stub RunFunc, so nothing is simulated. Every
-// distinct configuration runs exactly once: 246 at one seed, where one
-// matrix per figure ran 342. The §6 report adds no run to it, as it
-// reads the cells of Figures 8-10, and the §5.2 sweep adds 14, as its
-// default esp-nuca cells on apache and CG are Figures 8 and 10's. A
-// variant label names one configuration in every artifact, which is what
-// lets artifacts share cells by label.
+// distinct simulation runs exactly once: 224 at one seed, where one
+// matrix per figure ran 342. -all assembles 246 cells, but each
+// transactional, multiprogrammed and NAS workload's CC00 cell is its
+// private cell (arch.Simulation), 22 cells that take their results from
+// that run. The §6 report adds no run to it, as it reads the cells of
+// Figures 8-10, and the §5.2 sweep adds 14 runs and cells, as its default
+// esp-nuca cells on apache and CG are Figures 8 and 10's. A variant label
+// names one configuration in every artifact, which is what lets
+// artifacts share cells by label.
 func TestAllPlanRunsEachConfigOnce(t *testing.T) {
 	all := []string{"4", "5", "6", "7", "8", "9", "10", "stability"}
 	for _, plan := range []struct {
-		names   []string
-		configs int
+		names       []string
+		runs, cells int
 	}{
-		{all[:7], 246},
-		{all, 246},
-		{append(all[:7:7], "params", "stability"), 260},
+		{all[:7], 224, 246},
+		{all, 224, 246},
+		{append(all[:7:7], "params", "stability"), 238, 260},
 	} {
 		var mu sync.Mutex
 		calls := map[string]int{}
+		stub := func(RunConfig) (RunResult, error) {
+			return RunResult{Throughput: 1, MeanIPC: 1, AvgAccessTime: 1, OffChipAccesses: 1, OnChipLatency: 1}, nil
+		}
 		o := QuickOptions()
 		o.Parallelism = 2
 		o.RunFunc = func(rc RunConfig) (RunResult, error) {
@@ -173,7 +179,12 @@ func TestAllPlanRunsEachConfigOnce(t *testing.T) {
 			mu.Lock()
 			calls[key]++
 			mu.Unlock()
-			return RunResult{Throughput: 1, MeanIPC: 1, AvgAccessTime: 1, OffChipAccesses: 1, OnChipLatency: 1}, nil
+			return stub(rc)
+		}
+		o.Progress = func(done, total int) {
+			if total != plan.runs {
+				t.Errorf("%v: progress total %d, want %d", plan.names, total, plan.runs)
+			}
 		}
 		tabs, err := Evaluate(plan.names, o)
 		if err != nil {
@@ -187,13 +198,37 @@ func TestAllPlanRunsEachConfigOnce(t *testing.T) {
 				t.Errorf("§5.2 sweep has %d rows, want 16 (2 workloads x 8 settings)", len(tab.Rows))
 			}
 		}
-		if len(calls) != plan.configs {
-			t.Errorf("%v: %d distinct configs, want %d", plan.names, len(calls), plan.configs)
+		if len(calls) != plan.runs {
+			t.Errorf("%v: %d distinct configs, want %d", plan.names, len(calls), plan.runs)
 		}
 		for key, n := range calls {
 			if n != 1 {
 				t.Errorf("config %.16s… ran %d times", key, n)
 			}
+		}
+
+		// Every cell is assembled, each under its own Arch.
+		arts, err := lookup(plan.names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.RunFunc, o.Progress = stub, nil
+		m := o.plan(arts)
+		res, err := m.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := 0
+		for _, v := range m.Variants {
+			for _, cell := range res[v.Label] {
+				cells++
+				if len(cell.Runs) != 1 || cell.Runs[0].Arch != v.Arch {
+					t.Errorf("%s cell holds %+v", v.Label, cell.Runs)
+				}
+			}
+		}
+		if cells != plan.cells {
+			t.Errorf("%v: %d cells assembled, want %d", plan.names, cells, plan.cells)
 		}
 	}
 

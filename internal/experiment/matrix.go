@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 
 	"espnuca/internal/arch"
 	"espnuca/internal/cpu"
@@ -166,13 +168,16 @@ func (m Matrix) Validate() error {
 	return nil
 }
 
-// Run executes the whole matrix, fanning the (variant, workload, seed)
-// cells out over a bounded worker pool (see Matrix.Parallelism). Results
-// are assembled from an index-keyed buffer, so the output — including
-// every Cell.Runs / Cell.PerfVec ordering — is bit-for-bit identical at
-// any parallelism. Progress, when non-nil, is called after every
-// completed run with a monotonically increasing done count (calls are
-// serialized; the callback needs no locking of its own).
+// Run executes the whole matrix, fanning its distinct simulations out
+// over a bounded worker pool (see Matrix.Parallelism). Cells whose runs
+// are one simulation (arch.Simulation: CC that never spills is the
+// private system) run it once, and each gets a copy of the result under
+// its own Arch. Results are assembled from an index-keyed buffer, so the
+// output — including every Cell.Runs / Cell.PerfVec ordering — is
+// bit-for-bit identical at any parallelism. Progress, when non-nil, is
+// called after every completed simulation with a monotonically
+// increasing done count (calls are serialized; the callback needs no
+// locking of its own).
 //
 // The cells of a (workload, seed) share their measured streams: Run
 // leases their stream key for its duration, so they are generated once
@@ -188,17 +193,17 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 	for d, c := range order {
 		cfgs[d] = m.cellConfig(c)
 	}
-	total := len(cfgs)
-	results := make([]RunResult, total)
-	meter := newProgressMeter(total, progress)
+	sims, of := simulations(cfgs)
+	results := make([]RunResult, len(sims))
+	meter := newProgressMeter(len(sims), progress)
 	runCell := m.RunFunc
 	if runCell == nil {
 		// The cells are validated.
 		runCell = runValid
 	}
 	shared := map[streamKey]int{}
-	for _, rc := range cfgs {
-		if k := streamKeyOf(rc); k.target <= maxRecorded {
+	for _, runs := range sims {
+		if k := streamKeyOf(cfgs[runs[0]]); k.target <= maxRecorded {
 			shared[k]++
 		}
 	}
@@ -209,13 +214,18 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 	}
 	ls := leaseRecordings(shared)
 	defer ls.release()
-	err := forEach(m.Parallelism, total, func(d int) error {
+	err := forEach(m.Parallelism, len(sims), func(i int) error {
+		d := sims[i][0]
 		c, rc := order[d], cfgs[d]
 		label, wl, seed := m.Variants[c.v].Label, m.Workloads[c.w], m.Seeds[c.s]
 		defer ls.done(streamKeyOf(rc))
 		var finish func() error
 		if m.Obs != nil {
-			reg, fin, oerr := m.Obs.open(fmt.Sprintf("%s_%s_s%d", label, wl, seed))
+			names := make([]string, len(sims[i]))
+			for j, d := range sims[i] {
+				names[j] = fmt.Sprintf("%s_%s_s%d", m.Variants[order[d].v].Label, wl, seed)
+			}
+			reg, fin, oerr := m.Obs.open(names...)
 			if oerr != nil {
 				return fmt.Errorf("%s/%s seed %d: %w", label, wl, seed, oerr)
 			}
@@ -232,7 +242,7 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 		if err != nil {
 			return fmt.Errorf("%s/%s seed %d: %w", label, wl, seed, err)
 		}
-		results[c.cell*len(m.Seeds)+c.s] = res
+		results[i] = res
 		meter.tick()
 		return nil
 	})
@@ -241,7 +251,15 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 	}
 
 	// Deterministic assembly: a cell's runs are its seeds' results, in
-	// seed order.
+	// seed order, each a copy of its simulation's result under the
+	// cell's own Arch.
+	n := len(m.Seeds)
+	runs := make([]RunResult, len(order))
+	for d, c := range order {
+		res := results[of[d]]
+		res.Arch = cfgs[d].Arch
+		runs[c.cell*n+c.s] = res
+	}
 	out := make(Results, len(m.Variants))
 	for _, c := range order {
 		if c.s != 0 {
@@ -252,8 +270,7 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 			out[v.Label] = make(map[string]Cell, len(m.Workloads))
 		}
 		spec, _ := workload.ByName(wl) // present: the matrix is validated
-		n := len(m.Seeds)
-		cell := Cell{Kind: spec.Kind, Runs: results[c.cell*n : (c.cell+1)*n : (c.cell+1)*n], PerfVec: make([]float64, n)}
+		cell := Cell{Kind: spec.Kind, Runs: runs[c.cell*n : (c.cell+1)*n : (c.cell+1)*n], PerfVec: make([]float64, n)}
 		for si, res := range cell.Runs {
 			cell.PerfVec[si] = res.Performance(spec.Kind)
 		}
@@ -261,6 +278,36 @@ func (m Matrix) Run(progress func(done, total int)) (Results, error) {
 		out[v.Label][wl] = cell
 	}
 	return out, nil
+}
+
+// simulations groups the runs cfgs (in start order) by the simulation
+// they are (arch.Simulation). sims lists each distinct simulation's runs
+// in order of first appearance, so sims[i][0] is the run that executes
+// it, and of[d] is the index in sims of run d's simulation.
+func simulations(cfgs []RunConfig) (sims [][]int, of []int) {
+	type id struct {
+		arch, workload string
+		seed           uint64
+	}
+	norm := make([]RunConfig, len(cfgs))
+	byID := make(map[id][]int, len(cfgs)) // candidate indices into sims
+	of = make([]int, len(cfgs))
+	for d, rc := range cfgs {
+		rc.Arch, rc.System = arch.Simulation(rc.Arch, rc.System)
+		norm[d] = rc
+		k := id{rc.Arch, rc.Workload, rc.Seed}
+		i := slices.IndexFunc(byID[k], func(i int) bool { return reflect.DeepEqual(norm[sims[i][0]], rc) })
+		if i < 0 {
+			i = len(sims)
+			byID[k] = append(byID[k], i)
+			sims = append(sims, nil)
+		} else {
+			i = byID[k][i]
+		}
+		sims[i] = append(sims[i], d)
+		of[d] = i
+	}
+	return sims, of
 }
 
 // Normalized returns variant v's mean performance on workload wl divided

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -138,5 +140,34 @@ func TestCellConfigAllocs(t *testing.T) {
 	}
 	if rc.Arch != "cc" || rc.Workload != "mcf-4" || rc.Seed != 3 || rc.System.CCProbability != 1 || rc.Core.Quantum == 0 {
 		t.Errorf("last cell config = %s/%s seed %d CC %v core %+v", rc.Arch, rc.Workload, rc.Seed, rc.System.CCProbability, rc.Core)
+	}
+}
+
+// TestNeverSpillingCCIsPrivate pins the premise that lets Matrix.Run
+// simulate CC at probability 0 and private once (arch.Simulation): on
+// each transactional workload at quick budgets, the two runs give the
+// same RunResult, field for field, once Arch is set equal.
+func TestNeverSpillingCCIsPrivate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates eight runs")
+	}
+	o := QuickOptions()
+	for _, wl := range transactional.workloads {
+		m := NewMatrix([]string{wl}, []Variant{V("private", "private"), CCVariant(0)})
+		m.Seeds, m.Warmup, m.Instructions, m.System = o.Seeds, o.Warmup, o.Instructions, o.System
+		var out [2][]byte
+		for i := range out {
+			res, err := Run(m.cellConfig(at{v: i}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Arch = ""
+			if out[i], err = json.Marshal(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(out[0], out[1]) {
+			t.Errorf("%s: private %s\ncc at 0 %s", wl, out[0], out[1])
+		}
 	}
 }

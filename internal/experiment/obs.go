@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 
@@ -75,28 +76,48 @@ type ObsSpec struct {
 	Trace bool
 }
 
-// open prepares the registry and sinks for one run named name. The
-// returned finish must be called after the run completes; it flushes and
-// closes the files and reports the first sink error.
-func (sp *ObsSpec) open(name string) (*obs.Registry, func() error, error) {
+// open prepares the registry and sinks for one run written under every
+// name in names: cells that are one simulation (Matrix.Run) each get the
+// run's files. The returned finish must be called after the run
+// completes; it flushes and closes the files and reports the first sink
+// error.
+func (sp *ObsSpec) open(names ...string) (*obs.Registry, func() error, error) {
 	if err := os.MkdirAll(sp.Dir, 0o755); err != nil {
 		return nil, nil, err
 	}
 	reg := obs.NewRegistry()
-	f, err := os.Create(filepath.Join(sp.Dir, name+".metrics.jsonl"))
-	if err != nil {
-		return nil, nil, err
+	files := make([]*os.File, 0, len(names))
+	writers := make([]io.Writer, 0, len(names))
+	closeAll := func() (err error) {
+		for _, f := range files {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		return err
 	}
-	reg.AttachJSONL(f)
+	for _, name := range names {
+		f, err := os.Create(filepath.Join(sp.Dir, name+".metrics.jsonl"))
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		files = append(files, f)
+		writers = append(writers, f)
+	}
+	reg.AttachJSONL(io.MultiWriter(writers...))
 	if sp.Trace {
 		reg.EnableTrace()
 	}
 	finish := func() error {
 		err := reg.Err()
-		if cerr := f.Close(); err == nil {
+		if cerr := closeAll(); err == nil {
 			err = cerr
 		}
-		if sp.Trace && err == nil {
+		for _, name := range names {
+			if !sp.Trace || err != nil {
+				break
+			}
 			tf, terr := os.Create(filepath.Join(sp.Dir, name+".trace.json"))
 			if terr != nil {
 				return terr

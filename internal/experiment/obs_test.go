@@ -155,3 +155,34 @@ func TestMatrixObsWritesFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestMatrixObsWritesTwinFiles checks that cells that are one
+// simulation (CC at 0 and private) each get that run's telemetry files.
+func TestMatrixObsWritesTwinFiles(t *testing.T) {
+	dir := t.TempDir()
+	m := NewMatrix([]string{"oltp"}, []Variant{V("private", "private"), CCVariant(0)})
+	m.Seeds = []uint64{1}
+	m.Warmup = 10_000
+	m.Instructions = 4_000
+	m.Obs = &ObsSpec{Dir: dir, Interval: 2_000, Trace: true}
+	runs := 0
+	if _, err := m.Run(func(done, total int) { runs = total }); err != nil {
+		t.Fatal(err)
+	}
+	if runs != 1 {
+		t.Errorf("%d simulations for private and CC00, want 1", runs)
+	}
+	for _, ext := range []string{".metrics.jsonl", ".trace.json"} {
+		p, err := os.ReadFile(filepath.Join(dir, "private_oltp_s1"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := os.ReadFile(filepath.Join(dir, "CC00_oltp_s1"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p) == 0 || !bytes.Equal(p, c) {
+			t.Errorf("%s: private has %d bytes, CC00 %d, want the same non-empty file", ext, len(p), len(c))
+		}
+	}
+}

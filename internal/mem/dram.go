@@ -29,6 +29,7 @@ func DefaultDRAMConfig() DRAMConfig {
 type DRAM struct {
 	cfg      DRAMConfig
 	channels []*sim.Resource
+	chans    sim.Divisor // by len(channels)
 
 	// Reads and Writes count accesses, for the off-chip traffic metrics
 	// of Figure 7.
@@ -43,6 +44,7 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	for i := 0; i < cfg.Channels; i++ {
 		d.channels = append(d.channels, sim.NewResource(cfg.Interval))
 	}
+	d.chans = sim.NewDivisor(len(d.channels))
 	return d
 }
 
@@ -79,7 +81,7 @@ func (d *DRAM) Utilization(now sim.Cycle) float64 {
 }
 
 // ChannelOf maps a line to its controller (block interleaving).
-func (d *DRAM) ChannelOf(l Line) int { return int(uint64(l) % uint64(len(d.channels))) }
+func (d *DRAM) ChannelOf(l Line) int { return int(d.chans.Rem(uint64(l))) }
 
 // Read schedules a read of line l arriving at the controller at cycle at
 // and returns the cycle its data is available at the controller.

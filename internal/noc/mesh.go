@@ -59,6 +59,8 @@ type Mesh struct {
 	// the outgoing link each hop claims, in order. Every route is a
 	// window of one backing array.
 	routes [][]*sim.Resource
+	// link divides by LinkBytes and mems by len(MemRouters).
+	link, mems sim.Divisor
 
 	// Stats.
 	Messages    uint64
@@ -87,7 +89,8 @@ func New(cfg Config) (*Mesh, error) {
 			return nil, fmt.Errorf("noc: memory router %d outside grid of %d nodes", r, n)
 		}
 	}
-	m := &Mesh{cfg: cfg, nodes: n, links: make([]sim.Resource, 4*n), routes: make([][]*sim.Resource, n*n)}
+	m := &Mesh{cfg: cfg, nodes: n, links: make([]sim.Resource, 4*n), routes: make([][]*sim.Resource, n*n),
+		link: sim.NewDivisor(cfg.LinkBytes), mems: sim.NewDivisor(len(cfg.MemRouters))}
 	for i := range m.links {
 		m.links[i] = *sim.NewResource(1)
 	}
@@ -127,7 +130,7 @@ func (m *Mesh) Config() Config { return m.cfg }
 
 // MemRouter returns the router of memory channel ch.
 func (m *Mesh) MemRouter(ch int) NodeID {
-	return m.cfg.MemRouters[ch%len(m.cfg.MemRouters)]
+	return m.cfg.MemRouters[m.mems.Rem(uint64(ch))]
 }
 
 func (m *Mesh) coord(n NodeID) (x, y int) {
@@ -146,11 +149,10 @@ func (m *Mesh) route(from, to NodeID) []*sim.Resource {
 // 8-byte header).
 func (m *Mesh) Flits(size int) int {
 	total := size + 8
-	f := (total + m.cfg.LinkBytes - 1) / m.cfg.LinkBytes
-	if f < 1 {
-		f = 1
+	if total <= 0 {
+		return 1
 	}
-	return f
+	return int(m.link.Quo(uint64(total + m.cfg.LinkBytes - 1)))
 }
 
 // Path returns the DOR (X then Y) sequence of nodes from 'from' to 'to',

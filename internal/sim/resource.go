@@ -26,10 +26,24 @@ import "math/bits"
 // start bit (every start bit under a live booking but its own was cleared
 // when it was placed) bounds how far down a claim behind the horizon has
 // to look. The ring's base stays at or below every live booking's start.
+//
+// A claim of at most 64 cycles at or above the horizon reads the 64
+// cycles from its arrival as one word of busy bits. When its own cycles
+// are free it takes them; otherwise it ANDs the free bits with
+// themselves shifted until a set bit marks a free run as long as the
+// claim, and takes the first with one TrailingZeros64: the first fit, as
+// long as a run starts and ends in that window. Only a claim that finds
+// none, or that arrives behind the horizon, searches the ring chunk by
+// chunk. The horizon, the ring's top and the arrival that moves its base
+// are kept as fields, updated only when the latest arrival, the base or
+// the longest occupancy moves.
 type Resource struct {
 	interval Cycle
-	ring     []chunk // chunk c/64 of [base, base+64*len(ring)) at ring[c/64 % len]
+	ring     []chunk // chunk c/64 of [base, top) at ring[c/64 % len]
 	base     Cycle   // first cycle the ring holds, a multiple of 64
+	top      Cycle   // base + 64*len(ring), the first cycle past the ring; 0 before the first claim
+	horizon  Cycle   // bookings ending before it are dead: maxSeen - pruneWindow, or 0
+	rise     Cycle   // the first arrival that lifts floor above the base
 	maxSeen  Cycle   // latest arrival
 	maxOcc   Cycle   // longest occupancy claimed
 	maxEnd   Cycle   // latest end of any booking
@@ -44,7 +58,8 @@ type Resource struct {
 }
 
 // chunk holds 64 consecutive cycles: bit i of busy is set when cycle
-// 64k+i is booked, and bit i of starts when a booking begins there.
+// 64k+i is booked, and bit i of starts when a booking begins there. The
+// two words sit side by side, so a claim touches one cache line.
 type chunk struct{ busy, starts uint64 }
 
 // pruneWindow is how far behind the latest seen arrival bookings are
@@ -91,27 +106,26 @@ func (r *Resource) ClaimFor(at, occ Cycle) Cycle {
 	if occ == 0 {
 		occ = 1
 	}
-	if r.ring == nil {
-		r.ring = make([]chunk, initialChunks)
+	if r.top == 0 {
+		r.open()
 	}
 	if occ > r.maxOcc {
-		// A longer booking can start further below the horizon.
-		r.maxOcc = occ
-		if b := r.floor(); b < r.base {
-			r.cover(b, r.maxEnd)
-		}
+		r.lengthen(occ)
 	}
 	if at > r.maxSeen {
+		// The horizon follows the latest arrival, and the base the
+		// horizon, a chunk at a time.
 		r.maxSeen = at
-		if b := r.floor(); b > r.base {
-			r.advance(b)
+		r.horizon = max(at, pruneWindow) - pruneWindow
+		if at >= r.rise {
+			r.advance(r.floor())
 		}
 	}
-	h := r.horizon()
 
-	// Fast path: a short claim at or above the horizon whose own cycles
-	// are free, which is most of them.
-	if at >= h && occ <= 64 && at+occ <= r.top() {
+	// Fast path: a claim of at most 64 cycles at or above the horizon
+	// whose own cycles are free, which is most of them, or that finds a
+	// free run in the 64 cycles from at.
+	if at >= r.horizon && occ <= 64 && at+64 <= r.top {
 		wrap := Cycle(len(r.ring) - 1)
 		off := at & 63
 		m := uint64(1)<<occ - 1
@@ -125,13 +139,16 @@ func (r *Resource) ClaimFor(at, occ Cycle) Cycle {
 			r.account(at, at, occ)
 			return at
 		}
+		if start, ok := r.window(at, occ); ok {
+			return start
+		}
 	}
 
 	// First fit over the busy bits at or above lim, the lowest cycle a
 	// live booking can hold that the claim can reach.
 	lim := at
-	if at < h {
-		lim = r.liveFloor(h)
+	if at < r.horizon {
+		lim = r.liveFloor(r.horizon)
 	}
 	start := at
 	for {
@@ -142,11 +159,67 @@ func (r *Resource) ClaimFor(at, occ Cycle) Cycle {
 		}
 		start = r.nextFree(b)
 	}
-	if start+occ >= h {
+	if start+occ >= r.horizon {
 		r.book(start, start+occ)
 	}
 	r.account(at, start, occ)
 	return start
+}
+
+// window books a claim of occ <= 64 cycles arriving at at, at or above
+// the horizon and at least 64 cycles below the ring's top, at the first
+// run of occ free cycles among the 64 from at, and reports whether one
+// fits there. The free bits ANDed with themselves shifted mark, at bit
+// i, a run of occ free cycles from at+i; bits past the window shift in
+// as busy, so a marked run ends inside it.
+func (r *Resource) window(at, occ Cycle) (Cycle, bool) {
+	wrap := Cycle(len(r.ring) - 1)
+	k, off := at>>6&wrap, at&63
+	fits := ^(r.ring[k].busy>>off | r.ring[(k+1)&wrap].busy<<(64-off))
+	for n := Cycle(1); n < occ; {
+		sh := min(n, occ-n)
+		fits &= fits >> sh
+		n += sh
+	}
+	if fits == 0 {
+		return 0, false
+	}
+	start := at + Cycle(bits.TrailingZeros64(fits))
+	// The run is free, so it holds no start bit to clear.
+	k, off = start>>6&wrap, start&63
+	m := uint64(1)<<occ - 1
+	r.ring[k].busy |= m << off
+	r.ring[(k+1)&wrap].busy |= m >> (64 - off)
+	r.ring[k].starts |= 1 << off
+	r.account(at, start, occ)
+	return start, true
+}
+
+// open readies the ring for the first claim since NewResource or Reset.
+func (r *Resource) open() {
+	if r.ring == nil {
+		r.ring = make([]chunk, initialChunks)
+	}
+	r.moved()
+}
+
+// moved updates what follows from the base, the ring's length and the
+// longest occupancy: the ring's top, and the arrival from which floor
+// is above the base.
+func (r *Resource) moved() {
+	r.top = r.base + Cycle(len(r.ring))<<6
+	r.rise = r.base + 64 + r.maxOcc + 1 + pruneWindow
+}
+
+// lengthen records occ as the longest occupancy claimed. A longer
+// booking can start further below the horizon, so the ring reaches down
+// to the new floor.
+func (r *Resource) lengthen(occ Cycle) {
+	r.maxOcc = occ
+	if b := r.floor(); b < r.base {
+		r.cover(b, r.maxEnd)
+	}
+	r.moved()
 }
 
 // account records a booking of occ cycles placed at start for a claim
@@ -159,27 +232,15 @@ func (r *Resource) account(at, start, occ Cycle) {
 	r.Claims++
 }
 
-// horizon is the pruning horizon: bookings ending before it are dead.
-func (r *Resource) horizon() Cycle {
-	if r.maxSeen < pruneWindow {
-		return 0
-	}
-	return r.maxSeen - pruneWindow
-}
-
 // floor is the highest base that keeps every live booking in the ring:
 // one ending at or after the horizon starts at most maxOcc cycles below
 // it.
 func (r *Resource) floor() Cycle {
-	h := r.horizon()
-	if h <= r.maxOcc+1 {
+	if r.horizon <= r.maxOcc+1 {
 		return 0
 	}
-	return (h - r.maxOcc - 1) &^ 63
+	return (r.horizon - r.maxOcc - 1) &^ 63
 }
-
-// top is the first cycle past the ring. No bit is set at or above it.
-func (r *Resource) top() Cycle { return r.base + Cycle(len(r.ring))<<6 }
 
 // advance moves the base up to b, clearing the chunks it leaves so they
 // can be reused at the top.
@@ -193,6 +254,7 @@ func (r *Resource) advance(b Cycle) {
 		}
 	}
 	r.base = b
+	r.moved()
 }
 
 // cover makes the ring hold [b, end) for a base b at or below the
@@ -204,6 +266,7 @@ func (r *Resource) cover(b, end Cycle) {
 	n := Cycle(len(r.ring))
 	if need <= n {
 		r.base = b
+		r.moved()
 		return
 	}
 	for n < need {
@@ -211,16 +274,17 @@ func (r *Resource) cover(b, end Cycle) {
 	}
 	ring := make([]chunk, n)
 	wrap := Cycle(len(r.ring) - 1)
-	for c, last := r.base>>6, min((r.maxEnd+63)>>6, r.top()>>6); c < last; c++ {
+	for c, last := r.base>>6, min((r.maxEnd+63)>>6, r.top>>6); c < last; c++ {
 		ring[c&(n-1)] = r.ring[c&wrap]
 	}
 	r.ring, r.base = ring, b
+	r.moved()
 }
 
 // book marks [start, end) busy with a booking beginning at start. Start
 // bits under it can only belong to dead bookings and are cleared.
 func (r *Resource) book(start, end Cycle) {
-	if end > r.top() {
+	if end > r.top {
 		r.cover(r.base, end)
 	}
 	wrap := Cycle(len(r.ring) - 1)
@@ -240,7 +304,7 @@ func (r *Resource) book(start, end Cycle) {
 // does.
 func (r *Resource) liveFloor(h Cycle) Cycle {
 	c := h - 1
-	if c >= r.top() {
+	if c >= r.top {
 		return h
 	}
 	wrap := Cycle(len(r.ring) - 1)
@@ -261,7 +325,7 @@ func (r *Resource) liveFloor(h Cycle) Cycle {
 // nextBusy returns the first busy cycle in [lo, hi), or hi if none is.
 func (r *Resource) nextBusy(lo, hi Cycle) Cycle {
 	wrap := Cycle(len(r.ring) - 1)
-	for c, end := lo, min(hi, r.top()); c < end; c = (c | 63) + 1 {
+	for c, end := lo, min(hi, r.top); c < end; c = (c | 63) + 1 {
 		if w := r.ring[c>>6&wrap].busy >> (c & 63); w != 0 {
 			if b := c + Cycle(bits.TrailingZeros64(w)); b < end {
 				return b
@@ -275,7 +339,7 @@ func (r *Resource) nextBusy(lo, hi Cycle) Cycle {
 // nextFree returns the first free cycle at or after c.
 func (r *Resource) nextFree(c Cycle) Cycle {
 	wrap := Cycle(len(r.ring) - 1)
-	for top := r.top(); c < top; c = (c | 63) + 1 {
+	for top := r.top; c < top; c = (c | 63) + 1 {
 		if w := ^r.ring[c>>6&wrap].busy >> (c & 63); w != 0 {
 			return c + Cycle(bits.TrailingZeros64(w))
 		}
@@ -287,7 +351,7 @@ func (r *Resource) nextFree(c Cycle) Cycle {
 // bookings: the latest end of a live booking, or the end of the most
 // recent booking when none is live.
 func (r *Resource) NextFree() Cycle {
-	if r.maxEnd >= r.horizon() {
+	if r.maxEnd >= r.horizon {
 		return r.maxEnd
 	}
 	return r.lastEnd

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // refResource books claims the straightforward way: it keeps a sorted
 // list of booked intervals, drops dead bookings from the front on every
@@ -87,6 +90,7 @@ type claimMix struct {
 	nearP  float64 // probability an arrival lands within 2*maxOcc cycles of the horizon
 	ramp   bool    // the occupancy bound doubles three times, up to maxOcc
 	grows  bool    // the ring must outgrow its initial size
+	burst  int     // after each drawn claim, burst one-cycle claims at its arrival
 }
 
 func TestResourceMatchesEagerReference(t *testing.T) {
@@ -109,6 +113,10 @@ func TestResourceMatchesEagerReference(t *testing.T) {
 		// long, so the base jumps past every chunk and later arrivals
 		// fall behind the horizon.
 		{name: "far-leads", claims: 200_000, step: 8, skew: 2_000, maxOcc: 8, leadP: 0.0005, lead: 64 * initialChunks},
+		// A broadcast miss on one router out-link: a probe to each other
+		// tile leaves at one cycle, so one-cycle claims collide and queue
+		// behind each other, between replies booked at other cycles.
+		{name: "burst", claims: 200_000, step: 24, skew: 400, maxOcc: 5, burst: 6},
 	}
 	for _, m := range mixes {
 		t.Run(m.name, func(t *testing.T) {
@@ -117,7 +125,12 @@ func TestResourceMatchesEagerReference(t *testing.T) {
 			want := &refResource{}
 			var now Cycle = pruneWindow / 2
 			maxLive := 0
+			var burstAt Cycle
 			for i := 0; i < m.claims; i++ {
+				if m.burst > 0 && i%(m.burst+1) != 0 {
+					check(t, i, got, want, burstAt, 1)
+					continue
+				}
 				now += Cycle(rng.Intn(m.step + 1))
 				if rng.Bool(m.jumpP) {
 					now += 4 * pruneWindow
@@ -143,16 +156,8 @@ func TestResourceMatchesEagerReference(t *testing.T) {
 					bound = m.maxOcc >> (3 - 4*i/m.claims)
 				}
 				occ := Cycle(rng.Intn(bound + 1)) // 0 exercises the occ=1 floor
-				gs, ws := got.ClaimFor(at, occ), want.ClaimFor(at, occ)
-				if gs != ws {
-					t.Fatalf("claim %d (at %d, occ %d): start %d, reference %d", i, at, occ, gs, ws)
-				}
-				if got.Waits != want.Waits || got.Busy != want.Busy || got.Claims != want.Claims ||
-					got.NextFree() != want.NextFree() {
-					t.Fatalf("claim %d: Waits/Busy/Claims/NextFree %d/%d/%d/%d, reference %d/%d/%d/%d",
-						i, got.Waits, got.Busy, got.Claims, got.NextFree(),
-						want.Waits, want.Busy, want.Claims, want.NextFree())
-				}
+				check(t, i, got, want, at, occ)
+				burstAt = at
 				maxLive = max(maxLive, len(want.intervals))
 			}
 			// The ring is reused rather than regrown: it keeps its initial
@@ -166,12 +171,29 @@ func TestResourceMatchesEagerReference(t *testing.T) {
 	}
 }
 
+// check makes claim i on got and want and fails unless both place it
+// at one start and agree on every counter and NextFree.
+func check(t *testing.T, i int, got *Resource, want *refResource, at, occ Cycle) {
+	t.Helper()
+	gs, ws := got.ClaimFor(at, occ), want.ClaimFor(at, occ)
+	if gs != ws {
+		t.Fatalf("claim %d (at %d, occ %d): start %d, reference %d", i, at, occ, gs, ws)
+	}
+	if got.Waits != want.Waits || got.Busy != want.Busy || got.Claims != want.Claims ||
+		got.NextFree() != want.NextFree() {
+		t.Fatalf("claim %d: Waits/Busy/Claims/NextFree %d/%d/%d/%d, reference %d/%d/%d/%d",
+			i, got.Waits, got.Busy, got.Claims, got.NextFree(),
+			want.Waits, want.Busy, want.Claims, want.NextFree())
+	}
+}
+
 // TestResourceEdgeCases replays short claim sequences built to reach the
 // ring's edge cases, which random mixes hit rarely, and checks each claim
 // against the reference.
 func TestResourceEdgeCases(t *testing.T) {
 	const m = 100_000 // latest arrival; the horizon is m - pruneWindow
 	const h = m - pruneWindow
+	const chunkEnd = m&^63 + 64 + 63 // bit 63 of the chunk after m's
 	type claim struct{ at, occ Cycle }
 	cases := []struct {
 		name   string
@@ -190,18 +212,48 @@ func TestResourceEdgeCases(t *testing.T) {
 			{m + 16_300, 1}}},
 		// Growing the ring keeps the bookings it already holds.
 		{"growth-keeps-bookings", []claim{{m, 1}, {m + 100, 1}, {m, 20_000}, {m + 100, 1}}},
+		// A one-cycle claim colliding at bit 63 of its chunk goes to bit 0
+		// of the next.
+		{"collision-at-bit-63", []claim{{m, 1}, {chunkEnd, 1}, {chunkEnd, 1}, {chunkEnd, 1}}},
+		// A gap of exactly 5 cycles across a chunk boundary takes a
+		// 5-cycle claim and not a 6-cycle one.
+		{"gap-straddles-chunks", []claim{{m, 1}, {chunkEnd - 9, 7}, {chunkEnd + 3, 8},
+			{chunkEnd - 9, 5}, {chunkEnd - 9, 6}, {chunkEnd - 9, 1}}},
+		// Claims as long as the window: one that fits at its arrival and
+		// one that does not.
+		{"occ-64", []claim{{m, 1}, {m + 5, 1}, {m, 64}, {m + 200, 64}, {m + 199, 64}}},
+		// The first gap lies past the 64 cycles the window reads, so the
+		// claim falls back to the chunk search.
+		{"gap-past-window", []claim{{m, 1}, {m + 1, 70}, {m + 1, 1}, {m + 3, 2}}},
+		// A longest occupancy of 16,284 cycles pulls the base down until
+		// the ring's top is 100,096: the third claim ends exactly there,
+		// and the fourth finds no free cycle below it.
+		{"ends-at-top", []claim{{m, 1}, {m - 20_000, 16_284}, {m + 1, 95}, {m + 1, 1}, {m - 5, 1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, want := NewResource(1), &refResource{}
 			for i, c := range tc.claims {
-				gs, ws := got.ClaimFor(c.at, c.occ), want.ClaimFor(c.at, c.occ)
-				if gs != ws || got.NextFree() != want.NextFree() {
-					t.Fatalf("claim %d (at %d, occ %d): start/NextFree %d/%d, reference %d/%d",
-						i, c.at, c.occ, gs, got.NextFree(), ws, want.NextFree())
-				}
+				check(t, i, got, want, c.at, c.occ)
 			}
 		})
+	}
+
+	// A Reset resource whose ring had grown claims as a new one.
+	got, want := NewResource(1), &refResource{}
+	for i, c := range []claim{{m, 1}, {m, 20_000}, {m + 100, 1}} {
+		check(t, i, got, want, c.at, c.occ)
+	}
+	if len(got.ring) <= initialChunks {
+		t.Fatalf("ring of %d chunks did not grow", len(got.ring))
+	}
+	got.Reset()
+	if !reflect.DeepEqual(got, NewResource(1)) {
+		t.Fatalf("reset resource %+v, new %+v", *got, *NewResource(1))
+	}
+	want = &refResource{}
+	for i, c := range []claim{{m, 1}, {m + 63, 1}, {m + 63, 2}, {h - 3, 5}, {m, 40}} {
+		check(t, i, got, want, c.at, c.occ)
 	}
 }
 
@@ -260,3 +312,54 @@ func BenchmarkResourceClaim(b *testing.B) { benchmarkClaims(b, newClaimBench(0, 
 // cycles, the band that holds 54% of an esp-nuca/FT run's claims and 29%
 // of a private/apache run's (espsim's default run length).
 func BenchmarkResourceClaimLagged(b *testing.B) { benchmarkClaims(b, newClaimBench(100, 1_000)) }
+
+// burstBench replays broadcast misses on one router out-link: the
+// requester's 7 tag probes leave at one cycle and queue one behind
+// another, then the 7 replies cross the link at later cycles, and the
+// data reply, 5 flits, a DRAM latency after the probes. The clock
+// advances up to 64 cycles between misses.
+type burstBench struct {
+	r    *Resource
+	now  Cycle
+	step [4096]Cycle // clock advance before claim i, nonzero at a miss's first probe
+	off  [4096]Cycle // claim i's arrival after the clock
+	occ  [4096]Cycle
+	i    int
+}
+
+func newBurstBench() *burstBench {
+	rng := NewRNG(13)
+	bb := &burstBench{r: NewResource(1), now: pruneWindow}
+	for i := 0; i < len(bb.off); i += 16 {
+		bb.step[i] = Cycle(rng.Intn(65))
+		for j := 0; j < 7; j++ {
+			bb.occ[i+j] = 1
+			bb.off[i+7+j], bb.occ[i+7+j] = Cycle(12+rng.Intn(40)), 1
+		}
+		bb.off[i+14], bb.occ[i+14] = Cycle(300+rng.Intn(200)), 5
+		bb.off[i+15], bb.occ[i+15] = Cycle(20+rng.Intn(40)), 5
+	}
+	for i := 0; i < 20_000; i++ {
+		bb.claim()
+	}
+	return bb
+}
+
+func (bb *burstBench) claim() {
+	k := bb.i & (len(bb.off) - 1)
+	bb.i++
+	bb.now += bb.step[k]
+	bb.r.ClaimFor(bb.now+bb.off[k], bb.occ[k])
+}
+
+// BenchmarkResourceClaimBurst: the claims of broadcast misses on one
+// link (burstBench), per claim. Two thirds of them start later than
+// they arrive, behind an earlier booking.
+func BenchmarkResourceClaimBurst(b *testing.B) {
+	bb := newBurstBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bb.claim()
+	}
+}
