@@ -38,13 +38,18 @@ func (t Table) String() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
-	fmt.Fprintf(&b, "%-12s", "")
+	// The label column is as wide as the longest label, and 12 at least.
+	w := 12
+	for _, r := range t.Rows {
+		w = max(w, len(r.Label))
+	}
+	fmt.Fprintf(&b, "%-*s", w, "")
 	for _, c := range t.Columns {
 		fmt.Fprintf(&b, "%12s", c)
 	}
 	b.WriteByte('\n')
 	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-12s", r.Label)
+		fmt.Fprintf(&b, "%-*s", w, r.Label)
 		for _, v := range r.Values {
 			fmt.Fprintf(&b, "%12.3f", v)
 		}

@@ -272,3 +272,26 @@ func TestTableArtifactsRunNothing(t *testing.T) {
 		t.Error("table artifacts differ from Table1 and Table2")
 	}
 }
+
+// TestTableStringAlignsLabels checks that the label column is as wide as
+// the longest label, 12 at least, so every value column lines up.
+func TestTableStringAlignsLabels(t *testing.T) {
+	for _, tc := range []struct {
+		labels []string
+		width  int
+	}{
+		{[]string{"apache", "GEOMEAN"}, 12},
+		{[]string{"apache/esp-nuca-ref2exp2", "CG/esp-nuca"}, 24},
+	} {
+		tab := Table{ID: "T", Title: "t", Columns: []string{"a", "b"}}
+		for _, l := range tc.labels {
+			tab.Rows = append(tab.Rows, TableRow{Label: l, Values: []float64{1, 22.5}})
+		}
+		lines := strings.Split(strings.TrimSuffix(tab.String(), "\n"), "\n")[1:]
+		for _, line := range lines {
+			if len(line) != tc.width+24 {
+				t.Errorf("line %q is %d wide, want a %d-wide label column and two 12-wide values", line, len(line), tc.width)
+			}
+		}
+	}
+}
